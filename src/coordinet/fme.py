@@ -280,7 +280,9 @@ def systems_equivalent(sys_a: LinearSystem, sys_b: LinearSystem, box,
     diff = np.flatnonzero(in_a != in_b)
     if diff.size:
         x = pts[diff[0]]
-        assert bool(sys_a.contains(x[None])[0]) != bool(sys_b.contains(x[None])[0])
+        if bool(sys_a.contains(x[None])[0]) == bool(sys_b.contains(x[None])[0]):
+            raise RuntimeError(f"{diff.size} sample points differed in batch but the first "
+                               "agrees when re-checked alone; membership test is unstable")
         return EquivalenceReport(False, len(pts), x)
     return EquivalenceReport(True, len(pts), None)
 

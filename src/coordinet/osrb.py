@@ -183,11 +183,7 @@ def osrb_uniformity(p: JointPmf, groups: Sequence[tuple[Sequence[str], BinningCo
 
     ext = p.iid_extend(n, max_entries=max_entries)
     flat = ext.table.ravel()
-    idx = np.arange(flat.size)
-    var_seqs = {}
-    for pos, name in enumerate(ext.names):
-        later = int(np.prod(ext.sizes[pos + 1:], initial=1))
-        var_seqs[name] = (idx // later) % ext.sizes[pos]
+    var_seqs = dict(zip(ext.names, np.unravel_index(np.arange(flat.size), ext.sizes)))
 
     bin_sizes = [code.num_bins for _, code in groups]
     combined = np.zeros(flat.size, dtype=np.int64)
@@ -195,15 +191,11 @@ def osrb_uniformity(p: JointPmf, groups: Sequence[tuple[Sequence[str], BinningCo
         g_idx = _group_index(var_seqs, tuple(vars_g), sizes, n)
         combined = combined * nb + code.assignment[g_idx]
     n_combo = int(np.prod(bin_sizes, initial=1))
-    if side:
-        side_idx = np.zeros(flat.size, dtype=np.int64)
-        side_card = 1
-        for v in side:
-            side_idx = side_idx * sizes[v] ** n + var_seqs[v]
-            side_card *= sizes[v] ** n
-    else:
-        side_idx = np.zeros(flat.size, dtype=np.int64)
-        side_card = 1
+    side_idx = np.zeros(flat.size, dtype=np.int64)
+    side_card = 1
+    for v in side:
+        side_idx = side_idx * sizes[v] ** n + var_seqs[v]
+        side_card *= sizes[v] ** n
     key = side_idx * n_combo + combined
     induced = np.bincount(key, weights=flat, minlength=side_card * n_combo)
     side_marg = np.bincount(side_idx, weights=flat, minlength=side_card)
@@ -222,12 +214,8 @@ def sw_decode(prior: JointPmf, constraints: Sequence[tuple[Sequence[str], Binnin
     or NO_CANDIDATE when the intersection is empty.
     """
     flat = prior.table.ravel()
-    idx = np.arange(flat.size)
     seq_sizes = dict(zip(prior.names, prior.sizes))
-    var_seqs = {}
-    for pos, name in enumerate(prior.names):
-        later = int(np.prod(prior.sizes[pos + 1:], initial=1))
-        var_seqs[name] = (idx // later) % prior.sizes[pos]
+    var_seqs = dict(zip(prior.names, np.unravel_index(np.arange(flat.size), prior.sizes)))
     mask = np.ones(flat.size, dtype=bool)
     for vars_g, code, bin_index in constraints:
         vars_g = tuple(vars_g)
@@ -254,11 +242,7 @@ def sw_success_prob(p: JointPmf, groups: Sequence[tuple[Sequence[str], BinningCo
     sizes = dict(zip(p.names, p.sizes))
     ext = p.iid_extend(n, max_entries=max_entries)
     flat = ext.table.ravel()
-    idx = np.arange(flat.size)
-    var_seqs = {}
-    for pos, name in enumerate(ext.names):
-        later = int(np.prod(ext.sizes[pos + 1:], initial=1))
-        var_seqs[name] = (idx // later) % ext.sizes[pos]
+    var_seqs = dict(zip(ext.names, np.unravel_index(np.arange(flat.size), ext.sizes)))
     decoded = [v for vars_g, _ in groups for v in vars_g]
     side = [v for v in p.names if v not in set(decoded)]
 
@@ -273,11 +257,8 @@ def sw_success_prob(p: JointPmf, groups: Sequence[tuple[Sequence[str], BinningCo
     for v in decoded:
         dec_idx = dec_idx * sizes[v] ** n + var_seqs[v]
 
-    group_key = side_idx.astype(np.int64)
-    n_combo = 1
-    for _, code in groups:
-        n_combo *= code.num_bins
-    group_key = group_key * n_combo + combined
+    n_combo = math.prod(code.num_bins for _, code in groups)
+    group_key = side_idx * n_combo + combined
     # winner per (side, bins) group: max prior, ties to smallest decode index
     order = np.lexsort((dec_idx, -flat, group_key))
     gk_sorted = group_key[order]
@@ -295,6 +276,12 @@ def sw_success_prob(p: JointPmf, groups: Sequence[tuple[Sequence[str], BinningCo
 
 @dataclass(frozen=True)
 class ProtocolCaps:
+    """Entry-count caps checked before run_protocol allocates: ``wvu`` for
+    the (w,v,u) sequence space, ``y_pairs`` for the (y1,y2) output space,
+    ``with_g`` for the joint with shared indices and for the dense
+    channel-mixing array over (shared indices, decoded pairs); above it
+    the mixing groups the live relay tuples instead."""
+
     wvu: int = 2 ** 22
     y_pairs: int = 2 ** 20
     with_g: int = 2 ** 24
@@ -356,6 +343,34 @@ def _decoder_table(prior_seq: np.ndarray, keys: np.ndarray, n_keys: int) -> np.n
     return table
 
 
+def _mix_outputs(keys: np.ndarray, weights: np.ndarray, groups: int, c1: np.ndarray,
+                 c2: np.ndarray, cap: int, right_first: bool = False) -> np.ndarray:
+    """(groups, ny1, ny2) array: per group g, the sum of
+    weights[i] * outer(c1[d1], c2[d2]) over the terms with
+    keys[i] = (g * k1 + d1) * k2 + d2.  When the dense (groups, k1, k2)
+    array M fits under ``cap`` and C1ᵀ M C2 takes fewer multiply-adds than
+    one outer product per term, the weights are scattered into M.
+    Otherwise (decoded spaces that dwarf the terms, as in copy-w with
+    |W| = |Y1||Y2|) the terms are grouped on their key and each g is one
+    matmul of gathered channel rows.  ``right_first`` associates the
+    products the other way."""
+    (k1, ny1), (k2, ny2) = c1.shape, c2.shape
+    if groups * k1 * k2 <= cap and groups * k1 * ny1 * (k2 + ny2) <= len(keys) * ny1 * ny2:
+        mix = np.bincount(keys, weights=weights, minlength=groups * k1 * k2).reshape(groups, k1, k2)
+        return c1.T @ (mix @ c2) if right_first else c1.T @ mix @ c2
+    uniq, inv = np.unique(keys, return_inverse=True)
+    wsum = np.bincount(inv, weights=weights)[:, None]
+    g, d = np.divmod(uniq, k1 * k2)
+    out = np.zeros((groups, ny1, ny2))
+    cuts = np.searchsorted(g, np.arange(groups + 1))
+    for i in np.flatnonzero(np.diff(cuts)):
+        s = slice(cuts[i], cuts[i + 1])
+        a, b = c1[d[s] // k2], c2[d[s] % k2]  # gathered copies, scaled in place
+        (b if right_first else a)[...] *= wsum[s]
+        out[i] = a.T @ b
+    return out
+
+
 def run_protocol(cfg: ProtocolConfig) -> InducedLaw:
     """Run the binning protocol once, enumerating the exact induced law.
 
@@ -415,10 +430,8 @@ def run_protocol(cfg: ProtocolConfig) -> InducedLaw:
     g0v = code["g0"].assignment[w_seq]
     g1v = code["g1"].assignment[wv_seq]
     b1v = code["b1"].assignment[wv_seq]
-    f1v = code["f1"].assignment[wv_seq]
     g2v = code["g2"].assignment[wu_seq]
     b2v = code["b2"].assignment[wu_seq]
-    f2v = code["f2"].assignment[wu_seq]
 
     # decoder priors over the (w,v) and (w,u) sequence spaces
     p_wv = p_wvu.marginal(("W", "V")).table.ravel()
@@ -456,51 +469,35 @@ def run_protocol(cfg: ProtocolConfig) -> InducedLaw:
     weights[live] = unif_cell * prior_seq[live] / z[cell[live]]
 
     g_of_tuple = (g0v * bins["g1"] + g1v) * bins["g2"] + g2v
-    key1 = ((g0v * bins["g1"] + g1v) * bins["b1"] + b1v) * bins["f1"] + f1v
-    key2 = ((g0v * bins["g2"] + g2v) * bins["b2"] + b2v) * bins["f2"] + f2v
-    d1 = dec1[key1]
-    d2 = dec2[key2]
-    assert (d1[live] >= 0).all() and (d2[live] >= 0).all()
+    d1 = dec1[key1_all[wv_seq[live]]]
+    d2 = dec2[key2_all[wu_seq[live]]]
+    undecodable = int(np.count_nonzero((d1 < 0) | (d2 < 0)))
+    if undecodable:
+        raise RuntimeError(f"{undecodable} live relay tuples carry a bin key with no decoder "
+                           "entry; decoder tables are inconsistent")
 
-    ny1 = n1 ** n
-    ny2 = n2 ** n
-    joint = np.zeros((gtot, ny1, ny2))
-    sw1 = float(weights[live][d1[live] == wv_seq[live]].sum())
-    sw2 = float(weights[live][d2[live] == wu_seq[live]].sum())
-
-    # group live tuples by (g, decoded pair) and mix the output channels
-    combo = (g_of_tuple * len(prior_wv) + d1) * len(prior_wu) + d2
-    live_combo = combo[live]
     live_w = weights[live]
-    uniq, inv = np.unique(live_combo, return_inverse=True)
-    wsum = np.bincount(inv, weights=live_w)
-    u_g = uniq // (len(prior_wv) * len(prior_wu))
-    u_d1 = (uniq // len(prior_wu)) % len(prior_wv)
-    u_d2 = uniq % len(prior_wu)
-    for g in np.unique(u_g):
-        sel = u_g == g
-        joint[g] += np.einsum("k,ka,kb->ab", wsum[sel], chan1_seq[u_d1[sel]],
-                              chan2_seq[u_d2[sel]])
+    sw1 = float(live_w[d1 == wv_seq[live]].sum())
+    sw2 = float(live_w[d2 == wu_seq[live]].sum())
 
-    # empty relay cells: nodes emit from channels driven by the first input
-    empty_per_g = np.bincount(np.arange(n_cells) // (bins["b1"] * bins["b2"]),
-                              weights=(z <= 0.0).astype(float), minlength=gtot)
-    fallback = np.outer(chan1_seq[0], chan2_seq[0])
-    nocand = 0.0
-    for g in np.flatnonzero(empty_per_g):
-        joint[g] += empty_per_g[g] * unif_cell * fallback
-        nocand += empty_per_g[g] * unif_cell
+    # mix the output channels over (g, decoded pair); an empty relay cell
+    # makes both nodes decode the first input, i.e. it adds its mass to
+    # decoded pair (0, 0)
+    k1, k2 = len(prior_wv), len(prior_wu)
+    pair = d1 * k2 + d2
+    empty = np.bincount(np.arange(n_cells) // (bins["b1"] * bins["b2"]),
+                        weights=(z <= 0.0).astype(float), minlength=gtot) * unif_cell
+    nocand = float(sum(empty))
+    keys = np.append(g_of_tuple[live] * (k1 * k2) + pair, np.arange(gtot) * (k1 * k2))
+    joint = _mix_outputs(keys, np.append(live_w, empty), gtot, chan1_seq, chan2_seq,
+                         cfg.caps.with_g)
+    ny1, ny2 = joint.shape[1:]
 
     raw_mass = float(joint.sum())
     # second accumulation path for the two-way marginal check: sum over
-    # decoded pairs without the g split, in a different order
-    marg = np.zeros((ny1, ny2))
-    pair = u_d1 * len(prior_wu) + u_d2
-    pu, pinv = np.unique(pair, return_inverse=True)
-    psum = np.bincount(pinv, weights=wsum)
-    marg += np.einsum("k,ka,kb->ab", psum, chan1_seq[pu // len(prior_wu)],
-                      chan2_seq[pu % len(prior_wu)])
-    marg += float((z <= 0.0).sum()) * unif_cell * fallback
+    # decoded pairs without the g split, associated in the other order
+    marg = _mix_outputs(np.append(pair, 0), np.append(live_w, float((z <= 0.0).sum()) * unif_cell),
+                        1, chan1_seq, chan2_seq, cfg.caps.with_g, right_first=True)[0]
 
     qn = cfg.q.iid_extend(n, max_entries=cfg.caps.y_pairs).table
     tv_marginal = 0.5 * float(np.abs(joint.sum(axis=0) - qn).sum())

@@ -66,17 +66,35 @@ def cond_mi_direct(table, ax_a, ax_c, ax_b) -> float:
     return val
 
 
+def set_partitions(length: int, max_blocks: int):
+    """Every partition of range(length) into at most max_blocks blocks, as a
+    restricted growth string: a[0] = 0 and a[i] <= 1 + max(a[:i])."""
+    labels = [0] * length
+
+    def extend(i, used):
+        if i == length:
+            yield tuple(labels)
+            return
+        for b in range(min(used + 1, max_blocks)):
+            labels[i] = b
+            yield from extend(i + 1, max(used, b + 1))
+
+    yield from extend(0, 0)
+
+
 def wyner_deterministic_min(q_table, w_cap: int, slack_tol: float = 1e-9):
     """Brute force over all maps from support cells to w_cap bins: the
     smallest I(Y1Y2;W) among maps keeping Y1 _|_ Y2 | W within tolerance.
 
+    H(W) and the Markov slack do not change when W is relabelled, so one
+    map per set partition of the support cells suffices.
     For deterministic W, I(Y1Y2;W) = H(W).  Returns (value, best map).
     """
     q = np.asarray(q_table, dtype=float)
     n1, n2 = q.shape
     cells = [(i, j) for i in range(n1) for j in range(n2) if q[i, j] > 0]
     best = (math.inf, None)
-    for assign in itertools.product(range(w_cap), repeat=len(cells)):
+    for assign in set_partitions(len(cells), w_cap):
         masses = [0.0] * w_cap
         tables = [np.zeros((n1, n2)) for _ in range(w_cap)]
         for (i, j), w in zip(cells, assign):

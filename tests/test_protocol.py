@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from coordinet.osrb import (ProtocolCaps, ProtocolConfig, SequenceSpace, make_binning,
-                            run_protocol, sweep)
+from coordinet.osrb import (ProtocolCaps, ProtocolConfig, SequenceSpace, _mix_outputs,
+                            bins_from_rate, make_binning, run_protocol, sweep)
 from coordinet.pmf import StateSpaceTooLarge
-from coordinet.region import RateTuple
-from coordinet.sources import builtin_coupling, identical_uniform, independent_bits
+from coordinet.region import RateTuple, canonical_couplings
+from coordinet.sources import builtin_coupling, dsbs, identical_uniform, independent_bits
 
 from oracles import slow_protocol_law
 
@@ -18,6 +18,33 @@ def common_bit_config(n=2, rf=1.0, rb=0.0, rt=(0.0, 0.0, 0.0), seed=0):
     return ProtocolConfig(q=q, coupling=builtin_coupling("w-from-y1", q), n=n,
                           rates=RateTuple(rf1=rf, rb1=rb, rf2=rf, rb2=rb),
                           tilde_rates=rt, seed=seed)
+
+
+def oracle_joint(cfg):
+    """The slow oracle's law for ``cfg``, with the binnings rebuilt exactly
+    as run_protocol draws them."""
+    coup = cfg.coupling
+    nu, nv, nw = coup.p_uvw.sizes
+    n = cfg.n
+    rt0, rt1, rt2 = cfg.tilde_rates
+    rate_map = {"g0": rt0, "g1": rt1, "b1": cfg.rates.rb1, "f1": cfg.rates.rf1,
+                "g2": rt2, "b2": cfg.rates.rb2, "f2": cfg.rates.rf2}
+    names = ("g0", "g1", "b1", "f1", "g2", "b2", "f2")
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(len(names))
+    doms = {"g0": SequenceSpace(("W",), (nw,), n)}
+    for k in ("g1", "b1", "f1"):
+        doms[k] = SequenceSpace(("W", "V"), (nw, nv), n)
+    for k in ("g2", "b2", "f2"):
+        doms[k] = SequenceSpace(("W", "U"), (nw, nu), n)
+    codes, num_bins = {}, {}
+    for i, name in enumerate(names):
+        nb, _ = bins_from_rate(n, rate_map[name])
+        codes[name] = make_binning(doms[name], nb, int(seeds[i])).assignment
+        num_bins[name] = nb
+    p_wvu = coup.p_uvw.reorder(("W", "V", "U")).table
+    chan1 = np.transpose(coup.chan_y1.table, (1, 0, 2)).reshape(nw * nv, -1)
+    chan2 = np.transpose(coup.chan_y2.table, (1, 0, 2)).reshape(nw * nu, -1)
+    return slow_protocol_law(p_wvu, chan1, chan2, n, codes, num_bins)
 
 
 class TestDegenerateCases:
@@ -84,12 +111,72 @@ class TestExactnessInvariants:
         with pytest.raises(StateSpaceTooLarge):
             run_protocol(tight)
 
+    def test_caps_bound_mixing_array(self):
+        # passes the wvu, y_pairs and gtot*k_y checks (k_y = 16); its 16 x 16
+        # decoded (w,v), (w,u) sequence pairs exceed with_g, which must not
+        # refuse the run: the live tuples are grouped, and the law is exact
+        q = dsbs(0.1)
+        cfg = ProtocolConfig(q=q, coupling=canonical_couplings(q, caps=(2, 2, 2))["uv-copy"],
+                             n=2, rates=RateTuple(0.5, 0.5, 0.5, 0.5),
+                             tilde_rates=(0.0, 0.0, 0.0), seed=0,
+                             caps=ProtocolCaps(with_g=64))
+        law = run_protocol(cfg)
+        ref = oracle_joint(cfg)
+        assert np.abs(law.joint_with_g.table.reshape(ref.shape) - ref).max() <= 1e-12
+
+    def test_copy_w_n7_under_default_caps(self):
+        # |W| = |Y1||Y2| = 4: 4^14 decoded (w, w) sequence pairs against
+        # 4^7 live relay tuples, far past with_g for a dense mixing array
+        q = dsbs(0.1)
+        cfg = ProtocolConfig(q=q, coupling=builtin_coupling("copy-w", q), n=7,
+                             rates=RateTuple(rf1=1.6, rb1=0.3, rf2=1.6, rb2=0.3),
+                             tilde_rates=(0.0, 0.0, 0.0), seed=1)
+        law = run_protocol(cfg)
+        assert law.raw_mass == pytest.approx(1.0, abs=1e-9)
+        marg_from_joint = law.joint_with_g.table.sum(axis=(0, 1, 2))
+        assert np.abs(marg_from_joint - law.marginal_direct).sum() <= 1e-12
+        assert law.tv_best_g <= 2.0 * law.tv_with_uniform_g
+
+    def test_exact_past_n8(self):
+        # uv-copy on dsbs-0.1 at n=9: 2^9 x 2^9 decoded pairs per shared index
+        q = dsbs(0.1)
+        cfg = ProtocolConfig(q=q, coupling=builtin_coupling("uv-copy", q), n=9,
+                             rates=RateTuple(rf1=0.8, rb1=0.3, rf2=0.8, rb2=0.3),
+                             tilde_rates=(0.0, 0.2, 0.0), seed=1)
+        law = run_protocol(cfg)
+        assert law.joint_with_g.table.shape[:3] == (1, 3, 1)
+        assert law.raw_mass == pytest.approx(1.0, abs=1e-9)
+        marg_from_joint = law.joint_with_g.table.sum(axis=(0, 1, 2))
+        assert np.abs(marg_from_joint - law.marginal_direct).sum() <= 1e-12
+        assert law.tv_best_g <= 2.0 * law.tv_with_uniform_g
+
     def test_rejects_infinite_rates(self):
         q = identical_uniform(2)
         with pytest.raises(ValueError):
             ProtocolConfig(q=q, coupling=builtin_coupling("w-from-y1", q), n=2,
                            rates=RateTuple(rf1=math.inf, rb1=0, rf2=1, rb2=0),
                            tilde_rates=(0, 0, 0), seed=0)
+
+
+class TestMixOutputs:
+    def test_dense_and_grouped_paths_agree_with_direct_sum(self):
+        rng = np.random.default_rng(3)
+        groups, k1, k2 = 3, 5, 4
+        c1 = rng.random((k1, 3))
+        c2 = rng.random((k2, 2))
+        keys = rng.integers(0, groups * k1 * k2, size=60)
+        w = rng.random(60)
+        w /= w.sum()
+        ref = np.zeros((groups, 3, 2))
+        for key, wi in zip(keys, w):
+            g, d = divmod(int(key), k1 * k2)
+            ref[g] += wi * np.outer(c1[d // k2], c2[d % k2])
+        # 60 terms make the dense 3 x 5 x 4 array pay; a cap of 59 entries
+        # forces the grouped path
+        for cap in (59, 60):
+            for right_first in (True, False):
+                got = _mix_outputs(keys, w, groups, c1, c2, cap, right_first)
+                assert np.abs(got - ref).max() <= 1e-15
 
 
 class TestAgainstSlowOracle:
@@ -101,63 +188,31 @@ class TestAgainstSlowOracle:
                                  rates=RateTuple(rf1=1.0, rb1=0.5, rf2=0.5, rb2=0.0),
                                  tilde_rates=(0.5, 0.0, 0.0), seed=seed)
             law = run_protocol(cfg)
-            # rebuild the binning instances exactly as run_protocol does
-            names = ("g0", "g1", "b1", "f1", "g2", "b2", "f2")
-            seeds = np.random.SeedSequence(seed).generate_state(len(names))
-            nw, nv, nu = 2, 1, 1
-            from coordinet.osrb import bins_from_rate
-            rate_map = {"g0": 0.5, "g1": 0.0, "b1": 0.5, "f1": 1.0,
-                        "g2": 0.0, "b2": 0.0, "f2": 0.5}
-            doms = {"g0": SequenceSpace(("W",), (nw,), 2),
-                    "g1": SequenceSpace(("W", "V"), (nw, nv), 2),
-                    "b1": SequenceSpace(("W", "V"), (nw, nv), 2),
-                    "f1": SequenceSpace(("W", "V"), (nw, nv), 2),
-                    "g2": SequenceSpace(("W", "U"), (nw, nu), 2),
-                    "b2": SequenceSpace(("W", "U"), (nw, nu), 2),
-                    "f2": SequenceSpace(("W", "U"), (nw, nu), 2)}
-            codes = {}
-            num_bins = {}
-            for i, name in enumerate(names):
-                nb, _ = bins_from_rate(2, rate_map[name])
-                codes[name] = make_binning(doms[name], nb, int(seeds[i])).assignment
-                num_bins[name] = nb
-            p_wvu = coup.p_uvw.reorder(("W", "V", "U")).table
-            chan1 = np.transpose(coup.chan_y1.table, (1, 0, 2)).reshape(nw * nv, 2)
-            chan2 = np.transpose(coup.chan_y2.table, (1, 0, 2)).reshape(nw * nu, 2)
-            ref = slow_protocol_law(p_wvu, chan1, chan2, 2, codes, num_bins)
+            ref = oracle_joint(cfg)
             got = law.joint_with_g.table.reshape(ref.shape)
             assert np.abs(got - ref).max() <= 1e-12
 
     def test_exact_match_with_varying_auxiliaries(self):
         # both decoder spaces two-dimensional: exercises the grouped keys
-        from coordinet.sources import dsbs
         q = dsbs(0.1)
-        coup = builtin_coupling("uv-copy", q)
-        nu, nv, nw = coup.p_uvw.sizes
-        n = 2
-        rate_map = {"g0": 0.0, "g1": 0.5, "b1": 0.5, "f1": 1.0,
-                    "g2": 0.0, "b2": 0.5, "f2": 0.5}
-        cfg = ProtocolConfig(q=q, coupling=coup, n=n,
+        cfg = ProtocolConfig(q=q, coupling=builtin_coupling("uv-copy", q), n=2,
                              rates=RateTuple(rf1=1.0, rb1=0.5, rf2=0.5, rb2=0.5),
                              tilde_rates=(0.0, 0.5, 0.0), seed=5)
         law = run_protocol(cfg)
-        names = ("g0", "g1", "b1", "f1", "g2", "b2", "f2")
-        seeds = np.random.SeedSequence(5).generate_state(len(names))
-        from coordinet.osrb import bins_from_rate
-        doms = {"g0": SequenceSpace(("W",), (nw,), n)}
-        for k in ("g1", "b1", "f1"):
-            doms[k] = SequenceSpace(("W", "V"), (nw, nv), n)
-        for k in ("g2", "b2", "f2"):
-            doms[k] = SequenceSpace(("W", "U"), (nw, nu), n)
-        codes, num_bins = {}, {}
-        for i, name in enumerate(names):
-            nb, _ = bins_from_rate(n, rate_map[name])
-            codes[name] = make_binning(doms[name], nb, int(seeds[i])).assignment
-            num_bins[name] = nb
-        p_wvu = coup.p_uvw.reorder(("W", "V", "U")).table
-        chan1 = np.transpose(coup.chan_y1.table, (1, 0, 2)).reshape(nw * nv, 2)
-        chan2 = np.transpose(coup.chan_y2.table, (1, 0, 2)).reshape(nw * nu, 2)
-        ref = slow_protocol_law(p_wvu, chan1, chan2, n, codes, num_bins)
+        ref = oracle_joint(cfg)
+        got = law.joint_with_g.table.reshape(ref.shape)
+        assert np.abs(got - ref).max() <= 1e-12
+
+    def test_exact_match_several_shared_indices_n3(self):
+        # three g1 values and three backward bins per link: the (g, d1, d2)
+        # scatter fills several shared-index slices of 8 x 8 decoded pairs
+        q = dsbs(0.1)
+        cfg = ProtocolConfig(q=q, coupling=builtin_coupling("uv-copy", q), n=3,
+                             rates=RateTuple(rf1=1.0, rb1=0.5, rf2=0.5, rb2=0.5),
+                             tilde_rates=(0.0, 0.5, 0.0), seed=5)
+        law = run_protocol(cfg)
+        assert law.num_bins["g1"] == 3
+        ref = oracle_joint(cfg)
         got = law.joint_with_g.table.reshape(ref.shape)
         assert np.abs(got - ref).max() <= 1e-12
 
