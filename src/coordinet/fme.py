@@ -130,65 +130,45 @@ def fme_eliminate(s: LinearSystem, var: str) -> LinearSystem:
     """Project out ``var`` by pairing its upper and lower bounding rows.
 
     A derived row is strict exactly when either parent is strict; rows not
-    involving ``var`` carry over unchanged (minus the column).
+    involving ``var`` carry over unchanged (minus the column) and come
+    first, then one row per (upper, lower) pair in row order.
     """
     if var not in s.variables:
         raise ValueError(f"unknown variable {var!r}")
     col = s.variables.index(var)
     c = s.a[:, col]
-    pos = np.flatnonzero(c > 0)
-    neg = np.flatnonzero(c < 0)
-    zero = np.flatnonzero(c == 0)
-    keep = [i for i in range(len(s.variables)) if i != col]
-    rows_a, rows_b, rows_s = [], [], []
-    for i in zero:
-        rows_a.append(s.a[i, keep])
-        rows_b.append(s.b[i])
-        rows_s.append(s.strict[i])
-    for i in pos:
-        ai, bi = s.a[i] / c[i], s.b[i] / c[i]
-        for j in neg:
-            aj, bj = s.a[j] / (-c[j]), s.b[j] / (-c[j])
-            row = ai + aj
-            row[col] = 0.0
-            rows_a.append(row[keep])
-            rows_b.append(bi + bj)
-            rows_s.append(bool(s.strict[i] or s.strict[j]))
-    new_vars = tuple(v for v in s.variables if v != var)
-    if not rows_a:
-        return LinearSystem(new_vars, np.zeros((0, len(new_vars))), np.zeros(0),
-                            np.zeros(0, dtype=bool))
-    return LinearSystem(new_vars, np.array(rows_a), np.array(rows_b),
-                        np.array(rows_s, dtype=bool))
+    pos, neg, zero = c > 0, c < 0, c == 0
+    up = np.delete(s.a[pos] / c[pos, None], col, axis=1)
+    lo = np.delete(s.a[neg] / -c[neg, None], col, axis=1)
+    a = (up[:, None, :] + lo[None, :, :]).reshape(len(up) * len(lo), up.shape[1])
+    b = (s.b[pos] / c[pos])[:, None] + (s.b[neg] / -c[neg])[None, :]
+    strict = s.strict[pos][:, None] | s.strict[neg][None, :]
+    return LinearSystem(tuple(v for v in s.variables if v != var),
+                        np.vstack([np.delete(s.a[zero], col, axis=1), a]),
+                        np.concatenate([s.b[zero], b.ravel()]),
+                        np.concatenate([s.strict[zero], strict.ravel()]))
 
 
 def simplify(s: LinearSystem) -> LinearSystem:
     """Cheap syntactic cleanup: drop trivially-true rows (0 <= c, c >= 0)
-    and collapse rows with equal coefficient vectors to the tightest one."""
-    keep: dict[tuple, tuple[float, bool]] = {}
-    order: list[tuple] = []
-    for i in range(s.nrows):
-        a = s.a[i]
-        if not a.any():
-            if s.b[i] >= (0.0 if not s.strict[i] else SNAP):
-                continue  # trivially true
-        key = tuple(np.round(a, 12))
-        if key not in keep:
-            keep[key] = (s.b[i], bool(s.strict[i]))
-            order.append(key)
-        else:
-            b0, s0 = keep[key]
-            if s.b[i] < b0 - SNAP:
-                keep[key] = (s.b[i], bool(s.strict[i]))
-            elif abs(s.b[i] - b0) <= SNAP:
-                keep[key] = (min(b0, s.b[i]), s0 or bool(s.strict[i]))
-    if not order:
-        return LinearSystem(s.variables, np.zeros((0, len(s.variables))), np.zeros(0),
-                            np.zeros(0, dtype=bool))
-    a = np.array([list(k) for k in order])
-    b = np.array([keep[k][0] for k in order])
-    st = np.array([keep[k][1] for k in order], dtype=bool)
-    return LinearSystem(s.variables, a, b, st)
+    and collapse rows with equal coefficient vectors (rounded to 12
+    decimals) to one row, placed where the group first occurs.
+
+    Tie rule: the row keeps the least constant of its group, and is strict
+    when any row of the group whose constant lies within ``SNAP`` of that
+    least one is strict.
+    """
+    trivial = ~s.a.any(axis=1) & (s.b >= np.where(s.strict, SNAP, 0.0))
+    keys = np.round(s.a[~trivial], 12)
+    b, strict = s.b[~trivial], s.strict[~trivial]
+    _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    group = group.ravel()   # numpy 2.0.0 returns it with shape (n, 1)
+    bmin = np.full(len(first), np.inf)
+    np.minimum.at(bmin, group, b)
+    tight = np.zeros(len(first), dtype=bool)
+    np.logical_or.at(tight, group, strict & (b - bmin[group] <= SNAP))
+    order = np.argsort(first, kind="stable")
+    return LinearSystem(s.variables, keys[first[order]], bmin[order], tight[order])
 
 
 def remove_redundant(s: LinearSystem) -> LinearSystem:

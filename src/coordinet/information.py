@@ -4,6 +4,7 @@ All values are in bits (log base 2) and 0*log(0) = 0 throughout.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -18,21 +19,63 @@ class OptimizerFailed(Exception):
     """No restart produced a witness with acceptable Markov slack."""
 
 
-def _xlog2(t: np.ndarray) -> np.ndarray:
-    return np.where(t > 0, t * np.log2(np.where(t > 0, t, 1.0)), 0.0)
+@functools.lru_cache(maxsize=256)
+def _marginal_plan(shape: tuple[int, ...], subsets: tuple[tuple[int, ...], ...]):
+    """For a table with non-batch ``shape``: steps ``(src, axes)`` that sum
+    marginal ``src`` (0 is the table) over ``axes`` into the next one, each
+    from the smallest marginal already formed that contains it; then the
+    marginal of each subset and where its segment starts."""
+    full = tuple(range(len(shape)))
+    keyed = [tuple(sorted(set(s))) for s in subsets]
+    if not keyed or any(not s or s[0] < 0 or s[-1] >= len(shape) for s in keyed):
+        raise ValueError(f"subsets must be nonempty sets of axes in {full}, got {subsets}")
+
+    def cells(s):
+        return math.prod(shape[a] for a in s)
+
+    formed, steps = [full], []
+    for s in sorted(set(keyed) - {full}, key=lambda s: (-cells(s), -len(s), s)):
+        src = min((i for i, f in enumerate(formed) if set(s) <= set(f)),
+                  key=lambda i: cells(formed[i]))
+        steps.append((src, tuple(1 + k for k, a in enumerate(formed[src]) if a not in s)))
+        formed.append(s)
+    offsets = np.cumsum([0] + [cells(s) for s in keyed[:-1]])
+    offsets.setflags(write=False)   # cached: shared by every call
+    return tuple(steps), tuple(formed.index(s) for s in keyed), offsets
 
 
-def _entropy_table(t: np.ndarray) -> float:
-    return max(0.0, -float(_xlog2(t).sum()))
+def subset_entropies(table: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
+    """(B, len(subsets)) entropies in bits of the marginals of a (B, *axes)
+    batch of tables on subsets of the non-batch axes (0-based, any order).
+
+    Sums run in the table's memory order, so a lone subset gives exactly
+    what summing its marginal directly gives.
+    """
+    t = np.asarray(table, dtype=float)
+    subsets = tuple(tuple(int(a) for a in s) for s in subsets)
+    if not t.flags.c_contiguous:
+        perm = sorted(range(1, t.ndim), key=lambda k: -t.strides[k])
+        t = t.transpose(0, *perm)
+        subsets = tuple(tuple(perm.index(a + 1) for a in s) for s in subsets)
+    steps, picks, offsets = _marginal_plan(t.shape[1:], subsets)
+    margs = [t]
+    for src, axes in steps:
+        margs.append(margs[src].sum(axis=axes))
+    flat = np.concatenate([margs[i].reshape(len(t), -1) for i in picks], axis=1)
+    flat *= np.log2(flat, out=np.zeros_like(flat), where=flat > 0)
+    # reduceat adds each segment in sequence; a lone subset goes through
+    # ndarray.sum, whose pairwise order is the one a direct sum uses
+    return -(flat.sum(axis=1, keepdims=True) if len(picks) == 1
+             else np.add.reduceat(flat, offsets, axis=1))
 
 
 def entropy(p: JointPmf, vars: Sequence[str] | None = None) -> float:
     """Shannon entropy of the marginal on ``vars`` (all variables if None)."""
-    if vars is None:
-        return _entropy_table(p.table)
-    if not vars:
-        raise UnknownVariable("entropy needs a nonempty variable set")
-    return _entropy_table(p.marginal(vars).table)
+    if vars is not None:
+        if not vars:
+            raise UnknownVariable("entropy needs a nonempty variable set")
+        p = p.marginal(vars)
+    return max(0.0, float(subset_entropies(p.table[None], (range(p.table.ndim),))[0, 0]))
 
 
 def conditional_entropy(p: JointPmf, left: Sequence[str], given: Sequence[str] = ()) -> float:
@@ -105,21 +148,10 @@ def _wyner_terms(q2: np.ndarray, r: np.ndarray):
     """I(Y1Y2;W) and I(Y1;Y2|W) for a batch of conditionals r[(b,)cell,w]."""
     if r.ndim == 2:
         r = r[None]
-    B, m, nw = r.shape
-    n1, n2 = q2.shape
-    j = q2.ravel()[None, :, None] * r           # (B, cell, w)
-    pw = j.sum(axis=1)                           # (B, w)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(j > 0, r / np.where(pw[:, None, :] > 0, pw[:, None, :], 1.0), 1.0)
-        i_joint = (j * np.log2(np.where(j > 0, ratio, 1.0))).sum(axis=(1, 2))
-    jw = j.reshape(B, n1, n2, nw)
-    p1w = jw.sum(axis=2)                         # (B, y1, w)
-    p2w = jw.sum(axis=1)                         # (B, y2, w)
-    h1 = -_xlog2(p1w).sum(axis=1) + _xlog2(pw)   # sum_y1 contributions per w
-    h2 = -_xlog2(p2w).sum(axis=1) + _xlog2(pw)
-    h12 = -_xlog2(jw).sum(axis=(1, 2)) + _xlog2(pw)
-    slack = np.maximum(0.0, (h1 + h2 - h12).sum(axis=1))
-    return np.maximum(0.0, i_joint), slack
+    j = (q2.ravel()[None, :, None] * r).reshape(len(r), *q2.shape, r.shape[-1])
+    # axes of j: Y1 0, Y2 1, W 2
+    hy, hw, hyw, h1w, h2w = subset_entropies(j, ((0, 1), (2,), (0, 1, 2), (0, 2), (1, 2))).T
+    return np.maximum(0.0, hy + hw - hyw), np.maximum(0.0, h1w + h2w - hyw - hw)
 
 
 def _wyner_seeds(m_support: int, nw: int):

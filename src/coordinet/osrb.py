@@ -88,18 +88,12 @@ def merge_sequences(comps: Sequence[np.ndarray], sizes: Sequence[int], n: int) -
     K = int(np.prod(sizes))
     out = np.zeros_like(np.asarray(comps[0]))
     rem = [np.asarray(c).copy() for c in comps]
-    digits = []
-    for _ in range(n):  # extract time digits least-significant first
-        ds = []
-        for ci, k in enumerate(sizes):
-            ds.append(rem[ci] % k)
-            rem[ci] = rem[ci] // k
+    for t in range(n):  # time digits least-significant first, placed as they come
         sym = np.zeros_like(out)
         for ci, k in enumerate(sizes):  # first component most significant
-            sym = sym * k + ds[ci]
-        digits.append(sym)
-    for sym in reversed(digits):
-        out = out * K + sym
+            sym = sym * k + rem[ci] % k
+            rem[ci] //= k
+        out += sym * K ** t
     return out
 
 
@@ -422,16 +416,17 @@ def run_protocol(cfg: ProtocolConfig) -> InducedLaw:
     p_wvu = coup.p_uvw.reorder(("W", "V", "U"))
     prior_seq = product_law(p_wvu.table.ravel(), n)
 
-    idx = np.arange(k_wvu)
-    w_seq, v_seq, u_seq = split_sequences(idx, (nw, nv, nu), n)
+    # per relay tuple: shared-index key g and cell (g0, g1, g2, b1, b2); each
+    # array over all K tuples is dropped once consumed, to bound peak memory
+    w_seq, v_seq, u_seq = split_sequences(np.arange(k_wvu), (nw, nv, nu), n)
     wv_seq = merge_sequences([w_seq, v_seq], (nw, nv), n)
     wu_seq = merge_sequences([w_seq, u_seq], (nw, nu), n)
-
-    g0v = code["g0"].assignment[w_seq]
-    g1v = code["g1"].assignment[wv_seq]
-    b1v = code["b1"].assignment[wv_seq]
-    g2v = code["g2"].assignment[wu_seq]
-    b2v = code["b2"].assignment[wu_seq]
+    del v_seq, u_seq
+    g_of_tuple = ((code["g0"].assignment[w_seq] * bins["g1"] + code["g1"].assignment[wv_seq])
+                  * bins["g2"] + code["g2"].assignment[wu_seq])
+    del w_seq
+    cell = ((g_of_tuple * bins["b1"] + code["b1"].assignment[wv_seq]) * bins["b2"]
+            + code["b2"].assignment[wu_seq])
 
     # decoder priors over the (w,v) and (w,u) sequence spaces
     p_wv = p_wvu.marginal(("W", "V")).table.ravel()
@@ -458,37 +453,36 @@ def run_protocol(cfg: ProtocolConfig) -> InducedLaw:
     chan2_seq = channel_matrix(chan2_sym, n)
 
     # relay conditional normalizers per (g0, g1, g2, b1, b2) cell
-    cell = ((((g0v * bins["g1"] + g1v) * bins["g2"] + g2v) * bins["b1"] + b1v)
-            * bins["b2"] + b2v)
     n_cells = gtot * bins["b1"] * bins["b2"]
     z = np.bincount(cell, weights=prior_seq, minlength=n_cells)
     unif_cell = 1.0 / n_cells
 
-    weights = np.zeros(k_wvu)
     live = prior_seq > 0
-    weights[live] = unif_cell * prior_seq[live] / z[cell[live]]
-
-    g_of_tuple = (g0v * bins["g1"] + g1v) * bins["g2"] + g2v
-    d1 = dec1[key1_all[wv_seq[live]]]
-    d2 = dec2[key2_all[wu_seq[live]]]
+    live_w = unif_cell * prior_seq[live] / z[cell[live]]
+    g_live, wv_live, wu_live = g_of_tuple[live], wv_seq[live], wu_seq[live]
+    del cell, prior_seq, g_of_tuple, wv_seq, wu_seq, live
+    d1 = dec1[key1_all[wv_live]]
+    d2 = dec2[key2_all[wu_live]]
     undecodable = int(np.count_nonzero((d1 < 0) | (d2 < 0)))
     if undecodable:
         raise RuntimeError(f"{undecodable} live relay tuples carry a bin key with no decoder "
                            "entry; decoder tables are inconsistent")
 
-    live_w = weights[live]
-    sw1 = float(live_w[d1 == wv_seq[live]].sum())
-    sw2 = float(live_w[d2 == wu_seq[live]].sum())
+    sw1 = float(live_w[d1 == wv_live].sum())
+    sw2 = float(live_w[d2 == wu_live].sum())
+    del wv_live, wu_live
 
     # mix the output channels over (g, decoded pair); an empty relay cell
     # makes both nodes decode the first input, i.e. it adds its mass to
     # decoded pair (0, 0)
     k1, k2 = len(prior_wv), len(prior_wu)
     pair = d1 * k2 + d2
+    del d1, d2
     empty = np.bincount(np.arange(n_cells) // (bins["b1"] * bins["b2"]),
                         weights=(z <= 0.0).astype(float), minlength=gtot) * unif_cell
     nocand = float(sum(empty))
-    keys = np.append(g_of_tuple[live] * (k1 * k2) + pair, np.arange(gtot) * (k1 * k2))
+    keys = np.append(g_live * (k1 * k2) + pair, np.arange(gtot) * (k1 * k2))
+    del g_live
     joint = _mix_outputs(keys, np.append(live_w, empty), gtot, chan1_seq, chan2_seq,
                          cfg.caps.with_g)
     ny1, ny2 = joint.shape[1:]

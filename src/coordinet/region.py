@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .information import mutual_information
+from .information import mutual_information, subset_entropies
 from .optimize import coordinate_descent, dirichlet_rows
 from .pmf import Alphabet, ConditionalPmf, JointPmf
 
@@ -245,6 +245,9 @@ def _inner_objective(qt: np.ndarray, sums: np.ndarray, caps, cfg: SearchConfig):
     nu, nv, nw = caps
     n1, n2 = qt.shape
     s = np.minimum(sums, _BIG)
+    U, V, W, Y1, Y2 = range(5)
+    subsets = ((W,), (Y1, Y2), (W, Y1, Y2), (U, W), (V, W), (U, V, W),
+               (U, V, W, Y1, Y2), (V, W, Y1, Y2), (U, W, Y1, Y2))
 
     def objective(batch):
         p = batch[0].reshape(-1, nu, nv, nw)
@@ -253,18 +256,7 @@ def _inner_objective(qt: np.ndarray, sums: np.ndarray, caps, cfg: SearchConfig):
         j = (p[:, :, :, :, None, None]
              * c1[:, None, :, :, :, None]
              * c2[:, :, None, :, None, :])  # (B, U, V, W, Y1, Y2)
-
-        def h(axes_keep):
-            drop = tuple(i for i in range(1, 6) if i not in axes_keep)
-            m = j.sum(axis=drop)
-            return -(np.where(m > 0, m * np.log2(np.where(m > 0, m, 1.0)), 0.0)
-                     ).sum(axis=tuple(range(1, m.ndim)))
-
-        U, V, W, Y1, Y2 = 1, 2, 3, 4, 5
-        hw = h({W}); hy = h({Y1, Y2}); hwy = h({W, Y1, Y2})
-        huw = h({U, W}); hvw = h({V, W}); huvw = h({U, V, W})
-        hall = h({U, V, W, Y1, Y2})
-        hvwy = h({V, W, Y1, Y2}); huwy = h({U, W, Y1, Y2})
+        hw, hy, hwy, huw, hvw, huvw, hall, hvwy, huwy = subset_entropies(j, subsets).T
         i_uv_w = huw + hvw - hw - huvw
         i_w_y = hw + hy - hwy
         b = np.stack([
@@ -274,7 +266,7 @@ def _inner_objective(qt: np.ndarray, sums: np.ndarray, caps, cfg: SearchConfig):
             i_uv_w + i_w_y,
         ], axis=1)
         min_slack = (s[None, :] - b).min(axis=1)
-        marg = j.sum(axis=(U, V, W))
+        marg = j.sum(axis=(1, 2, 3))  # over U, V, W
         tv = 0.5 * np.abs(marg - qt[None]).sum(axis=(1, 2))
         return -min_slack + cfg.penalty * np.maximum(0.0, tv - cfg.tv_tol)
 
@@ -453,22 +445,14 @@ def _outer_objective(qt: np.ndarray, sums3: np.ndarray, caps, cfg: SearchConfig)
     n1, n2 = qt.shape
     cu, cv = caps
     s = np.minimum(sums3, _BIG)
+    Y1, Y2, U, V = range(4)
+    subsets = ((Y1, Y2), (U,), (V,), (Y1, Y2, U), (Y1, Y2, V), (Y1,), (Y2,),
+               (Y1, U), (Y2, U), (Y1, V), (Y2, V))
 
     def objective(batch):
         rows = batch[0].reshape(-1, n1, n2, cu, cv)
         j = qt[None, :, :, None, None] * rows   # (B, Y1, Y2, U, V)
-
-        def h(axes_keep):
-            drop = tuple(i for i in range(1, 5) if i not in axes_keep)
-            mm = j.sum(axis=drop)
-            return -(np.where(mm > 0, mm * np.log2(np.where(mm > 0, mm, 1.0)), 0.0)
-                     ).sum(axis=tuple(range(1, mm.ndim)))
-
-        Y1, Y2, U, V = 1, 2, 3, 4
-        hy = h({Y1, Y2}); hu = h({U}); hv = h({V})
-        hyu = h({Y1, Y2, U}); hyv = h({Y1, Y2, V})
-        h1 = h({Y1}); h2 = h({Y2})
-        h1u = h({Y1, U}); h2u = h({Y2, U}); h1v = h({Y1, V}); h2v = h({Y2, V})
+        hy, hu, hv, hyu, hyv, h1, h2, h1u, h2u, h1v, h2v = subset_entropies(j, subsets).T
         b1 = hy + hv - hyv
         b2 = hy + hu - hyu
         b3 = np.maximum(h1 + hu - h1u, h2 + hv - h2v)

@@ -130,6 +130,60 @@ def extension_interval(a, b, strict, col, point):
     return (lo, hi)
 
 
+def fme_eliminate_loop(a, b, strict, col, snap=1e-9):
+    """Fourier-Motzkin elimination of column ``col`` from a.x <= b, one
+    row pair at a time: rows without the variable first, then each
+    (upper, lower) pair in row order, strict when either parent is.
+    Coefficients below ``snap`` in magnitude come out as 0."""
+    a = np.asarray(a, dtype=float)
+    keep = [k for k in range(a.shape[1]) if k != col]
+    rows_a, rows_b, rows_s = [], [], []
+    for i in range(len(a)):
+        if a[i, col] == 0:
+            rows_a.append(a[i, keep])
+            rows_b.append(b[i])
+            rows_s.append(bool(strict[i]))
+    for i in range(len(a)):
+        if a[i, col] <= 0:
+            continue
+        ai, bi = a[i] / a[i, col], b[i] / a[i, col]
+        for j in range(len(a)):
+            if a[j, col] >= 0:
+                continue
+            aj, bj = a[j] / (-a[j, col]), b[j] / (-a[j, col])
+            row = ai + aj
+            rows_a.append(row[keep])
+            rows_b.append(bi + bj)
+            rows_s.append(bool(strict[i] or strict[j]))
+    out = np.array(rows_a).reshape(len(rows_b), len(keep))
+    out[np.abs(out) < snap] = 0.0
+    return out, np.array(rows_b), np.array(rows_s, dtype=bool)
+
+
+def simplify_loop(a, b, strict, snap=1e-9):
+    """Drop trivially true rows (0 <= c, or 0 < c with c >= snap) and fold
+    rows with equal 12-decimal coefficients into the first one: a lower
+    constant by more than ``snap`` replaces it, one within ``snap`` keeps
+    the smaller constant and ORs the strictness."""
+    keep, order = {}, []
+    for i in range(len(a)):
+        if not np.any(a[i]) and b[i] >= (snap if strict[i] else 0.0):
+            continue
+        key = tuple(np.round(a[i], 12))
+        if key not in keep:
+            keep[key] = (b[i], bool(strict[i]))
+            order.append(key)
+            continue
+        b0, s0 = keep[key]
+        if b[i] < b0 - snap:
+            keep[key] = (b[i], bool(strict[i]))
+        elif abs(b[i] - b0) <= snap:
+            keep[key] = (min(b0, b[i]), s0 or bool(strict[i]))
+    out = np.array([list(k) for k in order]).reshape(len(order), np.shape(a)[1])
+    return (out, np.array([keep[k][0] for k in order]),
+            np.array([keep[k][1] for k in order], dtype=bool))
+
+
 def slow_protocol_law(p_wvu, chan1, chan2, n, codes, num_bins):
     """Reference implementation of the protocol's induced law by explicit
     loops over shared indices, backward messages, and relay tuples.

@@ -1,9 +1,11 @@
 """Entropy, mutual information, and Markov-slack tests."""
+import itertools
+
 import numpy as np
 import pytest
 
-from coordinet.information import (InfoQuery, conditional_entropy, entropy,
-                                   markov_slack, mutual_information)
+from coordinet.information import (InfoQuery, _wyner_terms, conditional_entropy, entropy,
+                                   markov_slack, mutual_information, subset_entropies)
 from coordinet.pmf import UnknownVariable, make_joint
 
 from oracles import binary_entropy, cond_mi_direct, entropy_direct
@@ -131,3 +133,78 @@ def test_data_processing_on_chains():
         t = np.einsum("a,ab,bc->abc", pa, pb_a, pc_b)
         p = make_joint([("A", 3), ("B", 3), ("C", 3)], t)
         assert mutual_information(p, ["A"], ["C"]) <= mutual_information(p, ["A"], ["B"]) + 1e-10
+
+
+def batch_with_zeros(rng, shape):
+    """A (B, *axes) batch of pmfs with about a third of the cells zero."""
+    t = rng.gamma(1.0, size=shape)
+    t[rng.random(shape) < 0.35] = 0.0
+    t.reshape(shape[0], -1)[:, 0] += 0.1
+    return t / t.sum(axis=tuple(range(1, len(shape))), keepdims=True)
+
+
+def test_subset_entropies_match_direct_oracle():
+    rng = np.random.default_rng(6)
+    for shape in [(1, 2, 3, 2), (4, 3, 1, 2, 2), (6, 2, 2, 3), (3, 5)]:
+        t = batch_with_zeros(rng, shape)
+        nd = t.ndim - 1
+        full = tuple(range(nd))
+        # unsorted, duplicated, repeated-axis and full subsets, and every single axis
+        subsets = [full[::-1], (nd - 1, 0), (0, nd - 1), (0,), (0, 0)] + [(a,) for a in full]
+        h = subset_entropies(t, subsets)
+        assert h.shape == (len(t), len(subsets))
+        for b in range(len(t)):
+            for k, sub in enumerate(subsets):
+                drop = tuple(a for a in full if a not in sub)
+                ref = entropy_direct(t[b].sum(axis=drop).ravel())
+                assert h[b, k] == pytest.approx(ref, abs=1e-12)
+
+
+def test_subset_entropies_ignore_memory_layout():
+    rng = np.random.default_rng(7)
+    t = batch_with_zeros(rng, (3, 2, 3, 4))
+    subsets = [(0,), (1, 2), (0, 2), (0, 1, 2)]
+    view = t.transpose(0, 3, 1, 2)            # axis k of t is axis (k + 1) % 3 of view
+    moved = [tuple((a + 1) % 3 for a in sub) for sub in subsets]
+    assert np.allclose(subset_entropies(view, moved), subset_entropies(t, subsets),
+                       rtol=0, atol=1e-12)
+
+
+def test_lone_subset_is_the_direct_sum():
+    """One subset is summed in memory order like ndarray.sum, so entropy()
+    equals -sum p log2 p of the marginal to the last bit, whatever the
+    table's layout."""
+    rng = np.random.default_rng(8)
+    for t in batch_with_zeros(rng, (5, 3, 4, 5)):
+        for perm in itertools.permutations(range(3)):
+            table = t.transpose(perm)
+            for keep in [(0,), (0, 2), (0, 1, 2)]:
+                drop = tuple(a for a in range(3) if a not in keep)
+                m = table.sum(axis=drop) if drop else table
+                ref = -(m * np.log2(m, out=np.zeros_like(m), where=m > 0)).sum()
+                assert subset_entropies(table[None], [keep])[0, 0] == ref
+
+
+def test_subset_entropies_reject_bad_subsets():
+    t = np.full((1, 2, 2), 0.25)
+    for bad in ([()], [(2,)], [(-1,)], []):
+        with pytest.raises(ValueError):
+            subset_entropies(t, bad)
+
+
+def test_wyner_terms_match_mutual_information():
+    rng = np.random.default_rng(9)
+    for n1, n2, nw in [(2, 2, 2), (2, 3, 4), (3, 3, 5)]:
+        q2 = rng.dirichlet(np.ones(n1 * n2))
+        q2[0] = 0.0                                   # a cell off the support
+        q2 = (q2 / q2.sum()).reshape(n1, n2)
+        r = rng.dirichlet(np.ones(nw), size=(4, n1 * n2))
+        r[0, 1:] = np.eye(nw)[np.arange(n1 * n2 - 1) % nw]   # one deterministic W
+        i_joint, slack = _wyner_terms(q2, r)
+        for b in range(len(r)):
+            j = make_joint([("Y1", n1), ("Y2", n2), ("W", nw)],
+                           q2[:, :, None] * r[b].reshape(n1, n2, nw))
+            assert i_joint[b] == pytest.approx(
+                mutual_information(j, ["Y1", "Y2"], ["W"]), abs=1e-10)
+            assert slack[b] == pytest.approx(
+                mutual_information(j, ["Y1"], ["Y2"], given=["W"]), abs=1e-10)

@@ -6,7 +6,8 @@ import pytest
 
 from coordinet.information import mutual_information
 from coordinet.pmf import Alphabet, ConditionalPmf, make_joint
-from coordinet.region import (OuterCoupling, RateTuple, SearchConfig,
+from coordinet.region import (OuterCoupling, RateTuple, SearchConfig, _coupling_to_blocks,
+                              _inner_objective, _outer_objective,
                               canonical_couplings, frontier, inner_check,
                               inner_membership, inner_rhs, outer_membership,
                               outer_slack, random_inner_coupling)
@@ -186,6 +187,46 @@ class TestMonotonicityAndNesting:
             if din.verdict == "inside":
                 dout = outer_membership(q, rates, config=cfg)
                 assert dout.verdict != "outside-heuristic", (q.table, rates)
+
+
+class TestBatchedObjectives:
+    """The search objectives score a batch through subset_entropies; each
+    value must equal the same quantity assembled from the scalar path."""
+
+    def test_inner_objective_matches_scalar_path(self):
+        rng = np.random.default_rng(11)
+        cfg = SearchConfig()
+        caps = (2, 3, 2)
+        for _ in range(8):
+            q = make_joint([("Y1", 2), ("Y2", 3)], rng.dirichlet(np.ones(6)))
+            r = RateTuple(*rng.uniform(0.0, 2.0, size=4))
+            coups = [random_inner_coupling(rng, (*caps, 2, 3)) for _ in range(4)]
+            blocks = [_coupling_to_blocks(c) for c in coups]
+            vals = _inner_objective(q.table, r.sums, caps, cfg)(
+                [np.stack([b[k] for b in blocks]) for k in range(3)])
+            for c, v in zip(coups, vals):
+                ref = (-float(np.min(inner_check(c, r)))
+                       + cfg.penalty * max(0.0, c.tv_to(q) - cfg.tv_tol))
+                assert v == pytest.approx(ref, abs=1e-10)
+
+    def test_outer_objective_matches_scalar_path(self):
+        rng = np.random.default_rng(12)
+        cfg = SearchConfig()
+        n1, n2, cu, cv = 2, 3, 3, 2
+        for _ in range(8):
+            q = make_joint([("Y1", n1), ("Y2", n2)], rng.dirichlet(np.ones(n1 * n2)))
+            r = RateTuple(*rng.uniform(0.0, 2.0, size=4))
+            sums3 = np.array([r.rb1 + r.rf1, r.rb2 + r.rf2, r.rf1 + r.rf2])
+            tables = rng.dirichlet(np.ones(cu * cv), size=(4, n1 * n2))
+            tables[0] = np.eye(cu * cv)[np.arange(n1 * n2) % (cu * cv)]  # deterministic U, V
+            vals = _outer_objective(q.table, sums3, (cu, cv), cfg)([tables])
+            for t, v in zip(tables, vals):
+                chan = ConditionalPmf((Alphabet("Y1", n1), Alphabet("Y2", n2)),
+                                      (Alphabet("U", cu), Alphabet("V", cv)),
+                                      t.reshape(n1, n2, cu, cv))
+                c = OuterCoupling(q, chan)
+                pen = sum(max(0.0, m - 1e-6) for m in c.markov_slacks())
+                assert v == pytest.approx(-outer_slack(c, r) + cfg.penalty * pen, abs=1e-10)
 
 
 class TestFrontier:
