@@ -74,8 +74,8 @@ def _cmd_wyner(cfg, q, out_dir):
     sol = information.wyner_common_information(q, w_cap=p["w_cap"] or None, config=wcfg)
     rows = [{"restart": i, "value": v} for i, v in sol.trace]
     _write_csv(out_dir, ["restart", "value"], rows)
-    return {"wyner_ci": sol.value, "markov_slack": sol.markov_slack,
-            "w_cardinality": sol.w_cardinality}, 0
+    return {"wyner_ci": sol.value, "wyner_lower": sol.lower_bound,
+            "markov_slack": sol.markov_slack, "w_cardinality": sol.w_cardinality}, 0
 
 
 def _cmd_region(cfg, q, out_dir, which):
@@ -90,11 +90,11 @@ def _cmd_region(cfg, q, out_dir, which):
     if dec.witness is not None:
         write_pmf(dec.witness.joint(), os.path.join(out_dir, "witness.pmf"))
     row = {"rf1": r.rf1, "rb1": r.rb1, "rf2": r.rf2, "rb2": r.rb2,
-           "verdict": dec.verdict, "best_slack": dec.best_slack,
-           "restarts_used": dec.restarts_used}
+           "verdict": dec.verdict, "certificate": dec.certificate,
+           "best_slack": dec.best_slack, "restarts_used": dec.restarts_used}
     _write_csv(out_dir, list(row), [row])
-    return {"verdict": dec.verdict, "best_slack": _jsonable(dec.best_slack),
-            "restarts_used": dec.restarts_used}, 0
+    return {"verdict": dec.verdict, "certificate": dec.certificate,
+            "best_slack": _jsonable(dec.best_slack), "restarts_used": dec.restarts_used}, 0
 
 
 def _cmd_frontier(cfg, q, out_dir):
@@ -125,8 +125,10 @@ def _cmd_frontier(cfg, q, out_dir):
         rows.append({"rf1": pt.rates.rf1, "rb1": pt.rates.rb1,
                      "rf2": pt.rates.rf2, "rb2": pt.rates.rb2,
                      "inner_verdict": pt.inner.verdict,
+                     "inner_certificate": pt.inner.certificate,
                      "inner_best_slack": pt.inner.best_slack,
                      "outer_verdict": pt.outer.verdict,
+                     "outer_certificate": pt.outer.certificate,
                      "outer_best_slack": pt.outer.best_slack,
                      "witness_id": wid})
     _write_csv(out_dir, list(rows[0]), rows)

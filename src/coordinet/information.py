@@ -142,6 +142,7 @@ class WynerSolution:
     w_cardinality: int
     trace: list = field(default_factory=list)
     markov_slack: float = 0.0
+    lower_bound: float = 0.0        # I(Y1;Y2), certified (Wyner 1975)
 
 
 def _wyner_terms(q2: np.ndarray, r: np.ndarray):
@@ -200,7 +201,8 @@ def _greedy_merge_map(q2: np.ndarray, support: np.ndarray, tol: float = 1e-9) ->
 
 def wyner_common_information(q: JointPmf, w_cap: int | None = None,
                              config: WynerConfig | None = None) -> WynerSolution:
-    """Best upper bound found for Wyner's common information of a 2-variable pmf.
+    """Best upper bound found for Wyner's common information of a 2-variable pmf,
+    with the certified lower bound I(Y1;Y2) beside it.
 
     Runs ``config.restarts`` local searches (structured seeds first, then
     Dirichlet restarts) on the penalized objective I(Y1Y2;W) + penalty *
@@ -282,4 +284,5 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
     i_val, rows, slack = best
     witness = ConditionalPmf(q.alphabets, (Alphabet("W", w_cap),), embed(rows))
     return WynerSolution(value=i_val, witness=witness, w_cardinality=w_cap,
-                         trace=trace, markov_slack=slack)
+                         trace=trace, markov_slack=slack,
+                         lower_bound=mutual_information(q, q.names[:1], q.names[1:]))

@@ -108,10 +108,11 @@ class OuterCoupling:
 
 @dataclass
 class RegionDecision:
-    verdict: str                    # "inside" | "outside-heuristic" | "inconclusive"
+    verdict: str                    # "inside" | "outside" | "outside-heuristic" | "inconclusive"
     witness: object | None
     best_slack: float
     restarts_used: int
+    certificate: str | None = None  # the closed-form condition an "outside" point breaks
 
 
 @dataclass
@@ -126,6 +127,42 @@ class SearchConfig:
     slack_tol: float = 1e-6
     outside_margin: float = 1e-3
     markov_tol: float = 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Closed-form certificates: rate-sum floors that every coupling obeys.
+
+def _floor_certificate(q: JointPmf, r: RateTuple) -> tuple[str, float]:
+    """The floor that ``r`` misses by the most, as (name, margin), among
+    rf1+rf2 >= I(Y1;Y2) and, per link, rb+rf >= I(Y1;Y2)."""
+    i_y = mutual_information(q, ("Y1",), ("Y2",))
+    margins = {"rf1+rf2 >= I(Y1;Y2)": r.rf1 + r.rf2 - i_y,
+               "rb1+rf1 >= I(Y1;Y2)": r.rb1 + r.rf1 - i_y,
+               "rb2+rf2 >= I(Y1;Y2)": r.rb2 + r.rf2 - i_y}
+    name = min(margins, key=margins.get)
+    return name, margins[name]
+
+
+def _mi_continuity(n1: int, n2: int, delta: float) -> float:
+    """Largest change of I(Y1;Y2) between two pmfs on an n1 x n2 alphabet
+    whose total-variation distance is at most ``delta``.
+
+    TV does not grow under marginalization, so each of H(Y1), H(Y2) and
+    H(Y1Y2) moves between pmfs at most delta apart.  By the Fannes-Audenaert
+    bound, two pmfs on d points at TV distance T <= 1 - 1/d have entropies
+    within T*log2(d-1) + h2(T), and that bound increases with T there, so
+    delta <= 1/2 may stand in for T.  I = H(Y1) + H(Y2) - H(Y1Y2) then moves
+    by at most delta*[log2(n1-1) + log2(n2-1) + log2(n1*n2-1)] + 3*h2(delta),
+    with log2(0) read as 0 (a one-point alphabet has no entropy to move).
+    Beyond delta = 1/2 no finite allowance is claimed.
+    """
+    if delta <= 0.0:
+        return 0.0
+    if delta > 0.5:
+        return math.inf
+    h2 = -delta * math.log2(delta) - (1.0 - delta) * math.log2(1.0 - delta)
+    logs = sum(math.log2(d - 1) for d in (n1, n2, n1 * n2) if d > 1)
+    return delta * logs + 3.0 * h2
 
 
 # ---------------------------------------------------------------------------
@@ -166,33 +203,13 @@ def _canonical_inner_couplings(q: JointPmf, caps: tuple[int, int, int] | None,
     q2 = qt.sum(axis=0)
     out: dict[str, InnerCoupling] = {}
 
-    def sizes_for(nu, nv, nw):
-        if tight:
-            return nu, nv, nw
-        cu, cv, cw = caps
-        if nu > cu or nv > cv or nw > cw:
-            return None
-        return cu, cv, cw
-
-    def build(name, nu, nv, nw, p_uv_w, y2_map, y1_map):
-        s = sizes_for(nu, nv, nw)
-        if s is None:
-            return
-        cu, cv, cw = s
-        p = np.zeros((cu, cv, cw))
-        p[:nu, :nv, :nw] = p_uv_w
-        c2 = np.full((cu, cw, n2), 1.0 / n2)
-        c1 = np.full((cv, cw, n1), 1.0 / n1)
-        c2[:nu, :nw] = y2_map
-        c1[:nv, :nw] = y1_map
-        out[name] = InnerCoupling(
-            JointPmf((Alphabet("U", cu), Alphabet("V", cv), Alphabet("W", cw)), p),
-            ConditionalPmf((Alphabet("U", cu), Alphabet("W", cw)), (Alphabet("Y2", n2),), c2),
-            ConditionalPmf((Alphabet("V", cv), Alphabet("W", cw)), (Alphabet("Y1", n1),), c1),
-        )
+    def build(name, *tables):
+        c = _pad_inner(tables, tables[0].shape if tight else caps)
+        if c is not None:
+            out[name] = c
 
     # constants + independent product channels (exact iff q is a product)
-    build("const", 1, 1, 1, np.ones((1, 1, 1)),
+    build("const", np.ones((1, 1, 1)),
           q2.reshape(1, 1, n2), q1.reshape(1, 1, n1))
     # W carries the full pair (y1, y2)
     m = n1 * n2
@@ -203,7 +220,7 @@ def _canonical_inner_couplings(q: JointPmf, caps: tuple[int, int, int] | None,
     for w in range(m):
         y1_of_w[0, w, w // n2] = 1.0
         y2_of_w[0, w, w % n2] = 1.0
-    build("copy-w", 1, 1, m, pw, y2_of_w, y1_of_w)
+    build("copy-w", pw, y2_of_w, y1_of_w)
     # W = Y1, node 2 draws Y2 from the conditional
     pwy1 = np.zeros((1, 1, n1))
     pwy1[0, 0, :] = q1
@@ -213,7 +230,7 @@ def _canonical_inner_couplings(q: JointPmf, caps: tuple[int, int, int] | None,
         y1_id[0, w, w] = 1.0
         if q1[w] > 0:
             y2_cond[0, w] = qt[w] / q1[w]
-    build("w-from-y1", 1, 1, n1, pwy1, y2_cond, y1_id)
+    build("w-from-y1", pwy1, y2_cond, y1_id)
     # W = Y2, node 1 draws Y1 from the conditional
     pwy2 = np.zeros((1, 1, n2))
     pwy2[0, 0, :] = q2
@@ -223,7 +240,7 @@ def _canonical_inner_couplings(q: JointPmf, caps: tuple[int, int, int] | None,
         y2_id[0, w, w] = 1.0
         if q2[w] > 0:
             y1_cond[0, w] = qt[:, w] / q2[w]
-    build("w-from-y2", 1, 1, n2, pwy2, y2_cond, y1_cond)
+    build("w-from-y2", pwy2, y2_cond, y1_cond)
     # U = Y2 and V = Y1 with constant W
     puv = qt.T.reshape(n2, n1, 1)  # p(u=y2, v=y1)
     y2_u = np.zeros((n2, 1, n2))
@@ -232,7 +249,7 @@ def _canonical_inner_couplings(q: JointPmf, caps: tuple[int, int, int] | None,
         y2_u[u, 0, u] = 1.0
     for v in range(n1):
         y1_v[v, 0, v] = 1.0
-    build("uv-copy", n2, n1, 1, puv, y2_u, y1_v)
+    build("uv-copy", puv, y2_u, y1_v)
     return out
 
 
@@ -294,26 +311,24 @@ def _blocks_to_coupling(blocks, caps, n1, n2) -> InnerCoupling:
     )
 
 
-def _pad_inner(c: InnerCoupling, caps) -> InnerCoupling | None:
-    nu, nv, nw = c.p_uvw.sizes
+def _pad_inner(tables, caps) -> InnerCoupling | None:
+    """The coupling with tables p(u,v,w), p(y2|u,w), p(y1|v,w) padded up to
+    ``caps``: added symbols carry no mass and uniform output rows.  None
+    when the tables do not fit."""
+    p_uvw, y2_map, y1_map = tables
+    nu, nv, nw = p_uvw.shape
     cu, cv, cw = caps
-    if (nu, nv, nw) == (cu, cv, cw):
-        return c
     if nu > cu or nv > cv or nw > cw:
         return None
-    n1 = c.chan_y1.target[0].size
-    n2 = c.chan_y2.target[0].size
+    n1 = y1_map.shape[-1]
+    n2 = y2_map.shape[-1]
     p = np.zeros((cu, cv, cw))
-    p[:nu, :nv, :nw] = c.p_uvw.table
+    p[:nu, :nv, :nw] = p_uvw
     c2 = np.full((cu, cw, n2), 1.0 / n2)
-    c2[:nu, :nw] = c.chan_y2.table
+    c2[:nu, :nw] = y2_map
     c1 = np.full((cv, cw, n1), 1.0 / n1)
-    c1[:nv, :nw] = c.chan_y1.table
-    return InnerCoupling(
-        JointPmf((Alphabet("U", cu), Alphabet("V", cv), Alphabet("W", cw)), p),
-        ConditionalPmf((Alphabet("U", cu), Alphabet("W", cw)), (Alphabet("Y2", n2),), c2),
-        ConditionalPmf((Alphabet("V", cv), Alphabet("W", cw)), (Alphabet("Y1", n1),), c1),
-    )
+    c1[:nv, :nw] = y1_map
+    return _blocks_to_coupling([p, c2, c1], caps, n1, n2)
 
 
 def inner_membership(q: JointPmf, r: RateTuple, caps: tuple[int, int, int] = (4, 4, 4),
@@ -321,21 +336,30 @@ def inner_membership(q: JointPmf, r: RateTuple, caps: tuple[int, int, int] = (4,
                      extra_seeds: Sequence[InnerCoupling] = ()) -> RegionDecision:
     """Search for a coupling witnessing that r is achievable.
 
-    The inner bound is existential, so the only negative verdict is
-    "inconclusive"; ``best_slack`` then reports the best minimum slack seen
-    among couplings whose marginal matched the target.
+    A witness carries the chain Y2 - UW - VW - Y1 exactly, so its bounds
+    obey fwd, link1, link2 >= I(Y1;Y2) of its own marginal q', which lies
+    within TV ``tv_tol`` of q.  When a floor misses I(Y1;Y2) of q by more
+    than ``slack_tol`` plus ``_mi_continuity(tv_tol)``, no acceptable witness
+    exists and the point is certified "outside" with no search.  Otherwise
+    the only negative verdict is "inconclusive"; ``best_slack`` then
+    reports the best minimum slack seen among couplings whose marginal
+    matched the target.
     """
     cfg = config or SearchConfig()
     n1, n2 = q.sizes
+    name, margin = _floor_certificate(q, r)
+    if margin < -(cfg.slack_tol + _mi_continuity(n1, n2, cfg.tv_tol)):
+        return RegionDecision("outside", None, margin, 0, name)
     sums = r.sums
     objective = _inner_objective(q.table, sums, caps, cfg)
     rng = np.random.default_rng(cfg.seed)
 
     starts: list[list[np.ndarray]] = []
     for c in extra_seeds:
-        padded = _pad_inner(c, caps)
-        if padded is not None:
-            starts.append(_coupling_to_blocks(padded))
+        if c.caps != tuple(caps):
+            c = _pad_inner((c.p_uvw.table, c.chan_y2.table, c.chan_y1.table), caps)
+        if c is not None:
+            starts.append(_coupling_to_blocks(c))
     for c in _canonical_inner_couplings(q, caps).values():
         starts.append(_coupling_to_blocks(c))
     nu, nv, nw = caps
@@ -468,15 +492,23 @@ def _outer_objective(qt: np.ndarray, sums3: np.ndarray, caps, cfg: SearchConfig)
 def outer_membership(q: JointPmf, r: RateTuple, config: SearchConfig | None = None,
                      caps: tuple[int, int] | None = None,
                      extra_seeds: Sequence[OuterCoupling] = ()) -> RegionDecision:
-    """Heuristic membership in the outer region.
+    """Membership in the outer region.
 
     "inside" requires a witness with both Markov slacks <= markov_tol and
-    minimum slack >= -slack_tol; "outside-heuristic" is declared when no
-    restart finds a valid coupling within ``outside_margin`` of feasibility.
-    Global optimality is not certified.
+    minimum slack >= -slack_tol.  Before any search, the closed-form floors
+    decide: the chains give I(U;Y1) >= I(Y1;Y2) - I(Y1;Y2|U), hence
+    rf1+rf2 >= I(Y1;Y2), and, per link, I(Y1Y2;V) >= I(Y1;Y2) - I(Y1;Y2|V).
+    A point missing a floor by more than
+    markov_tol + slack_tol is certified "outside".  Otherwise the search
+    runs; "outside-heuristic" is declared when no restart finds a valid
+    coupling within ``outside_margin`` of feasibility, and global
+    optimality is not certified.
     """
     cfg = config or SearchConfig()
     n1, n2 = q.sizes
+    name, margin = _floor_certificate(q, r)
+    if margin < -(cfg.markov_tol + cfg.slack_tol):
+        return RegionDecision("outside", None, margin, 0, name)
     if caps is None:
         caps = (n1 * n2 + 1, n1 * n2 + 1)
     cu, cv = caps

@@ -28,6 +28,9 @@ from oracles import wyner_deterministic_min
 INF = math.inf
 I_DSBS = 0.5310044064107188  # 1 - h(0.1), frozen from the binary entropy formula
 
+# outer verdicts that reject a point: certified by a closed form, or by search
+NEGATIVE = ("outside", "outside-heuristic")
+
 # every membership query from criteria 4-6: (source, rates, inner verdict, outer verdict)
 NESTING_LOG: list[tuple[str, RateTuple, str, str]] = []
 
@@ -165,7 +168,7 @@ def test_criterion_4_infinite_backward_regime():
         def outer_not_outside(s):
             _, dout = both_memberships("dsbs-0.1", q,
                                        RateTuple(rf1=s / 2, rb1=INF, rf2=s / 2, rb2=INF))
-            return dout.verdict != "outside-heuristic"
+            return dout.verdict not in NEGATIVE
 
         t_inner = bisect_threshold(inner_inside, I_DSBS - 0.12, I_DSBS + 0.12)
         t_outer = bisect_threshold(outer_not_outside, I_DSBS - 0.12, I_DSBS + 0.12)
@@ -187,7 +190,7 @@ def test_criterion_5_zero_backward_regime():
         def outer_not_outside(t):
             _, dout = both_memberships("identical-uniform-2", q,
                                        RateTuple(rf1=t, rb1=0.0, rf2=t, rb2=0.0), caps=caps)
-            return dout.verdict != "outside-heuristic"
+            return dout.verdict not in NEGATIVE
 
         t_inner = bisect_threshold(inner_inside, 0.8, 1.2)
         t_outer = bisect_threshold(outer_not_outside, 0.8, 1.2)
@@ -197,8 +200,8 @@ def test_criterion_5_zero_backward_regime():
         din, dout = both_memberships("identical-uniform-2", q,
                                      RateTuple(rf1=1.0 - 2e-2 - 0.02, rb1=0.0, rf2=5.0, rb2=0.0),
                                      caps=caps)
-        assert din.verdict != "inside"
-        assert dout.verdict == "outside-heuristic"
+        assert (din.verdict, din.certificate) == ("outside", "rb1+rf1 >= I(Y1;Y2)")
+        assert (dout.verdict, dout.certificate) == ("outside", "rb1+rf1 >= I(Y1;Y2)")
 
 
 def _bsc_split_coupling(a):
@@ -245,13 +248,18 @@ def test_criterion_6_one_way_reduction_regime():
         assert din.verdict == "inside"
         assert float(np.min(inner_check(coup, r))) >= eps - 1e-9
 
-        # 0.05 below the frontier, in each coordinate direction
-        for rf2, rb2 in [(I_DSBS - 0.05, 10.0),
-                         (I_DSBS + eps, 1.0 - 0.05 - (I_DSBS + eps))]:
-            din, dout = both_memberships("dsbs-0.1", q,
-                                         RateTuple(rf1=0.0, rb1=INF, rf2=rf2, rb2=rb2))
-            assert dout.verdict == "outside-heuristic", (rf2, rb2)
-            assert din.verdict != "inside"
+        # 0.05 below the frontier, in each coordinate direction; the first
+        # misses the rf1+rf2 >= I(Y1;Y2) floor, the second (rb2+rf2 = 0.95)
+        # only the search can reject
+        din, dout = both_memberships("dsbs-0.1", q,
+                                     RateTuple(rf1=0.0, rb1=INF, rf2=I_DSBS - 0.05, rb2=10.0))
+        assert (dout.verdict, dout.certificate) == ("outside", "rf1+rf2 >= I(Y1;Y2)")
+        assert (din.verdict, din.certificate) == ("outside", "rf1+rf2 >= I(Y1;Y2)")
+        rf2 = I_DSBS + eps
+        din, dout = both_memberships("dsbs-0.1", q,
+                                     RateTuple(rf1=0.0, rb1=INF, rf2=rf2, rb2=1.0 - 0.05 - rf2))
+        assert dout.verdict == "outside-heuristic"
+        assert din.verdict != "inside"
 
 
 def test_criterion_7_fme_projection_agreement():
@@ -316,5 +324,5 @@ def test_criterion_10_soundness_nesting():
     with criterion(10, "no rate point inner-inside and outer-outside", 10):
         assert NESTING_LOG, "criteria 4-6 must run before the nesting check"
         bad = [(tag, r) for tag, r, vin, vout in NESTING_LOG
-               if vin == "inside" and vout == "outside-heuristic"]
+               if vin == "inside" and vout in NEGATIVE]
         assert not bad, bad

@@ -106,6 +106,7 @@ class TestCommands:
         assert status == 0
         payload = read_summary(out)
         assert abs(payload["wyner_ci"] - 1.0) <= 1e-3
+        assert payload["wyner_lower"] == pytest.approx(1.0, abs=1e-12)
 
     def test_region_inner(self, tmp_path):
         status, out = run_cli(tmp_path,
@@ -123,7 +124,13 @@ class TestCommands:
                               "[region-outer]\nrf1 = 0.4\nrb1 = inf\nrf2 = 0.4\nrb2 = inf\n"
                               "restarts = 4\n")
         assert status == 0
-        assert read_summary(out)["verdict"] == "outside-heuristic"
+        payload = read_summary(out)
+        assert payload["verdict"] == "outside"
+        assert payload["certificate"] == "rf1+rf2 >= I(Y1;Y2)"
+        assert payload["restarts_used"] == 0
+        with open(out / "results.csv") as fh:
+            row, = csv.DictReader(fh)
+        assert (row["verdict"], row["certificate"]) == ("outside", "rf1+rf2 >= I(Y1;Y2)")
 
     def test_frontier_artifacts(self, tmp_path):
         status, out = run_cli(tmp_path,
@@ -138,8 +145,8 @@ class TestCommands:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert set(rows[0]) == {"rf1", "rb1", "rf2", "rb2", "inner_verdict",
-                                "inner_best_slack", "outer_verdict",
-                                "outer_best_slack", "witness_id"}
+                                "inner_certificate", "inner_best_slack", "outer_verdict",
+                                "outer_certificate", "outer_best_slack", "witness_id"}
         wid = rows[0]["witness_id"]
         assert wid and (out / "witnesses" / f"{wid}.pmf").exists()
 

@@ -1,4 +1,5 @@
 """Inner/outer bound evaluators and membership searches."""
+import itertools
 import math
 
 import numpy as np
@@ -7,15 +8,16 @@ import pytest
 from coordinet.information import mutual_information
 from coordinet.pmf import Alphabet, ConditionalPmf, make_joint
 from coordinet.region import (OuterCoupling, RateTuple, SearchConfig, _coupling_to_blocks,
-                              _inner_objective, _outer_objective,
+                              _inner_objective, _mi_continuity, _outer_objective,
                               canonical_couplings, frontier, inner_check,
-                              inner_membership, inner_rhs, outer_membership,
-                              outer_slack, random_inner_coupling)
+                              inner_membership, inner_rhs, outer_coupling_from_inner,
+                              outer_membership, outer_slack, random_inner_coupling)
 from coordinet.sources import dsbs, identical_uniform, independent_bits
 
 INF = math.inf
 FAST = SearchConfig(restarts=6, seed=0)
 I_DSBS = 0.5310044064107188
+FWD_FLOOR = "rf1+rf2 >= I(Y1;Y2)"
 
 
 def const_coupling(q):
@@ -91,11 +93,12 @@ class TestInnerMembership:
                              caps=(2, 2, 2), config=FAST)
         assert d.verdict == "inside"
 
-    def test_common_bit_under_capacity_inconclusive(self):
+    def test_common_bit_under_capacity_certified_outside(self):
         q = identical_uniform(2)
         d = inner_membership(q, RateTuple(rf1=0.4, rb1=INF, rf2=0.4, rb2=INF),
                              caps=(2, 2, 2), config=FAST)
-        assert d.verdict == "inconclusive"
+        assert d.verdict == "outside"
+        assert d.certificate == FWD_FLOOR
         assert d.best_slack < 0
 
     def test_inside_witness_revalidates(self):
@@ -147,14 +150,16 @@ class TestOuterMembership:
     def test_common_bit_forward_deficit_outside(self):
         d = outer_membership(identical_uniform(2),
                              RateTuple(rf1=0.4, rb1=INF, rf2=0.4, rb2=INF), config=FAST)
-        assert d.verdict == "outside-heuristic"
+        assert d.verdict == "outside"
+        assert d.certificate == FWD_FLOOR
 
     def test_dsbs_sum_rate_floor(self):
         # rb2 + rf2 below I(Y1;Y2) cannot be fixed by any chain coupling
         q = dsbs(0.1)
         r = RateTuple(rf1=INF, rb1=0.0, rf2=I_DSBS - 0.1, rb2=0.0)
         d = outer_membership(q, r, config=FAST)
-        assert d.verdict == "outside-heuristic"
+        assert d.verdict == "outside"
+        assert d.certificate == "rb2+rf2 >= I(Y1;Y2)"
 
     def test_inside_witness_revalidates(self):
         q = dsbs(0.1)
@@ -186,7 +191,114 @@ class TestMonotonicityAndNesting:
             din = inner_membership(q, rates, caps=(2, 2, 2), config=cfg)
             if din.verdict == "inside":
                 dout = outer_membership(q, rates, config=cfg)
-                assert dout.verdict != "outside-heuristic", (q.table, rates)
+                assert dout.verdict not in ("outside", "outside-heuristic"), (q.table, rates)
+
+
+def _outer_bounds(c):
+    """The three outer-bound right-hand sides of a coupling: link 1, link 2,
+    forward."""
+    j = c.joint()
+    y = ("Y1", "Y2")
+    return (mutual_information(j, y, ("V",)), mutual_information(j, y, ("U",)),
+            max(mutual_information(j, ("U",), ("Y1",)), mutual_information(j, ("V",), ("Y2",))))
+
+
+def _random_target(rng, n1, n2, sparsity=0.0):
+    t = rng.gamma(1.0, size=(n1, n2)) * (rng.random((n1, n2)) >= sparsity)
+    t[0, 0] += 1e-3
+    return make_joint([("Y1", n1), ("Y2", n2)], t / t.sum())
+
+
+class TestCertificates:
+    """Closed-form floors decide a point before any search; they must never
+    rule out a coupling the search itself would accept."""
+
+    def test_certified_decisions_skip_the_search(self):
+        q = dsbs(0.1)
+        r = RateTuple(rf1=0.2, rb1=INF, rf2=0.2, rb2=INF)
+        for d in (inner_membership(q, r, caps=(2, 2, 2), config=FAST),
+                  outer_membership(q, r, config=FAST)):
+            assert d.verdict == "outside"
+            assert d.restarts_used == 0 and d.witness is None
+            assert d.certificate == FWD_FLOOR
+            assert d.best_slack == pytest.approx(0.4 - I_DSBS, abs=1e-12)
+
+    def test_search_verdicts_carry_no_certificate(self):
+        q = dsbs(0.1)
+        d = outer_membership(q, RateTuple(1.5, 1.5, 1.5, 1.5), config=FAST)
+        assert d.verdict == "inside" and d.certificate is None
+
+    def test_outer_never_rules_out_an_exact_chain_coupling(self):
+        rng = np.random.default_rng(31)
+        cfg = SearchConfig(restarts=0, seed=0)
+        couplings = [outer_coupling_from_inner(random_inner_coupling(rng)) for _ in range(12)]
+        for q in (identical_uniform(2), dsbs(0.1), _random_target(rng, 2, 2, 0.4),
+                  _random_target(rng, 3, 3, 0.5)):
+            # the canonical couplings put a floor exactly at I(Y1;Y2)
+            couplings += [outer_coupling_from_inner(c) for c in canonical_couplings(q).values()]
+        for oc in couplings:
+            b1, b2, b3 = _outer_bounds(oc)
+            for split in (0.0, rng.uniform(), 1.0):
+                rf1 = split * b3
+                r = RateTuple(rf1=rf1, rb1=max(0.0, b1 - rf1), rf2=b3 - rf1,
+                              rb2=max(0.0, b2 - (b3 - rf1)))
+                d = outer_membership(oc.q, r, config=cfg, extra_seeds=[oc])
+                assert d.verdict == "inside", (oc.q.table, r, d)
+
+    def test_outer_never_rules_out_a_coupling_within_markov_tol(self):
+        # U and V are noisy copies of Y2 and Y1: each chain holds only up to
+        # I(Y1;Y2|U) > 0, so the coupling's own forward bound lies below I(Y1;Y2)
+        q = dsbs(0.1)
+        cfg = SearchConfig(restarts=0, seed=0)
+        for eps in (1e-6, 1e-5, 2e-5):
+            flip = np.array([[1 - eps, eps], [eps, 1 - eps]])
+            chan = np.einsum("bu,av->abuv", flip, flip)        # (Y1, Y2) -> (U, V)
+            oc = OuterCoupling(q, ConditionalPmf((Alphabet("Y1", 2), Alphabet("Y2", 2)),
+                                                 (Alphabet("U", 2), Alphabet("V", 2)), chan))
+            assert 0.0 < max(oc.markov_slacks()) <= cfg.markov_tol
+            b1, b2, b3 = _outer_bounds(oc)
+            assert b3 < I_DSBS
+            r = RateTuple(rf1=b3 / 2, rb1=b1 - b3 / 2, rf2=b3 / 2, rb2=b2 - b3 / 2)
+            d = outer_membership(q, r, config=cfg, extra_seeds=[oc])
+            assert d.verdict == "inside", (eps, d)
+
+    def test_inner_never_rules_out_a_coupling_within_tv_tol(self):
+        rng = np.random.default_rng(32)
+        cfg = SearchConfig(restarts=0, seed=0)
+        for trial in range(12):
+            n1 = n2 = 2 + trial % 2
+            qp = _random_target(rng, n1, n2, 0.3 if trial % 3 == 0 else 0.0)
+            lam = 0.999 * cfg.tv_tol      # TV(q, q') <= lam: q leans toward more I(Y1;Y2)
+            q = max((make_joint([("Y1", n1), ("Y2", n2)],
+                                (1.0 - lam) * qp.table + lam * np.eye(n1)[list(perm)] / n1)
+                     for perm in itertools.permutations(range(n1))),
+                    key=lambda m: mutual_information(m, ["Y1"], ["Y2"]))
+            assert mutual_information(q, ["Y1"], ["Y2"]) > mutual_information(qp, ["Y1"], ["Y2"])
+            for name in ("uv-copy", "w-from-y1", "copy-w"):
+                c = canonical_couplings(qp)[name]
+                assert c.tv_to(q) <= cfg.tv_tol
+                b_total, b_link1, b_link2, b_fwd = inner_rhs(c)
+                rf1 = rng.uniform() * b_fwd
+                rf2 = b_fwd - rf1
+                rb1 = max(0.0, b_link1 - rf1)
+                rb2 = max(0.0, b_link2 - rf2) + max(0.0, b_total - b_link1 - b_link2)
+                r = RateTuple(rf1=rf1, rb1=rb1, rf2=rf2, rb2=rb2)
+                d = inner_membership(q, r, caps=c.caps, config=cfg, extra_seeds=[c])
+                assert d.verdict == "inside", (trial, name, d)
+
+    def test_mi_continuity_bounds_the_change_of_mutual_information(self):
+        rng = np.random.default_rng(33)
+        assert _mi_continuity(2, 2, 1e-4) == pytest.approx(4.5776e-3, abs=1e-6)
+        for delta in (1e-4, 1e-2, 0.2):
+            for _ in range(40):
+                n1, n2 = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+                a = _random_target(rng, n1, n2, 0.3)
+                other = rng.dirichlet(np.ones(n1 * n2)).reshape(n1, n2)
+                tv = 0.5 * float(np.abs(other - a.table).sum())
+                lam = min(1.0, delta / tv) if tv > 0 else 0.0
+                b = make_joint([("Y1", n1), ("Y2", n2)], (1 - lam) * a.table + lam * other)
+                gap = abs(mutual_information(a, ["Y1"], ["Y2"]) - mutual_information(b, ["Y1"], ["Y2"]))
+                assert gap <= _mi_continuity(n1, n2, delta) + 1e-12
 
 
 class TestBatchedObjectives:
@@ -249,8 +361,8 @@ class TestFrontier:
                 assert p.inner.verdict == "inside"
                 assert p.outer.verdict == "inside"
             elif s <= 1.0 - step - 1e-9:
-                assert p.inner.verdict == "inconclusive"
-                assert p.outer.verdict == "outside-heuristic"
+                assert (p.inner.verdict, p.inner.certificate) == ("outside", FWD_FLOOR)
+                assert (p.outer.verdict, p.outer.certificate) == ("outside", FWD_FLOOR)
 
     def test_zero_backward_needs_full_bit_each(self):
         q = identical_uniform(2)

@@ -9,7 +9,7 @@ from coordinet.information import (WynerConfig, entropy, markov_slack,
 from coordinet.pmf import make_joint
 from coordinet.sources import dsbs, identical_uniform, independent_bits, triple_abc
 
-from oracles import wyner_deterministic_min
+from oracles import binary_entropy, wyner_deterministic_min
 
 FAST = WynerConfig(restarts=12, seed=3)
 
@@ -78,3 +78,12 @@ def test_infeasible_cardinality_raises():
     with pytest.raises(OptimizerFailed):
         wyner_common_information(identical_uniform(3), w_cap=2,
                                  config=WynerConfig(restarts=6, seed=0))
+
+
+def test_interval_has_certified_lower_bound():
+    small = WynerConfig(restarts=4, seed=0)
+    for q, lower in [(identical_uniform(2), 1.0), (dsbs(0.1), 1.0 - binary_entropy(0.1))]:
+        sol = wyner_common_information(q, config=small)
+        assert sol.lower_bound == pytest.approx(mutual_information(q, ["Y1"], ["Y2"]), abs=1e-15)
+        assert sol.lower_bound == pytest.approx(lower, abs=1e-12)
+        assert sol.lower_bound <= sol.value + 1e-6
