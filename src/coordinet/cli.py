@@ -13,7 +13,6 @@ import math
 import os
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -198,14 +197,8 @@ def _cmd_sweep(cfg, q, out_dir):
     coup, rates, tilde = _protocol_parts(cfg, q)
     base = osrb.ProtocolConfig(q=q, coupling=coup, n=min(p["n_list"]),
                                rates=rates, tilde_rates=tilde, seed=cfg.master_seed)
-    seeds = list(range(p["seeds"]))
-    if cfg.threads > 1:
-        cells = [(n, s) for n in p["n_list"] for s in seeds]
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            recs = list(pool.map(lambda cell: osrb.sweep(base, [cell[0]], [cell[1]],
-                                                         master_seed=cfg.master_seed)[0], cells))
-    else:
-        recs = osrb.sweep(base, p["n_list"], seeds, master_seed=cfg.master_seed)
+    recs = osrb.sweep(base, p["n_list"], range(p["seeds"]), master_seed=cfg.master_seed,
+                      threads=cfg.threads)
     _write_csv(out_dir, list(osrb.SWEEP_FIELDS), recs)
     failures = sum(1 for r in recs if r.get("error"))
     medians = {}

@@ -13,7 +13,6 @@ from itertools import permutations
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .information import entropy
 from .pmf import JointPmf
@@ -169,6 +168,14 @@ def simplify(s: LinearSystem) -> LinearSystem:
     np.logical_or.at(tight, group, strict & (b - bmin[group] <= SNAP))
     order = np.argsort(first, kind="stable")
     return LinearSystem(s.variables, keys[first[order]], bmin[order], tight[order])
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use: importing
+    scipy.optimize costs most of the package's start-up time and memory,
+    and only the LP clean-up needs it."""
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
 
 
 def remove_redundant(s: LinearSystem) -> LinearSystem:

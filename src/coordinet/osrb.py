@@ -12,8 +12,10 @@ induced law.
 from __future__ import annotations
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import partial, reduce
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -62,44 +64,53 @@ class SequenceSpace:
 
     @property
     def symbol_size(self) -> int:
-        return int(np.prod(self.sizes))
+        return math.prod(self.sizes)
 
     @property
     def size(self) -> int:
         return self.symbol_size ** self.n
 
 
+def _digit_sum(values: np.ndarray, base: int, n: int) -> np.ndarray:
+    """sum_t values[s_t] * base^(n-1-t) for every n-sequence s over
+    range(len(values)), in sequence-index order.  The one sequence-digit
+    routine: each call builds its table by n - 1 outer sums, so no array
+    larger than the table is made."""
+    values = np.asarray(values, dtype=np.int64)
+    out = values
+    for _ in range(n - 1):
+        out = np.add.outer(out * base, values).ravel()
+    return out
+
+
 def split_sequences(idx: np.ndarray, sizes: Sequence[int], n: int) -> list[np.ndarray]:
     """Per-component sequence indices from sequences over the product alphabet."""
-    sizes = tuple(sizes)
-    K = int(np.prod(sizes))
-    comps = [np.zeros_like(idx) for _ in sizes]
-    for t in range(n):
-        digit = (idx // K ** (n - 1 - t)) % K
-        for ci in reversed(range(len(sizes))):
-            comps[ci] = comps[ci] * sizes[ci] + digit % sizes[ci]
-            digit = digit // sizes[ci]
+    symbols = np.arange(math.prod(sizes))
+    comps, stride = [], symbols.size
+    for k in sizes:  # first component most significant
+        stride //= k
+        comps.append(_digit_sum(symbols // stride % k, k, n)[idx])
     return comps
 
 
 def merge_sequences(comps: Sequence[np.ndarray], sizes: Sequence[int], n: int) -> np.ndarray:
-    """Inverse of split_sequences."""
-    sizes = tuple(sizes)
-    K = int(np.prod(sizes))
-    out = np.zeros_like(np.asarray(comps[0]))
-    rem = [np.asarray(c).copy() for c in comps]
-    for t in range(n):  # time digits least-significant first, placed as they come
-        sym = np.zeros_like(out)
-        for ci, k in enumerate(sizes):  # first component most significant
-            sym = sym * k + rem[ci] % k
-            rem[ci] //= k
-        out += sym * K ** t
+    """Inverse of split_sequences: the sum over components of each one's
+    share of the product-alphabet index, looked up in a k_c^n table."""
+    K = stride = math.prod(sizes)
+    out = np.zeros(np.shape(comps[0]), dtype=np.int64)
+    for comp, k in zip(comps, sizes):  # first component most significant
+        stride //= k
+        out += _digit_sum(np.arange(k) * stride, K, n)[comp]
     return out
 
 
 def product_law(vec: np.ndarray, n: int) -> np.ndarray:
     """The i.i.d. law over n-sequences of a per-symbol pmf vector."""
-    return reduce(np.kron, [np.asarray(vec, dtype=float)] * n)
+    vec = np.asarray(vec, dtype=float)
+    out = vec
+    for _ in range(n - 1):  # each entry is the same left-to-right product as a kron chain
+        out = np.multiply.outer(out, vec).ravel()
+    return out
 
 
 def channel_matrix(per_symbol: np.ndarray, n: int) -> np.ndarray:
@@ -365,6 +376,83 @@ def _mix_outputs(keys: np.ndarray, weights: np.ndarray, groups: int, c1: np.ndar
     return out
 
 
+class _ProtocolPlan:
+    """The part of run_protocol that depends only on (q, coupling, n, caps):
+    the cap checks, the (w, wv, wu) indices and the prior of every live
+    relay tuple, the decoder priors and their w digits, the two output
+    channel matrices, and q^n, built on first use since it is needed only
+    after mixing.  Arrays are read-only, as a plan is shared between
+    threads.
+
+    ``sweep`` builds one ``shared`` plan per block length and publishes it
+    in _PLANS while that n's cells run.  A lone call builds its own, which
+    keeps no relay-tuple arrays: the run drops each one once consumed, so
+    a lone call peaks no higher than without a plan."""
+
+    def __init__(self, cfg: ProtocolConfig, shared: bool = False):
+        n, coup = cfg.n, cfg.coupling
+        nu, nv, nw = coup.p_uvw.sizes
+        n1 = coup.chan_y1.target[0].size
+        n2 = coup.chan_y2.target[0].size
+        k_wvu = (nw * nv * nu) ** n
+        self.k_y = (n1 * n2) ** n
+        if k_wvu > cfg.caps.wvu:
+            raise StateSpaceTooLarge(f"(w,v,u) sequence space {k_wvu} exceeds cap {cfg.caps.wvu}")
+        if self.k_y > cfg.caps.y_pairs:
+            raise StateSpaceTooLarge(f"(y1,y2) sequence space {self.k_y} exceeds cap {cfg.caps.y_pairs}")
+        self.q, self.n, self.caps, self.sizes = cfg.q, n, cfg.caps, (nw, nv, nu)
+        self.p_wvu = coup.p_uvw.reorder(("W", "V", "U"))
+        # decoder priors over the (w,v) and (w,u) sequence spaces, their w
+        # digits, and the output channel product matrices indexed by them
+        self.prior_wv = product_law(self.p_wvu.marginal(("W", "V")).table.ravel(), n)
+        self.prior_wu = product_law(self.p_wvu.marginal(("W", "U")).table.ravel(), n)
+        self.wv_w = split_sequences(np.arange(self.prior_wv.size), (nw, nv), n)[0]
+        self.wu_w = split_sequences(np.arange(self.prior_wu.size), (nw, nu), n)[0]
+        c1 = coup.chan_y1.table  # (V, W, Y1)
+        c2 = coup.chan_y2.table  # (U, W, Y2)
+        self.chan1 = channel_matrix(np.transpose(c1, (1, 0, 2)).reshape(nw * nv, n1), n)
+        self.chan2 = channel_matrix(np.transpose(c2, (1, 0, 2)).reshape(nw * nu, n2), n)
+        self._relay = self._relay_tuples() if shared else None
+        self._qn = None
+        self._lock = threading.Lock()
+        for a in (self.prior_wv, self.prior_wu, self.wv_w, self.wu_w, self.chan1, self.chan2):
+            a.setflags(write=False)
+
+    def _relay_tuples(self):
+        nw, nv, nu = self.sizes
+        prior = product_law(self.p_wvu.table.ravel(), self.n)
+        w, v, u = split_sequences(np.arange(prior.size), self.sizes, self.n)
+        wv = merge_sequences([w, v], (nw, nv), self.n)
+        wu = merge_sequences([w, u], (nw, nu), self.n)
+        del v, u
+        # a tuple of prior 0 adds an exact 0.0 to its cell's normalizer and
+        # nothing to the law, so it is dropped here rather than per seed
+        live = prior > 0
+        arrays = (w, wv, wu, prior) if live.all() else (w[live], wv[live], wu[live], prior[live])
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
+
+    def relay(self):
+        """(w, wv, wu, prior) of every live relay tuple, in tuple order."""
+        return self._relay if self._relay is not None else self._relay_tuples()
+
+    def qn(self) -> np.ndarray:
+        with self._lock:
+            if self._qn is None:
+                self._qn = self.q.iid_extend(self.n, max_entries=self.caps.y_pairs).table
+            return self._qn
+
+
+# plans published by a running sweep, keyed by _plan_key
+_PLANS: dict = {}
+
+
+def _plan_key(cfg: ProtocolConfig, n: int):
+    # a sweep holds its base config, so these ids stay unique while published
+    return id(cfg.q), id(cfg.coupling), n, cfg.caps
+
+
 def run_protocol(cfg: ProtocolConfig) -> InducedLaw:
     """Run the binning protocol once, enumerating the exact induced law.
 
@@ -374,20 +462,13 @@ def run_protocol(cfg: ProtocolConfig) -> InducedLaw:
     full; decoder outputs then mix the per-node output channels.  When a
     combination has an empty preimage the nodes fall back to their
     channels applied to the lexicographically first input (reported in
-    ``nocandidate_mass``).
+    ``nocandidate_mass``).  The seed-independent set-up comes from the
+    plan a running ``sweep`` published for this block length, or from a
+    plan built for this call alone.
     """
+    plan = _PLANS.get(_plan_key(cfg, cfg.n)) or _ProtocolPlan(cfg)
     n = cfg.n
-    coup = cfg.coupling
-    nu, nv, nw = coup.p_uvw.sizes
-    n1 = coup.chan_y1.target[0].size
-    n2 = coup.chan_y2.target[0].size
-
-    k_wvu = (nw * nv * nu) ** n
-    k_y = (n1 * n2) ** n
-    if k_wvu > cfg.caps.wvu:
-        raise StateSpaceTooLarge(f"(w,v,u) sequence space {k_wvu} exceeds cap {cfg.caps.wvu}")
-    if k_y > cfg.caps.y_pairs:
-        raise StateSpaceTooLarge(f"(y1,y2) sequence space {k_y} exceeds cap {cfg.caps.y_pairs}")
+    nw, nv, nu = plan.sizes
 
     rt0, rt1, rt2 = cfg.tilde_rates
     rate_map = {"g0": rt0, "g1": rt1, "b1": cfg.rates.rb1, "f1": cfg.rates.rf1,
@@ -400,8 +481,8 @@ def run_protocol(cfg: ProtocolConfig) -> InducedLaw:
     for name in names:
         bins[name], eff[name] = bins_from_rate(n, rate_map[name])
     gtot = bins["g0"] * bins["g1"] * bins["g2"]
-    if gtot * k_y > cfg.caps.with_g:
-        raise StateSpaceTooLarge(f"joint with shared indices needs {gtot * k_y} entries")
+    if gtot * plan.k_y > cfg.caps.with_g:
+        raise StateSpaceTooLarge(f"joint with shared indices needs {gtot * plan.k_y} entries")
 
     seeds = np.random.SeedSequence(cfg.seed).generate_state(len(names))
     w_space = SequenceSpace(("W",), (nw,), n)
@@ -409,81 +490,55 @@ def run_protocol(cfg: ProtocolConfig) -> InducedLaw:
     wu_space = SequenceSpace(("W", "U"), (nw, nu), n)
     domain_of = {"g0": w_space, "g1": wv_space, "b1": wv_space, "f1": wv_space,
                  "g2": wu_space, "b2": wu_space, "f2": wu_space}
-    code = {name: make_binning(domain_of[name], bins[name], int(seeds[i]))
+    code = {name: make_binning(domain_of[name], bins[name], int(seeds[i])).assignment
             for i, name in enumerate(names)}
 
-    # per-symbol joint over (W, V, U) and the two output channels
-    p_wvu = coup.p_uvw.reorder(("W", "V", "U"))
-    prior_seq = product_law(p_wvu.table.ravel(), n)
-
-    # per relay tuple: shared-index key g and cell (g0, g1, g2, b1, b2); each
-    # array over all K tuples is dropped once consumed, to bound peak memory
-    w_seq, v_seq, u_seq = split_sequences(np.arange(k_wvu), (nw, nv, nu), n)
-    wv_seq = merge_sequences([w_seq, v_seq], (nw, nv), n)
-    wu_seq = merge_sequences([w_seq, u_seq], (nw, nu), n)
-    del v_seq, u_seq
-    g_of_tuple = ((code["g0"].assignment[w_seq] * bins["g1"] + code["g1"].assignment[wv_seq])
-                  * bins["g2"] + code["g2"].assignment[wu_seq])
+    # per live relay tuple: shared-index key g and cell (g0, g1, g2, b1, b2);
+    # each array over the tuples is dropped once consumed, to bound peak memory
+    w_seq, wv_seq, wu_seq, prior_seq = plan.relay()
+    g_of_tuple = ((code["g0"][w_seq] * bins["g1"] + code["g1"][wv_seq])
+                  * bins["g2"] + code["g2"][wu_seq])
     del w_seq
-    cell = ((g_of_tuple * bins["b1"] + code["b1"].assignment[wv_seq]) * bins["b2"]
-            + code["b2"].assignment[wu_seq])
+    cell = ((g_of_tuple * bins["b1"] + code["b1"][wv_seq]) * bins["b2"]
+            + code["b2"][wu_seq])
 
-    # decoder priors over the (w,v) and (w,u) sequence spaces
-    p_wv = p_wvu.marginal(("W", "V")).table.ravel()
-    p_wu = p_wvu.marginal(("W", "U")).table.ravel()
-    prior_wv = product_law(p_wv, n)
-    prior_wu = product_law(p_wu, n)
-    wv_idx = np.arange((nw * nv) ** n)
-    wu_idx = np.arange((nw * nu) ** n)
-    wv_w = split_sequences(wv_idx, (nw, nv), n)[0]
-    wu_w = split_sequences(wu_idx, (nw, nu), n)[0]
-    key1_all = ((code["g0"].assignment[wv_w] * bins["g1"] + code["g1"].assignment[wv_idx])
-                * bins["b1"] + code["b1"].assignment[wv_idx]) * bins["f1"] + code["f1"].assignment[wv_idx]
-    key2_all = ((code["g0"].assignment[wu_w] * bins["g2"] + code["g2"].assignment[wu_idx])
-                * bins["b2"] + code["b2"].assignment[wu_idx]) * bins["f2"] + code["f2"].assignment[wu_idx]
-    dec1 = _decoder_table(prior_wv, key1_all, bins["g0"] * bins["g1"] * bins["b1"] * bins["f1"])
-    dec2 = _decoder_table(prior_wu, key2_all, bins["g0"] * bins["g2"] * bins["b2"] * bins["f2"])
-
-    # output channel product matrices, indexed by decoded (w,x) sequence
-    c1 = coup.chan_y1.table  # (V, W, Y1)
-    c2 = coup.chan_y2.table  # (U, W, Y2)
-    chan1_sym = np.transpose(c1, (1, 0, 2)).reshape(nw * nv, n1)  # (w,v) -> y1
-    chan2_sym = np.transpose(c2, (1, 0, 2)).reshape(nw * nu, n2)  # (w,u) -> y2
-    chan1_seq = channel_matrix(chan1_sym, n)
-    chan2_seq = channel_matrix(chan2_sym, n)
+    # decoder tables over the (w,v) and (w,u) sequence spaces
+    key1_all = ((code["g0"][plan.wv_w] * bins["g1"] + code["g1"])
+                * bins["b1"] + code["b1"]) * bins["f1"] + code["f1"]
+    key2_all = ((code["g0"][plan.wu_w] * bins["g2"] + code["g2"])
+                * bins["b2"] + code["b2"]) * bins["f2"] + code["f2"]
+    dec1 = _decoder_table(plan.prior_wv, key1_all, bins["g0"] * bins["g1"] * bins["b1"] * bins["f1"])
+    dec2 = _decoder_table(plan.prior_wu, key2_all, bins["g0"] * bins["g2"] * bins["b2"] * bins["f2"])
 
     # relay conditional normalizers per (g0, g1, g2, b1, b2) cell
     n_cells = gtot * bins["b1"] * bins["b2"]
     z = np.bincount(cell, weights=prior_seq, minlength=n_cells)
     unif_cell = 1.0 / n_cells
-
-    live = prior_seq > 0
-    live_w = unif_cell * prior_seq[live] / z[cell[live]]
-    g_live, wv_live, wu_live = g_of_tuple[live], wv_seq[live], wu_seq[live]
-    del cell, prior_seq, g_of_tuple, wv_seq, wu_seq, live
-    d1 = dec1[key1_all[wv_live]]
-    d2 = dec2[key2_all[wu_live]]
+    live_w = unif_cell * prior_seq / z[cell]
+    del cell, prior_seq
+    d1 = dec1[key1_all[wv_seq]]
+    d2 = dec2[key2_all[wu_seq]]
     undecodable = int(np.count_nonzero((d1 < 0) | (d2 < 0)))
     if undecodable:
         raise RuntimeError(f"{undecodable} live relay tuples carry a bin key with no decoder "
                            "entry; decoder tables are inconsistent")
 
-    sw1 = float(live_w[d1 == wv_live].sum())
-    sw2 = float(live_w[d2 == wu_live].sum())
-    del wv_live, wu_live
+    sw1 = float(live_w[d1 == wv_seq].sum())
+    sw2 = float(live_w[d2 == wu_seq].sum())
+    del wv_seq, wu_seq
 
     # mix the output channels over (g, decoded pair); an empty relay cell
     # makes both nodes decode the first input, i.e. it adds its mass to
     # decoded pair (0, 0)
-    k1, k2 = len(prior_wv), len(prior_wu)
+    k1, k2 = len(plan.prior_wv), len(plan.prior_wu)
     pair = d1 * k2 + d2
     del d1, d2
     empty = np.bincount(np.arange(n_cells) // (bins["b1"] * bins["b2"]),
                         weights=(z <= 0.0).astype(float), minlength=gtot) * unif_cell
     nocand = float(sum(empty))
-    keys = np.append(g_live * (k1 * k2) + pair, np.arange(gtot) * (k1 * k2))
-    del g_live
-    joint = _mix_outputs(keys, np.append(live_w, empty), gtot, chan1_seq, chan2_seq,
+    keys = np.append(g_of_tuple * (k1 * k2) + pair, np.arange(gtot) * (k1 * k2))
+    del g_of_tuple
+    joint = _mix_outputs(keys, np.append(live_w, empty), gtot, plan.chan1, plan.chan2,
                          cfg.caps.with_g)
     ny1, ny2 = joint.shape[1:]
 
@@ -491,9 +546,9 @@ def run_protocol(cfg: ProtocolConfig) -> InducedLaw:
     # second accumulation path for the two-way marginal check: sum over
     # decoded pairs without the g split, associated in the other order
     marg = _mix_outputs(np.append(pair, 0), np.append(live_w, float((z <= 0.0).sum()) * unif_cell),
-                        1, chan1_seq, chan2_seq, cfg.caps.with_g, right_first=True)[0]
+                        1, plan.chan1, plan.chan2, cfg.caps.with_g, right_first=True)[0]
 
-    qn = cfg.q.iid_extend(n, max_entries=cfg.caps.y_pairs).table
+    qn = plan.qn()
     tv_marginal = 0.5 * float(np.abs(joint.sum(axis=0) - qn).sum())
     tv_uniform = 0.5 * float(np.abs(joint - qn[None] / gtot).sum())
     per_g_tv = 0.5 * np.abs(joint * gtot - qn[None]).sum(axis=(1, 2))
@@ -521,29 +576,44 @@ SWEEP_FIELDS = ("n", "seed", "cell_seed", "rb1", "rb2", "rf1", "rf2", "rt0", "rt
                 "sw1_success", "sw2_success", "nocandidate_mass", "error")
 
 
+def _sweep_cell(base: ProtocolConfig, n: int, master_seed: int, seed: int) -> dict:
+    cell_seed = int(np.random.SeedSequence([master_seed, n, int(seed)]).generate_state(1)[0])
+    rec = {"n": n, "seed": int(seed), "cell_seed": cell_seed,
+           "rb1": base.rates.rb1, "rb2": base.rates.rb2,
+           "rf1": base.rates.rf1, "rf2": base.rates.rf2,
+           "rt0": base.tilde_rates[0], "rt1": base.tilde_rates[1],
+           "rt2": base.tilde_rates[2], "error": ""}
+    try:
+        law = run_protocol(replace(base, n=n, seed=cell_seed))
+        eff = law.effective_rates
+        rec.update({k: eff[k] for k in eff})
+        rec.update(tv_marginal=law.tv_marginal,
+                   tv_with_uniform_g=law.tv_with_uniform_g,
+                   tv_best_g=law.tv_best_g,
+                   sw1_success=law.sw1_success, sw2_success=law.sw2_success,
+                   nocandidate_mass=law.nocandidate_mass)
+    except Exception as exc:  # per-cell failure, sweep continues
+        rec["error"] = f"{type(exc).__name__}: {exc}"
+    return rec
+
+
 def sweep(base: ProtocolConfig, n_list: Sequence[int], seed_list: Sequence[int],
-          master_seed: int = 0) -> list[dict]:
+          master_seed: int = 0, threads: int = 1) -> list[dict]:
     """Run the protocol per (n, seed) cell; cell errors are recorded and the
-    sweep continues.  Each cell's binnings derive from (master, n, seed)."""
+    sweep continues.  Each cell's binnings derive from (master, n, seed).
+    The cells of one n share that n's plan and run on ``threads`` pool
+    threads; records keep (n, seed) order whatever the thread count."""
     records = []
-    for n in n_list:
-        for seed in seed_list:
-            cell_seed = int(np.random.SeedSequence([master_seed, int(n), int(seed)]).generate_state(1)[0])
-            rec = {"n": int(n), "seed": int(seed), "cell_seed": cell_seed,
-                   "rb1": base.rates.rb1, "rb2": base.rates.rb2,
-                   "rf1": base.rates.rf1, "rf2": base.rates.rf2,
-                   "rt0": base.tilde_rates[0], "rt1": base.tilde_rates[1],
-                   "rt2": base.tilde_rates[2], "error": ""}
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        run_cells = pool.map if threads > 1 else map
+        for n in map(int, n_list):
+            key = _plan_key(base, n)
             try:
-                law = run_protocol(replace(base, n=int(n), seed=cell_seed))
-                eff = law.effective_rates
-                rec.update({k: eff[k] for k in eff})
-                rec.update(tv_marginal=law.tv_marginal,
-                           tv_with_uniform_g=law.tv_with_uniform_g,
-                           tv_best_g=law.tv_best_g,
-                           sw1_success=law.sw1_success, sw2_success=law.sw2_success,
-                           nocandidate_mass=law.nocandidate_mass)
-            except Exception as exc:  # per-cell failure, sweep continues
-                rec["error"] = f"{type(exc).__name__}: {exc}"
-            records.append(rec)
+                _PLANS[key] = _ProtocolPlan(replace(base, n=n), shared=True)
+            except Exception:  # each cell raises the same error itself and records it
+                pass
+            try:
+                records.extend(run_cells(partial(_sweep_cell, base, n, master_seed), seed_list))
+            finally:
+                _PLANS.pop(key, None)
     return records

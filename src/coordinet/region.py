@@ -240,7 +240,7 @@ def _canonical_inner_couplings(q: JointPmf, caps: tuple[int, int, int] | None,
         y2_id[0, w, w] = 1.0
         if q2[w] > 0:
             y1_cond[0, w] = qt[:, w] / q2[w]
-    build("w-from-y2", pwy2, y2_cond, y1_cond)
+    build("w-from-y2", pwy2, y2_id, y1_cond)
     # U = Y2 and V = Y1 with constant W
     puv = qt.T.reshape(n2, n1, 1)  # p(u=y2, v=y1)
     y2_u = np.zeros((n2, 1, n2))

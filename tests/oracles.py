@@ -184,6 +184,35 @@ def simplify_loop(a, b, strict, snap=1e-9):
             np.array([keep[k][1] for k in order], dtype=bool))
 
 
+def split_sequences_loop(idx, sizes, n):
+    """Per-component sequence indices, one time digit and one component at
+    a time (first symbol and first component most significant)."""
+    sizes = tuple(sizes)
+    K = int(np.prod(sizes))
+    comps = [np.zeros_like(idx) for _ in sizes]
+    for t in range(n):
+        digit = (idx // K ** (n - 1 - t)) % K
+        for ci in reversed(range(len(sizes))):
+            comps[ci] = comps[ci] * sizes[ci] + digit % sizes[ci]
+            digit = digit // sizes[ci]
+    return comps
+
+
+def merge_sequences_loop(comps, sizes, n):
+    """Inverse of split_sequences_loop, least-significant time digit first."""
+    sizes = tuple(sizes)
+    K = int(np.prod(sizes))
+    out = np.zeros_like(np.asarray(comps[0]))
+    rem = [np.asarray(c).copy() for c in comps]
+    for t in range(n):
+        sym = np.zeros_like(out)
+        for ci, k in enumerate(sizes):
+            sym = sym * k + rem[ci] % k
+            rem[ci] //= k
+        out += sym * K ** t
+    return out
+
+
 def slow_protocol_law(p_wvu, chan1, chan2, n, codes, num_bins):
     """Reference implementation of the protocol's induced law by explicit
     loops over shared indices, backward messages, and relay tuples.

@@ -2,6 +2,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -235,15 +237,35 @@ class TestReplay:
 
 
 class TestThreads:
-    def test_thread_count_does_not_change_results(self, tmp_path):
+    @staticmethod
+    def one_and_three_threads(tmp_path, n_list):
         text = ("[run]\ncommand = sweep\nsource = identical-uniform-2\nseed = 11\n"
-                "[sweep]\ncoupling = w-from-y1\nn_list = 2,3\nseeds = 4\n"
+                f"[sweep]\ncoupling = w-from-y1\nn_list = {n_list}\nseeds = 4\n"
                 "rf1 = 1.2\nrb1 = 0\nrf2 = 1.2\nrb2 = 0\n")
         s1 = main([write_config(tmp_path, text, "a.ini"), "--out", str(tmp_path / "one")])
         s2 = main([write_config(tmp_path, text, "b.ini"), "--out", str(tmp_path / "two"),
                    "--threads", "3"])
-        assert s1 == s2 == 0
+        assert s1 == s2
         assert (tmp_path / "one" / "summary.json").read_bytes() == \
             (tmp_path / "two" / "summary.json").read_bytes()
         assert (tmp_path / "one" / "results.csv").read_bytes() == \
             (tmp_path / "two" / "results.csv").read_bytes()
+        return s1
+
+    def test_thread_count_does_not_change_results(self, tmp_path):
+        assert self.one_and_three_threads(tmp_path, "2,3") == 0
+
+    def test_thread_count_with_a_failing_block_length(self, tmp_path):
+        # n = 11 exceeds the (y1,y2) cap, so each of its four cells records an error
+        assert self.one_and_three_threads(tmp_path, "2,11,3") == 2
+        assert read_summary(tmp_path / "one")["failed_cells"] == 4
+
+
+class TestColdStart:
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize is imported on the first LP, not at package import
+        code = "import sys, coordinet, coordinet.cli; print('scipy.optimize' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True, timeout=60)
+        assert out.stdout.strip() == "False"

@@ -11,7 +11,7 @@ from coordinet.osrb import (NO_CANDIDATE, BinningCode, SequenceSpace, bins_from_
 from coordinet.pmf import StateSpaceTooLarge, make_joint
 from coordinet.sources import dsbs
 
-from oracles import binary_entropy
+from oracles import binary_entropy, merge_sequences_loop, split_sequences_loop
 
 
 def space(sizes, n, names=None):
@@ -29,6 +29,21 @@ class TestSequenceIndexing:
         # sequence (1, 0) over a binary alphabet has index 2
         comps = split_sequences(np.array([2]), (2,), 2)
         assert comps[0][0] == 2
+
+    def test_match_digit_loops(self):
+        rng = np.random.default_rng(4)
+        for _ in range(40):
+            sizes = tuple(int(k) for k in rng.integers(1, 5, size=rng.integers(1, 4)))
+            n = int(rng.integers(1, 5))
+            while math.prod(sizes) ** n > 5000:
+                n -= 1
+            total = math.prod(sizes) ** n
+            for idx in (np.arange(total), rng.integers(0, total, size=17)):
+                comps = split_sequences(idx, sizes, n)
+                ref = split_sequences_loop(idx, sizes, n)
+                assert all(np.array_equal(c, r) for c, r in zip(comps, ref))
+                assert np.array_equal(merge_sequences(comps, sizes, n),
+                                      merge_sequences_loop(ref, sizes, n))
 
 
 class TestMakeBinning:

@@ -1,9 +1,13 @@
 """End-to-end protocol runs: exactness, fixtures, and the slow oracle."""
 import math
+import sys
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from coordinet import osrb
 from coordinet.osrb import (ProtocolCaps, ProtocolConfig, SequenceSpace, _mix_outputs,
                             bins_from_rate, make_binning, run_protocol, sweep)
 from coordinet.pmf import StateSpaceTooLarge
@@ -270,3 +274,81 @@ class TestSweep:
         bad = [r for r in recs if r["error"]]
         assert len(ok) == 2 and len(bad) == 2
         assert all("StateSpaceTooLarge" in r["error"] for r in bad)
+
+
+class TestSharedPlan:
+    """Sweeps build the seed-independent set-up once per block length; a
+    cell's record must not depend on whether a plan was shared."""
+
+    RECORDED = ("tv_marginal", "tv_with_uniform_g", "tv_best_g", "sw1_success",
+                "sw2_success", "nocandidate_mass")
+
+    @staticmethod
+    def base(name):
+        # copy-w on identical-uniform-2 has relay tuples of prior 0
+        q = dsbs(0.1) if name == "uv-copy" else identical_uniform(2)
+        return ProtocolConfig(q=q, coupling=builtin_coupling(name, q), n=2,
+                              rates=RateTuple(rf1=1.2, rb1=0.3, rf2=1.2, rb2=0.3),
+                              tilde_rates=(0.3, 0.2, 0.1), seed=0)
+
+    @pytest.mark.parametrize("name", ["uv-copy", "w-from-y1", "copy-w"])
+    def test_sweep_matches_fresh_runs(self, name):
+        base = self.base(name)
+        one = sweep(base, [2, 3, 4, 5], [0, 1, 2], master_seed=5)
+        assert sweep(base, [2, 3, 4, 5], [0, 1, 2], master_seed=5, threads=2) == one
+        assert [(r["n"], r["seed"]) for r in one] == [(n, s) for n in (2, 3, 4, 5) for s in (0, 1, 2)]
+        for rec in one:
+            assert not rec["error"]
+            law = run_protocol(replace(base, n=rec["n"], seed=rec["cell_seed"]))
+            assert [rec[k] for k in self.RECORDED] == [getattr(law, k) for k in self.RECORDED]
+            assert all(rec[k] == v for k, v in law.effective_rates.items())
+
+    def test_threads_under_fast_switching(self):
+        base = self.base("copy-w")
+        one = sweep(base, [3, 4], list(range(6)), master_seed=2)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = sweep(base, [3, 4], list(range(6)), master_seed=2, threads=4)
+        finally:
+            sys.setswitchinterval(old)
+        assert many == one
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failing_n_gives_every_cell_the_lone_error(self, threads):
+        base = self.base("w-from-y1")
+        recs = sweep(base, [0, 2, 11], [0, 1, 2], master_seed=0, threads=threads)
+        expected = {}
+        for n, exc_type in ((0, ValueError), (11, StateSpaceTooLarge)):
+            with pytest.raises(exc_type) as info:
+                run_protocol(replace(base, n=n))
+            expected[n] = f"{exc_type.__name__}: {info.value}"
+        assert [r["error"] for r in recs] == [expected[0]] * 3 + [""] * 3 + [expected[11]] * 3
+
+    def test_published_plan_serves_only_its_own_key(self):
+        base = self.base("w-from-y1")
+        other_n, other_coupling = replace(base, n=3), replace(base, coupling=self.base("uv-copy").coupling)
+        lone = [run_protocol(cfg).joint_with_g.table for cfg in (other_n, other_coupling)]
+        key = osrb._plan_key(base, 2)
+        osrb._PLANS[key] = osrb._ProtocolPlan(base, shared=True)
+        try:
+            shared = [run_protocol(cfg).joint_with_g.table for cfg in (other_n, other_coupling)]
+        finally:
+            del osrb._PLANS[key]
+        assert all(np.array_equal(a, b) for a, b in zip(lone, shared))
+
+    def test_no_plan_outlives_its_sweep_or_call(self, monkeypatch):
+        made = []
+
+        class Recorded(osrb._ProtocolPlan):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(osrb, "_ProtocolPlan", Recorded)
+        base = self.base("w-from-y1")
+        sweep(base, [2, 3], [0, 1], threads=2)
+        run_protocol(replace(base, n=4))
+        assert len(made) == 3
+        assert all(ref() is None for ref in made)
+        assert not osrb._PLANS

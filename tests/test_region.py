@@ -80,6 +80,21 @@ class TestInnerCheck:
         assert np.allclose(s, [0.0, 0.0, 0.0, 1.0], atol=1e-9)
 
 
+class TestCanonicalCouplings:
+    def test_exact_on_square_and_non_square_sources(self):
+        q23 = make_joint([("Y1", 2), ("Y2", 3)], [[0.1, 0.2, 0.05], [0.3, 0.15, 0.2]])
+        for q in (dsbs(0.1), q23):
+            couplings = canonical_couplings(q)
+            assert set(couplings) == {"const", "copy-w", "w-from-y1", "w-from-y2", "uv-copy"}
+            for name, c in couplings.items():
+                if name != "const":
+                    assert c.tv_to(q) == pytest.approx(0.0, abs=1e-12), name
+        # the canonical couplings seed the inner search whenever they fit the caps
+        d = inner_membership(q23, RateTuple(1, 1, 1, 1), caps=(4, 4, 4),
+                             config=SearchConfig(restarts=1, seed=0))
+        assert d.verdict in ("inside", "inconclusive")
+
+
 class TestInnerMembership:
     def test_independent_zero_rates_inside(self):
         d = inner_membership(independent_bits(), RateTuple(0, 0, 0, 0),
