@@ -75,7 +75,7 @@ COMMAND_PARAMS = {
     },
     "fme-verify": {
         "couplings": (int, 20),
-        "samples": (int, 1000),
+        "samples": (int, 1000),   # still accepted; the exact check ignores it
         "orders": (str, "all"),
     },
     "osrb": {

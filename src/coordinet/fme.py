@@ -1,5 +1,6 @@
 """Fourier-Motzkin elimination over affine inequality systems in named
-rate variables, redundancy removal, and sampling-based equivalence tests.
+rate variables, redundancy removal, and an exact equivalence test for
+upward-closed systems by vertex enumeration.
 
 The headline experiment: instantiate the three binning-rate constraint
 sets at a coupling, project out the three auxiliary rates, and check the
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import chain, combinations, islice, permutations
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +23,7 @@ log = logging.getLogger(__name__)
 
 SNAP = 1e-9
 MEMBER_TOL = 1e-9
+BASIS_CHUNK = 4096      # vertex-enumeration bases solved per batch
 
 RATE_VARS = ("Rt0", "Rt1", "Rt2", "Rb1", "Rb2", "Rf1", "Rf2")
 PROJECTED_VARS = ("Rb1", "Rb2", "Rf1", "Rf2")
@@ -160,12 +162,15 @@ def simplify(s: LinearSystem) -> LinearSystem:
     trivial = ~s.a.any(axis=1) & (s.b >= np.where(s.strict, SNAP, 0.0))
     keys = np.round(s.a[~trivial], 12)
     b, strict = s.b[~trivial], s.strict[~trivial]
-    _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    group = group.ravel()   # numpy 2.0.0 returns it with shape (n, 1)
-    bmin = np.full(len(first), np.inf)
-    np.minimum.at(bmin, group, b)
-    tight = np.zeros(len(first), dtype=bool)
-    np.logical_or.at(tight, group, strict & (b - bmin[group] <= SNAP))
+    # stable, so each group's earliest row leads it; with no variables every row is one group
+    ranked = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
+    starts = np.ones(len(ranked), dtype=bool)
+    starts[1:] = (keys[ranked[1:]] != keys[ranked[:-1]]).any(axis=1)
+    heads = np.flatnonzero(starts)
+    b, strict = b[ranked], strict[ranked]
+    bmin = np.minimum.reduceat(b, heads)
+    tight = np.logical_or.reduceat(strict & (b - bmin[np.cumsum(starts) - 1] <= SNAP), heads)
+    first = ranked[heads]
     order = np.argsort(first, kind="stable")
     return LinearSystem(s.variables, keys[first[order]], bmin[order], tight[order])
 
@@ -211,67 +216,72 @@ def remove_redundant(s: LinearSystem) -> LinearSystem:
 @dataclass
 class EquivalenceReport:
     agree: bool
-    samples_tested: int
+    vertices: int
     counterexample: np.ndarray | None
-    method: str = "sampling"
+    method: str = "exact"
 
 
-def _facet_candidates(a_all: np.ndarray, b_all: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Projections of the box center onto each facet hyperplane and onto
-    every pairwise facet intersection (vectorized normal equations)."""
-    norms = (a_all ** 2).sum(axis=1)
-    ok = norms > SNAP
-    a1 = a_all[ok]
-    b1 = b_all[ok]
-    n1 = norms[ok]
-    single = center[None, :] + ((b1 - a1 @ center) / n1)[:, None] * a1
-    m = len(a1)
-    if m < 2:
-        return single
-    ii, jj = np.triu_indices(m, k=1)
-    g11 = n1[ii]
-    g22 = n1[jj]
-    g12 = (a1[ii] * a1[jj]).sum(axis=1)
-    det = g11 * g22 - g12 ** 2
-    good = np.abs(det) > 1e-12
-    ii, jj, g11, g22, g12, det = ii[good], jj[good], g11[good], g22[good], g12[good], det[good]
-    r1 = b1[ii] - a1[ii] @ center
-    r2 = b1[jj] - a1[jj] @ center
-    lam1 = (g22 * r1 - g12 * r2) / det
-    lam2 = (g11 * r2 - g12 * r1) / det
-    pair = center[None, :] + lam1[:, None] * a1[ii] + lam2[:, None] * a1[jj]
-    return np.vstack([single, pair])
+def _lower_form(s: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of an upward-closed ``s`` as alpha.x >= beta with alpha >= 0,
+    followed by the rows x >= 0."""
+    if (s.a > 0).any():
+        raise ValueError("exact comparison needs upward-closed systems (no positive coefficient)")
+    n = s.a.shape[1]
+    return np.vstack([-s.a, np.eye(n)]), np.concatenate([-s.b, np.zeros(n)])
 
 
-def systems_equivalent(sys_a: LinearSystem, sys_b: LinearSystem, box,
-                       n_samples: int = 1000, seed: int = 0) -> EquivalenceReport:
-    """Compare closure membership over uniform samples in ``box`` plus facet
-    intersection candidates; strict rows are compared as closures."""
+def _vertices(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """The distinct vertices of {x : alpha.x >= beta}, whose last n rows are
+    x >= 0.  Rows join lazily: from x >= 0 on, each vertex of the rows so
+    far (over all n-row bases in lexicographic order, ``BASIS_CHUNK`` at a
+    time, singular ones skipped) that violates a row adds its most violated
+    one.  When none does, the rows so far describe the system, since both
+    are their vertex hull plus x >= 0."""
+    m, n = alpha.shape
+    rows = np.arange(m - n, m)
+    while True:
+        a, b = alpha[rows], beta[rows]
+        bases = combinations(range(len(rows)), n)
+        found = [np.empty((0, n))]
+        while (idx := np.fromiter(chain.from_iterable(islice(bases, BASIS_CHUNK)), np.intp)).size:
+            mats, rhs = a[idx.reshape(-1, n)], b[idx.reshape(-1, n)]
+            ok = np.abs(np.linalg.det(mats)) > SNAP
+            x = np.linalg.solve(mats[ok], rhs[ok][..., None])[..., 0]
+            found.append(x[(x @ a.T >= b - MEMBER_TOL).all(axis=1)])
+        v = np.concatenate(found)
+        slack = v @ alpha.T - beta
+        slack[:, rows] = 0.0    # these hold by the mask above, so each added row is new
+        bad = (slack < -MEMBER_TOL).any(axis=1)
+        if not bad.any():
+            break
+        rows = np.union1d(rows, slack[bad].argmin(axis=1))
+    _, first = np.unique(np.round(v, 9), axis=0, return_index=True)
+    return v[np.sort(first)]
+
+
+def systems_equivalent(sys_a: LinearSystem, sys_b: LinearSystem) -> EquivalenceReport:
+    """Exact comparison of the closures of two upward-closed systems (no
+    positive coefficient), both taken within x >= 0.
+
+    Such a system is its vertex hull plus the nonnegative orthant
+    (Minkowski-Weyl), so the two are equal exactly when every vertex of
+    each satisfies the other within ``MEMBER_TOL``.  The report counts the
+    vertices of both; the counterexample is the first vertex, of ``sys_a``
+    and then of ``sys_b``, that fails the other system.
+    """
     if set(sys_a.variables) != set(sys_b.variables):
         raise ValueError("systems must share a variable set")
     if sys_b.variables != sys_a.variables:
         perm = [sys_b.variables.index(v) for v in sys_a.variables]
         sys_b = LinearSystem(sys_a.variables, sys_b.a[:, perm], sys_b.b, sys_b.strict)
-    box = np.asarray(box, dtype=float).reshape(len(sys_a.variables), 2)
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(box[:, 0], box[:, 1], size=(n_samples, len(sys_a.variables)))
-    center = box.mean(axis=1)
-    a_all = np.vstack([sys_a.a, sys_b.a])
-    b_all = np.concatenate([sys_a.b, sys_b.b])
-    if a_all.shape[0]:
-        cand = _facet_candidates(a_all, b_all, center)
-        inside_box = ((cand >= box[:, 0] - MEMBER_TOL) & (cand <= box[:, 1] + MEMBER_TOL)).all(axis=1)
-        pts = np.vstack([pts, cand[inside_box]])
-    in_a = sys_a.contains(pts)
-    in_b = sys_b.contains(pts)
-    diff = np.flatnonzero(in_a != in_b)
-    if diff.size:
-        x = pts[diff[0]]
-        if bool(sys_a.contains(x[None])[0]) == bool(sys_b.contains(x[None])[0]):
-            raise RuntimeError(f"{diff.size} sample points differed in batch but the first "
-                               "agrees when re-checked alone; membership test is unstable")
-        return EquivalenceReport(False, len(pts), x)
-    return EquivalenceReport(True, len(pts), None)
+    forms = (_lower_form(sys_a), _lower_form(sys_b))
+    verts = [_vertices(*f) for f in forms]
+    count = sum(len(v) for v in verts)
+    for v, (alpha, beta) in zip(verts, forms[::-1]):
+        out = np.flatnonzero(~(v @ alpha.T >= beta - MEMBER_TOL).all(axis=1))
+        if out.size:
+            return EquivalenceReport(False, count, v[out[0]])
+    return EquivalenceReport(True, count, None)
 
 
 # ---------------------------------------------------------------------------
@@ -351,42 +361,32 @@ def upward_closure(s: LinearSystem) -> LinearSystem:
     """
     xv = tuple(s.variables)
     yv = tuple("_lo_" + v for v in xv)
-    rows = []
-    for i in range(s.nrows):
-        rows.append((dict(zip(yv, s.a[i])), "<" if s.strict[i] else "<=", float(s.b[i])))
-    for y, x in zip(yv, xv):
-        rows.append(({y: 1.0, x: -1.0}, "<=", 0.0))
-        rows.append(({y: -1.0}, "<=", 0.0))
-    t = LinearSystem.from_rows(yv + xv, rows)
+    n = len(xv)
+    eye, zero = np.eye(n), np.zeros((n, n))
+    # rows y_k - x_k <= 0 and -y_k <= 0, in that order for each k
+    links = np.stack([np.hstack([eye, -eye]), np.hstack([-eye, zero])], 1).reshape(2 * n, -1)
+    t = LinearSystem(yv + xv, np.vstack([np.hstack([s.a, np.zeros_like(s.a)]), links]),
+                     np.concatenate([s.b, np.zeros(2 * n)]),
+                     np.concatenate([s.strict, np.zeros(2 * n, dtype=bool)]))
     for y in yv:
         t = simplify(fme_eliminate(t, y))
     perm = [t.variables.index(v) for v in xv]
     return LinearSystem(xv, t.a[:, perm], t.b, t.strict)
 
 
-def projection_matches_rate_system(j: JointPmf, orders=None, n_samples: int = 1000,
-                                   seed: int = 0, monotone: bool = True
+def projection_matches_rate_system(base: LinearSystem, direct: LinearSystem, orders=None
                                    ) -> list[tuple[tuple[str, ...], EquivalenceReport]]:
-    """For each elimination order, project the binning system and compare
-    with the direct rate system on sampled points.
+    """For each elimination order, project the binning system ``base``,
+    close the result upward and compare it exactly with the direct rate
+    system ``direct``.
 
-    With ``monotone`` (the default) the projection is closed upward before
-    comparing.  The raw projection also carries upper caps on the rates
-    (binning above the source entropy breaks the uniformity constraints),
-    which the direct system deliberately omits because extra link capacity
-    can always go unused.
+    The raw projection also carries upper caps on the rates (binning above
+    the source entropy breaks the uniformity constraints), which the
+    direct system deliberately omits because extra link capacity can
+    always go unused.
     """
-    direct = theorem_rate_system(j)
-    base = binning_constraint_system(j)
-    hi = entropy(j, ("W", "V", "U")) + 1.0
-    box = [(0.0, hi)] * len(PROJECTED_VARS)
     if orders is None:
         orders = list(permutations(TILDE_VARS))
-    out = []
-    for order in orders:
-        projected = project_binning_system(base, order)
-        if monotone:
-            projected = upward_closure(projected)
-        rep = systems_equivalent(projected, direct, box, n_samples=n_samples, seed=seed)
-        out.append((tuple(order), rep))
-    return out
+    return [(tuple(order),
+             systems_equivalent(upward_closure(project_binning_system(base, order)), direct))
+            for order in orders]

@@ -184,6 +184,52 @@ def simplify_loop(a, b, strict, snap=1e-9):
             np.array([keep[k][1] for k in order], dtype=bool))
 
 
+def _facet_candidates(a_all, b_all, center, snap=1e-9):
+    """Projections of ``center`` onto each hyperplane a.x = b and onto every
+    pairwise intersection of them (2x2 normal equations)."""
+    norms = (a_all ** 2).sum(axis=1)
+    ok = norms > snap
+    a1, b1, n1 = a_all[ok], b_all[ok], norms[ok]
+    single = center[None, :] + ((b1 - a1 @ center) / n1)[:, None] * a1
+    if len(a1) < 2:
+        return single
+    ii, jj = np.triu_indices(len(a1), k=1)
+    g11, g22 = n1[ii], n1[jj]
+    g12 = (a1[ii] * a1[jj]).sum(axis=1)
+    det = g11 * g22 - g12 ** 2
+    good = np.abs(det) > 1e-12
+    ii, jj, g11, g22, g12, det = ii[good], jj[good], g11[good], g22[good], g12[good], det[good]
+    r1 = b1[ii] - a1[ii] @ center
+    r2 = b1[jj] - a1[jj] @ center
+    lam1 = (g22 * r1 - g12 * r2) / det
+    lam2 = (g11 * r2 - g12 * r1) / det
+    pair = center[None, :] + lam1[:, None] * a1[ii] + lam2[:, None] * a1[jj]
+    return np.vstack([single, pair])
+
+
+def systems_equivalent_sampled(a1, b1, a2, b2, box, n_samples=1000, seed=0, tol=1e-9):
+    """Compare the closures of {x : a1.x <= b1} and {x : a2.x <= b2} on
+    uniform samples in ``box`` (one (lo, hi) per variable) plus the facet
+    candidates of both systems that fall in it.
+
+    Returns (agree, points tested, first point in exactly one system or
+    None).  A sliver thinner than the sample spacing can go unseen.
+    """
+    a1, b1, a2, b2 = (np.asarray(x, dtype=float) for x in (a1, b1, a2, b2))
+    box = np.asarray(box, dtype=float).reshape(a1.shape[1], 2)
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(box[:, 0], box[:, 1], size=(n_samples, a1.shape[1]))
+    a_all, b_all = np.vstack([a1, a2]), np.concatenate([b1, b2])
+    if len(a_all):
+        cand = _facet_candidates(a_all, b_all, box.mean(axis=1))
+        in_box = ((cand >= box[:, 0] - tol) & (cand <= box[:, 1] + tol)).all(axis=1)
+        pts = np.vstack([pts, cand[in_box]])
+    in_1 = (pts @ a1.T <= b1 + tol).all(axis=1)
+    in_2 = (pts @ a2.T <= b2 + tol).all(axis=1)
+    diff = np.flatnonzero(in_1 != in_2)
+    return (not diff.size, len(pts), pts[diff[0]] if diff.size else None)
+
+
 def split_sequences_loop(idx, sizes, n):
     """Per-component sequence indices, one time digit and one component at
     a time (first symbol and first component most significant)."""

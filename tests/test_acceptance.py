@@ -20,7 +20,8 @@ from coordinet.pmf import Alphabet, ConditionalPmf, JointPmf, make_joint
 from coordinet.region import (InnerCoupling, RateTuple, SearchConfig, inner_check,
                               inner_membership, outer_coupling_from_inner,
                               outer_membership, random_inner_coupling)
-from coordinet.fme import projection_matches_rate_system
+from coordinet.fme import (binning_constraint_system, projection_matches_rate_system,
+                           theorem_rate_system)
 from coordinet.sources import builtin_coupling, dsbs, identical_uniform, independent_bits, triple_abc
 
 from oracles import wyner_deterministic_min
@@ -266,8 +267,9 @@ def test_criterion_7_fme_projection_agreement():
     with criterion(7, "FME projection matches the direct system, 20 couplings x 6 orders", 60):
         rng = np.random.default_rng(7)
         for ci in range(20):
-            coup = random_inner_coupling(rng)
-            reports = projection_matches_rate_system(coup.joint(), n_samples=1000, seed=ci)
+            j = random_inner_coupling(rng).joint()
+            reports = projection_matches_rate_system(binning_constraint_system(j),
+                                                     theorem_rate_system(j))
             assert len(reports) == 6
             for order, rep in reports:
                 assert rep.agree, (ci, order, rep.counterexample)

@@ -235,6 +235,23 @@ class TestReplay:
         second = (tmp_path / "second" / "summary.json").read_bytes()
         assert first == second
 
+    def test_pinned_fme_verify_job_replays(self, tmp_path):
+        # the benchmark's fme-verify job, whose `samples` key no longer changes the result
+        text = ("[run]\ncommand = fme-verify\nseed = 1922502786\n\n"
+                "[fme-verify]\ncouplings = 20\nsamples = 1000\norders = all\n")
+        status, out = run_cli(tmp_path, text, out="first")
+        assert status == 0
+        assert read_summary(out)["agree_count"] == 20
+        with open(out / "results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 120 and list(rows[0]) == ["coupling", "order", "agree", "vertices"]
+        assert all(row["agree"] == "True" and int(row["vertices"]) > 0 for row in rows)
+        assert "samples = 1000" in (out / "config.echo.ini").read_text()
+        status2 = main([str(out / "config.echo.ini"), "--out", str(tmp_path / "second")])
+        assert status2 == 0
+        for name in ("summary.json", "results.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "second" / name).read_bytes()
+
 
 class TestThreads:
     @staticmethod

@@ -4,13 +4,15 @@ import itertools
 import numpy as np
 import pytest
 
-from coordinet.fme import (SNAP, LinearSystem, binning_constraint_system, fme_eliminate,
-                           project_binning_system, projection_matches_rate_system,
-                           remove_redundant, simplify, systems_equivalent,
-                           upward_closure)
+from coordinet.fme import (PROJECTED_VARS, SNAP, LinearSystem, binning_constraint_system,
+                           fme_eliminate, project_binning_system,
+                           projection_matches_rate_system, remove_redundant, simplify,
+                           systems_equivalent, theorem_rate_system, upward_closure)
+from coordinet.information import entropy
 from coordinet.region import random_inner_coupling
 
-from oracles import extension_interval, fme_eliminate_loop, simplify_loop
+from oracles import (extension_interval, fme_eliminate_loop, simplify_loop,
+                     systems_equivalent_sampled)
 
 
 def sys_of(variables, rows):
@@ -79,43 +81,120 @@ class TestRemoveRedundant:
 
 
 class TestEquivalence:
+    """The sampling oracle on its own, and the exact check's handling of
+    variable order."""
+
     def test_identical_agree(self):
         s = sys_of(["y"], [({"y": 1}, "<=", 1.0)])
-        rep = systems_equivalent(s, s, [(0.0, 2.0)], n_samples=200, seed=0)
-        assert rep.agree and rep.counterexample is None
+        agree, _, x = systems_equivalent_sampled(s.a, s.b, s.a, s.b, [(0.0, 2.0)],
+                                                 n_samples=200, seed=0)
+        assert agree and x is None
 
     def test_shifted_bound_disagrees_with_verified_counterexample(self):
         a = sys_of(["y"], [({"y": 1}, "<=", 1.0)])
         b = sys_of(["y"], [({"y": 1}, "<=", 0.9)])
-        rep = systems_equivalent(a, b, [(0.0, 2.0)], n_samples=200, seed=0)
-        assert not rep.agree
-        x = rep.counterexample
+        agree, _, x = systems_equivalent_sampled(a.a, a.b, b.a, b.b, [(0.0, 2.0)],
+                                                 n_samples=200, seed=0)
+        assert not agree
         assert bool(a.contains(x[None])[0]) and not bool(b.contains(x[None])[0])
         assert 0.9 < x[0] <= 1.0 + 1e-9
 
     def test_column_order_normalized(self):
-        a = sys_of(["x", "y"], [({"x": 1, "y": 2}, "<=", 1.0)])
-        b = sys_of(["y", "x"], [({"x": 1, "y": 2}, "<=", 1.0)])
-        rep = systems_equivalent(a, b, [(0.0, 1.0), (0.0, 1.0)], n_samples=100, seed=0)
-        assert rep.agree
+        a = sys_of(["x", "y"], [({"x": -1, "y": -2}, "<=", -1.0)])
+        b = sys_of(["y", "x"], [({"x": -1, "y": -2}, "<=", -1.0)])
+        rep = systems_equivalent(a, b)
+        assert rep.agree and rep.vertices == 4
+
+
+def shifted(s, row, delta):
+    b = s.b.copy()
+    b[row] += delta
+    return LinearSystem(s.variables, s.a, b, s.strict)
+
+
+def in_exactly_one(x, s, t):
+    return bool(s.contains(x[None])[0]) != bool(t.contains(x[None])[0])
+
+
+class TestExactEquivalence:
+    V4 = ["x1", "x2", "x3", "x4"]
+    NONNEG = [({v: -1}, "<=", 0.0) for v in V4]
+
+    def test_shifting_a_direct_row_by_a_micro_flips_the_verdict(self):
+        j = random_inner_coupling(np.random.default_rng(5)).joint()
+        direct = theorem_rate_system(j)
+        closed = upward_closure(project_binning_system(binning_constraint_system(j)))
+        assert systems_equivalent(closed, direct).agree
+        for row in range(4):
+            for delta in (1e-6, -1e-6):
+                other = shifted(direct, row, delta)
+                rep = systems_equivalent(closed, other)
+                assert not rep.agree, (row, delta)
+                assert in_exactly_one(rep.counterexample, closed, other)
+
+    def test_parallel_rows_make_degenerate_bases_that_are_skipped(self):
+        one = sys_of(self.V4, [({"x1": -1, "x2": -1}, "<=", -1.0)] + self.NONNEG)
+        doubled = sys_of(self.V4, [({"x1": -1, "x2": -1}, "<=", -1.0),
+                                   ({"x1": -2, "x2": -2}, "<=", -2.0)] + self.NONNEG)
+        rep = systems_equivalent(doubled, one)
+        assert rep.agree and rep.vertices == 4
+
+    def test_repeated_row_is_kept_once(self):
+        row = ({"x1": -1, "x3": -2}, "<=", -1.0)
+        rep = systems_equivalent(sys_of(self.V4, [row, row] + self.NONNEG),
+                                 sys_of(self.V4, [row] + self.NONNEG))
+        assert rep.agree and rep.vertices == 4
+
+    def test_degenerate_vertex_is_counted_once(self):
+        # six rows are tight at (1, 0, 0, 0), so many bases yield it
+        s = sys_of(self.V4, [({"x1": -1, v: -1}, "<=", -1.0) for v in self.V4[1:]]
+                   + self.NONNEG)
+        rep = systems_equivalent(s, s)
+        assert rep.agree and rep.vertices == 4
+
+    def test_sliver_that_sampling_misses(self):
+        # b cuts a corner 1e-6 deep off a, at the vertex (1, 0, 0, 0); the cut
+        # is scaled by 0.5 so that it is the last row b's enumeration takes in,
+        # as the one a vertex violates by only 5e-7
+        a = sys_of(self.V4, [({"x1": -1, "x2": -1}, "<=", -1.0)] + self.NONNEG)
+        b = sys_of(self.V4, [({"x1": -1, "x2": -1}, "<=", -1.0),
+                             ({"x1": -0.5, "x2": -500, "x3": -500, "x4": -500}, "<=",
+                              -(0.5 + 0.5e-6))] + self.NONNEG)
+        agree, _, _ = systems_equivalent_sampled(a.a, a.b, b.a, b.b, [(0.0, 3.0)] * 4,
+                                                 n_samples=1000, seed=0)
+        assert agree
+        rep = systems_equivalent(a, b)
+        assert not rep.agree and in_exactly_one(rep.counterexample, a, b)
+        assert systems_equivalent(b, b).agree
+
+    def test_positive_coefficient_raises(self):
+        capped = sys_of(["y"], [({"y": 1}, "<=", 1.0)])
+        with pytest.raises(ValueError):
+            systems_equivalent(capped, capped)
 
 
 class TestProjectionExperiment:
     def test_projection_matches_direct_system(self):
         rng = np.random.default_rng(7)
         for ci in range(3):
-            coup = random_inner_coupling(rng)
-            reports = projection_matches_rate_system(coup.joint(), n_samples=500, seed=ci)
+            j = random_inner_coupling(rng).joint()
+            reports = projection_matches_rate_system(binning_constraint_system(j),
+                                                     theorem_rate_system(j))
             assert len(reports) == 6
-            assert all(rep.agree for _, rep in reports)
+            assert all(rep.agree and rep.method == "exact" for _, rep in reports)
 
     def test_raw_projection_is_strictly_smaller(self):
         # the un-closed projection carries rate caps the direct system lacks
         rng = np.random.default_rng(7)
-        coup = random_inner_coupling(rng)
-        reports = projection_matches_rate_system(coup.joint(), n_samples=500, seed=0,
-                                                 monotone=False)
-        assert any(not rep.agree for _, rep in reports)
+        j = random_inner_coupling(rng).joint()
+        base, direct = binning_constraint_system(j), theorem_rate_system(j)
+        box = [(0.0, entropy(j, ("W", "V", "U")) + 1.0)] * len(PROJECTED_VARS)
+        verdicts = []
+        for order in itertools.permutations(("Rt0", "Rt1", "Rt2")):
+            raw = project_binning_system(base, order)
+            verdicts.append(systems_equivalent_sampled(raw.a, raw.b, direct.a, direct.b, box,
+                                                       n_samples=500, seed=0)[0])
+        assert not all(verdicts)
 
     def test_elimination_order_independence(self):
         rng = np.random.default_rng(3)
@@ -123,9 +202,29 @@ class TestProjectionExperiment:
         projections = [project_binning_system(base, order)
                        for order in itertools.permutations(("Rt0", "Rt1", "Rt2"))]
         box = [(0.0, 3.0)] * 4
+        first = projections[0]
         for other in projections[1:]:
-            rep = systems_equivalent(projections[0], other, box, n_samples=400, seed=0)
-            assert rep.agree
+            agree, _, _ = systems_equivalent_sampled(first.a, first.b, other.a, other.b, box,
+                                                     n_samples=400, seed=0)
+            assert agree
+
+    def test_exact_check_agrees_with_sampling_oracle(self):
+        # each coupling's direct system as is and with one row moved by 0.05,
+        # which sampling can see, against all six projections
+        rng = np.random.default_rng(11)
+        seen = set()
+        for ci in range(4):
+            j = random_inner_coupling(rng).joint()
+            base, direct = binning_constraint_system(j), theorem_rate_system(j)
+            box = [(0.0, entropy(j, ("W", "V", "U")) + 1.0)] * len(PROJECTED_VARS)
+            for other in (direct, shifted(direct, ci, 0.05 if ci % 2 else -0.05)):
+                for order, rep in projection_matches_rate_system(base, other):
+                    closed = upward_closure(project_binning_system(base, order))
+                    agree, _, _ = systems_equivalent_sampled(closed.a, closed.b, other.a,
+                                                             other.b, box, seed=ci)
+                    assert rep.agree == agree, (ci, order)
+                    seen.add(agree)
+        assert seen == {True, False}
 
     def test_projection_soundness_extensions(self):
         # points in the projection extend to a feasible eliminated value;
@@ -193,6 +292,13 @@ class TestAgainstLoopOracles:
             s = random_system(rng, int(rng.integers(2, 10)), 3)
             ref = fme_eliminate_loop(s.a, s.b, s.strict, 1)
             assert_same(simplify(fme_eliminate(s, "x1")), simplify_loop(*ref))
+
+    def test_simplify_without_variables(self):
+        s = fme_eliminate(sys_of(["x"], [({"x": 1}, "<", 1.0), ({"x": -1}, "<=", -2.0),
+                                         ({"x": -1}, "<=", 0.0)]), "x")
+        out = simplify(s)
+        assert_same(out, simplify_loop(s.a, s.b, s.strict))
+        assert out.a.shape == (1, 0) and out.b[0] == -1.0 and bool(out.strict[0])
 
     def test_tie_within_snap_one_strict(self):
         for rows in ([({"x": 1}, "<", 1.0), ({"x": 1}, "<=", 1.0 + 0.5 * SNAP)],
