@@ -350,6 +350,23 @@ def project_binning_system(s: LinearSystem, order: Sequence[str] = TILDE_VARS,
     return LinearSystem(PROJECTED_VARS, s.a[:, perm], s.b, s.strict)
 
 
+def _drop_dominated(s: LinearSystem) -> LinearSystem:
+    """Drop each row j that one other row i implies over the nonnegative
+    orthant: a_j <= a_i and b_j >= b_i, with b_i < b_j or i strict if j is.
+    After ``simplify`` no two rows imply each other.  The rows -z <= 0 and
+    y - x <= 0, which carry the orthant, stay."""
+    a, b, strict = s.a, s.b, s.strict
+    nonzero = np.count_nonzero(a, axis=1)
+    carrier = ((b == 0) & ~strict & (a.min(axis=1) == -1)
+               & ((nonzero == 1) | ((nonzero == 2) & (a.max(axis=1) == 1))))
+    implies = (b[None, :] >= b[:, None]) & (~strict[None, :] | strict[:, None] | (b[:, None] < b[None, :]))
+    for col in a.T:  # [i, j]: a_j <= a_i, a column at a time
+        implies &= col[None, :] <= col[:, None]
+    np.fill_diagonal(implies, False)
+    keep = carrier | ~implies.any(axis=0)
+    return LinearSystem(s.variables, a[keep], b[keep], strict[keep])
+
+
 def upward_closure(s: LinearSystem) -> LinearSystem:
     """The set of points dominating some nonnegative solution of ``s``:
     {x : exists y with 0 <= y <= x and y in s}, computed by eliminating an
@@ -369,7 +386,7 @@ def upward_closure(s: LinearSystem) -> LinearSystem:
                      np.concatenate([s.b, np.zeros(2 * n)]),
                      np.concatenate([s.strict, np.zeros(2 * n, dtype=bool)]))
     for y in yv:
-        t = simplify(fme_eliminate(t, y))
+        t = _drop_dominated(simplify(fme_eliminate(t, y)))
     perm = [t.variables.index(v) for v in xv]
     return LinearSystem(xv, t.a[:, perm], t.b, t.strict)
 

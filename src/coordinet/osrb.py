@@ -55,20 +55,18 @@ class SequenceSpace:
     names: tuple[str, ...]
     sizes: tuple[int, ...]
     n: int
+    size: int = field(init=False, repr=False, compare=False)  # symbol_size ** n
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
         if self.n < 1 or any(s < 1 for s in self.sizes):
             raise ValueError("need n >= 1 and positive alphabet sizes")
+        object.__setattr__(self, "size", self.symbol_size ** self.n)
 
     @property
     def symbol_size(self) -> int:
         return math.prod(self.sizes)
-
-    @property
-    def size(self) -> int:
-        return self.symbol_size ** self.n
 
 
 def _digit_sum(values: np.ndarray, base: int, n: int) -> np.ndarray:
@@ -147,9 +145,12 @@ def make_binning(domain: SequenceSpace, num_bins: int, seed: int,
         raise ValueError("num_bins must be >= 1")
     if domain.size > max_domain:
         raise StateSpaceTooLarge(f"domain of {domain.size} sequences exceeds cap {max_domain}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    assignment = rng.integers(0, num_bins, size=domain.size, dtype=np.int64)
-    return BinningCode(domain, num_bins, assignment, seed)
+    assignment = (np.zeros(domain.size, dtype=np.int64) if num_bins == 1  # the one draw in [0, 1)
+                  else np.random.Generator(np.random.PCG64(seed)).integers(0, num_bins, size=domain.size))
+    assignment.setflags(write=False)
+    code = object.__new__(BinningCode)  # drawn in range: no checks, unlike a hand-built code
+    code.__dict__.update(domain=domain, num_bins=num_bins, assignment=assignment, seed=seed)
+    return code
 
 
 def bins_from_rate(n: int, rate: float) -> tuple[int, float]:
@@ -335,36 +336,45 @@ class InducedLaw:
             raise RuntimeError("derandomization inequality violated; numerical fault")
 
 
-def _decoder_table(prior_seq: np.ndarray, keys: np.ndarray, n_keys: int) -> np.ndarray:
-    """argmax of prior per key with lexicographic tie-break; -1 for keys
-    with empty preimage."""
-    order = np.lexsort((np.arange(len(keys)), -prior_seq, keys))
-    ks = keys[order]
-    starts = np.ones(len(order), dtype=bool)
-    if len(order) > 1:
-        starts[1:] = ks[1:] != ks[:-1]
+def _decoder_table(prior: np.ndarray, keys: np.ndarray, n_keys: int) -> np.ndarray:
+    """Per key: the decoder input of highest prior among those with that
+    key, ties to the lowest index; -1 for keys with empty preimage.
+    ``keys`` has one row per seed, and no two seeds share a key."""
+    k = keys.shape[1]
+    rank = np.lexsort((np.arange(k), -prior))  # inputs in that order
+    ks = keys[:, rank].ravel()
+    order = np.argsort(ks, kind="stable")
+    ks = ks[order]
+    starts = np.r_[True, ks[1:] != ks[:-1]]
     table = np.full(n_keys, -1, dtype=np.int64)
-    table[ks[starts]] = order[starts]
+    table[ks[starts]] = rank[order[starts] % k]
     return table
 
 
-def _mix_outputs(keys: np.ndarray, weights: np.ndarray, groups: int, c1: np.ndarray,
+def _mix_outputs(keys: np.ndarray, weights: np.ndarray, extra: np.ndarray, c1: np.ndarray,
                  c2: np.ndarray, cap: int, right_first: bool = False) -> np.ndarray:
-    """(groups, ny1, ny2) array: per group g, the sum of
-    weights[i] * outer(c1[d1], c2[d2]) over the terms with
-    keys[i] = (g * k1 + d1) * k2 + d2.  When the dense (groups, k1, k2)
-    array M fits under ``cap`` and C1ᵀ M C2 takes fewer multiply-adds than
-    one outer product per term, the weights are scattered into M.
-    Otherwise (decoded spaces that dwarf the terms, as in copy-w with
-    |W| = |Y1||Y2|) the terms are grouped on their key and each g is one
-    matmul of gathered channel rows.  ``right_first`` associates the
-    products the other way."""
+    """(groups, ny1, ny2) array: per group g, the sum of weights[i] *
+    outer(c1[d1], c2[d2]) over the terms with keys[i] = (g * k1 + d1) * k2
+    + d2, then extra[g] * outer(c1[0], c2[0]).  ``extra`` is (runs, groups
+    per run).  When one run's dense (groups, k1, k2) array M fits under
+    ``cap`` and C1ᵀ M C2 takes fewer multiply-adds than one outer product
+    per term, the weights are scattered into M.  Otherwise (decoded spaces
+    that dwarf the terms, as in copy-w with |W| = |Y1||Y2|) each g is one
+    matmul of channel rows gathered by key.  ``right_first`` associates
+    the products the other way."""
     (k1, ny1), (k2, ny2) = c1.shape, c2.shape
-    if groups * k1 * k2 <= cap and groups * k1 * ny1 * (k2 + ny2) <= len(keys) * ny1 * ny2:
+    per_run, extra, keys, weights = extra.shape[-1], extra.ravel(), keys.ravel(), weights.ravel()
+    groups = len(extra)
+    if per_run * k1 * k2 <= cap and groups * k1 * ny1 * (k2 + ny2) <= (len(keys) + groups) * ny1 * ny2:
         mix = np.bincount(keys, weights=weights, minlength=groups * k1 * k2).reshape(groups, k1, k2)
+        mix[:, 0, 0] += extra
         return c1.T @ (mix @ c2) if right_first else c1.T @ mix @ c2
-    uniq, inv = np.unique(keys, return_inverse=True)
-    wsum = np.bincount(inv, weights=weights)[:, None]
+    firsts = np.arange(groups) * (k1 * k2)  # each group's decoded pair (0, 0) carries its extra
+    live, inv = np.unique(keys, return_inverse=True)
+    uniq = np.union1d(live, firsts)
+    wsum = np.zeros((len(uniq), 1))
+    wsum[np.searchsorted(uniq, live), 0] = np.bincount(inv, weights=weights)
+    wsum[np.searchsorted(uniq, firsts), 0] += extra
     g, d = np.divmod(uniq, k1 * k2)
     out = np.zeros((groups, ny1, ny2))
     cuts = np.searchsorted(g, np.arange(groups + 1))
@@ -376,18 +386,21 @@ def _mix_outputs(keys: np.ndarray, weights: np.ndarray, groups: int, c1: np.ndar
     return out
 
 
-class _ProtocolPlan:
-    """The part of run_protocol that depends only on (q, coupling, n, caps):
-    the cap checks, the (w, wv, wu) indices and the prior of every live
-    relay tuple, the decoder priors and their w digits, the two output
-    channel matrices, and q^n, built on first use since it is needed only
-    after mixing.  Arrays are read-only, as a plan is shared between
-    threads.
+# the seven bin maps, in seed order, and the rate each is drawn at; the
+# digit in a map's name is its domain: 0 for W^n, 1 for (W,V)^n, 2 for (W,U)^n
+_CODES = {"g0": "rt0", "g1": "rt1", "b1": "rb1", "f1": "rf1", "g2": "rt2", "b2": "rb2", "f2": "rf2"}
 
-    ``sweep`` builds one ``shared`` plan per block length and publishes it
-    in _PLANS while that n's cells run.  A lone call builds its own, which
-    keeps no relay-tuple arrays: the run drops each one once consumed, so
-    a lone call peaks no higher than without a plan."""
+
+class _ProtocolPlan:
+    """The part of run_protocol that does not depend on the seed: the cap
+    checks, the bin counts, the (w, wv, wu) indices and the prior of every
+    live relay tuple, the decoder priors and their w digits, the two
+    output channel matrices, and q^n, built on first use since it is
+    needed only after mixing.  Arrays are read-only: plans are shared.
+
+    ``sweep`` builds one ``shared`` plan per block length for all its
+    seeds.  A lone call builds its own, which keeps no relay-tuple arrays:
+    the run drops each one once consumed, to bound its peak memory."""
 
     def __init__(self, cfg: ProtocolConfig, shared: bool = False):
         n, coup = cfg.n, cfg.coupling
@@ -400,7 +413,16 @@ class _ProtocolPlan:
             raise StateSpaceTooLarge(f"(w,v,u) sequence space {k_wvu} exceeds cap {cfg.caps.wvu}")
         if self.k_y > cfg.caps.y_pairs:
             raise StateSpaceTooLarge(f"(y1,y2) sequence space {self.k_y} exceeds cap {cfg.caps.y_pairs}")
+        rates = dict(vars(cfg.rates), **dict(zip(("rt0", "rt1", "rt2"), cfg.tilde_rates)))
+        drawn = {name: bins_from_rate(n, rates[rate]) for name, rate in _CODES.items()}
+        self.bins = {name: nb for name, (nb, _) in drawn.items()}
+        self.eff = {f"eff_{_CODES[name]}": e for name, (_, e) in drawn.items()}
+        self.gtot = self.bins["g0"] * self.bins["g1"] * self.bins["g2"]
+        if self.gtot * self.k_y > cfg.caps.with_g:
+            raise StateSpaceTooLarge(f"joint with shared indices needs {self.gtot * self.k_y} entries")
         self.q, self.n, self.caps, self.sizes = cfg.q, n, cfg.caps, (nw, nv, nu)
+        self.domains = (SequenceSpace(("W",), (nw,), n), SequenceSpace(("W", "V"), (nw, nv), n),
+                        SequenceSpace(("W", "U"), (nw, nu), n))
         self.p_wvu = coup.p_uvw.reorder(("W", "V", "U"))
         # decoder priors over the (w,v) and (w,u) sequence spaces, their w
         # digits, and the output channel product matrices indexed by them
@@ -412,6 +434,10 @@ class _ProtocolPlan:
         c2 = coup.chan_y2.table  # (U, W, Y2)
         self.chan1 = channel_matrix(np.transpose(c1, (1, 0, 2)).reshape(nw * nv, n1), n)
         self.chan2 = channel_matrix(np.transpose(c2, (1, 0, 2)).reshape(nw * nu, n2), n)
+        # seeds per batched run: each chunk array stays a 256th of with_g,
+        # so large n runs one seed at a time and keeps pool threads busy
+        per_seed = self.gtot * max(self.k_y, self.prior_wv.size * self.prior_wu.size)
+        self.chunk = max(1, (cfg.caps.with_g >> 8) // per_seed)
         self._relay = self._relay_tuples() if shared else None
         self._qn = None
         self._lock = threading.Lock()
@@ -444,13 +470,92 @@ class _ProtocolPlan:
             return self._qn
 
 
-# plans published by a running sweep, keyed by _plan_key
-_PLANS: dict = {}
+def _run_seeds(plan: _ProtocolPlan, seeds: Sequence[int]) -> list[InducedLaw]:
+    """The seed-dependent stage of run_protocol for several seeds at once.
+    Each array gains a leading seed axis, and every sum a law depends on
+    runs over its own seed's slice in the order a one-seed run takes, so
+    each law equals the one run_protocol gives for its seed."""
+    bins, gtot, S = plan.bins, plan.gtot, len(seeds)
+    subseeds = [np.random.SeedSequence(seed).generate_state(len(_CODES)) for seed in seeds]
+    code = {name: np.stack([make_binning(plan.domains[int(name[1])], bins[name], int(sub[i])).assignment
+                            for sub in subseeds])
+            for i, name in enumerate(_CODES)}
+    # seed s numbers its g0 bins from s * bins, so every key and cell index
+    # below (g0 is their most significant digit) is offset by seed
+    code["g0"] += np.arange(S)[:, None] * bins["g0"]
 
+    # per seed and live relay tuple: shared-index key g and cell (g0, g1, g2, b1, b2);
+    # each array over the tuples is dropped once consumed, to bound peak memory
+    w_seq, wv_seq, wu_seq, prior_seq = plan.relay()
+    g_of_tuple = ((code["g0"][:, w_seq] * bins["g1"] + code["g1"][:, wv_seq])
+                  * bins["g2"] + code["g2"][:, wu_seq])
+    del w_seq
+    cell = ((g_of_tuple * bins["b1"] + code["b1"][:, wv_seq]) * bins["b2"]
+            + code["b2"][:, wu_seq])
 
-def _plan_key(cfg: ProtocolConfig, n: int):
-    # a sweep holds its base config, so these ids stay unique while published
-    return id(cfg.q), id(cfg.coupling), n, cfg.caps
+    # decoder tables over the (w,v) and (w,u) sequence spaces
+    key1_all = ((code["g0"][:, plan.wv_w] * bins["g1"] + code["g1"])
+                * bins["b1"] + code["b1"]) * bins["f1"] + code["f1"]
+    key2_all = ((code["g0"][:, plan.wu_w] * bins["g2"] + code["g2"])
+                * bins["b2"] + code["b2"]) * bins["f2"] + code["f2"]
+    dec1 = _decoder_table(plan.prior_wv, key1_all, S * bins["g0"] * bins["g1"] * bins["b1"] * bins["f1"])
+    dec2 = _decoder_table(plan.prior_wu, key2_all, S * bins["g0"] * bins["g2"] * bins["b2"] * bins["f2"])
+
+    # relay conditional normalizers per (g0, g1, g2, b1, b2) cell
+    n_cells = gtot * bins["b1"] * bins["b2"]
+    z = np.bincount(cell.ravel(), weights=np.broadcast_to(prior_seq, cell.shape).ravel(),
+                    minlength=S * n_cells)
+    unif_cell = 1.0 / n_cells
+    live_w = unif_cell * prior_seq / z[cell]
+    del cell, prior_seq
+    d1 = dec1[key1_all[:, wv_seq]]
+    d2 = dec2[key2_all[:, wu_seq]]
+    undecodable = int(np.count_nonzero((d1 < 0) | (d2 < 0)))
+    if undecodable:
+        raise RuntimeError(f"{undecodable} live relay tuples carry a bin key with no decoder "
+                           "entry; decoder tables are inconsistent")
+
+    sw1 = [float(w[hit].sum()) for w, hit in zip(live_w, d1 == wv_seq)]
+    sw2 = [float(w[hit].sum()) for w, hit in zip(live_w, d2 == wu_seq)]
+    del wv_seq, wu_seq
+
+    # mix the output channels over (g, decoded pair); an empty relay cell
+    # makes both nodes decode the first input, i.e. it adds its mass to
+    # decoded pair (0, 0)
+    k1, k2 = len(plan.prior_wv), len(plan.prior_wu)
+    pair = d1 * k2 + d2
+    del d1, d2
+    empty_cells = z.reshape(S, gtot, -1) <= 0.0
+    empty = empty_cells.sum(axis=2) * unif_cell
+    g_of_tuple *= k1 * k2  # made the mixing key in place
+    g_of_tuple += pair
+    joint = _mix_outputs(g_of_tuple, live_w, empty, plan.chan1, plan.chan2, plan.caps.with_g)
+    del g_of_tuple
+    joint = joint.reshape(S, gtot, *joint.shape[1:])
+
+    raw_mass = joint.sum(axis=(1, 2, 3))
+    # second accumulation path for the two-way marginal check: sum over
+    # decoded pairs without the g split, associated in the other order
+    pair += np.arange(S)[:, None] * (k1 * k2)
+    marg = _mix_outputs(pair, live_w, empty_cells.sum(axis=(1, 2))[:, None] * unif_cell,
+                        plan.chan1, plan.chan2, plan.caps.with_g, right_first=True)
+
+    qn = plan.qn()
+    tv_marginal = 0.5 * np.abs(joint.sum(axis=1) - qn).sum(axis=(1, 2))
+    tv_uniform = 0.5 * np.abs(joint - qn / gtot).sum(axis=(1, 2, 3))
+    per_g_tv = 0.5 * np.abs(joint * gtot - qn).sum(axis=(2, 3))
+    best = per_g_tv.argmin(axis=1)
+
+    shape = (bins["g0"], bins["g1"], bins["g2"], *joint.shape[2:])
+    alphabets = tuple(map(Alphabet, ("G0", "G1", "G2", "Y1", "Y2"), shape))
+    return [InducedLaw(joint_with_g=JointPmf(alphabets, joint[s].reshape(shape)),
+                       raw_mass=float(raw_mass[s]), tv_marginal=float(tv_marginal[s]),
+                       tv_with_uniform_g=float(tv_uniform[s]), tv_best_g=float(per_g_tv[s, best[s]]),
+                       best_g=tuple(int(i) for i in np.unravel_index(best[s], shape[:3])),
+                       sw1_success=sw1[s], sw2_success=sw2[s], nocandidate_mass=float(sum(empty[s])),
+                       effective_rates=dict(plan.eff), num_bins=dict(bins), marginal_direct=marg[s],
+                       binning_seeds={name: int(sub[i]) for i, name in enumerate(_CODES)})
+            for s, sub in enumerate(subseeds)]
 
 
 def run_protocol(cfg: ProtocolConfig) -> InducedLaw:
@@ -462,112 +567,9 @@ def run_protocol(cfg: ProtocolConfig) -> InducedLaw:
     full; decoder outputs then mix the per-node output channels.  When a
     combination has an empty preimage the nodes fall back to their
     channels applied to the lexicographically first input (reported in
-    ``nocandidate_mass``).  The seed-independent set-up comes from the
-    plan a running ``sweep`` published for this block length, or from a
-    plan built for this call alone.
+    ``nocandidate_mass``).
     """
-    plan = _PLANS.get(_plan_key(cfg, cfg.n)) or _ProtocolPlan(cfg)
-    n = cfg.n
-    nw, nv, nu = plan.sizes
-
-    rt0, rt1, rt2 = cfg.tilde_rates
-    rate_map = {"g0": rt0, "g1": rt1, "b1": cfg.rates.rb1, "f1": cfg.rates.rf1,
-                "g2": rt2, "b2": cfg.rates.rb2, "f2": cfg.rates.rf2}
-    names = ("g0", "g1", "b1", "f1", "g2", "b2", "f2")
-    rate_names = {"g0": "rt0", "g1": "rt1", "g2": "rt2",
-                  "b1": "rb1", "b2": "rb2", "f1": "rf1", "f2": "rf2"}
-    bins = {}
-    eff = {}
-    for name in names:
-        bins[name], eff[name] = bins_from_rate(n, rate_map[name])
-    gtot = bins["g0"] * bins["g1"] * bins["g2"]
-    if gtot * plan.k_y > cfg.caps.with_g:
-        raise StateSpaceTooLarge(f"joint with shared indices needs {gtot * plan.k_y} entries")
-
-    seeds = np.random.SeedSequence(cfg.seed).generate_state(len(names))
-    w_space = SequenceSpace(("W",), (nw,), n)
-    wv_space = SequenceSpace(("W", "V"), (nw, nv), n)
-    wu_space = SequenceSpace(("W", "U"), (nw, nu), n)
-    domain_of = {"g0": w_space, "g1": wv_space, "b1": wv_space, "f1": wv_space,
-                 "g2": wu_space, "b2": wu_space, "f2": wu_space}
-    code = {name: make_binning(domain_of[name], bins[name], int(seeds[i])).assignment
-            for i, name in enumerate(names)}
-
-    # per live relay tuple: shared-index key g and cell (g0, g1, g2, b1, b2);
-    # each array over the tuples is dropped once consumed, to bound peak memory
-    w_seq, wv_seq, wu_seq, prior_seq = plan.relay()
-    g_of_tuple = ((code["g0"][w_seq] * bins["g1"] + code["g1"][wv_seq])
-                  * bins["g2"] + code["g2"][wu_seq])
-    del w_seq
-    cell = ((g_of_tuple * bins["b1"] + code["b1"][wv_seq]) * bins["b2"]
-            + code["b2"][wu_seq])
-
-    # decoder tables over the (w,v) and (w,u) sequence spaces
-    key1_all = ((code["g0"][plan.wv_w] * bins["g1"] + code["g1"])
-                * bins["b1"] + code["b1"]) * bins["f1"] + code["f1"]
-    key2_all = ((code["g0"][plan.wu_w] * bins["g2"] + code["g2"])
-                * bins["b2"] + code["b2"]) * bins["f2"] + code["f2"]
-    dec1 = _decoder_table(plan.prior_wv, key1_all, bins["g0"] * bins["g1"] * bins["b1"] * bins["f1"])
-    dec2 = _decoder_table(plan.prior_wu, key2_all, bins["g0"] * bins["g2"] * bins["b2"] * bins["f2"])
-
-    # relay conditional normalizers per (g0, g1, g2, b1, b2) cell
-    n_cells = gtot * bins["b1"] * bins["b2"]
-    z = np.bincount(cell, weights=prior_seq, minlength=n_cells)
-    unif_cell = 1.0 / n_cells
-    live_w = unif_cell * prior_seq / z[cell]
-    del cell, prior_seq
-    d1 = dec1[key1_all[wv_seq]]
-    d2 = dec2[key2_all[wu_seq]]
-    undecodable = int(np.count_nonzero((d1 < 0) | (d2 < 0)))
-    if undecodable:
-        raise RuntimeError(f"{undecodable} live relay tuples carry a bin key with no decoder "
-                           "entry; decoder tables are inconsistent")
-
-    sw1 = float(live_w[d1 == wv_seq].sum())
-    sw2 = float(live_w[d2 == wu_seq].sum())
-    del wv_seq, wu_seq
-
-    # mix the output channels over (g, decoded pair); an empty relay cell
-    # makes both nodes decode the first input, i.e. it adds its mass to
-    # decoded pair (0, 0)
-    k1, k2 = len(plan.prior_wv), len(plan.prior_wu)
-    pair = d1 * k2 + d2
-    del d1, d2
-    empty = np.bincount(np.arange(n_cells) // (bins["b1"] * bins["b2"]),
-                        weights=(z <= 0.0).astype(float), minlength=gtot) * unif_cell
-    nocand = float(sum(empty))
-    keys = np.append(g_of_tuple * (k1 * k2) + pair, np.arange(gtot) * (k1 * k2))
-    del g_of_tuple
-    joint = _mix_outputs(keys, np.append(live_w, empty), gtot, plan.chan1, plan.chan2,
-                         cfg.caps.with_g)
-    ny1, ny2 = joint.shape[1:]
-
-    raw_mass = float(joint.sum())
-    # second accumulation path for the two-way marginal check: sum over
-    # decoded pairs without the g split, associated in the other order
-    marg = _mix_outputs(np.append(pair, 0), np.append(live_w, float((z <= 0.0).sum()) * unif_cell),
-                        1, plan.chan1, plan.chan2, cfg.caps.with_g, right_first=True)[0]
-
-    qn = plan.qn()
-    tv_marginal = 0.5 * float(np.abs(joint.sum(axis=0) - qn).sum())
-    tv_uniform = 0.5 * float(np.abs(joint - qn[None] / gtot).sum())
-    per_g_tv = 0.5 * np.abs(joint * gtot - qn[None]).sum(axis=(1, 2))
-    best_flat = int(np.argmin(per_g_tv))
-    best_g = (best_flat // (bins["g1"] * bins["g2"]),
-              (best_flat // bins["g2"]) % bins["g1"],
-              best_flat % bins["g2"])
-
-    law = JointPmf((Alphabet("G0", bins["g0"]), Alphabet("G1", bins["g1"]),
-                    Alphabet("G2", bins["g2"]), Alphabet("Y1", ny1), Alphabet("Y2", ny2)),
-                   joint.reshape(bins["g0"], bins["g1"], bins["g2"], ny1, ny2))
-    return InducedLaw(joint_with_g=law, raw_mass=raw_mass, tv_marginal=tv_marginal,
-                      tv_with_uniform_g=tv_uniform, best_g=best_g,
-                      tv_best_g=float(per_g_tv[best_flat]),
-                      sw1_success=sw1, sw2_success=sw2, nocandidate_mass=nocand,
-                      effective_rates={f"eff_{rate_names[k]}": v for k, v in eff.items()},
-                      num_bins=dict(bins),
-                      binning_seeds={name: int(seeds[i]) for i, name in enumerate(names)},
-                      marginal_direct=marg)
+    return _run_seeds(_ProtocolPlan(cfg), [cfg.seed])[0]
 
 
 SWEEP_FIELDS = ("n", "seed", "cell_seed", "rb1", "rb2", "rf1", "rf2", "rt0", "rt1", "rt2",
@@ -576,44 +578,45 @@ SWEEP_FIELDS = ("n", "seed", "cell_seed", "rb1", "rb2", "rf1", "rf2", "rt0", "rt
                 "sw1_success", "sw2_success", "nocandidate_mass", "error")
 
 
-def _sweep_cell(base: ProtocolConfig, n: int, master_seed: int, seed: int) -> dict:
+def _sweep_record(base: ProtocolConfig, n: int, master_seed: int, seed: int) -> dict:
     cell_seed = int(np.random.SeedSequence([master_seed, n, int(seed)]).generate_state(1)[0])
-    rec = {"n": n, "seed": int(seed), "cell_seed": cell_seed,
-           "rb1": base.rates.rb1, "rb2": base.rates.rb2,
-           "rf1": base.rates.rf1, "rf2": base.rates.rf2,
-           "rt0": base.tilde_rates[0], "rt1": base.tilde_rates[1],
-           "rt2": base.tilde_rates[2], "error": ""}
+    return {"n": n, "seed": int(seed), "cell_seed": cell_seed, **vars(base.rates),
+            **dict(zip(("rt0", "rt1", "rt2"), base.tilde_rates)), "error": ""}
+
+
+def _sweep_chunk(plan: _ProtocolPlan, recs: list[dict]) -> list[dict]:
+    """Fill a chunk of one block length's records from one batched run.
+    When it fails, each cell is rerun alone, so a failing cell records
+    the error a lone run raises and the others their laws."""
     try:
-        law = run_protocol(replace(base, n=n, seed=cell_seed))
-        eff = law.effective_rates
-        rec.update({k: eff[k] for k in eff})
-        rec.update(tv_marginal=law.tv_marginal,
-                   tv_with_uniform_g=law.tv_with_uniform_g,
-                   tv_best_g=law.tv_best_g,
-                   sw1_success=law.sw1_success, sw2_success=law.sw2_success,
-                   nocandidate_mass=law.nocandidate_mass)
+        laws = _run_seeds(plan, [rec["cell_seed"] for rec in recs])
     except Exception as exc:  # per-cell failure, sweep continues
-        rec["error"] = f"{type(exc).__name__}: {exc}"
-    return rec
+        if len(recs) == 1:
+            return [dict(recs[0], error=f"{type(exc).__name__}: {exc}")]
+        return [rec for one in recs for rec in _sweep_chunk(plan, [one])]
+    for rec, law in zip(recs, laws):  # the law's fields from tv_marginal to nocandidate_mass
+        rec.update(law.effective_rates, **{k: getattr(law, k) for k in SWEEP_FIELDS[17:-1]})
+    return recs
 
 
 def sweep(base: ProtocolConfig, n_list: Sequence[int], seed_list: Sequence[int],
           master_seed: int = 0, threads: int = 1) -> list[dict]:
     """Run the protocol per (n, seed) cell; cell errors are recorded and the
     sweep continues.  Each cell's binnings derive from (master, n, seed).
-    The cells of one n share that n's plan and run on ``threads`` pool
-    threads; records keep (n, seed) order whatever the thread count."""
+    The cells of one n share that n's plan and run in batched chunks of
+    seeds on ``threads`` pool threads; records keep (n, seed) order and
+    values whatever the thread count or chunking."""
     records = []
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        run_cells = pool.map if threads > 1 else map
+        run_chunks = pool.map if threads > 1 else map
         for n in map(int, n_list):
-            key = _plan_key(base, n)
+            recs = [_sweep_record(base, n, master_seed, seed) for seed in seed_list]
             try:
-                _PLANS[key] = _ProtocolPlan(replace(base, n=n), shared=True)
-            except Exception:  # each cell raises the same error itself and records it
-                pass
-            try:
-                records.extend(run_cells(partial(_sweep_cell, base, n, master_seed), seed_list))
-            finally:
-                _PLANS.pop(key, None)
+                plan = _ProtocolPlan(replace(base, n=n), shared=True)
+            except Exception as exc:  # seed-independent: every lone cell raises it too
+                records.extend(dict(rec, error=f"{type(exc).__name__}: {exc}") for rec in recs)
+                continue
+            chunks = (recs[i:i + plan.chunk] for i in range(0, len(recs), plan.chunk))
+            records.extend(rec for done in run_chunks(partial(_sweep_chunk, plan), chunks)
+                           for rec in done)
     return records

@@ -253,6 +253,27 @@ class TestReplay:
             assert (out / name).read_bytes() == (tmp_path / "second" / name).read_bytes()
 
 
+class TestGoldenSweep:
+    """Pinned sweeps whose results.csv is committed: any change in a digit
+    of any cell fails."""
+
+    CONFIGS = {
+        "uv-copy": ("dsbs-0.1", "rf1 = 0.8\nrb1 = 0.3\nrf2 = 0.8\nrb2 = 0.3\nrt1 = 0.3\n"),
+        "w-from-y1": ("identical-uniform-2", "rf1 = 1.4\nrb1 = 0\nrf2 = 1.4\nrb2 = 0\nrt0 = 0.2\n"),
+    }
+
+    @pytest.mark.parametrize("coupling", sorted(CONFIGS))
+    def test_results_csv_matches_golden(self, tmp_path, coupling):
+        source, rates = self.CONFIGS[coupling]
+        status, out = run_cli(tmp_path, f"[run]\ncommand = sweep\nsource = {source}\nseed = 17\n"
+                                        f"[sweep]\ncoupling = {coupling}\nn_list = 2,3,4\n"
+                                        f"seeds = 5\n{rates}")
+        assert status == 0
+        golden = os.path.join(os.path.dirname(__file__), "data", f"sweep-{coupling}.csv")
+        with open(golden, "rb") as fh:
+            assert (out / "results.csv").read_bytes() == fh.read()
+
+
 class TestThreads:
     @staticmethod
     def one_and_three_threads(tmp_path, n_list):

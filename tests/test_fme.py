@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from coordinet import fme
 from coordinet.fme import (PROJECTED_VARS, SNAP, LinearSystem, binning_constraint_system,
                            fme_eliminate, project_binning_system,
                            projection_matches_rate_system, remove_redundant, simplify,
@@ -104,6 +105,37 @@ class TestEquivalence:
         b = sys_of(["y", "x"], [({"x": -1, "y": -2}, "<=", -1.0)])
         rep = systems_equivalent(a, b)
         assert rep.agree and rep.vertices == 4
+
+
+class TestUpwardClosure:
+    def test_dominated_rows_go_and_orthant_rows_stay(self):
+        s = sys_of(["x", "y"], [
+            ({"x": -1, "y": -1}, "<=", -1.0),   # 0: kept, implies 1 and 2
+            ({"x": -1, "y": -2}, "<=", -1.0),   # 1: smaller coefficients, same constant
+            ({"x": -2, "y": -1}, "<", -0.5),    # 2: strict, but a looser constant
+            ({"x": -1, "y": -3}, "<", -1.0),    # 3: strict at the same constant: kept
+            ({"y": -0.5}, "<=", 0.0),           # 4: implies the unit row 5
+            ({"y": -1}, "<=", 0.0),             # 5: unit row, never dropped
+            ({"x": 1, "y": -1}, "<=", 0.0),     # 6: link row, never dropped
+        ])
+        out = fme._drop_dominated(s)
+        assert out.to_text() == fme.LinearSystem(s.variables, s.a[[0, 3, 4, 5, 6]],
+                                                 s.b[[0, 3, 4, 5, 6]],
+                                                 s.strict[[0, 3, 4, 5, 6]]).to_text()
+
+    def test_pruned_closure_equals_the_unpruned_one(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        joints = [random_inner_coupling(rng).joint() for _ in range(3)]
+        projections = [project_binning_system(binning_constraint_system(j), order)
+                       for j in joints for order in itertools.permutations(("Rt0", "Rt1", "Rt2"))]
+        pruned = [upward_closure(p) for p in projections]
+        monkeypatch.setattr(fme, "_drop_dominated", lambda s: s)
+        pts = rng.uniform(0, 4, size=(2000, len(PROJECTED_VARS)))
+        for p, closed in zip(projections, pruned):
+            full = upward_closure(p)
+            assert closed.nrows < full.nrows
+            assert systems_equivalent(closed, full).agree
+            assert np.array_equal(closed.contains(pts), full.contains(pts))
 
 
 def shifted(s, row, delta):

@@ -75,6 +75,24 @@ class TestMakeBinning:
         with pytest.raises(StateSpaceTooLarge):
             make_binning(space((4,), 12), 2, seed=0)
 
+    def test_draws_the_seeded_stream_read_only(self):
+        for num_bins in (1, 3):
+            code = make_binning(space((2, 3), 2), num_bins, seed=9)
+            rng = np.random.Generator(np.random.PCG64(9))
+            assert np.array_equal(code.assignment, rng.integers(0, num_bins, size=36))
+            assert code.assignment.dtype == np.int64 and not code.assignment.flags.writeable
+            assert (code.domain.size, code.num_bins, code.seed) == (36, num_bins, 9)
+
+    @pytest.mark.parametrize("num_bins, assignment", [
+        (2, [0, 2, 1, 0]),    # a bin index past num_bins
+        (2, [0, -1, 1, 0]),   # a negative bin index
+        (2, [0, 1, 1]),       # does not cover the domain
+        (0, [0, 0, 0, 0]),    # no bins
+    ])
+    def test_hand_built_code_is_checked(self, num_bins, assignment):
+        with pytest.raises(ValueError):
+            BinningCode(space((2,), 2), num_bins, np.array(assignment), seed=0)
+
 
 class TestBinsFromRate:
     def test_exact_power(self):

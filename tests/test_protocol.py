@@ -170,16 +170,18 @@ class TestMixOutputs:
         c2 = rng.random((k2, 2))
         keys = rng.integers(0, groups * k1 * k2, size=60)
         w = rng.random(60)
-        w /= w.sum()
+        extra = np.array([0.5, 0.0, 0.25])  # a group with no extra mass still gets its key
+        w *= 0.25 / w.sum()
         ref = np.zeros((groups, 3, 2))
         for key, wi in zip(keys, w):
             g, d = divmod(int(key), k1 * k2)
             ref[g] += wi * np.outer(c1[d // k2], c2[d % k2])
+        ref += extra[:, None, None] * np.outer(c1[0], c2[0])
         # 60 terms make the dense 3 x 5 x 4 array pay; a cap of 59 entries
         # forces the grouped path
         for cap in (59, 60):
             for right_first in (True, False):
-                got = _mix_outputs(keys, w, groups, c1, c2, cap, right_first)
+                got = _mix_outputs(keys, w, extra, c1, c2, cap, right_first)
                 assert np.abs(got - ref).max() <= 1e-15
 
 
@@ -325,18 +327,6 @@ class TestSharedPlan:
             expected[n] = f"{exc_type.__name__}: {info.value}"
         assert [r["error"] for r in recs] == [expected[0]] * 3 + [""] * 3 + [expected[11]] * 3
 
-    def test_published_plan_serves_only_its_own_key(self):
-        base = self.base("w-from-y1")
-        other_n, other_coupling = replace(base, n=3), replace(base, coupling=self.base("uv-copy").coupling)
-        lone = [run_protocol(cfg).joint_with_g.table for cfg in (other_n, other_coupling)]
-        key = osrb._plan_key(base, 2)
-        osrb._PLANS[key] = osrb._ProtocolPlan(base, shared=True)
-        try:
-            shared = [run_protocol(cfg).joint_with_g.table for cfg in (other_n, other_coupling)]
-        finally:
-            del osrb._PLANS[key]
-        assert all(np.array_equal(a, b) for a, b in zip(lone, shared))
-
     def test_no_plan_outlives_its_sweep_or_call(self, monkeypatch):
         made = []
 
@@ -351,4 +341,67 @@ class TestSharedPlan:
         run_protocol(replace(base, n=4))
         assert len(made) == 3
         assert all(ref() is None for ref in made)
-        assert not osrb._PLANS
+
+
+class TestBatchedSeeds:
+    """A sweep runs each chunk of a block length's seeds as one batch; each
+    seed's law must be the one a lone run gives, bit for bit."""
+
+    FIELDS = ("raw_mass", "tv_marginal", "tv_with_uniform_g", "best_g", "tv_best_g",
+              "sw1_success", "sw2_success", "nocandidate_mass", "effective_rates", "num_bins",
+              "binning_seeds")
+
+    @pytest.mark.parametrize("name, q, n, rates, with_g, grouped", [
+        ("uv-copy", dsbs(0.1), 3, (0.8, 0.3, (0.0, 0.0, 0.0)), 2 ** 24, False),
+        ("uv-copy", dsbs(0.1), 4, (0.8, 0.3, (0.0, 0.5, 0.0)), 2 ** 24, False),
+        ("w-from-y1", identical_uniform(2), 3, (1.2, 0.3, (0.4, 0.2, 0.1)), 2 ** 24, True),
+        ("copy-w", dsbs(0.1), 2, (1.0, 0.5, (0.0, 0.5, 0.0)), 64, True),
+    ])
+    def test_batch_equals_lone_runs(self, monkeypatch, name, q, n, rates, with_g, grouped):
+        rf, rb, rt = rates
+        base = ProtocolConfig(q=q, coupling=builtin_coupling(name, q), n=n,
+                              rates=RateTuple(rf1=rf, rb1=rb, rf2=rf, rb2=rb), tilde_rates=rt,
+                              seed=0, caps=ProtocolCaps(with_g=with_g))
+        grouped_calls = []
+        union1d = np.union1d  # called on the grouped mixing path only
+        monkeypatch.setattr(np, "union1d", lambda *a: grouped_calls.append(1) or union1d(*a))
+        seeds = [3, 1, 4, 1, 5, 9, 2, 6]
+        plan = osrb._ProtocolPlan(base, shared=True)
+        batch = osrb._run_seeds(plan, seeds)
+        assert bool(grouped_calls) == grouped
+        for seed, law in zip(seeds, batch):
+            lone = run_protocol(replace(base, seed=seed))
+            assert np.array_equal(law.joint_with_g.table, lone.joint_with_g.table)
+            assert np.array_equal(law.marginal_direct, lone.marginal_direct)
+            assert [getattr(law, k) for k in self.FIELDS] == [getattr(lone, k) for k in self.FIELDS]
+        assert plan.gtot > 1 or rt == (0.0, 0.0, 0.0)
+
+    def test_small_cap_forces_chunks_with_the_same_records(self):
+        base = common_bit_config(n=2, rf=1.4)
+        small = replace(base, caps=ProtocolCaps(with_g=2 ** 17))
+        assert osrb._ProtocolPlan(replace(small, n=4)).chunk == 2
+        assert osrb._ProtocolPlan(replace(base, n=4)).chunk >= 7
+        recs = sweep(small, [3, 4], list(range(7)), master_seed=8)
+        assert recs == sweep(base, [3, 4], list(range(7)), master_seed=8)
+        for rec in recs:
+            law = run_protocol(replace(small, n=rec["n"], seed=rec["cell_seed"]))
+            assert rec["tv_best_g"] == law.tv_best_g and rec["sw1_success"] == law.sw1_success
+
+    def test_failing_seed_is_recorded_on_its_cell_only(self, monkeypatch):
+        base = common_bit_config(n=2, rf=1.4, rt=(0.3, 0.0, 0.0))
+        good = sweep(base, [3], list(range(6)), master_seed=1)
+        bad_cell = good[2]["cell_seed"]
+        bad_draw = int(np.random.SeedSequence(bad_cell).generate_state(7)[3])  # its f1 map
+        make_binning = osrb.make_binning
+
+        def failing(domain, num_bins, seed, *args):
+            if seed == bad_draw:
+                raise MemoryError(f"cannot draw {domain.size} bins")
+            return make_binning(domain, num_bins, seed, *args)
+
+        monkeypatch.setattr(osrb, "make_binning", failing)
+        with pytest.raises(MemoryError) as info:
+            run_protocol(replace(base, n=3, seed=bad_cell))
+        recs = sweep(base, [3], list(range(6)), master_seed=1)
+        assert recs[2]["error"] == f"MemoryError: {info.value}"
+        assert recs[:2] + recs[3:] == good[:2] + good[3:]
