@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .optimize import coordinate_descent, dirichlet_rows
+from .optimize import _descend, coordinate_descent, dirichlet_rows
 from .pmf import Alphabet, ConditionalPmf, JointPmf, UnknownVariable
 
 
@@ -62,7 +62,7 @@ def subset_entropies(table: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.
     for src, axes in steps:
         margs.append(margs[src].sum(axis=axes))
     flat = np.concatenate([margs[i].reshape(len(t), -1) for i in picks], axis=1)
-    flat *= np.log2(flat, out=np.zeros_like(flat), where=flat > 0)
+    flat *= np.log2(np.where(flat > 0, flat, 1.0))
     # reduceat adds each segment in sequence; a lone subset goes through
     # ndarray.sum, whose pairwise order is the one a direct sum uses
     return -(flat.sum(axis=1, keepdims=True) if len(picks) == 1
@@ -204,10 +204,12 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
     """Best upper bound found for Wyner's common information of a 2-variable pmf,
     with the certified lower bound I(Y1;Y2) beside it.
 
-    Runs ``config.restarts`` local searches (structured seeds first, then
-    Dirichlet restarts) on the penalized objective I(Y1Y2;W) + penalty *
-    I(Y1;Y2|W), then polishes the winner under a large penalty until the
-    conditional-independence slack is below ``markov_target``.
+    Runs local searches from the structured seeds (the merge map when it
+    fits, cell copy, constant W; all of them always run, even when
+    ``config.restarts`` is smaller) and Dirichlet restarts up to
+    ``config.restarts`` in all, on the penalized objective I(Y1Y2;W) +
+    penalty * I(Y1;Y2|W).  Every restart whose conditional-independence
+    slack is above ``markov_target`` is then polished under a large penalty.
     """
     cfg = config or WynerConfig()
     if len(q.alphabets) != 2:
@@ -243,25 +245,27 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
         starts.insert(0, det)
     while len(starts) < cfg.restarts:
         starts.append(dirichlet_rows(rng, ms, w_cap))
-    starts = starts[: max(cfg.restarts, len(starts))]
 
     trace = []
     polished = None   # best witness with slack <= markov_target
     fallback = None   # best witness with slack <= accept_markov only
-    for ridx, start in enumerate(starts):
-        lam = cfg.penalty
-        blocks, _, _ = coordinate_descent(objective, [start], max_iters=cfg.max_iters,
-                                          stall_limit=cfg.stall_limit, tol=cfg.tol)
-        i_val, slack = _wyner_terms(q2, embed(blocks[0]))
-        i_val, slack = float(i_val[0]), float(slack[0])
-        if slack > cfg.markov_target:
-            lam = cfg.polish_penalty
-            blocks, _, _ = coordinate_descent(objective, blocks, max_iters=cfg.max_iters,
-                                              stall_limit=cfg.stall_limit, tol=cfg.tol)
-            i_val, slack = _wyner_terms(q2, embed(blocks[0]))
-            i_val, slack = float(i_val[0]), float(slack[0])
+
+    def terms(rows):
+        i_val, slack = _wyner_terms(q2, embed(rows))
+        return float(i_val[0]), float(slack[0])
+
+    kw = dict(max_iters=cfg.max_iters, stall_limit=cfg.stall_limit, tol=cfg.tol)
+    lam = cfg.penalty
+    ends = [d.blocks[0] for d in _descend(objective, [[start] for start in starts], **kw)]
+    found = [terms(rows) for rows in ends]
+    loose = [i for i, (_, slack) in enumerate(found) if slack > cfg.markov_target]
+    if loose:
+        lam = cfg.polish_penalty
+        for i, d in zip(loose, _descend(objective, [[ends[i]] for i in loose], **kw)):
+            ends[i], found[i] = d.blocks[0], terms(d.blocks[0])
+    for ridx, (rows, (i_val, slack)) in enumerate(zip(ends, found)):
         trace.append((ridx, i_val if slack <= cfg.accept_markov else math.inf))
-        entry = (i_val, blocks[0].copy(), slack)
+        entry = (i_val, rows.copy(), slack)
         if slack <= cfg.markov_target:
             if polished is None or i_val < polished[0]:
                 polished = entry
@@ -271,10 +275,8 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
     if fallback is not None and (polished is None or fallback[0] < polished[0] - 1e-9):
         # a looser witness looks better; give it one aggressive polish pass
         lam = 10.0 * cfg.polish_penalty
-        blocks, _, _ = coordinate_descent(objective, [fallback[1]], max_iters=cfg.max_iters,
-                                          stall_limit=cfg.stall_limit, tol=cfg.tol)
-        i_val, slack = _wyner_terms(q2, embed(blocks[0]))
-        i_val, slack = float(i_val[0]), float(slack[0])
+        blocks, _, _ = coordinate_descent(objective, [fallback[1]], **kw)
+        i_val, slack = terms(blocks[0])
         if slack <= cfg.markov_target and (polished is None or i_val < polished[0]):
             polished = (i_val, blocks[0].copy(), slack)
     best = polished if polished is not None else fallback

@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .information import mutual_information, subset_entropies
-from .optimize import coordinate_descent, dirichlet_rows
+# coordinate_descent stays bound here: perfbench/tracer.py wraps it at every module that binds it
+from .optimize import _descend, coordinate_descent, dirichlet_rows  # noqa: F401
 from .pmf import Alphabet, ConditionalPmf, JointPmf
 
 INNER_BOUND_NAMES = ("total", "link1", "link2", "forward")
@@ -331,6 +332,30 @@ def _pad_inner(tables, caps) -> InnerCoupling | None:
     return _blocks_to_coupling([p, c2, c1], caps, n1, n2)
 
 
+def _search(objective, starts, check, cfg: SearchConfig):
+    """Walk start 1, its descent, start 2, ... up to the first witness of
+    membership; check(blocks) -> (slack, candidate), the slack -inf for an
+    invalid candidate.  The starts before the first start that is a witness
+    by itself descend, all in one batch.  Returns (found, best candidate,
+    its slack, restarts used)."""
+    seen, runs = [], len(starts)
+    for i, start in enumerate(starts):
+        seen.append(check(start))
+        if seen[-1][0] >= -cfg.slack_tol:
+            runs = i
+            break
+    ends = _descend(objective, starts[:runs], max_iters=cfg.max_iters,
+                    stall_limit=cfg.stall_limit, tol=cfg.tol) if runs else []
+    best_slack, best = -math.inf, None
+    for used, item in enumerate(seen, 1):
+        for slack, cand in [item] + ([check(ends[used - 1].blocks)] if used <= runs else []):
+            if slack > best_slack:
+                best_slack, best = slack, cand
+            if slack >= -cfg.slack_tol:
+                return True, best, best_slack, used
+    return False, best, best_slack, len(starts)
+
+
 def inner_membership(q: JointPmf, r: RateTuple, caps: tuple[int, int, int] = (4, 4, 4),
                      config: SearchConfig | None = None,
                      extra_seeds: Sequence[InnerCoupling] = ()) -> RegionDecision:
@@ -368,30 +393,13 @@ def inner_membership(q: JointPmf, r: RateTuple, caps: tuple[int, int, int] = (4,
                        dirichlet_rows(rng, nu * nw, n2),
                        dirichlet_rows(rng, nv * nw, n1)])
 
-    best_slack = -math.inf
-    best_witness = None
-    used = 0
+    def check(blocks):
+        cand = _blocks_to_coupling(blocks, caps, n1, n2)
+        return (-math.inf if cand.tv_to(q) > cfg.tv_tol
+                else float(np.min(inner_check(cand, r)))), cand
 
-    def consider(cand: InnerCoupling) -> bool:
-        nonlocal best_slack, best_witness
-        if cand.tv_to(q) > cfg.tv_tol:
-            return False
-        slack = float(np.min(inner_check(cand, r)))
-        if slack > best_slack:
-            best_slack, best_witness = slack, cand
-        return best_slack >= -cfg.slack_tol
-
-    for start in starts:
-        used += 1
-        # seeds are exact couplings; accept without a descent when they
-        # already witness membership
-        if consider(_blocks_to_coupling(start, caps, n1, n2)):
-            return RegionDecision("inside", best_witness, best_slack, used)
-        blocks, _, _ = coordinate_descent(objective, start, max_iters=cfg.max_iters,
-                                          stall_limit=cfg.stall_limit, tol=cfg.tol)
-        if consider(_blocks_to_coupling(blocks, caps, n1, n2)):
-            return RegionDecision("inside", best_witness, best_slack, used)
-    return RegionDecision("inconclusive", best_witness, best_slack, used)
+    inside, witness, slack, used = _search(objective, starts, check, cfg)
+    return RegionDecision("inside" if inside else "inconclusive", witness, slack, used)
 
 
 # ---------------------------------------------------------------------------
@@ -529,34 +537,18 @@ def outer_membership(q: JointPmf, r: RateTuple, config: SearchConfig | None = No
     while len(starts) < cfg.restarts + len(extra_seeds):
         starts.append([dirichlet_rows(rng, n1 * n2, cu * cv)])
 
-    best_slack = -math.inf
-    best_witness = None
-    used = 0
-
-    def consider(table: np.ndarray) -> bool:
-        nonlocal best_slack, best_witness
+    def check(blocks):
         chan = ConditionalPmf((Alphabet("Y1", n1), Alphabet("Y2", n2)),
                               (Alphabet("U", cu), Alphabet("V", cv)),
-                              table.reshape(n1, n2, cu, cv))
+                              blocks[0].reshape(n1, n2, cu, cv))
         cand = OuterCoupling(q, chan)
-        if max(cand.markov_slacks()) > cfg.markov_tol:
-            return False
-        slack = outer_slack(cand, r)
-        if slack > best_slack:
-            best_slack, best_witness = slack, cand
-        return best_slack >= -cfg.slack_tol
+        return (-math.inf if max(cand.markov_slacks()) > cfg.markov_tol
+                else outer_slack(cand, r)), cand
 
-    for start in starts:
-        used += 1
-        if consider(start[0]):
-            return RegionDecision("inside", best_witness, best_slack, used)
-        blocks, _, _ = coordinate_descent(objective, start, max_iters=cfg.max_iters,
-                                          stall_limit=cfg.stall_limit, tol=cfg.tol)
-        if consider(blocks[0]):
-            return RegionDecision("inside", best_witness, best_slack, used)
-    if best_slack < -cfg.outside_margin:
-        return RegionDecision("outside-heuristic", best_witness, best_slack, used)
-    return RegionDecision("inconclusive", best_witness, best_slack, used)
+    inside, witness, slack, used = _search(objective, starts, check, cfg)
+    verdict = ("inside" if inside else "outside-heuristic" if slack < -cfg.outside_margin
+               else "inconclusive")
+    return RegionDecision(verdict, witness, slack, used)
 
 
 # ---------------------------------------------------------------------------

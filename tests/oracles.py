@@ -385,3 +385,87 @@ def slow_protocol_law(p_wvu, chan1, chan2, n, codes, num_bins):
                             y2law = chan_seq(chan2, in2, nw * nu)
                             joint[gflat] += (pr / z) * np.outer(y1law, y2law) / total_cells
     return joint
+
+
+# ---------------------------------------------------------------------------
+# The one-restart-at-a-time coordinate descent that the library's batched
+# core replaced, kept as it was: one line search per call, its own grids.
+
+def _line_candidates_loop(row: np.ndarray, k: int, coarse: int = 9):
+    """Step sizes t for row <- (1-t)*row + t*e_k, t in [t_min, 1]."""
+    rk = row[k]
+    t_min = -rk / (1.0 - rk) if rk < 1.0 else 0.0
+    ts = np.linspace(t_min, 1.0, coarse)
+    return ts[np.abs(ts) > 1e-15]
+
+
+def _apply_loop(row: np.ndarray, k: int, ts: np.ndarray) -> np.ndarray:
+    out = (1.0 - ts)[:, None] * row[None, :]
+    out[:, k] += ts
+    np.clip(out, 0.0, None, out=out)
+    return out / out.sum(axis=1, keepdims=True)
+
+
+def coordinate_descent_sequential(objective, blocks, *, max_iters: int = 5000,
+                       stall_limit: int = 50, tol: float = 1e-9,
+                       good_enough: float | None = None):
+    """Minimize ``objective`` by cyclic coordinate line searches.
+
+    objective(list of arrays with a leading batch axis) -> (B,) values.
+    Returns (blocks, value, iterations).  One iteration is one coordinate
+    (block, row, vertex) examined; the search stops when ``stall_limit``
+    consecutive iterations improve by less than ``tol``.
+    """
+    blocks = [np.array(b, dtype=float) for b in blocks]
+    value = float(objective([b[None] for b in blocks])[0])
+    iters = 0
+    stalled = 0
+    while iters < max_iters:
+        improved_this_sweep = False
+        for bi, blk in enumerate(blocks):
+            rows, cols = blk.shape
+            for r in range(rows):
+                for k in range(cols):
+                    iters += 1
+                    ts = _line_candidates_loop(blk[r], k)
+                    if ts.size == 0:
+                        continue
+                    cand = _apply_loop(blk[r], k, ts)
+                    # refine around the coarse grid in the same batch
+                    vals = _score_loop(objective, blocks, bi, r, cand)
+                    j = int(np.argmin(vals))
+                    best_v, best_row = float(vals[j]), cand[j]
+                    step = (ts[-1] - ts[0]) / max(len(ts) - 1, 1)
+                    t2 = np.linspace(max(ts[0], ts[j] - step), min(1.0, ts[j] + step), 7)
+                    t2 = t2[np.abs(t2) > 1e-15]
+                    if t2.size:
+                        cand2 = _apply_loop(blk[r], k, t2)
+                        vals2 = _score_loop(objective, blocks, bi, r, cand2)
+                        j2 = int(np.argmin(vals2))
+                        if vals2[j2] < best_v:
+                            best_v, best_row = float(vals2[j2]), cand2[j2]
+                    if best_v < value - tol:
+                        blk[r] = best_row
+                        value = best_v
+                        stalled = 0
+                        improved_this_sweep = True
+                    else:
+                        stalled += 1
+                    if good_enough is not None and value <= good_enough:
+                        return blocks, value, iters
+                    if stalled >= stall_limit or iters >= max_iters:
+                        return blocks, value, iters
+        if not improved_this_sweep:
+            break
+    return blocks, value, iters
+
+
+def _score_loop(objective, blocks, bi, r, cand_rows):
+    B = cand_rows.shape[0]
+    batch = []
+    for j, blk in enumerate(blocks):
+        rep = np.repeat(blk[None], B, axis=0)
+        if j == bi:
+            rep[:, r, :] = cand_rows
+        batch.append(rep)
+    return objective(batch)

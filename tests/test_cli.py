@@ -274,6 +274,30 @@ class TestGoldenSweep:
             assert (out / "results.csv").read_bytes() == fh.read()
 
 
+class TestGoldenSearches:
+    """The bench's frontier job and a Wyner search, with results.csv and
+    summary.json committed: the searches must reach the same answers to
+    the last digit."""
+
+    CONFIGS = {
+        "frontier-dsbs": ("[run]\ncommand = frontier\nsource = dsbs-0.1\nseed = 0\n"
+                          "[frontier]\naxes = rf1,rf2\nfixed_rates = inf,inf\n"
+                          "grid_min = 0.15,0.15\ngrid_max = 0.40,0.40\ngrid_steps = 4,4\n"
+                          "cap_u = 2\ncap_v = 2\ncap_w = 2\nrestarts = 6\n"),
+        "wyner-dsbs": ("[run]\ncommand = wyner\nsource = dsbs-0.1\nseed = 0\n"
+                       "[wyner]\nw_cap = 4\nrestarts = 16\n"),
+    }
+
+    @pytest.mark.parametrize("job", sorted(CONFIGS))
+    def test_outputs_match_golden(self, tmp_path, job):
+        status, out = run_cli(tmp_path, self.CONFIGS[job])
+        assert status == 0
+        for name in ("results.csv", "summary.json"):
+            golden = os.path.join(os.path.dirname(__file__), "data", f"{job}-{name}")
+            with open(golden, "rb") as fh:
+                assert (out / name).read_bytes() == fh.read(), name
+
+
 class TestThreads:
     @staticmethod
     def one_and_three_threads(tmp_path, n_list):

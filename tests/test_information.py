@@ -185,6 +185,43 @@ def test_lone_subset_is_the_direct_sum():
                 assert subset_entropies(table[None], [keep])[0, 0] == ref
 
 
+# (table shape without the batch axis, subsets) as the three search objectives ask
+OBJECTIVE_TABLES = {
+    "wyner": ((3, 3, 5), ((0, 1), (2,), (0, 1, 2), (0, 2), (1, 2))),
+    "inner": ((2, 2, 2, 2, 2), ((2,), (3, 4), (2, 3, 4), (0, 2), (1, 2), (0, 1, 2),
+                                (0, 1, 2, 3, 4), (1, 2, 3, 4), (0, 2, 3, 4))),
+    "outer": ((2, 2, 5, 5), ((0, 1), (2,), (3,), (0, 1, 2), (0, 1, 3), (0,), (1,),
+                             (0, 2), (1, 2), (0, 3), (1, 3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBJECTIVE_TABLES))
+def test_subset_entropies_are_batch_invariant(name):
+    """A row's entropies do not depend on the batch it rides in: the
+    lockstep optimizer scores many restarts' candidates in one call and
+    must reproduce each restart's lone trajectory to the last bit."""
+    shape, subsets = OBJECTIVE_TABLES[name]
+    t = batch_with_zeros(np.random.default_rng(10), (107,) + shape)
+    whole = subset_entropies(t, subsets)
+    for size in (1, 7, 100):
+        for start in sorted({0, 1, 3, 107 - size}):
+            part = subset_entropies(t[start:start + size], subsets)
+            assert part.tobytes() == whole[start:start + size].tobytes()
+
+
+def test_log2_of_positive_part_equals_the_masked_log2():
+    rng = np.random.default_rng(11)
+    for shape in [(1, 1), (3, 17), (100, 141), (5, 1000)]:
+        flat = batch_with_zeros(rng, shape)
+        masked = np.log2(flat, out=np.zeros_like(flat), where=flat > 0)
+        assert np.log2(np.where(flat > 0, flat, 1.0)).tobytes() == masked.tobytes()
+    for t in batch_with_zeros(rng, (20, 3, 4, 2)):
+        p = make_joint([("A", 3), ("B", 4), ("C", 2)], t)
+        flat = p.table.reshape(1, -1).copy()
+        flat *= np.log2(flat, out=np.zeros_like(flat), where=flat > 0)
+        assert entropy(p) == max(0.0, float(-flat.sum(axis=1, keepdims=True)[0, 0]))
+
+
 def test_subset_entropies_reject_bad_subsets():
     t = np.full((1, 2, 2), 0.25)
     for bad in ([()], [(2,)], [(-1,)], []):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from coordinet import region
 from coordinet.information import mutual_information
 from coordinet.pmf import Alphabet, ConditionalPmf, make_joint
 from coordinet.region import (OuterCoupling, RateTuple, SearchConfig, _coupling_to_blocks,
@@ -13,6 +14,8 @@ from coordinet.region import (OuterCoupling, RateTuple, SearchConfig, _coupling_
                               inner_membership, inner_rhs, outer_coupling_from_inner,
                               outer_membership, outer_slack, random_inner_coupling)
 from coordinet.sources import dsbs, identical_uniform, independent_bits
+
+from oracles import coordinate_descent_sequential
 
 INF = math.inf
 FAST = SearchConfig(restarts=6, seed=0)
@@ -125,6 +128,67 @@ class TestInnerMembership:
         assert float(np.min(inner_check(d.witness, RateTuple(1, 1, 1, 1)))) >= -1e-6
         assert d.witness.tv_to(q) <= 1e-4
         assert max(d.witness.chain_slacks()) <= 1e-9
+
+
+def sequential_search(objective, starts, check, cfg):
+    """The restart loop as it ran one restart at a time: start 1, its
+    descent, start 2, ..., stopping at the first witness."""
+    best_slack, best = -math.inf, None
+
+    def consider(blocks):
+        nonlocal best_slack, best
+        slack, cand = check(blocks)
+        if slack is not None and slack > best_slack:
+            best_slack, best = slack, cand
+        return best_slack >= -cfg.slack_tol
+
+    for used, start in enumerate(starts, 1):
+        if consider(start):
+            return True, best, best_slack, used
+        blocks, _, _ = coordinate_descent_sequential(objective, start, max_iters=cfg.max_iters,
+                                                     stall_limit=cfg.stall_limit, tol=cfg.tol)
+        if consider(blocks):
+            return True, best, best_slack, used
+    return False, best, best_slack, len(starts)
+
+
+class TestRestartOrder:
+    """Batched restarts give the decision the one-at-a-time loop gives."""
+
+    @pytest.mark.parametrize("seed, rates", [
+        (3, (0.45, 0.88, 0.82, 0.78)),    # inner: inside at the second restart
+        (6, (0.64, 0.8, 0.28, 0.82)),     # inner: inside at the fourth restart
+        (0, (0.74, 0.75, 0.51, 0.33)),    # every restart used, by both searches
+    ])
+    def test_decisions_match_the_sequential_loop(self, monkeypatch, seed, rates):
+        q, r = dsbs(0.1), RateTuple(*rates)
+        cfg = SearchConfig(restarts=3, seed=seed, max_iters=400)
+
+        def both():
+            return (inner_membership(q, r, (2, 2, 2), cfg),
+                    outer_membership(q, r, cfg, caps=(3, 3)))
+
+        batched = both()
+        monkeypatch.setattr(region, "_search", sequential_search)
+        for got, want in zip(batched, both()):
+            assert (got.verdict, got.restarts_used) == (want.verdict, want.restarts_used)
+            assert np.float64(got.best_slack).tobytes() == np.float64(want.best_slack).tobytes()
+            assert got.witness.joint().table.tobytes() == want.witness.joint().table.tobytes()
+
+    def test_a_start_that_witnesses_membership_is_not_descended(self, monkeypatch):
+        descended = []
+
+        def spy(objective, starts, **kw):
+            descended.append(len(starts))
+            return descend(objective, starts, **kw)
+
+        descend = region._descend
+        monkeypatch.setattr(region, "_descend", spy)
+        d = inner_membership(independent_bits(), RateTuple(0, 0, 0, 0), (2, 2, 2), FAST)
+        assert (d.verdict, d.restarts_used, descended) == ("inside", 1, [])
+        # the second start is a witness: only the first one descends
+        d = inner_membership(dsbs(0.1), RateTuple(1, 1, 1, 1), (2, 2, 2), FAST)
+        assert (d.verdict, d.restarts_used, descended) == ("inside", 2, [1])
 
 
 class TestOuterSlack:
