@@ -2,10 +2,9 @@
 coordinating two nodes through a relay."""
 
 from .pmf import (Alphabet, AlphabetMismatch, ConditionalPmf, JointPmf,
-                  NegativeMass, NotNormalized, PmfError, StateSpaceTooLarge,
-                  UndefinedConditional, UnknownVariable, condition, iid_extend,
-                  make_joint, marginal, read_pmf, sample, total_variation,
-                  write_pmf)
+                  NegativeMass, NonFiniteMass, NotNormalized, PmfError,
+                  StateSpaceTooLarge, UndefinedConditional, UnknownVariable,
+                  make_joint, read_pmf, write_pmf)
 from .information import (InfoQuery, OptimizerFailed, WynerConfig, WynerSolution,
                           conditional_entropy, entropy, markov_slack,
                           mutual_information, wyner_common_information)

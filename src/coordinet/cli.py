@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import fme, information, osrb, region
-from .config import ConfigError, RunConfig, echo_config, parse_config
+from .config import COMMAND_PARAMS, ConfigError, RunConfig, echo_config, parse_config
 from .pmf import write_pmf
 from .sources import builtin_coupling, load_source
 
@@ -77,11 +77,11 @@ def _cmd_wyner(cfg, q, out_dir):
             "markov_slack": sol.markov_slack, "w_cardinality": sol.w_cardinality}, 0
 
 
-def _cmd_region(cfg, q, out_dir, which):
+def _cmd_region(cfg, q, out_dir):
     p = cfg.params
     r = _rates_from(p)
     scfg = region.SearchConfig(restarts=p["restarts"], seed=cfg.master_seed)
-    if which == "inner":
+    if cfg.command == "region-inner":
         caps = (p["cap_u"], p["cap_v"], p["cap_w"])
         dec = region.inner_membership(q, r, caps=caps, config=scfg)
     else:
@@ -135,7 +135,7 @@ def _cmd_frontier(cfg, q, out_dir):
             "outer_inside": int(n_inside_outer)}, 0
 
 
-def _cmd_fme_verify(cfg, out_dir):
+def _cmd_fme(cfg, q, out_dir):
     p = cfg.params
     rng = np.random.default_rng(cfg.master_seed)
     orders = None if p["orders"] == "all" else [tuple(p["orders"].split(","))]
@@ -164,10 +164,7 @@ def _cmd_fme_verify(cfg, out_dir):
 
 def _protocol_parts(cfg, q):
     p = cfg.params
-    coup = builtin_coupling(p["coupling"], q)
-    rates = region.RateTuple(rf1=p["rf1"], rb1=p["rb1"], rf2=p["rf2"], rb2=p["rb2"])
-    tilde = (p["rt0"], p["rt1"], p["rt2"])
-    return coup, rates, tilde
+    return builtin_coupling(p["coupling"], q), _rates_from(p), (p["rt0"], p["rt1"], p["rt2"])
 
 
 def _cmd_protocol(cfg, q, out_dir):
@@ -251,26 +248,12 @@ def run(cfg: RunConfig) -> int:
         fh.write(echo_config(cfg))
     q = load_source(cfg.source) if cfg.source else None
 
-    if cfg.command == "info":
-        summary, status = _cmd_info(cfg, q, out_dir)
-    elif cfg.command == "wyner":
-        summary, status = _cmd_wyner(cfg, q, out_dir)
-    elif cfg.command == "region-inner":
-        summary, status = _cmd_region(cfg, q, out_dir, "inner")
-    elif cfg.command == "region-outer":
-        summary, status = _cmd_region(cfg, q, out_dir, "outer")
-    elif cfg.command == "frontier":
-        summary, status = _cmd_frontier(cfg, q, out_dir)
-    elif cfg.command == "fme-verify":
-        summary, status = _cmd_fme_verify(cfg, out_dir)
-    elif cfg.command == "protocol":
-        summary, status = _cmd_protocol(cfg, q, out_dir)
-    elif cfg.command == "sweep":
-        summary, status = _cmd_sweep(cfg, q, out_dir)
-    elif cfg.command == "osrb":
-        summary, status = _cmd_osrb(cfg, q, out_dir)
-    else:  # unreachable after validation
+    if cfg.command not in COMMAND_PARAMS:  # unreachable after validation
         raise ValueError(f"unknown command {cfg.command}")
+    # a handler is named after its command's first word (_cmd_region serves
+    # both region commands) and looked up when called, so one replaced on
+    # this module is the one that runs
+    summary, status = globals()["_cmd_" + cfg.command.split("-")[0]](cfg, q, out_dir)
 
     summary = {"command": cfg.command, "source": cfg.source, "seed": cfg.master_seed,
                **summary}

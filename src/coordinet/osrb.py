@@ -16,7 +16,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -162,10 +162,46 @@ def bins_from_rate(n: int, rate: float) -> tuple[int, float]:
     return num, math.log2(num) / n
 
 
-def _group_index(var_seqs: Mapping[str, np.ndarray], group: Sequence[str],
-                 sizes: Mapping[str, int], n: int) -> np.ndarray:
-    comps = [var_seqs[v] for v in group]
-    return merge_sequences(comps, [sizes[v] for v in group], n)
+def _bin_keys(p: JointPmf, groups: Sequence[tuple[Sequence[str], BinningCode]], n: int):
+    """Per entry of ``p``, a pmf over n-sequence spaces: the combined bin
+    index of the groups (first group most significant) and the index of
+    the side variables, those in no group, in ``p``'s order; then the
+    bin and side counts.  Each code's domain must be its group's
+    variables at block length ``n``."""
+    seq_sizes = dict(zip(p.names, p.sizes))
+    var_seqs = dict(zip(p.names, np.unravel_index(np.arange(p.table.size), p.sizes)))
+    combined = np.zeros(p.table.size, dtype=np.int64)
+    n_bins, grouped = 1, set()
+    for vars_g, code in groups:
+        vars_g = tuple(vars_g)
+        if (code.domain.n != n or len(code.domain.sizes) != len(vars_g)
+                or any(k ** n != seq_sizes.get(v) for k, v in zip(code.domain.sizes, vars_g))):
+            raise ValueError(f"binning domain {code.domain} does not match variables {vars_g} at n={n}")
+        g_idx = merge_sequences([var_seqs[v] for v in vars_g], code.domain.sizes, n)
+        combined = combined * code.num_bins + code.assignment[g_idx]
+        n_bins *= code.num_bins
+        grouped.update(vars_g)
+    side = np.zeros(p.table.size, dtype=np.int64)
+    n_side = 1
+    for v in p.names:
+        if v not in grouped:
+            side = side * seq_sizes[v] + var_seqs[v]
+            n_side *= seq_sizes[v]
+    return combined, side, n_bins, n_side
+
+
+def _argmax_per_key(prior: np.ndarray, keys: np.ndarray, tie: np.ndarray | None = None):
+    """Every key that occurs, ascending, and its winner: the input of
+    highest prior among those with that key, ties to the lowest ``tie``
+    rank (default: the input index).  ``keys`` holds one key per input,
+    or one such row per seed when no two seeds share a key."""
+    k = prior.size
+    rank = np.lexsort((np.arange(k) if tie is None else tie, -prior))  # inputs in that order
+    ks = keys.reshape(-1, k)[:, rank].ravel()
+    order = np.argsort(ks, kind="stable")
+    ks = ks[order]
+    starts = np.r_[True, ks[1:] != ks[:-1]]
+    return ks[starts], rank[order[starts] % k]
 
 
 def osrb_uniformity(p: JointPmf, groups: Sequence[tuple[Sequence[str], BinningCode]],
@@ -177,33 +213,11 @@ def osrb_uniformity(p: JointPmf, groups: Sequence[tuple[Sequence[str], BinningCo
     composite source over its n-sequence space.  Variables not in any
     group act as side information.
     """
-    sizes = dict(zip(p.names, p.sizes))
-    grouped: list[str] = []
-    for vars_g, code in groups:
-        vars_g = tuple(vars_g)
-        want = tuple(sizes[v] for v in vars_g)
-        if code.domain.sizes != want or code.domain.n != n:
-            raise ValueError(f"binning domain {code.domain} does not match variables {vars_g} at n={n}")
-        grouped.extend(vars_g)
-    side = [v for v in p.names if v not in set(grouped)]
-
     ext = p.iid_extend(n, max_entries=max_entries)
     flat = ext.table.ravel()
-    var_seqs = dict(zip(ext.names, np.unravel_index(np.arange(flat.size), ext.sizes)))
-
-    bin_sizes = [code.num_bins for _, code in groups]
-    combined = np.zeros(flat.size, dtype=np.int64)
-    for (vars_g, code), nb in zip(groups, bin_sizes):
-        g_idx = _group_index(var_seqs, tuple(vars_g), sizes, n)
-        combined = combined * nb + code.assignment[g_idx]
-    n_combo = int(np.prod(bin_sizes, initial=1))
-    side_idx = np.zeros(flat.size, dtype=np.int64)
-    side_card = 1
-    for v in side:
-        side_idx = side_idx * sizes[v] ** n + var_seqs[v]
-        side_card *= sizes[v] ** n
-    key = side_idx * n_combo + combined
-    induced = np.bincount(key, weights=flat, minlength=side_card * n_combo)
+    combined, side_idx, n_combo, side_card = _bin_keys(ext, groups, n)
+    induced = np.bincount(side_idx * n_combo + combined, weights=flat,
+                          minlength=side_card * n_combo)
     side_marg = np.bincount(side_idx, weights=flat, minlength=side_card)
     target = np.repeat(side_marg / n_combo, n_combo)
     return 0.5 * float(np.abs(induced - target).sum())
@@ -219,23 +233,17 @@ def sw_decode(prior: JointPmf, constraints: Sequence[tuple[Sequence[str], Binnin
     lexicographically first tuple.  Returns per-variable sequence indices
     or NO_CANDIDATE when the intersection is empty.
     """
-    flat = prior.table.ravel()
-    seq_sizes = dict(zip(prior.names, prior.sizes))
-    var_seqs = dict(zip(prior.names, np.unravel_index(np.arange(flat.size), prior.sizes)))
-    mask = np.ones(flat.size, dtype=bool)
-    for vars_g, code, bin_index in constraints:
-        vars_g = tuple(vars_g)
-        symbol_sizes = {v: code.domain.sizes[i] for i, v in enumerate(vars_g)}
-        for v in vars_g:
-            if symbol_sizes[v] ** n != seq_sizes[v]:
-                raise ValueError(f"binning for {v} does not match the prior's sequence space")
-        g_idx = _group_index(var_seqs, vars_g, symbol_sizes, n)
-        mask &= code.assignment[g_idx] == int(bin_index)
-    if not mask.any():
+    combined = _bin_keys(prior, [(vars_g, code) for vars_g, code, _ in constraints], n)[0]
+    target = 0
+    for _, code, bin_index in constraints:
+        if not 0 <= int(bin_index) < code.num_bins:
+            return NO_CANDIDATE
+        target = target * code.num_bins + int(bin_index)
+    keys, winners = _argmax_per_key(prior.table.ravel(), combined)
+    hit = winners[keys == target]
+    if not hit.size:
         return NO_CANDIDATE
-    masked = np.where(mask, flat, -1.0)
-    winner = int(np.argmax(masked))  # first max = lexicographic tie-break
-    return tuple(int(var_seqs[v][winner]) for v in prior.names)
+    return tuple(int(i) for i in np.unravel_index(hit[0], prior.sizes))
 
 
 def sw_success_prob(p: JointPmf, groups: Sequence[tuple[Sequence[str], BinningCode]],
@@ -244,36 +252,20 @@ def sw_success_prob(p: JointPmf, groups: Sequence[tuple[Sequence[str], BinningCo
     information recovers the binned variables, for a fixed binning.
 
     Side information is every variable of ``p`` not covered by a group.
+    Ties go to the lexicographically first decoded tuple, its variables
+    taken in group order.
     """
-    sizes = dict(zip(p.names, p.sizes))
     ext = p.iid_extend(n, max_entries=max_entries)
     flat = ext.table.ravel()
+    combined, side_idx, n_combo, _ = _bin_keys(ext, groups, n)
     var_seqs = dict(zip(ext.names, np.unravel_index(np.arange(flat.size), ext.sizes)))
-    decoded = [v for vars_g, _ in groups for v in vars_g]
-    side = [v for v in p.names if v not in set(decoded)]
-
-    combined = np.zeros(flat.size, dtype=np.int64)
-    for vars_g, code in groups:
-        g_idx = _group_index(var_seqs, tuple(vars_g), sizes, n)
-        combined = combined * code.num_bins + code.assignment[g_idx]
-    side_idx = np.zeros(flat.size, dtype=np.int64)
-    for v in side:
-        side_idx = side_idx * sizes[v] ** n + var_seqs[v]
+    seq_sizes = dict(zip(ext.names, ext.sizes))
     dec_idx = np.zeros(flat.size, dtype=np.int64)
-    for v in decoded:
-        dec_idx = dec_idx * sizes[v] ** n + var_seqs[v]
-
-    n_combo = math.prod(code.num_bins for _, code in groups)
-    group_key = side_idx * n_combo + combined
-    # winner per (side, bins) group: max prior, ties to smallest decode index
-    order = np.lexsort((dec_idx, -flat, group_key))
-    gk_sorted = group_key[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = gk_sorted[1:] != gk_sorted[:-1]
-    uniq, inverse = np.unique(group_key, return_inverse=True)
-    winner_dec = np.zeros(len(uniq), dtype=np.int64)
-    winner_dec[np.searchsorted(uniq, gk_sorted[starts])] = dec_idx[order[starts]]
-    success = dec_idx == winner_dec[inverse]
+    for v in (v for vars_g, _ in groups for v in vars_g):
+        dec_idx = dec_idx * seq_sizes[v] + var_seqs[v]
+    _, winners = _argmax_per_key(flat, side_idx * n_combo + combined, tie=dec_idx)
+    success = np.zeros(flat.size, dtype=bool)
+    success[winners] = True
     return float(flat[success].sum())
 
 
@@ -340,14 +332,9 @@ def _decoder_table(prior: np.ndarray, keys: np.ndarray, n_keys: int) -> np.ndarr
     """Per key: the decoder input of highest prior among those with that
     key, ties to the lowest index; -1 for keys with empty preimage.
     ``keys`` has one row per seed, and no two seeds share a key."""
-    k = keys.shape[1]
-    rank = np.lexsort((np.arange(k), -prior))  # inputs in that order
-    ks = keys[:, rank].ravel()
-    order = np.argsort(ks, kind="stable")
-    ks = ks[order]
-    starts = np.r_[True, ks[1:] != ks[:-1]]
     table = np.full(n_keys, -1, dtype=np.int64)
-    table[ks[starts]] = rank[order[starts] % k]
+    hit, winner = _argmax_per_key(prior, keys)
+    table[hit] = winner
     return table
 
 

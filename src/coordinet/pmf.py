@@ -33,6 +33,10 @@ class NotNormalized(PmfError):
     pass
 
 
+class NonFiniteMass(PmfError):
+    pass
+
+
 class AlphabetMismatch(PmfError):
     pass
 
@@ -95,6 +99,8 @@ class JointPmf:
         if t.size != int(np.prod(sizes)):
             raise ValueError(f"table has {t.size} entries, alphabets require {int(np.prod(sizes))}")
         t = t.reshape(sizes)
+        if not np.isfinite(t).all():
+            raise NonFiniteMass("probabilities must be finite")
         if t.min(initial=0.0) < -NEG_TOL:
             raise NegativeMass(f"negative probability {t.min()}")
         t = np.where(t < 0, 0.0, t)
@@ -228,7 +234,7 @@ class JointPmf:
         out = self.table.reshape(self.table.shape + (1,) * nt) * ctab
         return JointPmf(self.alphabets + chan.target, out)
 
-    # -- sampling and indexing -------------------------------------------
+    # -- sampling ----------------------------------------------------------
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Inverse-CDF sampling over the canonical (C-order) flat index."""
         cdf = np.cumsum(self.table.ravel())
@@ -236,12 +242,6 @@ class JointPmf:
         if size is None:
             return int(np.searchsorted(cdf, rng.random(), side="right"))
         return np.searchsorted(cdf, rng.random(size), side="right")
-
-    def assignment_of(self, flat_index: int) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.unravel_index(flat_index, self.sizes))
-
-    def flat_index(self, assignment: Sequence[int]) -> int:
-        return int(np.ravel_multi_index(tuple(assignment), self.sizes))
 
 
 @dataclass(frozen=True)
@@ -265,6 +265,8 @@ class ConditionalPmf:
         gs = tuple(a.size for a in given)
         ts = tuple(a.size for a in target)
         t = np.asarray(self.table, dtype=float).reshape(gs + ts)
+        if not np.isfinite(t).all():
+            raise NonFiniteMass("conditional probabilities must be finite")
         if t.min(initial=0.0) < -NEG_TOL:
             raise NegativeMass(f"negative conditional probability {t.min()}")
         t = np.where(t < 0, 0.0, t)
@@ -293,9 +295,6 @@ class ConditionalPmf:
     def target_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.target)
 
-    def row(self, assignment: Sequence[int]) -> np.ndarray:
-        return self.table[tuple(assignment)]
-
     @staticmethod
     def deterministic(given, target, mapping) -> "ConditionalPmf":
         """Point-mass rows: target flat index = mapping[given flat index]."""
@@ -313,31 +312,8 @@ class ConditionalPmf:
         return ConditionalPmf(given, target, t.reshape(gs + ts))
 
 
-# ---------------------------------------------------------------------------
-# Operation-style wrappers (same behavior as the methods above).
-
 def make_joint(alphabets, table) -> JointPmf:
     return JointPmf(_as_alphabets(alphabets), table)
-
-
-def marginal(p: JointPmf, keep: Sequence[str]) -> JointPmf:
-    return p.marginal(keep)
-
-
-def condition(p: JointPmf, given: Sequence[str]) -> ConditionalPmf:
-    return p.condition(given)
-
-
-def iid_extend(p: JointPmf, n: int, max_entries: int = DEFAULT_IID_CAP) -> JointPmf:
-    return p.iid_extend(n, max_entries)
-
-
-def total_variation(p: JointPmf, q: JointPmf) -> float:
-    return p.tv(q)
-
-
-def sample(p: JointPmf, rng: np.random.Generator, size: int | None = None):
-    return p.sample(rng, size)
 
 
 # ---------------------------------------------------------------------------

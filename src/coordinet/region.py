@@ -52,10 +52,6 @@ class RateTuple:
                          self.rb2 + self.rf2,
                          self.rf1 + self.rf2])
 
-    def dominates(self, other: "RateTuple") -> bool:
-        return (self.rf1 >= other.rf1 and self.rb1 >= other.rb1
-                and self.rf2 >= other.rf2 and self.rb2 >= other.rb2)
-
 
 @dataclass(frozen=True)
 class InnerCoupling:

@@ -259,6 +259,71 @@ def merge_sequences_loop(comps, sizes, n):
     return out
 
 
+def _composite_sequence(seqs, sizes, n):
+    """Sequence index over the product alphabet of the variables whose
+    sequence indices are ``seqs`` and symbol alphabet sizes ``sizes``:
+    each time step's symbols are read off as digits and combined, first
+    variable and first symbol most significant."""
+    out = 0
+    for t in range(n):
+        sym = 0
+        for s, k in zip(seqs, sizes):
+            sym = sym * k + (s // k ** (n - 1 - t)) % k
+        out = out * math.prod(sizes) + sym
+    return out
+
+
+def sw_decode_loop(prior, names, symbol_sizes, constraints, n):
+    """ML decoding within a bin intersection by visiting every sequence
+    tuple in lexicographic order.  ``prior`` is a table over the
+    n-sequence spaces of ``names``, whose symbol alphabet sizes are
+    ``symbol_sizes``; each constraint is (variables, assignment array, bin
+    index).  Returns the first tuple of highest prior that meets every
+    constraint, or None when none does."""
+    sym = dict(zip(names, symbol_sizes))
+    best, best_p = None, -1.0
+    for tup in itertools.product(*(range(s) for s in prior.shape)):
+        seq = dict(zip(names, tup))
+        if all(assignment[_composite_sequence([seq[v] for v in vars_g],
+                                              [sym[v] for v in vars_g], n)] == b
+               for vars_g, assignment, b in constraints) and prior[tup] > best_p:
+            best, best_p = tup, prior[tup]
+    return best
+
+
+def sw_success_prob_loop(table, names, groups, n):
+    """Probability that ML decoding recovers the grouped variables from
+    their bins plus the other (side) variables, for the per-symbol pmf
+    ``table`` over ``names`` extended i.i.d. to n symbols; each group is
+    (variables, assignment array).  Every n-tuple of symbols is visited.
+    Ties go to the lexicographically first decoded tuple, its variables
+    taken in group order.  The winners' mass is summed in visiting order,
+    so the result is exact only when every sum is (dyadic tables)."""
+    sizes = dict(zip(names, table.shape))
+    decoded = [v for vars_g, _ in groups for v in vars_g]
+    side = [v for v in names if v not in decoded]
+    best = {}  # (side sequences, bins) -> (probability, decoded sequences)
+    for symbols in itertools.product(itertools.product(*(range(k) for k in table.shape)),
+                                     repeat=n):
+        prob, seq = 1.0, dict.fromkeys(names, 0)
+        for sym_t in symbols:
+            prob *= table[sym_t]
+            for v, s in zip(names, sym_t):
+                seq[v] = seq[v] * sizes[v] + s
+        bins = tuple(int(assignment[_composite_sequence([seq[v] for v in vars_g],
+                                                        [sizes[v] for v in vars_g], n)])
+                     for vars_g, assignment in groups)
+        key = (tuple(seq[v] for v in side), bins)
+        cand = (prob, tuple(seq[v] for v in decoded))
+        if key not in best or cand[0] > best[key][0] or (
+                cand[0] == best[key][0] and cand[1] < best[key][1]):
+            best[key] = cand
+    total = 0.0
+    for prob, _ in best.values():
+        total += prob
+    return total
+
+
 def slow_protocol_law(p_wvu, chan1, chan2, n, codes, num_bins):
     """Reference implementation of the protocol's induced law by explicit
     loops over shared indices, backward messages, and relay tuples.

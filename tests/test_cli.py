@@ -222,6 +222,33 @@ class TestCommands:
         assert status == 1
 
 
+class TestDispatch:
+    SWEEP = ("[run]\ncommand = sweep\nsource = dsbs-0.1\n"
+             "[sweep]\nn_list = 1\nseeds = 1\nrf1 = 1\nrb1 = 1\nrf2 = 1\nrb2 = 1\n")
+
+    def test_handler_is_looked_up_when_called(self, tmp_path, monkeypatch):
+        # a handler replaced on the module, as a tracer does, is the one run
+        from coordinet import cli
+        calls = []
+
+        def spy(cfg, q, out_dir):
+            calls.append((cfg.command, q.names, out_dir))
+            return {"cells": 1, "failed_cells": 0}, 0
+        monkeypatch.setattr(cli, "_cmd_sweep", spy)
+        cfg = parse_config(write_config(tmp_path, self.SWEEP))
+        cfg.out_dir = str(tmp_path / "out")
+        assert cli.run(cfg) == 0
+        assert calls == [("sweep", ("Y1", "Y2"), cfg.out_dir)]
+        assert read_summary(tmp_path / "out")["cells"] == 1
+
+    @pytest.mark.parametrize("command", ["dance", "region-middle", "fme"])
+    def test_unknown_command_raises(self, tmp_path, command):
+        from coordinet import cli
+        cfg = parse_config(write_config(tmp_path, self.SWEEP))
+        cfg.out_dir, cfg.command = str(tmp_path / "out"), command
+        with pytest.raises(ValueError, match="unknown command"):
+            cli.run(cfg)
+
 class TestReplay:
     def test_echoed_config_reproduces_summary(self, tmp_path):
         text = ("[run]\ncommand = protocol\nsource = identical-uniform-2\nseed = 3\n"

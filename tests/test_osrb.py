@@ -5,13 +5,14 @@ import statistics
 import numpy as np
 import pytest
 
-from coordinet.osrb import (NO_CANDIDATE, BinningCode, SequenceSpace, bins_from_rate,
-                            make_binning, merge_sequences, osrb_uniformity,
+from coordinet.osrb import (NO_CANDIDATE, BinningCode, SequenceSpace, _argmax_per_key,
+                            bins_from_rate, make_binning, merge_sequences, osrb_uniformity,
                             split_sequences, sw_decode, sw_success_prob)
 from coordinet.pmf import StateSpaceTooLarge, make_joint
 from coordinet.sources import dsbs
 
-from oracles import binary_entropy, merge_sequences_loop, split_sequences_loop
+from oracles import (binary_entropy, merge_sequences_loop, split_sequences_loop,
+                     sw_decode_loop, sw_success_prob_loop)
 
 
 def space(sizes, n, names=None):
@@ -202,6 +203,120 @@ class TestSwSuccess:
                 vals.append(sw_success_prob(p, [(("X",), code)], n))
             med[n] = statistics.median(vals)
         assert med[8] >= med[4]
+
+
+def _dyadic(rng, size, total=16):
+    """A random pmf whose entries are multiples of 1/total: products and
+    sums of its entries are exact, and equal entries make ties."""
+    return rng.multinomial(total, np.full(size, 1 / size)) / total
+
+
+def _random_groups(rng, names, sizes, n):
+    """One to three groups of variables, each listed in a random order."""
+    groups = []
+    for _ in range(int(rng.integers(1, 4))):
+        vars_g = [str(v) for v in rng.permutation(names)[:int(rng.integers(1, len(names) + 1))]]
+        dom = SequenceSpace(vars_g, [sizes[names.index(v)] for v in vars_g], n)
+        groups.append((vars_g, make_binning(dom, int(rng.integers(1, 6)), int(rng.integers(1 << 30)))))
+    return groups
+
+
+def _random_cases(seed, count=40, max_entries=512):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        names = ["A", "B", "C"][:int(rng.integers(1, 4))]
+        sizes = [int(k) for k in rng.integers(1, 4, size=len(names))]
+        n = 3
+        while math.prod(sizes) ** n > max_entries:
+            n -= 1
+        yield rng, names, sizes, n, _random_groups(rng, names, sizes, n)
+
+
+class TestDecodersMatchLoops:
+    """ML decoding against plain loops over every sequence tuple: ties,
+    side information, several groups and groups in non-name order."""
+
+    def test_sw_success_prob(self):
+        seen = dict(side=0, unordered=0, several=0)
+        for rng, names, sizes, n, groups in _random_cases(11):
+            table = _dyadic(rng, math.prod(sizes)).reshape(sizes)
+            p = make_joint(list(zip(names, sizes)), table)
+            got = sw_success_prob(p, groups, n)
+            ref = sw_success_prob_loop(table, names, [(g, c.assignment) for g, c in groups], n)
+            assert got == ref
+            grouped = [v for g, _ in groups for v in g]
+            seen["side"] += len(set(grouped)) < len(names)
+            seen["unordered"] += any(g != sorted(g) for g, _ in groups)
+            seen["several"] += len(groups) > 1
+        assert min(seen.values()) > 0, seen
+
+    def test_sw_decode(self):
+        empty = 0
+        for rng, names, sizes, n, groups in _random_cases(12):
+            seq_sizes = [k ** n for k in sizes]
+            prior = _dyadic(rng, math.prod(seq_sizes), total=8).reshape(seq_sizes)
+            p = make_joint(list(zip(names, seq_sizes)), prior)
+            for _ in range(4):
+                if rng.random() < 0.5:  # a subset of the groups constrains
+                    cons_groups = groups[:int(rng.integers(1, len(groups) + 1))]
+                else:
+                    cons_groups = groups
+                cons = [(g, c, int(rng.integers(0, c.num_bins))) for g, c in cons_groups]
+                got = sw_decode(p, cons, n)
+                ref = sw_decode_loop(prior, names, sizes,
+                                     [(g, c.assignment, b) for g, c, b in cons], n)
+                assert got == (NO_CANDIDATE if ref is None else ref)
+                empty += ref is None
+        assert empty > 0
+
+
+def test_argmax_per_key_matches_a_loop():
+    """Per key the input of highest prior, ties to the lowest tie rank
+    (the input index by default), over seed-stacked key rows."""
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        k, seeds, n_keys = int(rng.integers(1, 40)), int(rng.integers(1, 4)), int(rng.integers(1, 8))
+        prior = rng.integers(0, 3, size=k) / 7.0
+        keys = rng.integers(0, n_keys, size=(seeds, k)) + np.arange(seeds)[:, None] * n_keys
+        for tie in (None, rng.permutation(k)):
+            rank = np.arange(k) if tie is None else tie
+            want = {}
+            for row in keys:
+                for i, key in enumerate(row.tolist()):
+                    j = want.get(key)
+                    if j is None or prior[i] > prior[j] or (prior[i] == prior[j] and rank[i] < rank[j]):
+                        want[key] = i
+            got_keys, got = _argmax_per_key(prior, keys, tie=tie)
+            assert got_keys.tolist() == sorted(want)
+            assert got.tolist() == [want[key] for key in sorted(want)]
+
+
+class TestBinningDomainChecked:
+    """A code is used only on the variables and block length it was built for."""
+
+    p = make_joint([("X", 2)], [0.3, 0.7])
+    MISMATCHED = [space((2,), 3, ("X",)),   # built for n=3, used at n=2
+                  space((4,), 2, ("X",)),   # built for |X|=4, used on |X|=2
+                  space((2, 2), 2, ("X", "Y"))]  # two variables for one
+
+    @pytest.mark.parametrize("domain", MISMATCHED)
+    @pytest.mark.parametrize("measure", [sw_success_prob, osrb_uniformity])
+    def test_bin_laws(self, measure, domain):
+        code = make_binning(domain, 2, seed=0)
+        with pytest.raises(ValueError):
+            measure(self.p, [(("X",), code)], 2)
+
+    @pytest.mark.parametrize("domain", MISMATCHED)
+    def test_sw_decode(self, domain):
+        prior = self.p.iid_extend(2)
+        code = make_binning(domain, 2, seed=0)
+        with pytest.raises(ValueError):
+            sw_decode(prior, [(("X",), code, 0)], 2)
+
+    def test_sw_decode_block_length(self):
+        code = make_binning(space((2,), 2, ("X",)), 2, seed=0)
+        with pytest.raises(ValueError):
+            sw_decode(self.p, [(("X",), code, 0)], 1)
 
 
 class TestUniformityTrend:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from coordinet.pmf import (Alphabet, AlphabetMismatch, ConditionalPmf, JointPmf,
-                           NegativeMass, NotNormalized, StateSpaceTooLarge,
+                           NegativeMass, NonFiniteMass, NotNormalized, StateSpaceTooLarge,
                            UnknownVariable, dumps_pmf, loads_pmf, make_joint)
 
 from oracles import tv_direct
@@ -47,6 +47,22 @@ class TestConstruction:
     def test_negative_mass(self):
         with pytest.raises(NegativeMass):
             make_joint([("Y1", 2)], [-0.1, 1.1])
+
+    @pytest.mark.parametrize("table", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0],
+                                       [-np.inf, 1.0]])
+    def test_non_finite_rejected(self, table):
+        with pytest.raises(NonFiniteMass):
+            make_joint([("Y1", 2)], table)
+
+    @pytest.mark.parametrize("defined", [None, [True, False]])
+    def test_non_finite_conditional_rejected(self, defined):
+        # also in a row marked undefined, whose entries would be zero-filled
+        with pytest.raises(NonFiniteMass):
+            ConditionalPmf([("X", 2)], [("Y", 2)], [[0.5, 0.5], [np.nan, np.nan]], defined)
+
+    def test_non_finite_pmf_text_rejected(self):
+        with pytest.raises(NonFiniteMass):
+            loads_pmf("vars: X:2\n0 nan\n1 nan\n")
 
     def test_tiny_negative_clipped(self):
         p = make_joint([("Y1", 2)], [1.0, -1e-14])
