@@ -5,7 +5,7 @@ from .pmf import (Alphabet, AlphabetMismatch, ConditionalPmf, JointPmf,
                   NegativeMass, NonFiniteMass, NotNormalized, PmfError,
                   StateSpaceTooLarge, UndefinedConditional, UnknownVariable,
                   make_joint, read_pmf, write_pmf)
-from .information import (InfoQuery, OptimizerFailed, WynerConfig, WynerSolution,
+from .information import (OptimizerFailed, WynerConfig, WynerSolution,
                           conditional_entropy, entropy, markov_slack,
                           mutual_information, wyner_common_information)
 from .region import (FrontierPoint, InnerCoupling, OuterCoupling, RateTuple,

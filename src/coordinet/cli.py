@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 from . import fme, information, osrb, region
-from .config import COMMAND_PARAMS, ConfigError, RunConfig, echo_config, parse_config
+from .config import (COMMAND_PARAMS, ConfigError, RunConfig, ValidationError, echo_config,
+                     parse_config)
 from .pmf import write_pmf
 from .sources import builtin_coupling, load_source
 
@@ -26,7 +27,7 @@ def _jsonable(v):
     if isinstance(v, (np.floating, np.integer)):
         v = v.item()
     if isinstance(v, float) and math.isinf(v):
-        return "inf"
+        return "inf" if v > 0 else "-inf"
     return v
 
 
@@ -93,20 +94,15 @@ def _cmd_region(cfg, q, out_dir):
            "best_slack": dec.best_slack, "restarts_used": dec.restarts_used}
     _write_csv(out_dir, list(row), [row])
     return {"verdict": dec.verdict, "certificate": dec.certificate,
-            "best_slack": _jsonable(dec.best_slack), "restarts_used": dec.restarts_used}, 0
+            "best_slack": dec.best_slack, "restarts_used": dec.restarts_used}, 0
 
 
 def _cmd_frontier(cfg, q, out_dir):
     p = cfg.params
-    ax = tuple(tok.strip() for tok in p["axes"].split(","))
-    if len(ax) != 2:
-        raise ValueError("axes must name two rate components")
+    ax = tuple(p["axes"].split(","))
     fixed_names = [v for v in ("rf1", "rb1", "rf2", "rb2") if v not in ax]
-    if len(p["fixed_rates"]) != 2:
-        raise ValueError("fixed_rates must give the two non-axis rates")
     fixed = dict(zip(fixed_names, p["fixed_rates"]))
-    grid = ((p["grid_min"][0], p["grid_max"][0], p["grid_steps"][0]),
-            (p["grid_min"][1], p["grid_max"][1], p["grid_steps"][1]))
+    grid = tuple(zip(p["grid_min"], p["grid_max"], p["grid_steps"]))
     caps = (p["cap_u"], p["cap_v"], p["cap_w"])
     scfg = region.SearchConfig(restarts=p["restarts"], seed=cfg.master_seed)
     pts = region.frontier(q, fixed, ax, grid, caps=caps, config=scfg)
@@ -276,6 +272,8 @@ def main(argv=None) -> int:
         if args.threads:
             cfg.threads = max(1, args.threads)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ValidationError([f"--seed: must be >= 0, got {args.seed}"])
             cfg.master_seed = args.seed
         status = run(cfg)
     except ConfigError as exc:

@@ -29,52 +29,64 @@ def _rate(s: str) -> float:
     return v
 
 
-def _int_list(s: str):
-    return [int(tok) for tok in s.replace(",", " ").split()]
+def _at_least(lo: int):
+    """Parser of an integer >= ``lo``."""
+    def parse(s: str) -> int:
+        v = int(s)
+        if v < lo:
+            raise ValueError(f"must be >= {lo}, got {v}")
+        return v
+    return parse
 
 
-def _float_list(s: str):
-    return [float(tok) for tok in s.replace(",", " ").split()]
+def _list_of(item, length: int | None = None):
+    """Parser of a nonempty comma- or space-separated list of ``item``
+    values, with exactly ``length`` of them when given."""
+    def parse(s: str) -> list:
+        vals = [item(tok) for tok in s.replace(",", " ").split()]
+        if not vals or (length and len(vals) != length):
+            raise ValueError(f"needs {length or 'at least one'} value(s), got {len(vals)}")
+        return vals
+    return parse
 
 
-def _bool(s: str) -> bool:
-    if s.lower() in ("1", "true", "yes", "on"):
-        return True
-    if s.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s}")
+def _axes(s: str) -> str:
+    ax = [tok.strip() for tok in s.split(",")]
+    if len(ax) != 2 or ax[0] == ax[1] or not set(ax) <= {"rf1", "rb1", "rf2", "rb2"}:
+        raise ValueError(f"must name two different rates among rf1, rb1, rf2, rb2, got {s!r}")
+    return ",".join(ax)
 
 
 # name -> {param: (parser, default)}; default None marks a required key.
 COMMAND_PARAMS = {
     "info": {},
     "wyner": {
-        "w_cap": (int, 0),              # 0 means the solver default
-        "restarts": (int, 64),
+        "w_cap": (_at_least(0), 0),     # 0 means the solver default
+        "restarts": (_at_least(0), 64),
         "penalty": (float, 100.0),
     },
     "region-inner": {
         "rf1": (_rate, None), "rb1": (_rate, None),
         "rf2": (_rate, None), "rb2": (_rate, None),
-        "cap_u": (int, 4), "cap_v": (int, 4), "cap_w": (int, 4),
-        "restarts": (int, 10),
+        "cap_u": (_at_least(1), 4), "cap_v": (_at_least(1), 4), "cap_w": (_at_least(1), 4),
+        "restarts": (_at_least(0), 10),
     },
     "region-outer": {
         "rf1": (_rate, None), "rb1": (_rate, None),
         "rf2": (_rate, None), "rb2": (_rate, None),
-        "restarts": (int, 10),
+        "restarts": (_at_least(0), 10),
     },
     "frontier": {
-        "axes": (str, "rf1,rf2"),
-        "fixed_rates": (_float_list, None),   # the two non-axis rates, axis order
-        "grid_min": (_float_list, None),
-        "grid_max": (_float_list, None),
-        "grid_steps": (_int_list, None),
-        "cap_u": (int, 4), "cap_v": (int, 4), "cap_w": (int, 4),
-        "restarts": (int, 6),
+        "axes": (_axes, "rf1,rf2"),
+        "fixed_rates": (_list_of(_rate, 2), None),   # the two non-axis rates, axis order
+        "grid_min": (_list_of(_rate, 2), None),
+        "grid_max": (_list_of(_rate, 2), None),
+        "grid_steps": (_list_of(_at_least(1), 2), None),
+        "cap_u": (_at_least(1), 4), "cap_v": (_at_least(1), 4), "cap_w": (_at_least(1), 4),
+        "restarts": (_at_least(0), 6),
     },
     "fme-verify": {
-        "couplings": (int, 20),
+        "couplings": (_at_least(1), 20),
         "samples": (int, 1000),   # still accepted; the exact check ignores it
         "orders": (str, "all"),
     },
@@ -83,20 +95,20 @@ COMMAND_PARAMS = {
         "side": (str, "none"),              # none | y
         "rt0": (_rate, None), "rt1": (_rate, None), "rt2": (_rate, None),
         "rb1": (_rate, 0.0), "rb2": (_rate, 0.0),
-        "n_list": (_int_list, None),
-        "seeds": (int, 20),
+        "n_list": (_list_of(_at_least(1)), None),
+        "seeds": (_at_least(1), 20),
     },
     "protocol": {
         "coupling": (str, "w-from-y1"),
-        "n": (int, None),
+        "n": (_at_least(1), None),
         "rf1": (_rate, None), "rb1": (_rate, None),
         "rf2": (_rate, None), "rb2": (_rate, None),
         "rt0": (_rate, 0.0), "rt1": (_rate, 0.0), "rt2": (_rate, 0.0),
     },
     "sweep": {
         "coupling": (str, "w-from-y1"),
-        "n_list": (_int_list, None),
-        "seeds": (int, 20),
+        "n_list": (_list_of(_at_least(1)), None),
+        "seeds": (_at_least(1), 20),
         "rf1": (_rate, None), "rb1": (_rate, None),
         "rf2": (_rate, None), "rb2": (_rate, None),
         "rt0": (_rate, 0.0), "rt1": (_rate, 0.0), "rt2": (_rate, 0.0),
@@ -144,9 +156,9 @@ def parse_config(path: str) -> RunConfig:
     seed = 0
     if "seed" in run:
         try:
-            seed = int(run["seed"])
-        except ValueError:
-            problems.append(f"[run] seed must be an integer, got {run['seed']!r}")
+            seed = _at_least(0)(run["seed"])
+        except ValueError as exc:
+            problems.append(f"[run] seed: {exc}")
     threads = 1
     if "threads" in run:
         try:

@@ -86,11 +86,11 @@ class LinearSystem:
         return LinearSystem(variables, np.array(a).reshape(len(b), len(variables)),
                             np.array(b), np.array(s, dtype=bool))
 
-    def contains(self, points: np.ndarray, tol: float = MEMBER_TOL) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         """Closure membership: strict rows are treated as their closures and
-        every row is given ``tol`` of leeway."""
+        every row is given ``MEMBER_TOL`` of leeway."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return (pts @ self.a.T <= self.b[None, :] + tol).all(axis=1)
+        return (pts @ self.a.T <= self.b[None, :] + MEMBER_TOL).all(axis=1)
 
     def to_text(self) -> str:
         lines = ["vars: " + " ".join(self.variables)]
@@ -178,7 +178,7 @@ def simplify(s: LinearSystem) -> LinearSystem:
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on first use: importing
     scipy.optimize costs most of the package's start-up time and memory,
-    and only the LP clean-up needs it."""
+    and only ``remove_redundant`` needs it."""
     from scipy.optimize import linprog as scipy_linprog
     return scipy_linprog(*args, **kwargs)
 
@@ -337,14 +337,13 @@ def theorem_rate_system(j: JointPmf) -> LinearSystem:
     return LinearSystem.from_rows(PROJECTED_VARS, rows)
 
 
-def project_binning_system(s: LinearSystem, order: Sequence[str] = TILDE_VARS,
-                           lp_cleanup_above: int = 150) -> LinearSystem:
+def project_binning_system(s: LinearSystem, order: Sequence[str] = TILDE_VARS) -> LinearSystem:
     """Eliminate the auxiliary binning rates in ``order`` with syntactic
-    cleanup after each step (LP cleanup once a step gets large)."""
+    cleanup after each step.  ``simplify`` keeps one row per coefficient
+    vector, and the binning system's coefficients are the same for every
+    coupling, so no step exceeds 61 rows and none needs LP cleanup."""
     for var in order:
         s = simplify(fme_eliminate(s, var))
-        if s.nrows > lp_cleanup_above:
-            s = remove_redundant(s)
     # normalize column order for downstream comparisons
     perm = [s.variables.index(v) for v in PROJECTED_VARS]
     return LinearSystem(PROJECTED_VARS, s.a[:, perm], s.b, s.strict)

@@ -14,6 +14,17 @@ import numpy as np
 from .optimize import _descend, coordinate_descent, dirichlet_rows
 from .pmf import Alphabet, ConditionalPmf, JointPmf, UnknownVariable
 
+# The common-information solver's acceptance rule and per-restart descent
+# budget; callers trade time against the restart count instead.  A Markov
+# slack I(Y1;Y2|W) up to MARKOV_TARGET counts as exact; one up to
+# ACCEPT_MARKOV is kept only when no exact witness is found.
+MARKOV_TARGET = 1e-6
+ACCEPT_MARKOV = 1e-4
+POLISH_PENALTY = 5e4    # penalty for polishing restarts above MARKOV_TARGET
+MAX_ITERS = 5000
+STALL_LIMIT = 50
+MERGE_TOL = 1e-9        # a greedy merge keeps the chain exact up to rounding noise
+
 
 class OptimizerFailed(Exception):
     """No restart produced a witness with acceptable Markov slack."""
@@ -96,23 +107,6 @@ def mutual_information(p: JointPmf, left: Sequence[str], right: Sequence[str],
     return max(0.0, val)
 
 
-@dataclass(frozen=True)
-class InfoQuery:
-    """A conditional-mutual-information query I(left; right | given)."""
-
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-    given: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "left", tuple(self.left))
-        object.__setattr__(self, "right", tuple(self.right))
-        object.__setattr__(self, "given", tuple(self.given))
-
-    def evaluate(self, p: JointPmf) -> float:
-        return mutual_information(p, self.left, self.right, self.given)
-
-
 def markov_slack(p: JointPmf, a: Sequence[str], b: Sequence[str], c: Sequence[str]) -> float:
     """I(a; c | b): zero exactly when the chain a - b - c holds."""
     return mutual_information(p, a, c, given=b)
@@ -126,13 +120,7 @@ def markov_slack(p: JointPmf, a: Sequence[str], b: Sequence[str], c: Sequence[st
 class WynerConfig:
     restarts: int = 64
     penalty: float = 100.0
-    max_iters: int = 5000
-    stall_limit: int = 50
-    tol: float = 1e-9
     seed: int = 0
-    markov_target: float = 1e-6
-    accept_markov: float = 1e-4
-    polish_penalty: float = 5e4
 
 
 @dataclass
@@ -155,18 +143,7 @@ def _wyner_terms(q2: np.ndarray, r: np.ndarray):
     return np.maximum(0.0, hy + hw - hyw), np.maximum(0.0, h1w + h2w - hyw - hw)
 
 
-def _wyner_seeds(m_support: int, nw: int):
-    seeds = []
-    det = np.zeros((m_support, nw))
-    det[np.arange(m_support), np.arange(m_support) % nw] = 1.0
-    seeds.append(det)                       # cell-index copy (always feasible)
-    const = np.zeros((m_support, nw))
-    const[:, 0] = 1.0
-    seeds.append(const)                     # constant W
-    return seeds
-
-
-def _greedy_merge_map(q2: np.ndarray, support: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _greedy_merge_map(q2: np.ndarray, support: np.ndarray) -> np.ndarray:
     """Greedy agglomeration of support cells into W-bins that keeps
     Y1 _|_ Y2 | W exact; each merge strictly lowers I(Y1Y2;W).  Returns the
     final cell -> bin map (good deterministic witnesses for structured
@@ -191,7 +168,7 @@ def _greedy_merge_map(q2: np.ndarray, support: np.ndarray, tol: float = 1e-9) ->
                 trial = np.where(assign == y, x, assign)
                 trial = np.unique(trial, return_inverse=True)[1]
                 i_val, slack = stats(trial)
-                if slack <= tol and (best is None or i_val < best[0]):
+                if slack <= MERGE_TOL and (best is None or i_val < best[0]):
                     best = (i_val, trial)
         if best is None:
             break
@@ -209,7 +186,7 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
     ``config.restarts`` is smaller) and Dirichlet restarts up to
     ``config.restarts`` in all, on the penalized objective I(Y1Y2;W) +
     penalty * I(Y1;Y2|W).  Every restart whose conditional-independence
-    slack is above ``markov_target`` is then polished under a large penalty.
+    slack is above ``MARKOV_TARGET`` is then polished under a large penalty.
     """
     cfg = config or WynerConfig()
     if len(q.alphabets) != 2:
@@ -225,63 +202,61 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
     ms = len(support)
 
     def embed(rows):
-        full = np.full((n1 * n2, w_cap), 1.0 / w_cap)
-        full[support] = rows
+        """Support rows, batched or not, with uniform rows off the support."""
+        full = np.full((*rows.shape[:-2], n1 * n2, w_cap), 1.0 / w_cap)
+        full[..., support, :] = rows
         return full
 
     def objective(batch):
-        rows = batch[0]
-        full = np.repeat(np.full((n1 * n2, w_cap), 1.0 / w_cap)[None], rows.shape[0], axis=0)
-        full[:, support, :] = rows
-        i_joint, slack = _wyner_terms(q2, full)
+        i_joint, slack = _wyner_terms(q2, embed(batch[0]))
         return i_joint + lam * slack
 
     rng = np.random.default_rng(cfg.seed)
-    starts = _wyner_seeds(ms, w_cap)
+    # deterministic W: the merge map when it fits, cell-index copy (always feasible), constant
+    maps = [np.arange(ms) % w_cap, np.zeros(ms, dtype=int)]
     merged = _greedy_merge_map(q2, support)
     if merged.max() < w_cap:
-        det = np.zeros((ms, w_cap))
-        det[np.arange(ms), merged] = 1.0
-        starts.insert(0, det)
+        maps.insert(0, merged)
+    starts = [np.eye(w_cap)[m] for m in maps]
     while len(starts) < cfg.restarts:
         starts.append(dirichlet_rows(rng, ms, w_cap))
 
     trace = []
-    polished = None   # best witness with slack <= markov_target
-    fallback = None   # best witness with slack <= accept_markov only
+    polished = None   # best witness with slack <= MARKOV_TARGET
+    fallback = None   # best witness with slack <= ACCEPT_MARKOV only
 
     def terms(rows):
         i_val, slack = _wyner_terms(q2, embed(rows))
         return float(i_val[0]), float(slack[0])
 
-    kw = dict(max_iters=cfg.max_iters, stall_limit=cfg.stall_limit, tol=cfg.tol)
+    kw = dict(max_iters=MAX_ITERS, stall_limit=STALL_LIMIT)
     lam = cfg.penalty
     ends = [d.blocks[0] for d in _descend(objective, [[start] for start in starts], **kw)]
     found = [terms(rows) for rows in ends]
-    loose = [i for i, (_, slack) in enumerate(found) if slack > cfg.markov_target]
+    loose = [i for i, (_, slack) in enumerate(found) if slack > MARKOV_TARGET]
     if loose:
-        lam = cfg.polish_penalty
+        lam = POLISH_PENALTY
         for i, d in zip(loose, _descend(objective, [[ends[i]] for i in loose], **kw)):
             ends[i], found[i] = d.blocks[0], terms(d.blocks[0])
     for ridx, (rows, (i_val, slack)) in enumerate(zip(ends, found)):
-        trace.append((ridx, i_val if slack <= cfg.accept_markov else math.inf))
+        trace.append((ridx, i_val if slack <= ACCEPT_MARKOV else math.inf))
         entry = (i_val, rows.copy(), slack)
-        if slack <= cfg.markov_target:
+        if slack <= MARKOV_TARGET:
             if polished is None or i_val < polished[0]:
                 polished = entry
-        elif slack <= cfg.accept_markov:
+        elif slack <= ACCEPT_MARKOV:
             if fallback is None or i_val < fallback[0]:
                 fallback = entry
     if fallback is not None and (polished is None or fallback[0] < polished[0] - 1e-9):
         # a looser witness looks better; give it one aggressive polish pass
-        lam = 10.0 * cfg.polish_penalty
+        lam = 10.0 * POLISH_PENALTY
         blocks, _, _ = coordinate_descent(objective, [fallback[1]], **kw)
         i_val, slack = terms(blocks[0])
-        if slack <= cfg.markov_target and (polished is None or i_val < polished[0]):
+        if slack <= MARKOV_TARGET and (polished is None or i_val < polished[0]):
             polished = (i_val, blocks[0].copy(), slack)
     best = polished if polished is not None else fallback
     if best is None:
-        raise OptimizerFailed(f"no restart reached Markov slack <= {cfg.accept_markov}")
+        raise OptimizerFailed(f"no restart reached Markov slack <= {ACCEPT_MARKOV}")
 
     i_val, rows, slack = best
     witness = ConditionalPmf(q.alphabets, (Alphabet("W", w_cap),), embed(rows))

@@ -13,6 +13,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+# A move that lowers the objective by this or less is rounding noise, not
+# progress: it is not taken and counts toward the stall limit.
+IMPROVE_TOL = 1e-9
+
 
 def dirichlet_rows(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     g = rng.gamma(1.0, size=(rows, cols))
@@ -44,8 +48,8 @@ def _apply(rows: np.ndarray, k: int, ts: np.ndarray) -> np.ndarray:
     return out / out.sum(axis=2, keepdims=True)
 
 
-def _descend(objective, starts, *, max_iters: int = 5000, stall_limit: int = 50,
-             tol: float = 1e-9) -> list[Descent]:
+def _descend(objective, starts, *, max_iters: int = 5000,
+             stall_limit: int = 50) -> list[Descent]:
     """Coordinate descent from each start (a list of blocks, the same shapes
     for every start), all restarts in lockstep; one Descent per start.
 
@@ -101,7 +105,7 @@ def _descend(objective, starts, *, max_iters: int = 5000, stall_limit: int = 50,
             better = vals2[ar, j2] < best_v
             best_v = np.where(better, vals2[ar, j2], best_v)
             best_row = np.where(better[:, None], cand2[ar, j2], best_row)
-            up = best_v < value[act] - tol
+            up = best_v < value[act] - IMPROVE_TOL
             blocks[bi][act[up], r] = best_row[up]
             value[act[up]] = best_v[up]
             stalled[act] = np.where(up, 0, stalled[act] + 1)
@@ -119,16 +123,15 @@ def _descend(objective, starts, *, max_iters: int = 5000, stall_limit: int = 50,
                     str(reason[i])) for i in range(R)]
 
 
-def coordinate_descent(objective, blocks, *, max_iters: int = 5000,
-                       stall_limit: int = 50, tol: float = 1e-9):
+def coordinate_descent(objective, blocks, *, max_iters: int = 5000, stall_limit: int = 50):
     """Minimize ``objective`` by cyclic coordinate line searches.
 
     objective(list of arrays with a leading batch axis) -> (B,) values.
     Returns (blocks, value, iterations).  One iteration is one coordinate
     (block, row, vertex) examined; the search stops when ``stall_limit``
-    consecutive iterations improve by less than ``tol``, after
+    consecutive iterations improve by ``IMPROVE_TOL`` or less, after
     ``max_iters`` iterations, or after a sweep over every coordinate
     that improves none.
     """
-    d = _descend(objective, [blocks], max_iters=max_iters, stall_limit=stall_limit, tol=tol)[0]
+    d = _descend(objective, [blocks], max_iters=max_iters, stall_limit=stall_limit)[0]
     return d.blocks, d.value, d.iters

@@ -23,7 +23,7 @@ import numpy as np
 from .pmf import Alphabet, JointPmf, StateSpaceTooLarge
 from .region import InnerCoupling, RateTuple
 
-DEFAULT_DOMAIN_CAP = 2 ** 22
+DOMAIN_CAP = 2 ** 22    # sequences a binning or a bin-law check may enumerate
 
 
 class _NoCandidate:
@@ -138,13 +138,12 @@ class BinningCode:
         object.__setattr__(self, "assignment", a)
 
 
-def make_binning(domain: SequenceSpace, num_bins: int, seed: int,
-                 max_domain: int = DEFAULT_DOMAIN_CAP) -> BinningCode:
+def make_binning(domain: SequenceSpace, num_bins: int, seed: int) -> BinningCode:
     """Assign each sequence an i.i.d. uniform bin from the seeded stream."""
     if num_bins < 1:
         raise ValueError("num_bins must be >= 1")
-    if domain.size > max_domain:
-        raise StateSpaceTooLarge(f"domain of {domain.size} sequences exceeds cap {max_domain}")
+    if domain.size > DOMAIN_CAP:
+        raise StateSpaceTooLarge(f"domain of {domain.size} sequences exceeds cap {DOMAIN_CAP}")
     assignment = (np.zeros(domain.size, dtype=np.int64) if num_bins == 1  # the one draw in [0, 1)
                   else np.random.Generator(np.random.PCG64(seed)).integers(0, num_bins, size=domain.size))
     assignment.setflags(write=False)
@@ -205,7 +204,7 @@ def _argmax_per_key(prior: np.ndarray, keys: np.ndarray, tie: np.ndarray | None 
 
 
 def osrb_uniformity(p: JointPmf, groups: Sequence[tuple[Sequence[str], BinningCode]],
-                    n: int, max_entries: int = DEFAULT_DOMAIN_CAP) -> float:
+                    n: int) -> float:
     """Exact TV between the induced law of (side vars, bin indices) and
     side-marginal x independent uniform bins.
 
@@ -213,7 +212,7 @@ def osrb_uniformity(p: JointPmf, groups: Sequence[tuple[Sequence[str], BinningCo
     composite source over its n-sequence space.  Variables not in any
     group act as side information.
     """
-    ext = p.iid_extend(n, max_entries=max_entries)
+    ext = p.iid_extend(n, max_entries=DOMAIN_CAP)
     flat = ext.table.ravel()
     combined, side_idx, n_combo, side_card = _bin_keys(ext, groups, n)
     induced = np.bincount(side_idx * n_combo + combined, weights=flat,
@@ -231,13 +230,14 @@ def sw_decode(prior: JointPmf, constraints: Sequence[tuple[Sequence[str], Binnin
     """Most-likely tuple under ``prior`` (a pmf over sequence variables)
     among those matching every bin constraint; ties break toward the
     lexicographically first tuple.  Returns per-variable sequence indices
-    or NO_CANDIDATE when the intersection is empty.
+    or NO_CANDIDATE when the intersection is empty.  A bin index outside
+    ``[0, num_bins)`` of its code raises ValueError.
     """
     combined = _bin_keys(prior, [(vars_g, code) for vars_g, code, _ in constraints], n)[0]
     target = 0
     for _, code, bin_index in constraints:
         if not 0 <= int(bin_index) < code.num_bins:
-            return NO_CANDIDATE
+            raise ValueError(f"bin index {bin_index} is outside [0, {code.num_bins})")
         target = target * code.num_bins + int(bin_index)
     keys, winners = _argmax_per_key(prior.table.ravel(), combined)
     hit = winners[keys == target]
@@ -247,7 +247,7 @@ def sw_decode(prior: JointPmf, constraints: Sequence[tuple[Sequence[str], Binnin
 
 
 def sw_success_prob(p: JointPmf, groups: Sequence[tuple[Sequence[str], BinningCode]],
-                    n: int, max_entries: int = DEFAULT_DOMAIN_CAP) -> float:
+                    n: int) -> float:
     """Exact probability that ML decoding from bin indices plus side
     information recovers the binned variables, for a fixed binning.
 
@@ -255,7 +255,7 @@ def sw_success_prob(p: JointPmf, groups: Sequence[tuple[Sequence[str], BinningCo
     Ties go to the lexicographically first decoded tuple, its variables
     taken in group order.
     """
-    ext = p.iid_extend(n, max_entries=max_entries)
+    ext = p.iid_extend(n, max_entries=DOMAIN_CAP)
     flat = ext.table.ravel()
     combined, side_idx, n_combo, _ = _bin_keys(ext, groups, n)
     var_seqs = dict(zip(ext.names, np.unravel_index(np.arange(flat.size), ext.sizes)))

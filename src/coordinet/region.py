@@ -26,6 +26,17 @@ INNER_BOUND_NAMES = ("total", "link1", "link2", "forward")
 # reported slacks use true math.inf.
 _BIG = 1e6
 
+# What counts as a witness, and the descent budget of one restart.  The
+# bounds are fixed inequality sets, so these are part of what a verdict
+# means; callers trade time against the restart count instead.
+TV_TOL = 1e-4           # inner: largest TV from the witness's marginal to q
+MARKOV_TOL = 1e-4       # outer: largest Markov slack of a witness
+SLACK_TOL = 1e-6        # smallest minimum slack still read as feasible
+OUTSIDE_MARGIN = 1e-3   # outer: a best slack below -this is "outside-heuristic"
+PENALTY = 100.0         # objective weight on TV (inner) or Markov slack (outer)
+MAX_ITERS = 3000
+STALL_LIMIT = 60
+
 
 @dataclass(frozen=True)
 class RateTuple:
@@ -115,15 +126,7 @@ class RegionDecision:
 @dataclass
 class SearchConfig:
     restarts: int = 10
-    max_iters: int = 3000
-    stall_limit: int = 60
-    tol: float = 1e-9
     seed: int = 0
-    penalty: float = 100.0
-    tv_tol: float = 1e-4
-    slack_tol: float = 1e-6
-    outside_margin: float = 1e-3
-    markov_tol: float = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +192,12 @@ def inner_check(c: InnerCoupling, r: RateTuple) -> np.ndarray:
     return r.sums - inner_rhs(c)
 
 
-def _canonical_inner_couplings(q: JointPmf, caps: tuple[int, int, int] | None,
-                               tight: bool = False) -> dict[str, InnerCoupling]:
-    """Structured couplings with exact target marginal, used as search seeds
-    and as named builtins.  With ``tight`` the auxiliary alphabets take the
-    smallest workable sizes instead of being padded to ``caps``."""
+def canonical_couplings(q: JointPmf,
+                        caps: tuple[int, int, int] | None = None) -> dict[str, InnerCoupling]:
+    """Named reference couplings with exact target marginal, used as search
+    seeds and as builtins.  Their auxiliary alphabets are padded to ``caps``
+    (couplings that do not fit are left out), or take the smallest workable
+    sizes when ``caps`` is None."""
     n1, n2 = q.sizes
     qt = q.table
     q1 = qt.sum(axis=1)
@@ -201,7 +205,7 @@ def _canonical_inner_couplings(q: JointPmf, caps: tuple[int, int, int] | None,
     out: dict[str, InnerCoupling] = {}
 
     def build(name, *tables):
-        c = _pad_inner(tables, tables[0].shape if tight else caps)
+        c = _pad_inner(tables, tables[0].shape if caps is None else caps)
         if c is not None:
             out[name] = c
 
@@ -250,12 +254,7 @@ def _canonical_inner_couplings(q: JointPmf, caps: tuple[int, int, int] | None,
     return out
 
 
-def canonical_couplings(q: JointPmf, caps: tuple[int, int, int] | None = None):
-    """Named reference couplings for a target q (tight alphabet sizes)."""
-    return _canonical_inner_couplings(q, caps, tight=caps is None)
-
-
-def _inner_objective(qt: np.ndarray, sums: np.ndarray, caps, cfg: SearchConfig):
+def _inner_objective(qt: np.ndarray, sums: np.ndarray, caps):
     nu, nv, nw = caps
     n1, n2 = qt.shape
     s = np.minimum(sums, _BIG)
@@ -282,7 +281,7 @@ def _inner_objective(qt: np.ndarray, sums: np.ndarray, caps, cfg: SearchConfig):
         min_slack = (s[None, :] - b).min(axis=1)
         marg = j.sum(axis=(1, 2, 3))  # over U, V, W
         tv = 0.5 * np.abs(marg - qt[None]).sum(axis=(1, 2))
-        return -min_slack + cfg.penalty * np.maximum(0.0, tv - cfg.tv_tol)
+        return -min_slack + PENALTY * np.maximum(0.0, tv - TV_TOL)
 
     return objective
 
@@ -328,7 +327,7 @@ def _pad_inner(tables, caps) -> InnerCoupling | None:
     return _blocks_to_coupling([p, c2, c1], caps, n1, n2)
 
 
-def _search(objective, starts, check, cfg: SearchConfig):
+def _search(objective, starts, check):
     """Walk start 1, its descent, start 2, ... up to the first witness of
     membership; check(blocks) -> (slack, candidate), the slack -inf for an
     invalid candidate.  The starts before the first start that is a witness
@@ -337,17 +336,17 @@ def _search(objective, starts, check, cfg: SearchConfig):
     seen, runs = [], len(starts)
     for i, start in enumerate(starts):
         seen.append(check(start))
-        if seen[-1][0] >= -cfg.slack_tol:
+        if seen[-1][0] >= -SLACK_TOL:
             runs = i
             break
-    ends = _descend(objective, starts[:runs], max_iters=cfg.max_iters,
-                    stall_limit=cfg.stall_limit, tol=cfg.tol) if runs else []
+    ends = _descend(objective, starts[:runs], max_iters=MAX_ITERS,
+                    stall_limit=STALL_LIMIT) if runs else []
     best_slack, best = -math.inf, None
     for used, item in enumerate(seen, 1):
         for slack, cand in [item] + ([check(ends[used - 1].blocks)] if used <= runs else []):
             if slack > best_slack:
                 best_slack, best = slack, cand
-            if slack >= -cfg.slack_tol:
+            if slack >= -SLACK_TOL:
                 return True, best, best_slack, used
     return False, best, best_slack, len(starts)
 
@@ -359,8 +358,8 @@ def inner_membership(q: JointPmf, r: RateTuple, caps: tuple[int, int, int] = (4,
 
     A witness carries the chain Y2 - UW - VW - Y1 exactly, so its bounds
     obey fwd, link1, link2 >= I(Y1;Y2) of its own marginal q', which lies
-    within TV ``tv_tol`` of q.  When a floor misses I(Y1;Y2) of q by more
-    than ``slack_tol`` plus ``_mi_continuity(tv_tol)``, no acceptable witness
+    within TV ``TV_TOL`` of q.  When a floor misses I(Y1;Y2) of q by more
+    than ``SLACK_TOL`` plus ``_mi_continuity(TV_TOL)``, no acceptable witness
     exists and the point is certified "outside" with no search.  Otherwise
     the only negative verdict is "inconclusive"; ``best_slack`` then
     reports the best minimum slack seen among couplings whose marginal
@@ -369,10 +368,10 @@ def inner_membership(q: JointPmf, r: RateTuple, caps: tuple[int, int, int] = (4,
     cfg = config or SearchConfig()
     n1, n2 = q.sizes
     name, margin = _floor_certificate(q, r)
-    if margin < -(cfg.slack_tol + _mi_continuity(n1, n2, cfg.tv_tol)):
+    if margin < -(SLACK_TOL + _mi_continuity(n1, n2, TV_TOL)):
         return RegionDecision("outside", None, margin, 0, name)
     sums = r.sums
-    objective = _inner_objective(q.table, sums, caps, cfg)
+    objective = _inner_objective(q.table, sums, caps)
     rng = np.random.default_rng(cfg.seed)
 
     starts: list[list[np.ndarray]] = []
@@ -381,7 +380,7 @@ def inner_membership(q: JointPmf, r: RateTuple, caps: tuple[int, int, int] = (4,
             c = _pad_inner((c.p_uvw.table, c.chan_y2.table, c.chan_y1.table), caps)
         if c is not None:
             starts.append(_coupling_to_blocks(c))
-    for c in _canonical_inner_couplings(q, caps).values():
+    for c in canonical_couplings(q, caps).values():
         starts.append(_coupling_to_blocks(c))
     nu, nv, nw = caps
     while len(starts) < cfg.restarts + len(extra_seeds):
@@ -391,10 +390,10 @@ def inner_membership(q: JointPmf, r: RateTuple, caps: tuple[int, int, int] = (4,
 
     def check(blocks):
         cand = _blocks_to_coupling(blocks, caps, n1, n2)
-        return (-math.inf if cand.tv_to(q) > cfg.tv_tol
+        return (-math.inf if cand.tv_to(q) > TV_TOL
                 else float(np.min(inner_check(cand, r)))), cand
 
-    inside, witness, slack, used = _search(objective, starts, check, cfg)
+    inside, witness, slack, used = _search(objective, starts, check)
     return RegionDecision("inside" if inside else "inconclusive", witness, slack, used)
 
 
@@ -469,7 +468,7 @@ def _canonical_outer_channels(q: JointPmf, caps) -> list[np.ndarray]:
     return rows
 
 
-def _outer_objective(qt: np.ndarray, sums3: np.ndarray, caps, cfg: SearchConfig):
+def _outer_objective(qt: np.ndarray, sums3: np.ndarray, caps):
     n1, n2 = qt.shape
     cu, cv = caps
     s = np.minimum(sums3, _BIG)
@@ -488,7 +487,7 @@ def _outer_objective(qt: np.ndarray, sums3: np.ndarray, caps, cfg: SearchConfig)
         mk_v = np.maximum(0.0, (h1v - hv) + (h2v - hv) - (hyv - hv))
         min_slack = np.minimum(np.minimum(s[0] - b1, s[1] - b2), s[2] - b3)
         pen = (np.maximum(0.0, mk_u - 1e-6) + np.maximum(0.0, mk_v - 1e-6))
-        return -min_slack + cfg.penalty * pen
+        return -min_slack + PENALTY * pen
 
     return objective
 
@@ -498,26 +497,26 @@ def outer_membership(q: JointPmf, r: RateTuple, config: SearchConfig | None = No
                      extra_seeds: Sequence[OuterCoupling] = ()) -> RegionDecision:
     """Membership in the outer region.
 
-    "inside" requires a witness with both Markov slacks <= markov_tol and
-    minimum slack >= -slack_tol.  Before any search, the closed-form floors
+    "inside" requires a witness with both Markov slacks <= ``MARKOV_TOL`` and
+    minimum slack >= -``SLACK_TOL``.  Before any search, the closed-form floors
     decide: the chains give I(U;Y1) >= I(Y1;Y2) - I(Y1;Y2|U), hence
     rf1+rf2 >= I(Y1;Y2), and, per link, I(Y1Y2;V) >= I(Y1;Y2) - I(Y1;Y2|V).
     A point missing a floor by more than
-    markov_tol + slack_tol is certified "outside".  Otherwise the search
+    ``MARKOV_TOL + SLACK_TOL`` is certified "outside".  Otherwise the search
     runs; "outside-heuristic" is declared when no restart finds a valid
-    coupling within ``outside_margin`` of feasibility, and global
+    coupling within ``OUTSIDE_MARGIN`` of feasibility, and global
     optimality is not certified.
     """
     cfg = config or SearchConfig()
     n1, n2 = q.sizes
     name, margin = _floor_certificate(q, r)
-    if margin < -(cfg.markov_tol + cfg.slack_tol):
+    if margin < -(MARKOV_TOL + SLACK_TOL):
         return RegionDecision("outside", None, margin, 0, name)
     if caps is None:
         caps = (n1 * n2 + 1, n1 * n2 + 1)
     cu, cv = caps
     sums3 = np.array([r.rb1 + r.rf1, r.rb2 + r.rf2, r.rf1 + r.rf2])
-    objective = _outer_objective(q.table, sums3, caps, cfg)
+    objective = _outer_objective(q.table, sums3, caps)
     rng = np.random.default_rng(cfg.seed)
 
     starts = []
@@ -538,11 +537,11 @@ def outer_membership(q: JointPmf, r: RateTuple, config: SearchConfig | None = No
                               (Alphabet("U", cu), Alphabet("V", cv)),
                               blocks[0].reshape(n1, n2, cu, cv))
         cand = OuterCoupling(q, chan)
-        return (-math.inf if max(cand.markov_slacks()) > cfg.markov_tol
+        return (-math.inf if max(cand.markov_slacks()) > MARKOV_TOL
                 else outer_slack(cand, r)), cand
 
-    inside, witness, slack, used = _search(objective, starts, check, cfg)
-    verdict = ("inside" if inside else "outside-heuristic" if slack < -cfg.outside_margin
+    inside, witness, slack, used = _search(objective, starts, check)
+    verdict = ("inside" if inside else "outside-heuristic" if slack < -OUTSIDE_MARGIN
                else "inconclusive")
     return RegionDecision(verdict, witness, slack, used)
 

@@ -93,6 +93,45 @@ class TestConfigParsing:
         with pytest.raises(ParseError):
             parse_config(str(tmp_path / "nope.ini"))
 
+    FRONTIER = ("[run]\ncommand = frontier\nsource = dsbs-0.1\n[frontier]\n"
+                "fixed_rates = inf,inf\ngrid_min = 0.1,0.1\ngrid_max = 0.4,0.4\ngrid_steps = 2,2\n")
+    RATES = "rf1 = 1\nrb1 = 1\nrf2 = 1\nrb2 = 1\n"
+
+    @pytest.mark.parametrize("text, key", [
+        ("[run]\ncommand = info\nsource = dsbs-0.1\nseed = -1\n", "seed"),
+        ("[run]\ncommand = protocol\nsource = dsbs-0.1\n[protocol]\nn = 0\n" + RATES, "n"),
+        ("[run]\ncommand = sweep\nsource = dsbs-0.1\n[sweep]\nn_list = 0,2\n" + RATES,
+         "n_list"),
+        ("[run]\ncommand = osrb\nsource = dsbs-0.1\n[osrb]\nn_list = 0,2\n"
+         "rt0 = 0.4\nrt1 = 0.2\nrt2 = 0.2\n", "n_list"),
+        ("[run]\ncommand = sweep\nsource = dsbs-0.1\n[sweep]\nn_list = \n" + RATES, "n_list"),
+        (FRONTIER.replace("grid_min = 0.1,0.1", "grid_min = 0.1,0.1,0.1"), "grid_min"),
+        (FRONTIER.replace("grid_max = 0.4,0.4", "grid_max = 0.4"), "grid_max"),
+        (FRONTIER.replace("fixed_rates = inf,inf", "fixed_rates = inf"), "fixed_rates"),
+        (FRONTIER.replace("grid_steps = 2,2", "grid_steps = 2"), "grid_steps"),
+        (FRONTIER.replace("grid_steps = 2,2", "grid_steps = 0,2"), "grid_steps"),
+        (FRONTIER + "axes = rf1,rf1\n", "axes"),
+        (FRONTIER + "axes = rf1,rx\n", "axes"),
+        ("[run]\ncommand = region-outer\nsource = dsbs-0.1\n[region-outer]\nrestarts = -2\n"
+         + RATES, "restarts"),
+        ("[run]\ncommand = region-inner\nsource = dsbs-0.1\n[region-inner]\ncap_u = 0\n"
+         + RATES, "cap_u"),
+    ], ids=["seed", "n", "sweep-n_list", "osrb-n_list", "empty-n_list", "grid_min-length",
+            "grid_max-length", "fixed_rates-length", "grid_steps-length", "grid_steps-zero",
+            "axes-repeated", "axes-unknown", "restarts", "cap_u"])
+    def test_bad_value_is_a_config_error_naming_its_key(self, tmp_path, text, key):
+        with pytest.raises(ValidationError) as err:
+            parse_config(write_config(tmp_path, text))
+        assert f"{key}:" in str(err.value)
+        status = main([write_config(tmp_path, text), "--out", str(tmp_path / "out")])
+        assert status == 1 and not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[run]\ncommand = info\nsource = dsbs-0.1\n")
+        assert main([cfg, "--out", str(tmp_path / "out"), "--seed", "-3"]) == 1
+        assert "config error: --seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCommands:
     def test_info(self, tmp_path):
@@ -119,6 +158,19 @@ class TestCommands:
         payload = read_summary(out)
         assert payload["verdict"] == "inside"
         assert (out / "witness.pmf").exists()
+
+    def test_minus_inf_slack_keeps_its_sign(self, tmp_path):
+        # caps 1,1,1 fit only the constant coupling, whose marginal misses
+        # dsbs-0.1, so no candidate is valid and the best slack is -inf
+        status, out = run_cli(tmp_path,
+                              "[run]\ncommand = region-inner\nsource = dsbs-0.1\n"
+                              "[region-inner]\nrf1 = 1\nrb1 = 1\nrf2 = 1\nrb2 = 1\n"
+                              "cap_u = 1\ncap_v = 1\ncap_w = 1\nrestarts = 0\n")
+        assert status == 0
+        assert read_summary(out)["best_slack"] == "-inf"
+        with open(out / "results.csv") as fh:
+            row, = csv.DictReader(fh)
+        assert row["best_slack"] == "-inf"
 
     def test_region_outer_accepts_inf(self, tmp_path):
         status, out = run_cli(tmp_path,

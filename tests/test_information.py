@@ -4,8 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from coordinet.information import (InfoQuery, _wyner_terms, conditional_entropy, entropy,
-                                   markov_slack, mutual_information, subset_entropies)
+from coordinet.information import (_wyner_terms, conditional_entropy, entropy, markov_slack,
+                                   mutual_information, subset_entropies)
 from coordinet.pmf import UnknownVariable, make_joint
 
 from oracles import binary_entropy, cond_mi_direct, entropy_direct
@@ -60,12 +60,6 @@ def test_mi_rejects_overlap():
     p = make_joint([("A", 2), ("B", 2)], np.full(4, 0.25))
     with pytest.raises(UnknownVariable):
         mutual_information(p, ["A"], ["A"])
-
-
-def test_info_query_evaluates():
-    p = make_joint([("A", 2), ("B", 2)], [0.45, 0.05, 0.05, 0.45])
-    q = InfoQuery(left=("A",), right=("B",))
-    assert q.evaluate(p) == mutual_information(p, ["A"], ["B"])
 
 
 def test_markov_slack_independent_triple():

@@ -168,6 +168,14 @@ class TestSwDecode:
         code = BinningCode(space((2,), 2, ("X",)), 2, np.array([0, 1, 0, 1]), seed=0)
         assert sw_decode(prior, [(("X",), code, 0)], 2) == (0,)
 
+    @pytest.mark.parametrize("bin_index", [-1, 2, 5])
+    def test_out_of_range_bin_index_raises(self, bin_index):
+        # an index past num_bins is a caller's error, not an empty intersection
+        prior = make_joint([("X", 4)], np.full(4, 0.25))
+        code = BinningCode(space((2,), 2, ("X",)), 2, np.array([0, 0, 1, 1]), seed=0)
+        with pytest.raises(ValueError, match="outside"):
+            sw_decode(prior, [(("X",), code, 1), (("X",), code, bin_index)], 2)
+
 
 class TestSwSuccess:
     def test_injective_always_succeeds(self):

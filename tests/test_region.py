@@ -130,7 +130,7 @@ class TestInnerMembership:
         assert max(d.witness.chain_slacks()) <= 1e-9
 
 
-def sequential_search(objective, starts, check, cfg):
+def sequential_search(objective, starts, check):
     """The restart loop as it ran one restart at a time: start 1, its
     descent, start 2, ..., stopping at the first witness."""
     best_slack, best = -math.inf, None
@@ -140,13 +140,14 @@ def sequential_search(objective, starts, check, cfg):
         slack, cand = check(blocks)
         if slack is not None and slack > best_slack:
             best_slack, best = slack, cand
-        return best_slack >= -cfg.slack_tol
+        return best_slack >= -region.SLACK_TOL
 
     for used, start in enumerate(starts, 1):
         if consider(start):
             return True, best, best_slack, used
-        blocks, _, _ = coordinate_descent_sequential(objective, start, max_iters=cfg.max_iters,
-                                                     stall_limit=cfg.stall_limit, tol=cfg.tol)
+        blocks, _, _ = coordinate_descent_sequential(objective, start,
+                                                     max_iters=region.MAX_ITERS,
+                                                     stall_limit=region.STALL_LIMIT)
         if consider(blocks):
             return True, best, best_slack, used
     return False, best, best_slack, len(starts)
@@ -162,7 +163,8 @@ class TestRestartOrder:
     ])
     def test_decisions_match_the_sequential_loop(self, monkeypatch, seed, rates):
         q, r = dsbs(0.1), RateTuple(*rates)
-        cfg = SearchConfig(restarts=3, seed=seed, max_iters=400)
+        cfg = SearchConfig(restarts=3, seed=seed)
+        monkeypatch.setattr(region, "MAX_ITERS", 400)
 
         def both():
             return (inner_membership(q, r, (2, 2, 2), cfg),
@@ -334,7 +336,7 @@ class TestCertificates:
             chan = np.einsum("bu,av->abuv", flip, flip)        # (Y1, Y2) -> (U, V)
             oc = OuterCoupling(q, ConditionalPmf((Alphabet("Y1", 2), Alphabet("Y2", 2)),
                                                  (Alphabet("U", 2), Alphabet("V", 2)), chan))
-            assert 0.0 < max(oc.markov_slacks()) <= cfg.markov_tol
+            assert 0.0 < max(oc.markov_slacks()) <= region.MARKOV_TOL
             b1, b2, b3 = _outer_bounds(oc)
             assert b3 < I_DSBS
             r = RateTuple(rf1=b3 / 2, rb1=b1 - b3 / 2, rf2=b3 / 2, rb2=b2 - b3 / 2)
@@ -347,7 +349,7 @@ class TestCertificates:
         for trial in range(12):
             n1 = n2 = 2 + trial % 2
             qp = _random_target(rng, n1, n2, 0.3 if trial % 3 == 0 else 0.0)
-            lam = 0.999 * cfg.tv_tol      # TV(q, q') <= lam: q leans toward more I(Y1;Y2)
+            lam = 0.999 * region.TV_TOL   # TV(q, q') <= lam: q leans toward more I(Y1;Y2)
             q = max((make_joint([("Y1", n1), ("Y2", n2)],
                                 (1.0 - lam) * qp.table + lam * np.eye(n1)[list(perm)] / n1)
                      for perm in itertools.permutations(range(n1))),
@@ -355,7 +357,7 @@ class TestCertificates:
             assert mutual_information(q, ["Y1"], ["Y2"]) > mutual_information(qp, ["Y1"], ["Y2"])
             for name in ("uv-copy", "w-from-y1", "copy-w"):
                 c = canonical_couplings(qp)[name]
-                assert c.tv_to(q) <= cfg.tv_tol
+                assert c.tv_to(q) <= region.TV_TOL
                 b_total, b_link1, b_link2, b_fwd = inner_rhs(c)
                 rf1 = rng.uniform() * b_fwd
                 rf2 = b_fwd - rf1
@@ -386,23 +388,21 @@ class TestBatchedObjectives:
 
     def test_inner_objective_matches_scalar_path(self):
         rng = np.random.default_rng(11)
-        cfg = SearchConfig()
         caps = (2, 3, 2)
         for _ in range(8):
             q = make_joint([("Y1", 2), ("Y2", 3)], rng.dirichlet(np.ones(6)))
             r = RateTuple(*rng.uniform(0.0, 2.0, size=4))
             coups = [random_inner_coupling(rng, (*caps, 2, 3)) for _ in range(4)]
             blocks = [_coupling_to_blocks(c) for c in coups]
-            vals = _inner_objective(q.table, r.sums, caps, cfg)(
+            vals = _inner_objective(q.table, r.sums, caps)(
                 [np.stack([b[k] for b in blocks]) for k in range(3)])
             for c, v in zip(coups, vals):
                 ref = (-float(np.min(inner_check(c, r)))
-                       + cfg.penalty * max(0.0, c.tv_to(q) - cfg.tv_tol))
+                       + region.PENALTY * max(0.0, c.tv_to(q) - region.TV_TOL))
                 assert v == pytest.approx(ref, abs=1e-10)
 
     def test_outer_objective_matches_scalar_path(self):
         rng = np.random.default_rng(12)
-        cfg = SearchConfig()
         n1, n2, cu, cv = 2, 3, 3, 2
         for _ in range(8):
             q = make_joint([("Y1", n1), ("Y2", n2)], rng.dirichlet(np.ones(n1 * n2)))
@@ -410,14 +410,14 @@ class TestBatchedObjectives:
             sums3 = np.array([r.rb1 + r.rf1, r.rb2 + r.rf2, r.rf1 + r.rf2])
             tables = rng.dirichlet(np.ones(cu * cv), size=(4, n1 * n2))
             tables[0] = np.eye(cu * cv)[np.arange(n1 * n2) % (cu * cv)]  # deterministic U, V
-            vals = _outer_objective(q.table, sums3, (cu, cv), cfg)([tables])
+            vals = _outer_objective(q.table, sums3, (cu, cv))([tables])
             for t, v in zip(tables, vals):
                 chan = ConditionalPmf((Alphabet("Y1", n1), Alphabet("Y2", n2)),
                                       (Alphabet("U", cu), Alphabet("V", cv)),
                                       t.reshape(n1, n2, cu, cv))
                 c = OuterCoupling(q, chan)
                 pen = sum(max(0.0, m - 1e-6) for m in c.markov_slacks())
-                assert v == pytest.approx(-outer_slack(c, r) + cfg.penalty * pen, abs=1e-10)
+                assert v == pytest.approx(-outer_slack(c, r) + region.PENALTY * pen, abs=1e-10)
 
 
 class TestFrontier:
