@@ -7,6 +7,8 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
+from .region import COUPLING_NAMES
+
 
 class ConfigError(Exception):
     pass
@@ -27,6 +29,22 @@ def _rate(s: str) -> float:
     if math.isnan(v) or v < 0:
         raise ValueError(f"rates must be >= 0, got {s}")
     return v
+
+
+def _penalty(s: str) -> float:
+    v = float(s)
+    if not 0 <= v < math.inf:  # nan fails both
+        raise ValueError(f"must be finite and >= 0, got {s}")
+    return v
+
+
+def _one_of(*choices: str):
+    """Parser of one of ``choices``."""
+    def parse(s: str) -> str:
+        if s not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}, got {s!r}")
+        return s
+    return parse
 
 
 def _at_least(lo: int):
@@ -63,7 +81,7 @@ COMMAND_PARAMS = {
     "wyner": {
         "w_cap": (_at_least(0), 0),     # 0 means the solver default
         "restarts": (_at_least(0), 64),
-        "penalty": (float, 100.0),
+        "penalty": (_penalty, 100.0),
     },
     "region-inner": {
         "rf1": (_rate, None), "rb1": (_rate, None),
@@ -91,22 +109,22 @@ COMMAND_PARAMS = {
         "orders": (str, "all"),
     },
     "osrb": {
-        "coupling": (str, "w-from-y1"),
-        "side": (str, "none"),              # none | y
+        "coupling": (_one_of(*COUPLING_NAMES), "w-from-y1"),
+        "side": (_one_of("none", "y"), "none"),
         "rt0": (_rate, None), "rt1": (_rate, None), "rt2": (_rate, None),
         "rb1": (_rate, 0.0), "rb2": (_rate, 0.0),
         "n_list": (_list_of(_at_least(1)), None),
         "seeds": (_at_least(1), 20),
     },
     "protocol": {
-        "coupling": (str, "w-from-y1"),
+        "coupling": (_one_of(*COUPLING_NAMES), "w-from-y1"),
         "n": (_at_least(1), None),
         "rf1": (_rate, None), "rb1": (_rate, None),
         "rf2": (_rate, None), "rb2": (_rate, None),
         "rt0": (_rate, 0.0), "rt1": (_rate, 0.0), "rt2": (_rate, 0.0),
     },
     "sweep": {
-        "coupling": (str, "w-from-y1"),
+        "coupling": (_one_of(*COUPLING_NAMES), "w-from-y1"),
         "n_list": (_list_of(_at_least(1)), None),
         "seeds": (_at_least(1), 20),
         "rf1": (_rate, None), "rb1": (_rate, None),

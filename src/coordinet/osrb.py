@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pmf import Alphabet, JointPmf, StateSpaceTooLarge
+from .pmf import NEG_TOL, SUM_TOL, Alphabet, JointPmf, StateSpaceTooLarge
 from .region import InnerCoupling, RateTuple
 
 DOMAIN_CAP = 2 ** 22    # sequences a binning or a bin-law check may enumerate
@@ -114,6 +114,15 @@ def product_law(vec: np.ndarray, n: int) -> np.ndarray:
 def channel_matrix(per_symbol: np.ndarray, n: int) -> np.ndarray:
     """Product extension of a (in_symbols, out_symbols) channel matrix."""
     return reduce(np.kron, [np.asarray(per_symbol, dtype=float)] * n)
+
+
+def _sequence_channel(per_symbol: np.ndarray, n: int) -> np.ndarray:
+    """A node's output channel over its decoded n-sequences: the index map
+    d -> y of a deterministic channel (every per-symbol row one-hot), else
+    the dense channel_matrix."""
+    if np.isin(per_symbol, (0.0, 1.0)).all() and (per_symbol.sum(axis=1) == 1.0).all():
+        return _digit_sum(per_symbol.argmax(axis=1), per_symbol.shape[1], n)
+    return channel_matrix(per_symbol, n)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +286,9 @@ class ProtocolCaps:
     """Entry-count caps checked before run_protocol allocates: ``wvu`` for
     the (w,v,u) sequence space, ``y_pairs`` for the (y1,y2) output space,
     ``with_g`` for the joint with shared indices and for the dense
-    channel-mixing array over (shared indices, decoded pairs); above it
-    the mixing groups the live relay tuples instead."""
+    channel-mixing array over (shared indices, key pairs), where a
+    deterministic side's key is its output sequence and a dense side's its
+    decoded input; above it the mixing groups the live relay tuples."""
 
     wvu: int = 2 ** 22
     y_pairs: int = 2 ** 20
@@ -298,8 +308,7 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("block length must be >= 1")
-        for r in (self.rates.rf1, self.rates.rb1, self.rates.rf2, self.rates.rb2,
-                  *self.tilde_rates):
+        for r in (*vars(self.rates).values(), *self.tilde_rates):
             if not math.isfinite(r) or r < 0:
                 raise ValueError("protocol rates must be finite and >= 0")
         object.__setattr__(self, "tilde_rates", tuple(float(t) for t in self.tilde_rates))
@@ -338,38 +347,54 @@ def _decoder_table(prior: np.ndarray, keys: np.ndarray, n_keys: int) -> np.ndarr
     return table
 
 
-def _mix_outputs(keys: np.ndarray, weights: np.ndarray, extra: np.ndarray, c1: np.ndarray,
-                 c2: np.ndarray, cap: int, right_first: bool = False) -> np.ndarray:
+def _mix_outputs(keys: np.ndarray, weights: np.ndarray, extra: np.ndarray, c1, c2, cap: int,
+                 right_first: bool = False, origin: int = 0) -> np.ndarray:
     """(groups, ny1, ny2) array: per group g, the sum of weights[i] *
-    outer(c1[d1], c2[d2]) over the terms with keys[i] = (g * k1 + d1) * k2
-    + d2, then extra[g] * outer(c1[0], c2[0]).  ``extra`` is (runs, groups
-    per run).  When one run's dense (groups, k1, k2) array M fits under
-    ``cap`` and C1ᵀ M C2 takes fewer multiply-adds than one outer product
-    per term, the weights are scattered into M.  Otherwise (decoded spaces
-    that dwarf the terms, as in copy-w with |W| = |Y1||Y2|) each g is one
-    matmul of channel rows gathered by key.  ``right_first`` associates
-    the products the other way."""
-    (k1, ny1), (k2, ny2) = c1.shape, c2.shape
+    outer(c1[e1], c2[e2]) over the terms with keys[i] = (g * m1 + e1) * m2
+    + e2, then extra[g] times that outer product at key pair ``origin``.
+    ``extra`` is (runs, groups per run).  A channel is an (m, ny) matrix,
+    or the count ny of a deterministic side keyed by its output, whose
+    product is skipped.  The weights are scattered into the dense (groups,
+    m1, m2) array M when both sides are keyed by output (M is the result),
+    or when one run's M fits under ``cap`` and C1ᵀ M C2 takes fewer
+    multiply-adds than one outer product per term.  Otherwise each g
+    gathers the channel rows of its keys: one matmul, or with one side
+    keyed by output, a bincount of the other side's rows.  ``right_first``
+    associates the products the other way."""
+    by_out = [np.ndim(c) == 0 for c in (c1, c2)]
+    (m1, ny1), (m2, ny2) = [(c, c) if o else c.shape for c, o in zip((c1, c2), by_out)]
+    r1, r2 = (1 if by_out[0] else ny1), (1 if by_out[1] else ny2)  # entries a term touches per side
     per_run, extra, keys, weights = extra.shape[-1], extra.ravel(), keys.ravel(), weights.ravel()
     groups = len(extra)
-    if per_run * k1 * k2 <= cap and groups * k1 * ny1 * (k2 + ny2) <= (len(keys) + groups) * ny1 * ny2:
-        mix = np.bincount(keys, weights=weights, minlength=groups * k1 * k2).reshape(groups, k1, k2)
-        mix[:, 0, 0] += extra
-        return c1.T @ (mix @ c2) if right_first else c1.T @ mix @ c2
-    firsts = np.arange(groups) * (k1 * k2)  # each group's decoded pair (0, 0) carries its extra
+    if all(by_out) or (per_run * m1 * m2 <= cap
+                       and groups * m1 * r1 * (m2 + r2) <= (len(keys) + groups) * r1 * r2):
+        mix = np.bincount(keys, weights=weights, minlength=groups * m1 * m2).reshape(groups, m1, m2)
+        mix[:, origin // m2, origin % m2] += extra
+        mix = mix if by_out[0] or right_first else c1.T @ mix
+        mix = mix if by_out[1] else mix @ c2
+        return mix if by_out[0] or not right_first else c1.T @ mix
+    firsts = np.arange(groups) * (m1 * m2) + origin  # where each group's extra lands
     live, inv = np.unique(keys, return_inverse=True)
     uniq = np.union1d(live, firsts)
     wsum = np.zeros((len(uniq), 1))
     wsum[np.searchsorted(uniq, live), 0] = np.bincount(inv, weights=weights)
     wsum[np.searchsorted(uniq, firsts), 0] += extra
-    g, d = np.divmod(uniq, k1 * k2)
+    g, d = np.divmod(uniq, m1 * m2)
+    e1, e2 = np.divmod(d, m2)
     out = np.zeros((groups, ny1, ny2))
     cuts = np.searchsorted(g, np.arange(groups + 1))
     for i in np.flatnonzero(np.diff(cuts)):
         s = slice(cuts[i], cuts[i + 1])
-        a, b = c1[d[s] // k2], c2[d[s] % k2]  # gathered copies, scaled in place
-        (b if right_first else a)[...] *= wsum[s]
-        out[i] = a.T @ b
+        if any(by_out):  # the dense side's rows, binned at the other side's outputs
+            e, rows, (se, sd) = ((e1[s], c2[e2[s]], (ny2, 1)) if by_out[0]
+                                 else (e2[s], c1[e1[s]], (1, ny2)))
+            rows *= wsum[s]
+            out[i] = np.bincount(np.add.outer(e * se, np.arange(rows.shape[1]) * sd).ravel(),
+                                 weights=rows.ravel(), minlength=ny1 * ny2).reshape(ny1, ny2)
+        else:
+            a, b = c1[e1[s]], c2[e2[s]]  # gathered copies, scaled in place
+            (b if right_first else a)[...] *= wsum[s]
+            out[i] = a.T @ b
     return out
 
 
@@ -382,8 +407,8 @@ class _ProtocolPlan:
     """The part of run_protocol that does not depend on the seed: the cap
     checks, the bin counts, the (w, wv, wu) indices and the prior of every
     live relay tuple, the decoder priors and their w digits, the two
-    output channel matrices, and q^n, built on first use since it is
-    needed only after mixing.  Arrays are read-only: plans are shared.
+    output channels (_sequence_channel), and q^n, built on first use since
+    it is needed only after mixing.  Arrays are read-only: plans are shared.
 
     ``sweep`` builds one ``shared`` plan per block length for all its
     seeds.  A lone call builds its own, which keeps no relay-tuple arrays:
@@ -412,24 +437,32 @@ class _ProtocolPlan:
                         SequenceSpace(("W", "U"), (nw, nu), n))
         self.p_wvu = coup.p_uvw.reorder(("W", "V", "U"))
         # decoder priors over the (w,v) and (w,u) sequence spaces, their w
-        # digits, and the output channel product matrices indexed by them
+        # digits, and each node's output channel over them
         self.prior_wv = product_law(self.p_wvu.marginal(("W", "V")).table.ravel(), n)
         self.prior_wu = product_law(self.p_wvu.marginal(("W", "U")).table.ravel(), n)
         self.wv_w = split_sequences(np.arange(self.prior_wv.size), (nw, nv), n)[0]
         self.wu_w = split_sequences(np.arange(self.prior_wu.size), (nw, nu), n)[0]
-        c1 = coup.chan_y1.table  # (V, W, Y1)
-        c2 = coup.chan_y2.table  # (U, W, Y2)
-        self.chan1 = channel_matrix(np.transpose(c1, (1, 0, 2)).reshape(nw * nv, n1), n)
-        self.chan2 = channel_matrix(np.transpose(c2, (1, 0, 2)).reshape(nw * nu, n2), n)
+        self.chans = tuple(_sequence_channel(np.transpose(c, (1, 0, 2)).reshape(-1, c.shape[2]), n)
+                           for c in (coup.chan_y1.table, coup.chan_y2.table))  # (V|U, W, Y)
+        # per side: what _mix_outputs takes (an index map, keyed by its output
+        # f(d), passes its output count; a matrix is keyed by d) and the key digit count
+        self.mix = tuple(k ** n if c.ndim == 1 else c for c, k in zip(self.chans, (n1, n2)))
+        self.m = tuple(c if np.ndim(c) == 0 else len(c) for c in self.mix)
+        self.origin = int(self.keyed(0, 0))  # where an empty cell's mass is keyed
         # seeds per batched run: each chunk array stays a 256th of with_g,
         # so large n runs one seed at a time and keeps pool threads busy
-        per_seed = self.gtot * max(self.k_y, self.prior_wv.size * self.prior_wu.size)
+        per_seed = self.gtot * max(self.k_y, self.m[0] * self.m[1])
         self.chunk = max(1, (cfg.caps.with_g >> 8) // per_seed)
         self._relay = self._relay_tuples() if shared else None
         self._qn = None
         self._lock = threading.Lock()
-        for a in (self.prior_wv, self.prior_wu, self.wv_w, self.wu_w, self.chan1, self.chan2):
+        for a in (self.prior_wv, self.prior_wu, self.wv_w, self.wu_w, *self.chans):
             a.setflags(write=False)
+
+    def keyed(self, d1, d2):
+        """Mixing key pairs e1 * m2 + e2 of decoded pairs (d1, d2)."""
+        e1, e2 = (c[d] if c.ndim == 1 else d for c, d in zip(self.chans, (d1, d2)))
+        return e1 * self.m[1] + e2
 
     def _relay_tuples(self):
         nw, nv, nu = self.sizes
@@ -457,11 +490,11 @@ class _ProtocolPlan:
             return self._qn
 
 
-def _run_seeds(plan: _ProtocolPlan, seeds: Sequence[int]) -> list[InducedLaw]:
-    """The seed-dependent stage of run_protocol for several seeds at once.
-    Each array gains a leading seed axis, and every sum a law depends on
-    runs over its own seed's slice in the order a one-seed run takes, so
-    each law equals the one run_protocol gives for its seed."""
+def _run_seeds(plan: _ProtocolPlan, seeds: Sequence[int]) -> dict:
+    """The seed-dependent stage of run_protocol for several seeds at once:
+    stacked arrays and per-seed values, which _law makes laws of.  Every
+    sum a seed's values depend on runs over its own slice in the order a
+    one-seed run takes, so they equal a lone run's, bit for bit."""
     bins, gtot, S = plan.bins, plan.gtot, len(seeds)
     subseeds = [np.random.SeedSequence(seed).generate_state(len(_CODES)) for seed in seeds]
     code = {name: np.stack([make_binning(plan.domains[int(name[1])], bins[name], int(sub[i])).assignment
@@ -506,26 +539,25 @@ def _run_seeds(plan: _ProtocolPlan, seeds: Sequence[int]) -> list[InducedLaw]:
     sw2 = [float(w[hit].sum()) for w, hit in zip(live_w, d2 == wu_seq)]
     del wv_seq, wu_seq
 
-    # mix the output channels over (g, decoded pair); an empty relay cell
-    # makes both nodes decode the first input, i.e. it adds its mass to
-    # decoded pair (0, 0)
-    k1, k2 = len(plan.prior_wv), len(plan.prior_wu)
-    pair = d1 * k2 + d2
+    # mix the output channels over (g, key pair); an empty relay cell
+    # makes both nodes decode the first input, i.e. it adds its mass at the
+    # key pair of decoded pair (0, 0)
+    pair = plan.keyed(d1, d2)
     del d1, d2
     empty_cells = z.reshape(S, gtot, -1) <= 0.0
     empty = empty_cells.sum(axis=2) * unif_cell
-    g_of_tuple *= k1 * k2  # made the mixing key in place
+    g_of_tuple *= plan.m[0] * plan.m[1]  # made the mixing key in place
     g_of_tuple += pair
-    joint = _mix_outputs(g_of_tuple, live_w, empty, plan.chan1, plan.chan2, plan.caps.with_g)
+    joint = _mix_outputs(g_of_tuple, live_w, empty, *plan.mix, plan.caps.with_g, origin=plan.origin)
     del g_of_tuple
     joint = joint.reshape(S, gtot, *joint.shape[1:])
 
     raw_mass = joint.sum(axis=(1, 2, 3))
     # second accumulation path for the two-way marginal check: sum over
     # decoded pairs without the g split, associated in the other order
-    pair += np.arange(S)[:, None] * (k1 * k2)
+    pair += np.arange(S)[:, None] * (plan.m[0] * plan.m[1])
     marg = _mix_outputs(pair, live_w, empty_cells.sum(axis=(1, 2))[:, None] * unif_cell,
-                        plan.chan1, plan.chan2, plan.caps.with_g, right_first=True)
+                        *plan.mix, plan.caps.with_g, True, plan.origin)
 
     qn = plan.qn()
     tv_marginal = 0.5 * np.abs(joint.sum(axis=1) - qn).sum(axis=(1, 2))
@@ -533,16 +565,23 @@ def _run_seeds(plan: _ProtocolPlan, seeds: Sequence[int]) -> list[InducedLaw]:
     per_g_tv = 0.5 * np.abs(joint * gtot - qn).sum(axis=(2, 3))
     best = per_g_tv.argmin(axis=1)
 
-    shape = (bins["g0"], bins["g1"], bins["g2"], *joint.shape[2:])
-    alphabets = tuple(map(Alphabet, ("G0", "G1", "G2", "Y1", "Y2"), shape))
-    return [InducedLaw(joint_with_g=JointPmf(alphabets, joint[s].reshape(shape)),
-                       raw_mass=float(raw_mass[s]), tv_marginal=float(tv_marginal[s]),
-                       tv_with_uniform_g=float(tv_uniform[s]), tv_best_g=float(per_g_tv[s, best[s]]),
-                       best_g=tuple(int(i) for i in np.unravel_index(best[s], shape[:3])),
-                       sw1_success=sw1[s], sw2_success=sw2[s], nocandidate_mass=float(sum(empty[s])),
-                       effective_rates=dict(plan.eff), num_bins=dict(bins), marginal_direct=marg[s],
-                       binning_seeds={name: int(sub[i]) for i, name in enumerate(_CODES)})
-            for s, sub in enumerate(subseeds)]
+    return {"joint": joint, "marg": marg, "raw_mass": raw_mass, "tv_marginal": tv_marginal,
+            "tv_with_uniform_g": tv_uniform, "tv_best_g": per_g_tv[np.arange(S), best], "best": best,
+            "sw1_success": sw1, "sw2_success": sw2, "subseeds": subseeds,
+            "nocandidate_mass": [float(sum(e)) for e in empty]}
+
+
+def _law(plan: _ProtocolPlan, batch: dict, s: int) -> InducedLaw:
+    """Seed ``s``'s law from a batch; building its JointPmf and InducedLaw
+    runs their checks."""
+    shape = (plan.bins["g0"], plan.bins["g1"], plan.bins["g2"], *batch["joint"].shape[2:])
+    return InducedLaw(
+        joint_with_g=JointPmf(tuple(map(Alphabet, ("G0", "G1", "G2", "Y1", "Y2"), shape)),
+                              batch["joint"][s].reshape(shape)),
+        best_g=tuple(int(i) for i in np.unravel_index(batch["best"][s], shape[:3])),
+        effective_rates=dict(plan.eff), num_bins=dict(plan.bins), marginal_direct=batch["marg"][s],
+        binning_seeds=dict(zip(_CODES, map(int, batch["subseeds"][s]))),
+        **{k: float(batch[k][s]) for k in ("raw_mass", *LAW_FIELDS)})
 
 
 def run_protocol(cfg: ProtocolConfig) -> InducedLaw:
@@ -556,13 +595,15 @@ def run_protocol(cfg: ProtocolConfig) -> InducedLaw:
     channels applied to the lexicographically first input (reported in
     ``nocandidate_mass``).
     """
-    return _run_seeds(_ProtocolPlan(cfg), [cfg.seed])[0]
+    plan = _ProtocolPlan(cfg)
+    return _law(plan, _run_seeds(plan, [cfg.seed]), 0)
 
 
+LAW_FIELDS = ("tv_marginal", "tv_with_uniform_g", "tv_best_g", "sw1_success", "sw2_success",
+              "nocandidate_mass")
 SWEEP_FIELDS = ("n", "seed", "cell_seed", "rb1", "rb2", "rf1", "rf2", "rt0", "rt1", "rt2",
                 "eff_rb1", "eff_rb2", "eff_rf1", "eff_rf2", "eff_rt0", "eff_rt1", "eff_rt2",
-                "tv_marginal", "tv_with_uniform_g", "tv_best_g",
-                "sw1_success", "sw2_success", "nocandidate_mass", "error")
+                *LAW_FIELDS, "error")
 
 
 def _sweep_record(base: ProtocolConfig, n: int, master_seed: int, seed: int) -> dict:
@@ -573,16 +614,26 @@ def _sweep_record(base: ProtocolConfig, n: int, master_seed: int, seed: int) -> 
 
 def _sweep_chunk(plan: _ProtocolPlan, recs: list[dict]) -> list[dict]:
     """Fill a chunk of one block length's records from one batched run.
-    When it fails, each cell is rerun alone, so a failing cell records
-    the error a lone run raises and the others their laws."""
+    The checks building a law runs are run on the stacked arrays, and a
+    flagged seed builds its law, so it records the error a lone run
+    raises.  When the run fails, each cell is rerun alone."""
     try:
-        laws = _run_seeds(plan, [rec["cell_seed"] for rec in recs])
+        batch = _run_seeds(plan, [rec["cell_seed"] for rec in recs])
     except Exception as exc:  # per-cell failure, sweep continues
         if len(recs) == 1:
             return [dict(recs[0], error=f"{type(exc).__name__}: {exc}")]
         return [rec for one in recs for rec in _sweep_chunk(plan, [one])]
-    for rec, law in zip(recs, laws):  # the law's fields from tv_marginal to nocandidate_mass
-        rec.update(law.effective_rates, **{k: getattr(law, k) for k in SWEEP_FIELDS[17:-1]})
+    flat = batch["joint"].reshape(len(recs), -1)
+    flagged = (~np.isfinite(flat).all(axis=1) | (flat.min(axis=1) < -NEG_TOL)
+               | (np.abs(np.where(flat < 0, 0.0, flat).sum(axis=1) - 1.0) > SUM_TOL)
+               | (batch["tv_best_g"] > 2.0 * batch["tv_with_uniform_g"] + 1e-9))
+    for s, rec in enumerate(recs):
+        try:
+            if flagged[s]:
+                _law(plan, batch, s)
+            rec.update(plan.eff, **{k: float(batch[k][s]) for k in LAW_FIELDS})
+        except Exception as exc:  # per-cell failure, sweep continues
+            rec["error"] = f"{type(exc).__name__}: {exc}"
     return recs
 
 

@@ -271,11 +271,8 @@ class ConditionalPmf:
             raise NegativeMass(f"negative conditional probability {t.min()}")
         t = np.where(t < 0, 0.0, t)
         sums = t.sum(axis=tuple(range(len(gs), t.ndim)))
-        defined = self.defined
-        if defined is None:
-            defined = np.ones(gs, dtype=bool)
-        else:
-            defined = np.asarray(defined, dtype=bool).reshape(gs)
+        defined = (np.ones(gs, dtype=bool) if self.defined is None
+                   else np.asarray(self.defined, dtype=bool).reshape(gs))
         bad = defined & (np.abs(sums - 1.0) > SUM_TOL)
         if bad.any():
             raise NotNormalized(f"{int(bad.sum())} conditional row(s) do not sum to 1")
@@ -307,9 +304,7 @@ class ConditionalPmf:
             raise ValueError("mapping out of target range")
         t = np.zeros((gn, tn))
         t[np.arange(gn), mapping] = 1.0
-        gs = tuple(a.size for a in given)
-        ts = tuple(a.size for a in target)
-        return ConditionalPmf(given, target, t.reshape(gs + ts))
+        return ConditionalPmf(given, target, t)
 
 
 def make_joint(alphabets, table) -> JointPmf:

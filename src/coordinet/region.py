@@ -192,6 +192,9 @@ def inner_check(c: InnerCoupling, r: RateTuple) -> np.ndarray:
     return r.sums - inner_rhs(c)
 
 
+COUPLING_NAMES = ("const", "copy-w", "w-from-y1", "w-from-y2", "uv-copy")  # what canonical_couplings builds
+
+
 def canonical_couplings(q: JointPmf,
                         caps: tuple[int, int, int] | None = None) -> dict[str, InnerCoupling]:
     """Named reference couplings with exact target marginal, used as search
@@ -200,8 +203,8 @@ def canonical_couplings(q: JointPmf,
     sizes when ``caps`` is None."""
     n1, n2 = q.sizes
     qt = q.table
-    q1 = qt.sum(axis=1)
-    q2 = qt.sum(axis=0)
+    q1, q2 = qt.sum(axis=1), qt.sum(axis=0)
+    e1, e2 = np.eye(n1), np.eye(n2)
     out: dict[str, InnerCoupling] = {}
 
     def build(name, *tables):
@@ -209,48 +212,20 @@ def canonical_couplings(q: JointPmf,
         if c is not None:
             out[name] = c
 
+    def cond(t, marg):  # rows t[w] / marg[w], uniform where marg[w] is 0
+        return np.where(marg[:, None] > 0, t / np.where(marg > 0, marg, 1.0)[:, None],
+                        1.0 / t.shape[1])[None]
+
     # constants + independent product channels (exact iff q is a product)
-    build("const", np.ones((1, 1, 1)),
-          q2.reshape(1, 1, n2), q1.reshape(1, 1, n1))
+    build("const", np.ones((1, 1, 1)), q2.reshape(1, 1, n2), q1.reshape(1, 1, n1))
     # W carries the full pair (y1, y2)
-    m = n1 * n2
-    pw = np.zeros((1, 1, m))
-    pw[0, 0, :] = qt.ravel()
-    y2_of_w = np.zeros((1, m, n2))
-    y1_of_w = np.zeros((1, m, n1))
-    for w in range(m):
-        y1_of_w[0, w, w // n2] = 1.0
-        y2_of_w[0, w, w % n2] = 1.0
-    build("copy-w", pw, y2_of_w, y1_of_w)
+    build("copy-w", qt.reshape(1, 1, -1), np.tile(e2, (n1, 1))[None], np.repeat(e1, n2, axis=0)[None])
     # W = Y1, node 2 draws Y2 from the conditional
-    pwy1 = np.zeros((1, 1, n1))
-    pwy1[0, 0, :] = q1
-    y1_id = np.zeros((1, n1, n1))
-    y2_cond = np.full((1, n1, n2), 1.0 / n2)
-    for w in range(n1):
-        y1_id[0, w, w] = 1.0
-        if q1[w] > 0:
-            y2_cond[0, w] = qt[w] / q1[w]
-    build("w-from-y1", pwy1, y2_cond, y1_id)
+    build("w-from-y1", q1.reshape(1, 1, n1), cond(qt, q1), e1[None])
     # W = Y2, node 1 draws Y1 from the conditional
-    pwy2 = np.zeros((1, 1, n2))
-    pwy2[0, 0, :] = q2
-    y2_id = np.zeros((1, n2, n2))
-    y1_cond = np.full((1, n2, n1), 1.0 / n1)
-    for w in range(n2):
-        y2_id[0, w, w] = 1.0
-        if q2[w] > 0:
-            y1_cond[0, w] = qt[:, w] / q2[w]
-    build("w-from-y2", pwy2, y2_id, y1_cond)
+    build("w-from-y2", q2.reshape(1, 1, n2), e2[None], cond(qt.T, q2))
     # U = Y2 and V = Y1 with constant W
-    puv = qt.T.reshape(n2, n1, 1)  # p(u=y2, v=y1)
-    y2_u = np.zeros((n2, 1, n2))
-    y1_v = np.zeros((n1, 1, n1))
-    for u in range(n2):
-        y2_u[u, 0, u] = 1.0
-    for v in range(n1):
-        y1_v[v, 0, v] = 1.0
-    build("uv-copy", puv, y2_u, y1_v)
+    build("uv-copy", qt.T.reshape(n2, n1, 1), e2[:, None], e1[:, None])
     return out
 
 
@@ -380,8 +355,7 @@ def inner_membership(q: JointPmf, r: RateTuple, caps: tuple[int, int, int] = (4,
             c = _pad_inner((c.p_uvw.table, c.chan_y2.table, c.chan_y1.table), caps)
         if c is not None:
             starts.append(_coupling_to_blocks(c))
-    for c in canonical_couplings(q, caps).values():
-        starts.append(_coupling_to_blocks(c))
+    starts += [_coupling_to_blocks(c) for c in canonical_couplings(q, caps).values()]
     nu, nv, nw = caps
     while len(starts) < cfg.restarts + len(extra_seeds):
         starts.append([dirichlet_rows(rng, 1, nu * nv * nw),
@@ -449,22 +423,20 @@ def _canonical_outer_channels(q: JointPmf, caps) -> list[np.ndarray]:
     n1, n2 = q.sizes
     cu, cv = caps
     m = n1 * n2
+    cell = np.arange(m)
+    y1, y2 = np.divmod(cell, n2)
     rows = []
 
-    def det(u_of, v_of):
-        t = np.zeros((m, cu * cv))
-        for cell in range(m):
-            y1, y2 = cell // n2, cell % n2
-            t[cell, u_of(y1, y2) * cv + v_of(y1, y2)] = 1.0
-        return t
+    def det(u, v):  # one-hot rows at (u, v) per cell
+        return np.eye(cu * cv)[u * cv + v]
 
     if cu >= m and cv >= m:
-        rows.append(det(lambda y1, y2: y1 * n2 + y2, lambda y1, y2: y1 * n2 + y2))
+        rows.append(det(cell, cell))
     if cu >= n2 and cv >= n1:
-        rows.append(det(lambda y1, y2: y2, lambda y1, y2: y1))
+        rows.append(det(y2, y1))
     if cu >= n1 and cv >= n2:
-        rows.append(det(lambda y1, y2: y1, lambda y1, y2: y2))
-    rows.append(det(lambda y1, y2: 0, lambda y1, y2: 0))
+        rows.append(det(y1, y2))
+    rows.append(det(0 * cell, 0 * cell))
     return rows
 
 
@@ -527,8 +499,7 @@ def outer_membership(q: JointPmf, r: RateTuple, config: SearchConfig | None = No
         t = np.zeros((n1 * n2, cu, cv))
         t[:, :su, :sv] = c.chan_uv.table.reshape(n1 * n2, su, sv)
         starts.append([t.reshape(n1 * n2, cu * cv)])
-    for t in _canonical_outer_channels(q, caps):
-        starts.append([t])
+    starts += [[t] for t in _canonical_outer_channels(q, caps)]
     while len(starts) < cfg.restarts + len(extra_seeds):
         starts.append([dirichlet_rows(rng, n1 * n2, cu * cv)])
 
@@ -577,10 +548,7 @@ def frontier(q: JointPmf, fixed: dict[str, float], axes: tuple[str, str],
     points = []
     for i, a in enumerate(v1):
         for jdx, b in enumerate(v2):
-            kw = dict(fixed)
-            kw[ax1] = float(a)
-            kw[ax2] = float(b)
-            r = RateTuple(**kw)
+            r = RateTuple(**dict(fixed, **{ax1: float(a), ax2: float(b)}))
             seeds_i = [inner_wit[k] for k in ((i - 1, jdx), (i, jdx - 1)) if k in inner_wit]
             seeds_o = [outer_wit[k] for k in ((i - 1, jdx), (i, jdx - 1)) if k in outer_wit]
             din = inner_membership(q, r, caps, cfg, extra_seeds=seeds_i)

@@ -11,7 +11,8 @@ import pytest
 
 from coordinet.cli import main
 from coordinet.config import ParseError, ValidationError, parse_config
-from coordinet.sources import builtin_source, load_source
+from coordinet.region import COUPLING_NAMES, canonical_couplings
+from coordinet.sources import builtin_source, dsbs, identical_uniform, load_source, triple_abc
 
 SCHEMA = json.load(open(os.path.join(os.path.dirname(__file__), "..", "docs",
                                      "summary.schema.json")))
@@ -96,6 +97,7 @@ class TestConfigParsing:
     FRONTIER = ("[run]\ncommand = frontier\nsource = dsbs-0.1\n[frontier]\n"
                 "fixed_rates = inf,inf\ngrid_min = 0.1,0.1\ngrid_max = 0.4,0.4\ngrid_steps = 2,2\n")
     RATES = "rf1 = 1\nrb1 = 1\nrf2 = 1\nrb2 = 1\n"
+    OSRB = "[run]\ncommand = osrb\nsource = dsbs-0.1\n[osrb]\nn_list = 2\nrt0 = 0.4\nrt1 = 0.2\nrt2 = 0.2\n"
 
     @pytest.mark.parametrize("text, key", [
         ("[run]\ncommand = info\nsource = dsbs-0.1\nseed = -1\n", "seed"),
@@ -116,15 +118,30 @@ class TestConfigParsing:
          + RATES, "restarts"),
         ("[run]\ncommand = region-inner\nsource = dsbs-0.1\n[region-inner]\ncap_u = 0\n"
          + RATES, "cap_u"),
+        (OSRB + "side = yes\n", "side"),
+        (OSRB + "coupling = w-from-y3\n", "coupling"),
+        ("[run]\ncommand = protocol\nsource = dsbs-0.1\n[protocol]\nn = 2\ncoupling = copy\n"
+         + RATES, "coupling"),
+        ("[run]\ncommand = sweep\nsource = dsbs-0.1\n[sweep]\nn_list = 2\ncoupling = UV-copy\n"
+         + RATES, "coupling"),
+        ("[run]\ncommand = wyner\nsource = dsbs-0.1\n[wyner]\npenalty = -5\n", "penalty"),
+        ("[run]\ncommand = wyner\nsource = dsbs-0.1\n[wyner]\npenalty = nan\n", "penalty"),
+        ("[run]\ncommand = wyner\nsource = dsbs-0.1\n[wyner]\npenalty = inf\n", "penalty"),
     ], ids=["seed", "n", "sweep-n_list", "osrb-n_list", "empty-n_list", "grid_min-length",
             "grid_max-length", "fixed_rates-length", "grid_steps-length", "grid_steps-zero",
-            "axes-repeated", "axes-unknown", "restarts", "cap_u"])
+            "axes-repeated", "axes-unknown", "restarts", "cap_u", "osrb-side", "osrb-coupling",
+            "protocol-coupling", "sweep-coupling", "penalty-negative", "penalty-nan",
+            "penalty-inf"])
     def test_bad_value_is_a_config_error_naming_its_key(self, tmp_path, text, key):
         with pytest.raises(ValidationError) as err:
             parse_config(write_config(tmp_path, text))
         assert f"{key}:" in str(err.value)
         status = main([write_config(tmp_path, text), "--out", str(tmp_path / "out")])
         assert status == 1 and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("q", [dsbs(0.1), triple_abc(), identical_uniform(3)])
+    def test_coupling_choices_are_the_canonical_names(self, q):
+        assert tuple(canonical_couplings(q)) == COUPLING_NAMES
 
     def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[run]\ncommand = info\nsource = dsbs-0.1\n")

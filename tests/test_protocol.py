@@ -7,12 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coordinet import osrb
+from coordinet import osrb, pmf
 from coordinet.osrb import (ProtocolCaps, ProtocolConfig, SequenceSpace, _mix_outputs,
                             bins_from_rate, make_binning, run_protocol, sweep)
 from coordinet.pmf import StateSpaceTooLarge
-from coordinet.region import RateTuple, canonical_couplings
-from coordinet.sources import builtin_coupling, dsbs, identical_uniform, independent_bits
+from coordinet.pmf import ConditionalPmf
+from coordinet.region import InnerCoupling, RateTuple, canonical_couplings
+from coordinet.sources import builtin_coupling, dsbs, identical_uniform, independent_bits, load_source
 
 from oracles import slow_protocol_law
 
@@ -49,6 +50,14 @@ def oracle_joint(cfg):
     chan1 = np.transpose(coup.chan_y1.table, (1, 0, 2)).reshape(nw * nv, -1)
     chan2 = np.transpose(coup.chan_y2.table, (1, 0, 2)).reshape(nw * nu, -1)
     return slow_protocol_law(p_wvu, chan1, chan2, n, codes, num_bins)
+
+
+def coupling(name, q):
+    """A builtin coupling; with a "-padded" suffix, its padding to (2, 2, 2),
+    whose added symbols have uniform output rows, so both channels are dense."""
+    if name.endswith("-padded"):
+        return canonical_couplings(q, caps=(2, 2, 2))[name[:-len("-padded")]]
+    return builtin_coupling(name, q)
 
 
 class TestDegenerateCases:
@@ -184,6 +193,37 @@ class TestMixOutputs:
                 got = _mix_outputs(keys, w, extra, c1, c2, cap, right_first)
                 assert np.abs(got - ref).max() <= 1e-15
 
+    @pytest.mark.parametrize("by_out", [(True, False), (False, True), (True, True)])
+    def test_sides_keyed_by_output_agree_with_direct_sum(self, monkeypatch, by_out):
+        # a side keyed by its output passes its output count; its key digit
+        # is the output, as if its channel were the identity
+        rng = np.random.default_rng(4)
+        groups = 3
+        chans = [ny if out else rng.random((k, ny)) for out, k, ny in zip(by_out, (5, 4), (3, 2))]
+        rows = [np.eye(c) if np.ndim(c) == 0 else c for c in chans]
+        m1, m2 = (len(r) for r in rows)
+        origin = 1 * m2 + 1  # the extra mass lands at key pair (1, 1)
+        keys = rng.integers(0, groups * m1 * m2, size=60)
+        w = rng.random(60)
+        extra = np.array([0.5, 0.0, 0.25])
+        w *= 0.25 / w.sum()
+        ref = np.zeros((groups, 3, 2))
+        for key, wi in zip(keys, w):
+            g, e = divmod(int(key), m1 * m2)
+            ref[g] += wi * np.outer(rows[0][e // m2], rows[1][e % m2])
+        ref += extra[:, None, None] * np.outer(rows[0][origin // m2], rows[1][origin % m2])
+        grouped = []
+        union1d = np.union1d  # called on the grouped path only
+        monkeypatch.setattr(np, "union1d", lambda *a: grouped.append(1) or union1d(*a))
+        # a cap of one entry forces the grouped path unless both sides are
+        # keyed by output, where the dense array is the result itself
+        for cap in (1, 10 ** 6):
+            for right_first in (True, False):
+                grouped.clear()
+                got = _mix_outputs(keys, w, extra, *chans, cap, right_first, origin)
+                assert np.abs(got - ref).max() <= 1e-15
+                assert bool(grouped) == (cap == 1 and not all(by_out))
+
 
 class TestAgainstSlowOracle:
     def test_exact_match_small_case(self):
@@ -221,6 +261,64 @@ class TestAgainstSlowOracle:
         ref = oracle_joint(cfg)
         got = law.joint_with_g.table.reshape(ref.shape)
         assert np.abs(got - ref).max() <= 1e-12
+
+    # (coupling, source, forms of the (y1, y2) channels: 1 an index map, 2 a matrix)
+    @pytest.mark.parametrize("name, source, forms", [
+        ("uv-copy", "dsbs-0.1", (1, 1)),
+        ("w-from-y1", "identical-uniform-2", (1, 1)),
+        ("w-from-y1", "dsbs-0.1", (1, 2)),
+        ("w-from-y2", "dsbs-0.1", (2, 1)),
+        ("copy-w", "dsbs-0.1", (1, 1)),   # W = (Y1, Y2): several decoded inputs share an output
+        ("const", "dsbs-0.1", (2, 2)),
+        ("uv-copy-padded", "dsbs-0.1", (2, 2)),
+    ])
+    def test_each_channel_form_matches_oracle(self, name, source, forms):
+        q = load_source(source)
+        for n, seed in ((2, 5), (3, 1)):
+            cfg = ProtocolConfig(q=q, coupling=coupling(name, q), n=n,
+                                 rates=RateTuple(rf1=1.0, rb1=0.5, rf2=0.5, rb2=0.5),
+                                 tilde_rates=(0.5, 0.5, 0.0), seed=seed)
+            assert tuple(c.ndim for c in osrb._ProtocolPlan(cfg).chans) == forms
+            law = run_protocol(cfg)
+            ref = oracle_joint(cfg)
+            assert np.abs(law.joint_with_g.table.reshape(ref.shape) - ref).max() <= 1e-12
+            assert np.abs(law.marginal_direct - ref.sum(axis=0)).max() <= 1e-12
+
+    def test_index_map_only_for_one_hot_rows(self):
+        one_hot = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        assert np.array_equal(osrb._sequence_channel(one_hot, 2), [3, 2, 3, 1, 0, 1, 3, 2, 3])
+        # a zero row (an undefined conditional) or a split row keeps the matrix
+        for rows in ([[0.0, 1.0], [0.0, 0.0]], [[0.5, 0.5], [1.0, 0.0]]):
+            assert np.array_equal(osrb._sequence_channel(np.array(rows), 2),
+                                  osrb.channel_matrix(np.array(rows), 2))
+
+    def test_no_channel_matrix_for_a_one_hot_side(self, monkeypatch):
+        built = []
+        channel_matrix = osrb.channel_matrix
+        monkeypatch.setattr(osrb, "channel_matrix",
+                            lambda t, n: built.append(t.shape) or channel_matrix(t, n))
+        q = dsbs(0.1)
+        for name, dense in (("uv-copy", 0), ("copy-w", 0), ("w-from-y1", 1), ("w-from-y2", 1),
+                            ("const", 2)):
+            built.clear()
+            run_protocol(ProtocolConfig(q=q, coupling=builtin_coupling(name, q), n=3,
+                                        rates=RateTuple(1.0, 0.3, 1.0, 0.3),
+                                        tilde_rates=(0.0, 0.0, 0.0), seed=1))
+            assert len(built) == dense, name
+
+    def test_empty_cells_land_at_the_first_inputs_outputs(self):
+        # uv-copy with every output complemented: the first decoded input
+        # maps to the last output sequence, where the empty cells' mass goes
+        q = dsbs(0.1)
+        c = builtin_coupling("uv-copy", q)
+        flip = [ConditionalPmf(ch.given, ch.target, ch.table[..., ::-1]) for ch in (c.chan_y2, c.chan_y1)]
+        cfg = ProtocolConfig(q=q, coupling=InnerCoupling(c.p_uvw, *flip), n=2,
+                             rates=RateTuple(0.5, 0.5, 0.5, 0.5), tilde_rates=(0.0, 2.0, 0.0), seed=2)
+        assert osrb._ProtocolPlan(cfg).origin == 3 * 4 + 3
+        law = run_protocol(cfg)
+        assert law.nocandidate_mass > 0
+        ref = oracle_joint(cfg)
+        assert np.abs(law.joint_with_g.table.reshape(ref.shape) - ref).max() <= 1e-12
 
     def test_empty_cells_fall_back(self):
         # more shared-index bins than sequences: some cells must be empty
@@ -351,15 +449,21 @@ class TestBatchedSeeds:
               "sw1_success", "sw2_success", "nocandidate_mass", "effective_rates", "num_bins",
               "binning_seeds")
 
+    # grouped: whether the mixing takes the grouped path.  Both channels of
+    # uv-copy, copy-w and w-from-y1 on identical-uniform-2 are index maps,
+    # so their mixing is one bincount whatever with_g is
     @pytest.mark.parametrize("name, q, n, rates, with_g, grouped", [
         ("uv-copy", dsbs(0.1), 3, (0.8, 0.3, (0.0, 0.0, 0.0)), 2 ** 24, False),
         ("uv-copy", dsbs(0.1), 4, (0.8, 0.3, (0.0, 0.5, 0.0)), 2 ** 24, False),
-        ("w-from-y1", identical_uniform(2), 3, (1.2, 0.3, (0.4, 0.2, 0.1)), 2 ** 24, True),
-        ("copy-w", dsbs(0.1), 2, (1.0, 0.5, (0.0, 0.5, 0.0)), 64, True),
+        ("w-from-y1", identical_uniform(2), 3, (1.2, 0.3, (0.4, 0.2, 0.1)), 2 ** 24, False),
+        ("copy-w", dsbs(0.1), 2, (1.0, 0.5, (0.0, 0.5, 0.0)), 64, False),
+        ("w-from-y1", dsbs(0.1), 4, (1.2, 0.3, (0.4, 0.2, 0.1)), 2 ** 24, True),
+        ("w-from-y2", dsbs(0.1), 4, (1.2, 0.3, (0.4, 0.2, 0.1)), 2 ** 24, True),
+        ("uv-copy-padded", dsbs(0.1), 2, (1.0, 0.5, (0.0, 0.5, 0.0)), 64, True),
     ])
     def test_batch_equals_lone_runs(self, monkeypatch, name, q, n, rates, with_g, grouped):
         rf, rb, rt = rates
-        base = ProtocolConfig(q=q, coupling=builtin_coupling(name, q), n=n,
+        base = ProtocolConfig(q=q, coupling=coupling(name, q), n=n,
                               rates=RateTuple(rf1=rf, rb1=rb, rf2=rf, rb2=rb), tilde_rates=rt,
                               seed=0, caps=ProtocolCaps(with_g=with_g))
         grouped_calls = []
@@ -367,8 +471,9 @@ class TestBatchedSeeds:
         monkeypatch.setattr(np, "union1d", lambda *a: grouped_calls.append(1) or union1d(*a))
         seeds = [3, 1, 4, 1, 5, 9, 2, 6]
         plan = osrb._ProtocolPlan(base, shared=True)
-        batch = osrb._run_seeds(plan, seeds)
+        stacked = osrb._run_seeds(plan, seeds)
         assert bool(grouped_calls) == grouped
+        batch = [osrb._law(plan, stacked, s) for s in range(len(seeds))]
         for seed, law in zip(seeds, batch):
             lone = run_protocol(replace(base, seed=seed))
             assert np.array_equal(law.joint_with_g.table, lone.joint_with_g.table)
@@ -405,3 +510,23 @@ class TestBatchedSeeds:
         recs = sweep(base, [3], list(range(6)), master_seed=1)
         assert recs[2]["error"] == f"MemoryError: {info.value}"
         assert recs[:2] + recs[3:] == good[:2] + good[3:]
+
+    def test_failing_check_records_the_lone_error(self, monkeypatch):
+        # with no normalization tolerance, a law whose mass sums to 1 only up
+        # to rounding fails its check: the sweep's stacked checks must flag
+        # the same cells a lone run fails, with the same error
+        monkeypatch.setattr(pmf, "SUM_TOL", 0.0)
+        monkeypatch.setattr(osrb, "SUM_TOL", 0.0)
+        base = common_bit_config(n=2, rf=1.4, rt=(0.3, 0.0, 0.0))
+        recs = sweep(base, [3, 4], list(range(8)), master_seed=1)
+        failed = 0
+        for rec in recs:
+            try:
+                law = run_protocol(replace(base, n=rec["n"], seed=rec["cell_seed"]))
+            except pmf.NotNormalized as exc:
+                failed += 1
+                assert rec["error"] == f"NotNormalized: {exc}"
+            else:
+                assert not rec["error"]
+                assert [rec[k] for k in osrb.LAW_FIELDS] == [getattr(law, k) for k in osrb.LAW_FIELDS]
+        assert 0 < failed < len(recs)
