@@ -109,11 +109,14 @@ def _cmd_frontier(cfg, q, out_dir):
     wit_dir = os.path.join(out_dir, "witnesses")
     os.makedirs(wit_dir, exist_ok=True)
     rows = []
+    n_inside_inner = n_inside_outer = 0
     for i, pt in enumerate(pts):
         wid = ""
         if pt.inner.witness is not None and pt.inner.verdict == "inside":
             wid = f"inner_{i:04d}"
             write_pmf(pt.inner.witness.joint(), os.path.join(wit_dir, wid + ".pmf"))
+        n_inside_inner += pt.inner.verdict == "inside"
+        n_inside_outer += pt.outer.verdict == "inside"
         rows.append({"rf1": pt.rates.rf1, "rb1": pt.rates.rb1,
                      "rf2": pt.rates.rf2, "rb2": pt.rates.rb2,
                      "inner_verdict": pt.inner.verdict,
@@ -124,8 +127,8 @@ def _cmd_frontier(cfg, q, out_dir):
                      "outer_best_slack": pt.outer.best_slack,
                      "witness_id": wid})
     _write_csv(out_dir, list(rows[0]), rows)
-    return {"n_points": len(pts), "inner_inside": sum(pt.inner.verdict == "inside" for pt in pts),
-            "outer_inside": sum(pt.outer.verdict == "inside" for pt in pts)}, 0
+    return {"n_points": len(pts), "inner_inside": int(n_inside_inner),
+            "outer_inside": int(n_inside_outer)}, 0
 
 
 def _cmd_fme(cfg, q, out_dir):
@@ -141,9 +144,10 @@ def _cmd_fme(cfg, q, out_dir):
         joint = coup.joint()
         base = fme.binning_constraint_system(joint)
         direct = fme.theorem_rate_system(joint)
-        for name, system in (("constraints", base), ("direct", direct)):
-            with open(os.path.join(sys_dir, f"coupling_{ci:03d}_{name}.lsys"), "w") as fh:
-                fh.write(system.to_text())
+        with open(os.path.join(sys_dir, f"coupling_{ci:03d}_constraints.lsys"), "w") as fh:
+            fh.write(base.to_text())
+        with open(os.path.join(sys_dir, f"coupling_{ci:03d}_direct.lsys"), "w") as fh:
+            fh.write(direct.to_text())
         reports = fme.projection_matches_rate_system(base, direct, orders=orders)
         ok = all(rep.agree for _, rep in reports)
         agree_count += ok
@@ -165,12 +169,18 @@ def _cmd_protocol(cfg, q, out_dir):
     law = osrb.run_protocol(osrb.ProtocolConfig(q=q, coupling=coup, n=p["n"],
                                                 rates=rates, tilde_rates=tilde,
                                                 seed=cfg.master_seed))
-    row = {"n": p["n"], **{k: getattr(law, k) for k in osrb.LAW_FIELDS}, **law.effective_rates}
+    row = {"n": p["n"], "tv_marginal": law.tv_marginal,
+           "tv_with_uniform_g": law.tv_with_uniform_g, "tv_best_g": law.tv_best_g,
+           "sw1_success": law.sw1_success, "sw2_success": law.sw2_success,
+           "nocandidate_mass": law.nocandidate_mass}
+    row.update(law.effective_rates)
     _write_csv(out_dir, list(row), [row])
     with open(os.path.join(out_dir, "binning_seeds.json"), "w") as fh:
         json.dump(law.binning_seeds, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return dict(row, best_g=list(law.best_g)), 0
+    summary = dict(row)
+    summary["best_g"] = list(law.best_g)
+    return summary, 0
 
 
 def _cmd_sweep(cfg, q, out_dir):
@@ -182,17 +192,20 @@ def _cmd_sweep(cfg, q, out_dir):
                       threads=cfg.threads)
     _write_csv(out_dir, list(osrb.SWEEP_FIELDS), recs)
     failures = sum(1 for r in recs if r.get("error"))
-    summary = {"cells": len(recs), "failed_cells": failures}
+    medians = {}
     for n in p["n_list"]:
         vals = [r["tv_best_g"] for r in recs if r["n"] == n and not r.get("error")]
         if vals:
-            summary[f"median_tv_best_g_n{n}"] = statistics.median(vals)
+            medians[f"median_tv_best_g_n{n}"] = statistics.median(vals)
+    summary = {"cells": len(recs), "failed_cells": failures}
+    summary.update(medians)
     return summary, (2 if failures else 0)
 
 
 def _cmd_osrb(cfg, q, out_dir):
     p = cfg.params
-    joint = builtin_coupling(p["coupling"], q).joint()
+    coup = builtin_coupling(p["coupling"], q)
+    joint = coup.joint()
     if p["side"] == "y":
         per_symbol = joint.marginal(("W", "V", "U", "Y1", "Y2")).reorder(("W", "V", "U", "Y1", "Y2"))
         # with the outputs as side information only the shared indices are binned
@@ -215,9 +228,11 @@ def _cmd_osrb(cfg, q, out_dir):
             tv = osrb.osrb_uniformity(per_symbol, groups, n)
             rows.append({"n": n, "seed": seed, "tv": tv})
     _write_csv(out_dir, ["n", "seed", "tv"], rows)
-    summary = {f"median_tv_n{n}": statistics.median(r["tv"] for r in rows if r["n"] == n)
-               for n in p["n_list"]}
-    return dict(summary, cells=len(rows)), 0
+    summary = {}
+    for n in p["n_list"]:
+        summary[f"median_tv_n{n}"] = statistics.median(r["tv"] for r in rows if r["n"] == n)
+    summary["cells"] = len(rows)
+    return summary, 0
 
 
 def run(cfg: RunConfig) -> int:

@@ -55,9 +55,11 @@ class LinearSystem:
             raise ValueError("inconsistent system dimensions")
         if not np.isfinite(b).all() or not np.isfinite(a).all():
             raise ValueError("coefficients and constants must be finite")
-        for name, arr in (("a", a), ("b", b), ("strict", strict)):
+        for arr in (a, b, strict):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "strict", strict)
 
     @property
     def nrows(self) -> int:
@@ -108,10 +110,14 @@ class LinearSystem:
         variables = tuple(lines[0][len("vars:"):].split())
         rows = []
         for ln in lines[1:]:
-            rel = "<=" if " <= " in ln else "<" if " < " in ln else None
-            if rel is None:
+            if " <= " in ln:
+                lhs, const = ln.split(" <= ")
+                rel = "<="
+            elif " < " in ln:
+                lhs, const = ln.split(" < ")
+                rel = "<"
+            else:
                 raise ValueError(f"row without relation: {ln!r}")
-            lhs, const = ln.split(f" {rel} ")
             coeffs = {}
             if lhs.strip() != "0":
                 for term in lhs.split(" + "):
@@ -190,14 +196,17 @@ def remove_redundant(s: LinearSystem) -> LinearSystem:
     while i < len(kept):
         ridx = kept[i]
         rest = [j for j in kept if j != ridx]
-        if not rest:  # a lone row stays
-            break
+        if not rest:
+            i += 1
+            continue
         res = linprog(-s.a[ridx], A_ub=s.a[rest], b_ub=s.b[rest],
                       bounds=[(None, None)] * len(s.variables), method="highs")
         if res.status == 3:
             log.warning("remove_redundant: unbounded subproblem, keeping row %d", ridx)
-        # an empty remaining system (status 2) or one that implies the row drops it
-        if res.status == 2 or (res.status == 0 and -res.fun <= s.b[ridx] + MEMBER_TOL):
+            i += 1
+        elif res.status == 2:
+            kept.pop(i)  # remaining system already empty; row adds nothing
+        elif res.status == 0 and -res.fun <= s.b[ridx] + MEMBER_TOL:
             kept.pop(i)
         else:
             i += 1
@@ -291,6 +300,8 @@ def binning_constraint_system(j: JointPmf) -> LinearSystem:
     hwv_y = entropy(j, ("W", "V", "Y1", "Y2")) - hy
     hwu_y = entropy(j, ("W", "U", "Y1", "Y2")) - hy
     hwvu_y = entropy(j) - hy
+    hv_w = hwv - hw
+    hu_w = hwu - hw
     rows = [
         # binning uniformity (strict upper bounds)
         ({"Rt0": 1}, "<", hw),
@@ -298,9 +309,9 @@ def binning_constraint_system(j: JointPmf) -> LinearSystem:
         ({"Rt0": 1, "Rt2": 1, "Rb2": 1}, "<", hwu),
         ({"Rt0": 1, "Rt1": 1, "Rt2": 1, "Rb1": 1, "Rb2": 1}, "<", hwvu),
         # decoding (lower bounds, negated into <= form)
-        ({"Rt1": -1, "Rb1": -1, "Rf1": -1}, "<=", hw - hwv),
+        ({"Rt1": -1, "Rb1": -1, "Rf1": -1}, "<=", -hv_w),
         ({"Rt0": -1, "Rt1": -1, "Rb1": -1, "Rf1": -1}, "<=", -hwv),
-        ({"Rt2": -1, "Rb2": -1, "Rf2": -1}, "<=", hw - hwu),
+        ({"Rt2": -1, "Rb2": -1, "Rf2": -1}, "<=", -hu_w),
         ({"Rt0": -1, "Rt2": -1, "Rb2": -1, "Rf2": -1}, "<=", -hwu),
         # shared-index independence from the outputs (strict upper bounds)
         ({"Rt0": 1}, "<", hw_y),

@@ -148,11 +148,15 @@ def _greedy_merge_map(q2: np.ndarray, support: np.ndarray) -> np.ndarray:
     Y1 _|_ Y2 | W exact; each merge strictly lowers I(Y1Y2;W).  Returns the
     final cell -> bin map (good deterministic witnesses for structured
     sources)."""
-    assign = np.arange(len(support))
+    ms = len(support)
+    assign = np.arange(ms)
 
     def stats(a):
-        full = np.zeros((q2.size, a.max() + 1))
-        full[support] = np.eye(a.max() + 1)[a]
+        nb = a.max() + 1
+        rows = np.zeros((ms, nb))
+        rows[np.arange(ms), a] = 1.0
+        full = np.zeros((q2.size, nb))
+        full[support] = rows
         i_val, slack = _wyner_terms(q2, full)
         return float(i_val[0]), float(slack[0])
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pmf import NEG_TOL, SUM_TOL, Alphabet, JointPmf, StateSpaceTooLarge
+from .pmf import Alphabet, JointPmf, StateSpaceTooLarge, mass_check
 from .region import InnerCoupling, RateTuple
 
 DOMAIN_CAP = 2 ** 22    # sequences a binning or a bin-law check may enumerate
@@ -308,7 +308,8 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("block length must be >= 1")
-        for r in (*vars(self.rates).values(), *self.tilde_rates):
+        for r in (self.rates.rf1, self.rates.rb1, self.rates.rf2, self.rates.rb2,
+                  *self.tilde_rates):
             if not math.isfinite(r) or r < 0:
                 raise ValueError("protocol rates must be finite and >= 0")
         object.__setattr__(self, "tilde_rates", tuple(float(t) for t in self.tilde_rates))
@@ -333,8 +334,14 @@ class InducedLaw:
     marginal_direct: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
-        if self.tv_best_g > 2.0 * self.tv_with_uniform_g + 1e-9:
+        if _derandomization_fails(self.tv_best_g, self.tv_with_uniform_g):
             raise RuntimeError("derandomization inequality violated; numerical fault")
+
+
+def _derandomization_fails(tv_best_g, tv_with_uniform_g):
+    """Elementwise: the best g's TV exceeds twice the uniform-g TV beyond
+    rounding, which no exact law allows."""
+    return tv_best_g > 2.0 * tv_with_uniform_g + 1e-9
 
 
 def _decoder_table(prior: np.ndarray, keys: np.ndarray, n_keys: int) -> np.ndarray:
@@ -353,21 +360,20 @@ def _mix_outputs(keys: np.ndarray, weights: np.ndarray, extra: np.ndarray, c1, c
     outer(c1[e1], c2[e2]) over the terms with keys[i] = (g * m1 + e1) * m2
     + e2, then extra[g] times that outer product at key pair ``origin``.
     ``extra`` is (runs, groups per run).  A channel is an (m, ny) matrix,
-    or the count ny of a deterministic side keyed by its output, whose
-    product is skipped.  The weights are scattered into the dense (groups,
-    m1, m2) array M when both sides are keyed by output (M is the result),
-    or when one run's M fits under ``cap`` and C1ᵀ M C2 takes fewer
-    multiply-adds than one outer product per term.  Otherwise each g
-    gathers the channel rows of its keys: one matmul, or with one side
-    keyed by output, a bincount of the other side's rows.  ``right_first``
+    or the count ny of a deterministic side keyed by its output: the
+    identity, whose product is skipped.  The weights are scattered into
+    the dense (groups, m1, m2) array M when both sides are keyed by output
+    (M is the result), or when one run's M fits under ``cap`` and C1ᵀ M C2
+    takes fewer multiply-adds than one outer product per term.  Otherwise
+    each g is one matmul of channel rows gathered by key.  ``right_first``
     associates the products the other way."""
     by_out = [np.ndim(c) == 0 for c in (c1, c2)]
     (m1, ny1), (m2, ny2) = [(c, c) if o else c.shape for c, o in zip((c1, c2), by_out)]
-    r1, r2 = (1 if by_out[0] else ny1), (1 if by_out[1] else ny2)  # entries a term touches per side
     per_run, extra, keys, weights = extra.shape[-1], extra.ravel(), keys.ravel(), weights.ravel()
     groups = len(extra)
-    if all(by_out) or (per_run * m1 * m2 <= cap
-                       and groups * m1 * r1 * (m2 + r2) <= (len(keys) + groups) * r1 * r2):
+    dense_cost = (groups * m1 * m2 * (ny2 if by_out[0] else ny1) if any(by_out)  # the one product
+                  else groups * m1 * ny1 * (m2 + ny2))
+    if all(by_out) or (per_run * m1 * m2 <= cap and dense_cost <= (len(keys) + groups) * ny1 * ny2):
         mix = np.bincount(keys, weights=weights, minlength=groups * m1 * m2).reshape(groups, m1, m2)
         mix[:, origin // m2, origin % m2] += extra
         mix = mix if by_out[0] or right_first else c1.T @ mix
@@ -381,20 +387,14 @@ def _mix_outputs(keys: np.ndarray, weights: np.ndarray, extra: np.ndarray, c1, c
     wsum[np.searchsorted(uniq, firsts), 0] += extra
     g, d = np.divmod(uniq, m1 * m2)
     e1, e2 = np.divmod(d, m2)
+    c1, c2 = (np.eye(c) if o else c for c, o in zip((c1, c2), by_out))
     out = np.zeros((groups, ny1, ny2))
     cuts = np.searchsorted(g, np.arange(groups + 1))
     for i in np.flatnonzero(np.diff(cuts)):
         s = slice(cuts[i], cuts[i + 1])
-        if any(by_out):  # the dense side's rows, binned at the other side's outputs
-            e, rows, (se, sd) = ((e1[s], c2[e2[s]], (ny2, 1)) if by_out[0]
-                                 else (e2[s], c1[e1[s]], (1, ny2)))
-            rows *= wsum[s]
-            out[i] = np.bincount(np.add.outer(e * se, np.arange(rows.shape[1]) * sd).ravel(),
-                                 weights=rows.ravel(), minlength=ny1 * ny2).reshape(ny1, ny2)
-        else:
-            a, b = c1[e1[s]], c2[e2[s]]  # gathered copies, scaled in place
-            (b if right_first else a)[...] *= wsum[s]
-            out[i] = a.T @ b
+        a, b = c1[e1[s]], c2[e2[s]]  # gathered copies, scaled in place
+        (b if right_first else a)[...] *= wsum[s]
+        out[i] = a.T @ b
     return out
 
 
@@ -615,7 +615,7 @@ def _sweep_record(base: ProtocolConfig, n: int, master_seed: int, seed: int) -> 
 def _sweep_chunk(plan: _ProtocolPlan, recs: list[dict]) -> list[dict]:
     """Fill a chunk of one block length's records from one batched run.
     The checks building a law runs are run on the stacked arrays, and a
-    flagged seed builds its law, so it records the error a lone run
+    seed failing one builds its law, so it records the error a lone run
     raises.  When the run fails, each cell is rerun alone."""
     try:
         batch = _run_seeds(plan, [rec["cell_seed"] for rec in recs])
@@ -623,13 +623,11 @@ def _sweep_chunk(plan: _ProtocolPlan, recs: list[dict]) -> list[dict]:
         if len(recs) == 1:
             return [dict(recs[0], error=f"{type(exc).__name__}: {exc}")]
         return [rec for one in recs for rec in _sweep_chunk(plan, [one])]
-    flat = batch["joint"].reshape(len(recs), -1)
-    flagged = (~np.isfinite(flat).all(axis=1) | (flat.min(axis=1) < -NEG_TOL)
-               | (np.abs(np.where(flat < 0, 0.0, flat).sum(axis=1) - 1.0) > SUM_TOL)
-               | (batch["tv_best_g"] > 2.0 * batch["tv_with_uniform_g"] + 1e-9))
+    errors = mass_check(batch["joint"].reshape(len(recs), -1))[2]
+    derand = _derandomization_fails(batch["tv_best_g"], batch["tv_with_uniform_g"])
     for s, rec in enumerate(recs):
         try:
-            if flagged[s]:
+            if errors[s] or derand[s]:
                 _law(plan, batch, s)
             rec.update(plan.eff, **{k: float(batch[k][s]) for k in LAW_FIELDS})
         except Exception as exc:  # per-cell failure, sweep continues

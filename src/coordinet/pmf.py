@@ -84,6 +84,19 @@ def _as_alphabets(alphabets: Iterable) -> tuple[Alphabet, ...]:
     return tuple(out)
 
 
+def mass_check(t: np.ndarray):
+    """The checks of a pmf table, run on each row of ``t`` (one table per
+    row): the rows with negatives within NEG_TOL zeroed, their sums, and
+    per row the error building a JointPmf of it raises, or None."""
+    finite, low = np.isfinite(t).all(axis=-1), t.min(axis=-1)
+    t = np.where(t < 0, 0.0, t)
+    s = t.sum(axis=-1)
+    return t, s, [NonFiniteMass("probabilities must be finite") if not f
+                  else NegativeMass(f"negative probability {m}") if m < -NEG_TOL
+                  else NotNormalized(f"probabilities sum to {x}") if abs(x - 1.0) > SUM_TOL
+                  else None for f, m, x in zip(finite, low.tolist(), s.tolist())]
+
+
 @dataclass(frozen=True)
 class JointPmf:
     """Dense joint pmf; ``table`` has one axis per alphabet, in order."""
@@ -98,16 +111,10 @@ class JointPmf:
         t = np.asarray(self.table, dtype=float)
         if t.size != int(np.prod(sizes)):
             raise ValueError(f"table has {t.size} entries, alphabets require {int(np.prod(sizes))}")
-        t = t.reshape(sizes)
-        if not np.isfinite(t).all():
-            raise NonFiniteMass("probabilities must be finite")
-        if t.min(initial=0.0) < -NEG_TOL:
-            raise NegativeMass(f"negative probability {t.min()}")
-        t = np.where(t < 0, 0.0, t)
-        s = float(t.sum())
-        if abs(s - 1.0) > SUM_TOL:
-            raise NotNormalized(f"probabilities sum to {s}")
-        t = t / s
+        t, s, errors = mass_check(t.reshape(1, -1))
+        if errors[0]:
+            raise errors[0]
+        t = (t[0] / s[0]).reshape(sizes)
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
 
@@ -271,8 +278,11 @@ class ConditionalPmf:
             raise NegativeMass(f"negative conditional probability {t.min()}")
         t = np.where(t < 0, 0.0, t)
         sums = t.sum(axis=tuple(range(len(gs), t.ndim)))
-        defined = (np.ones(gs, dtype=bool) if self.defined is None
-                   else np.asarray(self.defined, dtype=bool).reshape(gs))
+        defined = self.defined
+        if defined is None:
+            defined = np.ones(gs, dtype=bool)
+        else:
+            defined = np.asarray(defined, dtype=bool).reshape(gs)
         bad = defined & (np.abs(sums - 1.0) > SUM_TOL)
         if bad.any():
             raise NotNormalized(f"{int(bad.sum())} conditional row(s) do not sum to 1")
@@ -304,7 +314,9 @@ class ConditionalPmf:
             raise ValueError("mapping out of target range")
         t = np.zeros((gn, tn))
         t[np.arange(gn), mapping] = 1.0
-        return ConditionalPmf(given, target, t)
+        gs = tuple(a.size for a in given)
+        ts = tuple(a.size for a in target)
+        return ConditionalPmf(given, target, t.reshape(gs + ts))
 
 
 def make_joint(alphabets, table) -> JointPmf:

@@ -203,7 +203,8 @@ def canonical_couplings(q: JointPmf,
     sizes when ``caps`` is None."""
     n1, n2 = q.sizes
     qt = q.table
-    q1, q2 = qt.sum(axis=1), qt.sum(axis=0)
+    q1 = qt.sum(axis=1)
+    q2 = qt.sum(axis=0)
     e1, e2 = np.eye(n1), np.eye(n2)
     out: dict[str, InnerCoupling] = {}
 
@@ -217,7 +218,8 @@ def canonical_couplings(q: JointPmf,
                         1.0 / t.shape[1])[None]
 
     # constants + independent product channels (exact iff q is a product)
-    build("const", np.ones((1, 1, 1)), q2.reshape(1, 1, n2), q1.reshape(1, 1, n1))
+    build("const", np.ones((1, 1, 1)),
+          q2.reshape(1, 1, n2), q1.reshape(1, 1, n1))
     # W carries the full pair (y1, y2)
     build("copy-w", qt.reshape(1, 1, -1), np.tile(e2, (n1, 1))[None], np.repeat(e1, n2, axis=0)[None])
     # W = Y1, node 2 draws Y2 from the conditional
@@ -355,7 +357,8 @@ def inner_membership(q: JointPmf, r: RateTuple, caps: tuple[int, int, int] = (4,
             c = _pad_inner((c.p_uvw.table, c.chan_y2.table, c.chan_y1.table), caps)
         if c is not None:
             starts.append(_coupling_to_blocks(c))
-    starts += [_coupling_to_blocks(c) for c in canonical_couplings(q, caps).values()]
+    for c in canonical_couplings(q, caps).values():
+        starts.append(_coupling_to_blocks(c))
     nu, nv, nw = caps
     while len(starts) < cfg.restarts + len(extra_seeds):
         starts.append([dirichlet_rows(rng, 1, nu * nv * nw),
@@ -423,20 +426,22 @@ def _canonical_outer_channels(q: JointPmf, caps) -> list[np.ndarray]:
     n1, n2 = q.sizes
     cu, cv = caps
     m = n1 * n2
-    cell = np.arange(m)
-    y1, y2 = np.divmod(cell, n2)
     rows = []
 
-    def det(u, v):  # one-hot rows at (u, v) per cell
-        return np.eye(cu * cv)[u * cv + v]
+    def det(u_of, v_of):
+        t = np.zeros((m, cu * cv))
+        for cell in range(m):
+            y1, y2 = cell // n2, cell % n2
+            t[cell, u_of(y1, y2) * cv + v_of(y1, y2)] = 1.0
+        return t
 
     if cu >= m and cv >= m:
-        rows.append(det(cell, cell))
+        rows.append(det(lambda y1, y2: y1 * n2 + y2, lambda y1, y2: y1 * n2 + y2))
     if cu >= n2 and cv >= n1:
-        rows.append(det(y2, y1))
+        rows.append(det(lambda y1, y2: y2, lambda y1, y2: y1))
     if cu >= n1 and cv >= n2:
-        rows.append(det(y1, y2))
-    rows.append(det(0 * cell, 0 * cell))
+        rows.append(det(lambda y1, y2: y1, lambda y1, y2: y2))
+    rows.append(det(lambda y1, y2: 0, lambda y1, y2: 0))
     return rows
 
 
@@ -499,7 +504,8 @@ def outer_membership(q: JointPmf, r: RateTuple, config: SearchConfig | None = No
         t = np.zeros((n1 * n2, cu, cv))
         t[:, :su, :sv] = c.chan_uv.table.reshape(n1 * n2, su, sv)
         starts.append([t.reshape(n1 * n2, cu * cv)])
-    starts += [[t] for t in _canonical_outer_channels(q, caps)]
+    for t in _canonical_outer_channels(q, caps):
+        starts.append([t])
     while len(starts) < cfg.restarts + len(extra_seeds):
         starts.append([dirichlet_rows(rng, n1 * n2, cu * cv)])
 
@@ -548,7 +554,10 @@ def frontier(q: JointPmf, fixed: dict[str, float], axes: tuple[str, str],
     points = []
     for i, a in enumerate(v1):
         for jdx, b in enumerate(v2):
-            r = RateTuple(**dict(fixed, **{ax1: float(a), ax2: float(b)}))
+            kw = dict(fixed)
+            kw[ax1] = float(a)
+            kw[ax2] = float(b)
+            r = RateTuple(**kw)
             seeds_i = [inner_wit[k] for k in ((i - 1, jdx), (i, jdx - 1)) if k in inner_wit]
             seeds_o = [outer_wit[k] for k in ((i - 1, jdx), (i, jdx - 1)) if k in outer_wit]
             din = inner_membership(q, r, caps, cfg, extra_seeds=seeds_i)

@@ -516,7 +516,6 @@ class TestBatchedSeeds:
         # to rounding fails its check: the sweep's stacked checks must flag
         # the same cells a lone run fails, with the same error
         monkeypatch.setattr(pmf, "SUM_TOL", 0.0)
-        monkeypatch.setattr(osrb, "SUM_TOL", 0.0)
         base = common_bit_config(n=2, rf=1.4, rt=(0.3, 0.0, 0.0))
         recs = sweep(base, [3, 4], list(range(8)), master_seed=1)
         failed = 0
@@ -529,4 +528,21 @@ class TestBatchedSeeds:
             else:
                 assert not rec["error"]
                 assert [rec[k] for k in osrb.LAW_FIELDS] == [getattr(law, k) for k in osrb.LAW_FIELDS]
+        assert 0 < failed < len(recs)
+
+    def test_failing_derandomization_records_the_lone_error(self, monkeypatch):
+        # a stricter derandomization test fails some cells: the sweep must
+        # fail the cells a lone run fails, with the same error
+        monkeypatch.setattr(osrb, "_derandomization_fails", lambda best, uniform: best > 0.9 * uniform)
+        base = common_bit_config(n=2, rf=1.4, rt=(0.3, 0.0, 0.0))
+        recs = sweep(base, [3, 4], list(range(8)), master_seed=1)
+        failed = 0
+        for rec in recs:
+            try:
+                run_protocol(replace(base, n=rec["n"], seed=rec["cell_seed"]))
+            except RuntimeError as exc:
+                failed += 1
+                assert rec["error"] == f"RuntimeError: {exc}"
+            else:
+                assert not rec["error"]
         assert 0 < failed < len(recs)
