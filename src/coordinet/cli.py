@@ -218,8 +218,7 @@ def _cmd_osrb(cfg, q, out_dir):
     rows = []
     for n in p["n_list"]:
         for seed in range(p["seeds"]):
-            cell_seed = int(np.random.SeedSequence([cfg.master_seed, n, seed]).generate_state(1)[0])
-            subseeds = np.random.SeedSequence(cell_seed).generate_state(3)
+            subseeds = np.random.SeedSequence(osrb.cell_seed(cfg.master_seed, n, seed)).generate_state(3)
             groups = []
             for gi, (gv, rate) in enumerate(zip(groups_vars, group_rates)):
                 nb, _ = osrb.bins_from_rate(n, rate)
@@ -267,8 +266,10 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.out:
             cfg.out_dir = args.out
-        if args.threads:
-            cfg.threads = max(1, args.threads)
+        if args.threads is not None:
+            if args.threads < 1:
+                raise ValidationError([f"--threads: must be >= 1, got {args.threads}"])
+            cfg.threads = args.threads
         if args.seed is not None:
             if args.seed < 0:
                 raise ValidationError([f"--seed: must be >= 0, got {args.seed}"])

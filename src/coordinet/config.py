@@ -180,9 +180,9 @@ def parse_config(path: str) -> RunConfig:
     threads = 1
     if "threads" in run:
         try:
-            threads = max(1, int(run["threads"]))
-        except ValueError:
-            problems.append(f"[run] threads must be an integer, got {run['threads']!r}")
+            threads = _at_least(1)(run["threads"])
+        except ValueError as exc:
+            problems.append(f"[run] threads: {exc}")
 
     schema = COMMAND_PARAMS[command]
     raw = dict(cp.items(command)) if cp.has_section(command) else {}

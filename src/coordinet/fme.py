@@ -15,9 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .information import entropy
+# entropy stays bound here: perfbench/tracer.py wraps it at every module that binds it
+from .information import entropy, subset_entropies  # noqa: F401
 from .pmf import JointPmf
-from .region import inner_rhs_from_joint
+from .region import INNER_AXES, INNER_SUBSETS, _batch, inner_rhs_from_joint
 
 log = logging.getLogger(__name__)
 
@@ -291,15 +292,8 @@ def binning_constraint_system(j: JointPmf) -> LinearSystem:
     """The three strict/SW constraint families over the seven rate
     variables, instantiated with the coupling's entropies, plus
     nonnegativity rows."""
-    hw = entropy(j, ("W",))
-    hwv = entropy(j, ("W", "V"))
-    hwu = entropy(j, ("W", "U"))
-    hwvu = entropy(j, ("W", "V", "U"))
-    hy = entropy(j, ("Y1", "Y2"))
-    hw_y = entropy(j, ("W", "Y1", "Y2")) - hy
-    hwv_y = entropy(j, ("W", "V", "Y1", "Y2")) - hy
-    hwu_y = entropy(j, ("W", "U", "Y1", "Y2")) - hy
-    hwvu_y = entropy(j) - hy
+    hw, hy, hwy, hwu, hwv, hwvu, hall, hwvy, hwuy = subset_entropies(_batch(j, INNER_AXES),
+                                                                      INNER_SUBSETS)[0]
     hv_w = hwv - hw
     hu_w = hwu - hw
     rows = [
@@ -314,10 +308,10 @@ def binning_constraint_system(j: JointPmf) -> LinearSystem:
         ({"Rt2": -1, "Rb2": -1, "Rf2": -1}, "<=", -hu_w),
         ({"Rt0": -1, "Rt2": -1, "Rb2": -1, "Rf2": -1}, "<=", -hwu),
         # shared-index independence from the outputs (strict upper bounds)
-        ({"Rt0": 1}, "<", hw_y),
-        ({"Rt0": 1, "Rt1": 1}, "<", hwv_y),
-        ({"Rt0": 1, "Rt2": 1}, "<", hwu_y),
-        ({"Rt0": 1, "Rt1": 1, "Rt2": 1}, "<", hwvu_y),
+        ({"Rt0": 1}, "<", hwy - hy),
+        ({"Rt0": 1, "Rt1": 1}, "<", hwvy - hy),
+        ({"Rt0": 1, "Rt2": 1}, "<", hwuy - hy),
+        ({"Rt0": 1, "Rt1": 1, "Rt2": 1}, "<", hall - hy),
     ]
     rows += [({v: -1}, "<=", 0.0) for v in RATE_VARS]
     return LinearSystem.from_rows(RATE_VARS, rows)

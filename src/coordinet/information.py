@@ -82,11 +82,10 @@ def subset_entropies(table: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.
 
 def entropy(p: JointPmf, vars: Sequence[str] | None = None) -> float:
     """Shannon entropy of the marginal on ``vars`` (all variables if None)."""
-    if vars is not None:
-        if not vars:
-            raise UnknownVariable("entropy needs a nonempty variable set")
-        p = p.marginal(vars)
-    return max(0.0, float(subset_entropies(p.table[None], (range(p.table.ndim),))[0, 0]))
+    if vars is not None and not vars:
+        raise UnknownVariable("entropy needs a nonempty variable set")
+    axes = range(p.table.ndim) if vars is None else p.axes(vars)
+    return max(0.0, float(subset_entropies(p.table[None], (axes,))[0, 0]))
 
 
 def conditional_entropy(p: JointPmf, left: Sequence[str], given: Sequence[str] = ()) -> float:

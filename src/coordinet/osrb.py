@@ -166,6 +166,9 @@ def bins_from_rate(n: int, rate: float) -> tuple[int, float]:
     log2(num_bins)/n actually realized after rounding."""
     if not math.isfinite(rate) or rate < 0:
         raise ValueError(f"rate must be finite and >= 0, got {rate}")
+    if n * rate >= 63:
+        raise ValueError(f"rate {rate} at n={n} asks for 2^{n * rate:g} bins, "
+                         "more than an int64 bin index holds")
     num = max(1, round(2.0 ** (n * rate)))
     return num, math.log2(num) / n
 
@@ -285,10 +288,11 @@ def sw_success_prob(p: JointPmf, groups: Sequence[tuple[Sequence[str], BinningCo
 class ProtocolCaps:
     """Entry-count caps checked before run_protocol allocates: ``wvu`` for
     the (w,v,u) sequence space, ``y_pairs`` for the (y1,y2) output space,
-    ``with_g`` for the joint with shared indices and for the dense
-    channel-mixing array over (shared indices, key pairs), where a
-    deterministic side's key is its output sequence and a dense side's its
-    decoded input; above it the mixing groups the live relay tuples."""
+    ``with_g`` for the joint with shared indices, for each node's decoder
+    key space and for the dense channel-mixing array over (shared indices,
+    key pairs), where a deterministic side's key is its output sequence
+    and a dense side's its decoded input; above it the mixing groups the
+    live relay tuples."""
 
     wvu: int = 2 ** 22
     y_pairs: int = 2 ** 20
@@ -432,6 +436,11 @@ class _ProtocolPlan:
         self.gtot = self.bins["g0"] * self.bins["g1"] * self.bins["g2"]
         if self.gtot * self.k_y > cfg.caps.with_g:
             raise StateSpaceTooLarge(f"joint with shared indices needs {self.gtot * self.k_y} entries")
+        # each seed's two decoder tables hold one entry per bin key
+        self.n_keys = tuple(self.bins["g0"] * self.bins[f"g{i}"] * self.bins[f"b{i}"] * self.bins[f"f{i}"]
+                            for i in (1, 2))
+        if max(self.n_keys) > cfg.caps.with_g:
+            raise StateSpaceTooLarge(f"decoder key spaces {self.n_keys} exceed cap {cfg.caps.with_g}")
         self.q, self.n, self.caps, self.sizes = cfg.q, n, cfg.caps, (nw, nv, nu)
         self.domains = (SequenceSpace(("W",), (nw,), n), SequenceSpace(("W", "V"), (nw, nv), n),
                         SequenceSpace(("W", "U"), (nw, nu), n))
@@ -451,7 +460,7 @@ class _ProtocolPlan:
         self.origin = int(self.keyed(0, 0))  # where an empty cell's mass is keyed
         # seeds per batched run: each chunk array stays a 256th of with_g,
         # so large n runs one seed at a time and keeps pool threads busy
-        per_seed = self.gtot * max(self.k_y, self.m[0] * self.m[1])
+        per_seed = max(self.gtot * max(self.k_y, self.m[0] * self.m[1]), *self.n_keys)
         self.chunk = max(1, (cfg.caps.with_g >> 8) // per_seed)
         self._relay = self._relay_tuples() if shared else None
         self._qn = None
@@ -518,8 +527,8 @@ def _run_seeds(plan: _ProtocolPlan, seeds: Sequence[int]) -> dict:
                 * bins["b1"] + code["b1"]) * bins["f1"] + code["f1"]
     key2_all = ((code["g0"][:, plan.wu_w] * bins["g2"] + code["g2"])
                 * bins["b2"] + code["b2"]) * bins["f2"] + code["f2"]
-    dec1 = _decoder_table(plan.prior_wv, key1_all, S * bins["g0"] * bins["g1"] * bins["b1"] * bins["f1"])
-    dec2 = _decoder_table(plan.prior_wu, key2_all, S * bins["g0"] * bins["g2"] * bins["b2"] * bins["f2"])
+    dec1 = _decoder_table(plan.prior_wv, key1_all, S * plan.n_keys[0])
+    dec2 = _decoder_table(plan.prior_wu, key2_all, S * plan.n_keys[1])
 
     # relay conditional normalizers per (g0, g1, g2, b1, b2) cell
     n_cells = gtot * bins["b1"] * bins["b2"]
@@ -606,9 +615,13 @@ SWEEP_FIELDS = ("n", "seed", "cell_seed", "rb1", "rb2", "rf1", "rf2", "rt0", "rt
                 *LAW_FIELDS, "error")
 
 
+def cell_seed(master_seed: int, n: int, seed: int) -> int:
+    """The seed of sweep cell (n, seed), which its binnings derive from."""
+    return int(np.random.SeedSequence([master_seed, n, int(seed)]).generate_state(1)[0])
+
+
 def _sweep_record(base: ProtocolConfig, n: int, master_seed: int, seed: int) -> dict:
-    cell_seed = int(np.random.SeedSequence([master_seed, n, int(seed)]).generate_state(1)[0])
-    return {"n": n, "seed": int(seed), "cell_seed": cell_seed, **vars(base.rates),
+    return {"n": n, "seed": int(seed), "cell_seed": cell_seed(master_seed, n, seed), **vars(base.rates),
             **dict(zip(("rt0", "rt1", "rt2"), base.tilde_rates)), "error": ""}
 
 

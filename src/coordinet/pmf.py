@@ -358,11 +358,17 @@ def loads_pmf(text: str) -> JointPmf:
     if len(lines) - 1 != total:
         raise PmfError(f"expected {total} rows, found {len(lines) - 1}")
     table = np.zeros(sizes)
+    seen = set()
     for ln in lines[1:]:
         toks = ln.split()
         if len(toks) != len(sizes) + 1:
             raise PmfError(f"bad row {ln!r}")
         idx = tuple(int(t) for t in toks[:-1])
+        if not all(0 <= i < k for i, k in zip(idx, sizes)):
+            raise PmfError(f"row {ln!r}: index out of range for sizes {sizes}")
+        if idx in seen:
+            raise PmfError(f"row {ln!r}: cell {idx} listed twice")
+        seen.add(idx)
         table[idx] = float(toks[-1])
     return JointPmf(alphas, table)
 

@@ -20,7 +20,15 @@ from .information import mutual_information, subset_entropies
 from .optimize import _descend, coordinate_descent, dirichlet_rows  # noqa: F401
 from .pmf import Alphabet, ConditionalPmf, JointPmf
 
-INNER_BOUND_NAMES = ("total", "link1", "link2", "forward")
+# The joint entropies the bounds are linear forms of, as axis subsets of
+# an inner joint over INNER_AXES and an outer one over OUTER_AXES.  The
+# binning system's constants (fme) are forms of the nine inner ones.
+INNER_AXES = ("U", "V", "W", "Y1", "Y2")
+OUTER_AXES = ("Y1", "Y2", "U", "V")
+INNER_SUBSETS = tuple(tuple(map(INNER_AXES.index, s.split())) for s in (
+    "W", "Y1 Y2", "W Y1 Y2", "U W", "V W", "U V W", "U V W Y1 Y2", "V W Y1 Y2", "U W Y1 Y2"))
+OUTER_SUBSETS = tuple(tuple(map(OUTER_AXES.index, s.split())) for s in (
+    "Y1 Y2", "U", "V", "Y1 Y2 U", "Y1 Y2 V", "Y1", "Y2", "Y1 U", "Y2 U", "Y1 V", "Y2 V"))
 
 # Stand-in for infinite rates inside smooth objectives; comparisons and
 # reported slacks use true math.inf.
@@ -79,7 +87,7 @@ class InnerCoupling:
     def joint(self) -> JointPmf:
         """Induced joint over (U, V, W, Y1, Y2)."""
         j = self.p_uvw.attach(self.chan_y2).attach(self.chan_y1)
-        return j.reorder(("U", "V", "W", "Y1", "Y2"))
+        return j.reorder(INNER_AXES)
 
     def marginal_y(self) -> JointPmf:
         return self.joint().marginal(("Y1", "Y2"))
@@ -109,9 +117,8 @@ class OuterCoupling:
         return self.q.attach(self.chan_uv)
 
     def markov_slacks(self) -> tuple[float, float]:
-        j = self.joint()
-        return (mutual_information(j, ("Y1",), ("Y2",), given=("U",)),
-                mutual_information(j, ("Y1",), ("Y2",), given=("V",)))
+        """I(Y1;Y2|U) and I(Y1;Y2|V)."""
+        return tuple(map(float, _outer_bounds(_batch(self.joint(), OUTER_AXES))[1][0]))
 
 
 @dataclass
@@ -127,6 +134,11 @@ class RegionDecision:
 class SearchConfig:
     restarts: int = 10
     seed: int = 0
+
+
+def _batch(j: JointPmf, names: Sequence[str]) -> np.ndarray:
+    """The table of ``j``, axes in the order of ``names``, as a batch of one."""
+    return j.table.transpose(j.axes(names))[None]
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +183,7 @@ def _mi_continuity(n1: int, n2: int, delta: float) -> float:
 def inner_rhs_from_joint(j: JointPmf) -> np.ndarray:
     """The four right-hand sides of the inner-bound inequalities, from a
     joint over (U, V, W, Y1, Y2)."""
-    y = ("Y1", "Y2")
-    b_total = (mutual_information(j, y, ("V", "U", "W"))
-               + mutual_information(j, ("U",), ("V",), given=("W",))
-               + mutual_information(j, ("W",), y))
-    b_link1 = mutual_information(j, y, ("V", "W"))
-    b_link2 = mutual_information(j, y, ("U", "W"))
-    b_fwd = (mutual_information(j, ("U",), ("V",), given=("W",))
-             + mutual_information(j, ("W",), y))
-    return np.array([b_total, b_link1, b_link2, b_fwd])
+    return _inner_bounds(_batch(j, INNER_AXES))[0]
 
 
 def inner_rhs(c: InnerCoupling) -> np.ndarray:
@@ -231,13 +235,25 @@ def canonical_couplings(q: JointPmf,
     return out
 
 
+def _inner_bounds(j: np.ndarray) -> np.ndarray:
+    """(B, 4) right-hand sides total, link1, link2, forward of a
+    (B, U, V, W, Y1, Y2) batch of joints; Y stands for (Y1, Y2):
+    I(Y;UVW) + I(U;V|W) + I(W;Y), I(Y;VW), I(Y;UW), I(U;V|W) + I(W;Y)."""
+    hw, hy, hwy, huw, hvw, huvw, hall, hvwy, huwy = subset_entropies(j, INNER_SUBSETS).T
+    i_uv_w = huw + hvw - hw - huvw
+    i_w_y = hw + hy - hwy
+    return np.stack([
+        hy + huvw - hall + i_uv_w + i_w_y,
+        hy + hvw - hvwy,
+        hy + huw - huwy,
+        i_uv_w + i_w_y,
+    ], axis=1)
+
+
 def _inner_objective(qt: np.ndarray, sums: np.ndarray, caps):
     nu, nv, nw = caps
     n1, n2 = qt.shape
     s = np.minimum(sums, _BIG)
-    U, V, W, Y1, Y2 = range(5)
-    subsets = ((W,), (Y1, Y2), (W, Y1, Y2), (U, W), (V, W), (U, V, W),
-               (U, V, W, Y1, Y2), (V, W, Y1, Y2), (U, W, Y1, Y2))
 
     def objective(batch):
         p = batch[0].reshape(-1, nu, nv, nw)
@@ -246,16 +262,7 @@ def _inner_objective(qt: np.ndarray, sums: np.ndarray, caps):
         j = (p[:, :, :, :, None, None]
              * c1[:, None, :, :, :, None]
              * c2[:, :, None, :, None, :])  # (B, U, V, W, Y1, Y2)
-        hw, hy, hwy, huw, hvw, huvw, hall, hvwy, huwy = subset_entropies(j, subsets).T
-        i_uv_w = huw + hvw - hw - huvw
-        i_w_y = hw + hy - hwy
-        b = np.stack([
-            hy + huvw - hall + i_uv_w + i_w_y,
-            hy + hvw - hvwy,
-            hy + huw - huwy,
-            i_uv_w + i_w_y,
-        ], axis=1)
-        min_slack = (s[None, :] - b).min(axis=1)
+        min_slack = (s[None, :] - _inner_bounds(j)).min(axis=1)
         marg = j.sum(axis=(1, 2, 3))  # over U, V, W
         tv = 0.5 * np.abs(marg - qt[None]).sum(axis=(1, 2))
         return -min_slack + PENALTY * np.maximum(0.0, tv - TV_TOL)
@@ -378,13 +385,9 @@ def inner_membership(q: JointPmf, r: RateTuple, caps: tuple[int, int, int] = (4,
 # Outer bound.
 
 def outer_slack(c: OuterCoupling, r: RateTuple) -> float:
-    """min over the three outer-bound inequalities of (rate sum - bound)."""
-    j = c.joint()
-    y = ("Y1", "Y2")
-    b1 = mutual_information(j, y, ("V",))
-    b2 = mutual_information(j, y, ("U",))
-    b3 = max(mutual_information(j, ("U",), ("Y1",)), mutual_information(j, ("V",), ("Y2",)))
-    return min(r.rb1 + r.rf1 - b1, r.rb2 + r.rf2 - b2, r.rf1 + r.rf2 - b3)
+    """min over the three outer-bound inequalities of (rate sum - bound);
+    their rate sums are the last three of ``r.sums``."""
+    return float(np.min(r.sums[1:] - _outer_bounds(_batch(c.joint(), OUTER_AXES))[0][0]))
 
 
 def outer_coupling_from_inner(c: InnerCoupling,
@@ -445,25 +448,28 @@ def _canonical_outer_channels(q: JointPmf, caps) -> list[np.ndarray]:
     return rows
 
 
+def _outer_bounds(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a (B, Y1, Y2, U, V) batch of joints: the (B, 3) outer bounds
+    I(Y1Y2;V), I(Y1Y2;U), max(I(U;Y1), I(V;Y2)) and the (B, 2) Markov
+    slacks I(Y1;Y2|U), I(Y1;Y2|V), clamped at 0."""
+    hy, hu, hv, hyu, hyv, h1, h2, h1u, h2u, h1v, h2v = subset_entropies(j, OUTER_SUBSETS).T
+    bounds = np.stack([hy + hv - hyv, hy + hu - hyu,
+                       np.maximum(h1 + hu - h1u, h2 + hv - h2v)], axis=1)
+    slacks = np.stack([np.maximum(0.0, (h1u - hu) + (h2u - hu) - (hyu - hu)),
+                       np.maximum(0.0, (h1v - hv) + (h2v - hv) - (hyv - hv))], axis=1)
+    return bounds, slacks
+
+
 def _outer_objective(qt: np.ndarray, sums3: np.ndarray, caps):
     n1, n2 = qt.shape
     cu, cv = caps
     s = np.minimum(sums3, _BIG)
-    Y1, Y2, U, V = range(4)
-    subsets = ((Y1, Y2), (U,), (V,), (Y1, Y2, U), (Y1, Y2, V), (Y1,), (Y2,),
-               (Y1, U), (Y2, U), (Y1, V), (Y2, V))
 
     def objective(batch):
         rows = batch[0].reshape(-1, n1, n2, cu, cv)
-        j = qt[None, :, :, None, None] * rows   # (B, Y1, Y2, U, V)
-        hy, hu, hv, hyu, hyv, h1, h2, h1u, h2u, h1v, h2v = subset_entropies(j, subsets).T
-        b1 = hy + hv - hyv
-        b2 = hy + hu - hyu
-        b3 = np.maximum(h1 + hu - h1u, h2 + hv - h2v)
-        mk_u = np.maximum(0.0, (h1u - hu) + (h2u - hu) - (hyu - hu))
-        mk_v = np.maximum(0.0, (h1v - hv) + (h2v - hv) - (hyv - hv))
-        min_slack = np.minimum(np.minimum(s[0] - b1, s[1] - b2), s[2] - b3)
-        pen = (np.maximum(0.0, mk_u - 1e-6) + np.maximum(0.0, mk_v - 1e-6))
+        b, mk = _outer_bounds(qt[None, :, :, None, None] * rows)   # j over (B, Y1, Y2, U, V)
+        min_slack = np.minimum(np.minimum(s[0] - b[:, 0], s[1] - b[:, 1]), s[2] - b[:, 2])
+        pen = (np.maximum(0.0, mk[:, 0] - 1e-6) + np.maximum(0.0, mk[:, 1] - 1e-6))
         return -min_slack + PENALTY * pen
 
     return objective
@@ -492,8 +498,7 @@ def outer_membership(q: JointPmf, r: RateTuple, config: SearchConfig | None = No
     if caps is None:
         caps = (n1 * n2 + 1, n1 * n2 + 1)
     cu, cv = caps
-    sums3 = np.array([r.rb1 + r.rf1, r.rb2 + r.rf2, r.rf1 + r.rf2])
-    objective = _outer_objective(q.table, sums3, caps)
+    objective = _outer_objective(q.table, r.sums[1:], caps)
     rng = np.random.default_rng(cfg.seed)
 
     starts = []

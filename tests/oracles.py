@@ -66,6 +66,50 @@ def cond_mi_direct(table, ax_a, ax_c, ax_b) -> float:
     return val
 
 
+def marginal_entropy_direct(table, axes) -> float:
+    """Entropy of the marginal on ``axes``, its cells summed one by one."""
+    t = np.asarray(table, dtype=float)
+    mass = {}
+    for idx in itertools.product(*(range(k) for k in t.shape)):
+        key = tuple(idx[a] for a in axes)
+        mass[key] = mass.get(key, 0.0) + t[idx]
+    return entropy_direct(mass.values())
+
+
+def inner_rhs_direct(table) -> list:
+    """The four inner-bound right-hand sides of a (U, V, W, Y1, Y2) table,
+    from their definitions: total I(Y;UVW) + I(U;V|W) + I(W;Y), link1
+    I(Y;VW), link2 I(Y;UW), forward I(U;V|W) + I(W;Y), with Y = (Y1, Y2)."""
+    u, v, w, y = (0,), (1,), (2,), (3, 4)
+    i_uv_w = cond_mi_direct(table, u, v, w)
+    i_w_y = cond_mi_direct(table, w, y, ())
+    return [cond_mi_direct(table, y, u + v + w, ()) + i_uv_w + i_w_y,
+            cond_mi_direct(table, y, v + w, ()), cond_mi_direct(table, y, u + w, ()),
+            i_uv_w + i_w_y]
+
+
+def outer_bounds_direct(table):
+    """For a (Y1, Y2, U, V) table: the three outer bounds I(Y1Y2;V),
+    I(Y1Y2;U), max(I(U;Y1), I(V;Y2)) and the Markov slacks I(Y1;Y2|U),
+    I(Y1;Y2|V)."""
+    y1, y2, u, v = (0,), (1,), (2,), (3,)
+    bounds = [cond_mi_direct(table, y1 + y2, v, ()), cond_mi_direct(table, y1 + y2, u, ()),
+              max(cond_mi_direct(table, u, y1, ()), cond_mi_direct(table, v, y2, ()))]
+    return bounds, [cond_mi_direct(table, y1, y2, u), cond_mi_direct(table, y1, y2, v)]
+
+
+def binning_constants_direct(table) -> list:
+    """The twelve constants of the binning constraint system of a
+    (U, V, W, Y1, Y2) table, in row order: uniformity H(W), H(WV), H(WU),
+    H(WVU); decoding -H(V|W), -H(WV), -H(U|W), -H(WU); independence
+    H(W|Y), H(WV|Y), H(WU|Y), H(WVU|Y), with Y = (Y1, Y2)."""
+    def h(*axes):
+        return marginal_entropy_direct(table, axes)
+    hw, hwv, hwu, hy = h(2), h(1, 2), h(0, 2), h(3, 4)
+    return [hw, hwv, hwu, h(0, 1, 2), -(hwv - hw), -hwv, -(hwu - hw), -hwu,
+            h(2, 3, 4) - hy, h(1, 2, 3, 4) - hy, h(0, 2, 3, 4) - hy, h(0, 1, 2, 3, 4) - hy]
+
+
 def set_partitions(length: int, max_blocks: int):
     """Every partition of range(length) into at most max_blocks blocks, as a
     restricted growth string: a[0] = 0 and a[i] <= 1 + max(a[:i])."""

@@ -127,11 +127,13 @@ class TestConfigParsing:
         ("[run]\ncommand = wyner\nsource = dsbs-0.1\n[wyner]\npenalty = -5\n", "penalty"),
         ("[run]\ncommand = wyner\nsource = dsbs-0.1\n[wyner]\npenalty = nan\n", "penalty"),
         ("[run]\ncommand = wyner\nsource = dsbs-0.1\n[wyner]\npenalty = inf\n", "penalty"),
+        ("[run]\ncommand = info\nsource = dsbs-0.1\nthreads = -4\n", "threads"),
+        ("[run]\ncommand = info\nsource = dsbs-0.1\nthreads = 0\n", "threads"),
     ], ids=["seed", "n", "sweep-n_list", "osrb-n_list", "empty-n_list", "grid_min-length",
             "grid_max-length", "fixed_rates-length", "grid_steps-length", "grid_steps-zero",
             "axes-repeated", "axes-unknown", "restarts", "cap_u", "osrb-side", "osrb-coupling",
             "protocol-coupling", "sweep-coupling", "penalty-negative", "penalty-nan",
-            "penalty-inf"])
+            "penalty-inf", "threads-negative", "threads-zero"])
     def test_bad_value_is_a_config_error_naming_its_key(self, tmp_path, text, key):
         with pytest.raises(ValidationError) as err:
             parse_config(write_config(tmp_path, text))
@@ -147,6 +149,13 @@ class TestConfigParsing:
         cfg = write_config(tmp_path, "[run]\ncommand = info\nsource = dsbs-0.1\n")
         assert main([cfg, "--out", str(tmp_path / "out"), "--seed", "-3"]) == 1
         assert "config error: --seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_flag_below_one_is_a_config_error(self, tmp_path, capsys, threads):
+        cfg = write_config(tmp_path, "[run]\ncommand = info\nsource = dsbs-0.1\n")
+        assert main([cfg, "--out", str(tmp_path / "out"), "--threads", threads]) == 1
+        assert "config error: --threads" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

@@ -111,6 +111,12 @@ class TestBinsFromRate:
         with pytest.raises(ValueError):
             bins_from_rate(2, math.inf)
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_rejects_bin_counts_past_int64(self, n):
+        with pytest.raises(ValueError, match=f"rate 300.0 at n={n}"):
+            bins_from_rate(n, 300.0)
+        assert bins_from_rate(n, 62 / n)[0] == 2 ** 62
+
 
 class TestUniformity:
     def test_even_split_is_uniform(self):

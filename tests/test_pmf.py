@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from coordinet.pmf import (Alphabet, AlphabetMismatch, ConditionalPmf, JointPmf,
-                           NegativeMass, NonFiniteMass, NotNormalized, StateSpaceTooLarge,
-                           UnknownVariable, dumps_pmf, loads_pmf, make_joint)
+                           NegativeMass, NonFiniteMass, NotNormalized, PmfError,
+                           StateSpaceTooLarge, UnknownVariable, dumps_pmf, loads_pmf, make_joint)
 
 from oracles import tv_direct
 
@@ -307,6 +307,16 @@ class TestSerialization:
         text = "vars: X:2\n0 0.5\n"
         with pytest.raises(Exception):
             loads_pmf(text)
+
+    @pytest.mark.parametrize("rows, bad", [
+        ("0 0 .25\n0 1 .25\n1 0 .5\n-1 1 0\n", "-1 1 0"),      # would wrap to the last row
+        ("0 0 .25\n0 1 .25\n1 0 .5\n1 0 .5\n", "1 0 .5"),      # leaves cell (1, 1) unset
+        ("0 0 .25\n0 1 .25\n1 0 .5\n1 2 0\n", "1 2 0"),        # past the alphabet
+    ], ids=["negative", "repeated", "too-large"])
+    def test_bad_index_row_names_the_line(self, rows, bad):
+        with pytest.raises(PmfError) as err:
+            loads_pmf("vars: A:2 B:2\n" + rows)
+        assert repr(bad) in str(err.value)
 
 
 class TestMultiVariableCondition:

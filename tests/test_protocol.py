@@ -137,6 +137,19 @@ class TestExactnessInvariants:
         ref = oracle_joint(cfg)
         assert np.abs(law.joint_with_g.table.reshape(ref.shape) - ref).max() <= 1e-12
 
+    def test_caps_bound_decoder_key_spaces(self):
+        # g0 g1 b1 f1 = 16 * 16 bin keys for node 1 against with_g = 64,
+        # while the joint with shared indices needs only k_y = 16 entries
+        q = dsbs(0.1)
+        cfg = ProtocolConfig(q=q, coupling=builtin_coupling("uv-copy", q), n=2,
+                             rates=RateTuple(rf1=2.0, rb1=2.0, rf2=0.5, rb2=0.5),
+                             tilde_rates=(0.0, 0.0, 0.0), seed=0, caps=ProtocolCaps(with_g=64))
+        with pytest.raises(StateSpaceTooLarge, match="decoder key spaces"):
+            run_protocol(cfg)
+        plan = osrb._ProtocolPlan(replace(cfg, caps=ProtocolCaps(with_g=2 ** 16)))
+        assert plan.n_keys == (256, 4)
+        assert plan.chunk * 256 <= 2 ** 16 >> 8    # a chunk's decoder tables fit too
+
     def test_copy_w_n7_under_default_caps(self):
         # |W| = |Y1||Y2| = 4: 4^14 decoded (w, w) sequence pairs against
         # 4^7 live relay tuples, far past with_g for a dense mixing array

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coordinet import region
+from coordinet.fme import binning_constraint_system
 from coordinet.information import mutual_information
 from coordinet.pmf import Alphabet, ConditionalPmf, make_joint
 from coordinet.region import (OuterCoupling, RateTuple, SearchConfig, _coupling_to_blocks,
@@ -15,7 +16,8 @@ from coordinet.region import (OuterCoupling, RateTuple, SearchConfig, _coupling_
                               outer_membership, outer_slack, random_inner_coupling)
 from coordinet.sources import dsbs, identical_uniform, independent_bits
 
-from oracles import coordinate_descent_sequential
+from oracles import (binning_constants_direct, coordinate_descent_sequential, inner_rhs_direct,
+                     outer_bounds_direct, tv_direct)
 
 INF = math.inf
 FAST = SearchConfig(restarts=6, seed=0)
@@ -383,10 +385,11 @@ class TestCertificates:
 
 
 class TestBatchedObjectives:
-    """The search objectives score a batch through subset_entropies; each
-    value must equal the same quantity assembled from the scalar path."""
+    """One evaluator per bound serves the batched search objectives and the
+    scalar checks; each value must equal the plain-loop oracle of its
+    formula."""
 
-    def test_inner_objective_matches_scalar_path(self):
+    def test_inner_objective_matches_oracle(self):
         rng = np.random.default_rng(11)
         caps = (2, 3, 2)
         for _ in range(8):
@@ -397,27 +400,42 @@ class TestBatchedObjectives:
             vals = _inner_objective(q.table, r.sums, caps)(
                 [np.stack([b[k] for b in blocks]) for k in range(3)])
             for c, v in zip(coups, vals):
-                ref = (-float(np.min(inner_check(c, r)))
-                       + region.PENALTY * max(0.0, c.tv_to(q) - region.TV_TOL))
+                j = c.joint().table
+                rhs = inner_rhs_direct(j)
+                assert inner_rhs(c) == pytest.approx(rhs, abs=1e-12)
+                tv = tv_direct(j.sum(axis=(0, 1, 2)), q.table)
+                ref = (-min(s - b for s, b in zip(r.sums, rhs))
+                       + region.PENALTY * max(0.0, tv - region.TV_TOL))
                 assert v == pytest.approx(ref, abs=1e-10)
 
-    def test_outer_objective_matches_scalar_path(self):
+    def test_outer_objective_matches_oracle(self):
         rng = np.random.default_rng(12)
         n1, n2, cu, cv = 2, 3, 3, 2
         for _ in range(8):
             q = make_joint([("Y1", n1), ("Y2", n2)], rng.dirichlet(np.ones(n1 * n2)))
             r = RateTuple(*rng.uniform(0.0, 2.0, size=4))
-            sums3 = np.array([r.rb1 + r.rf1, r.rb2 + r.rf2, r.rf1 + r.rf2])
+            sums3 = [r.rb1 + r.rf1, r.rb2 + r.rf2, r.rf1 + r.rf2]
             tables = rng.dirichlet(np.ones(cu * cv), size=(4, n1 * n2))
             tables[0] = np.eye(cu * cv)[np.arange(n1 * n2) % (cu * cv)]  # deterministic U, V
-            vals = _outer_objective(q.table, sums3, (cu, cv))([tables])
+            vals = _outer_objective(q.table, np.array(sums3), (cu, cv))([tables])
             for t, v in zip(tables, vals):
                 chan = ConditionalPmf((Alphabet("Y1", n1), Alphabet("Y2", n2)),
                                       (Alphabet("U", cu), Alphabet("V", cv)),
                                       t.reshape(n1, n2, cu, cv))
                 c = OuterCoupling(q, chan)
-                pen = sum(max(0.0, m - 1e-6) for m in c.markov_slacks())
-                assert v == pytest.approx(-outer_slack(c, r) + region.PENALTY * pen, abs=1e-10)
+                bounds, slacks = outer_bounds_direct(c.joint().table)
+                slack = min(s - b for s, b in zip(sums3, bounds))
+                assert outer_slack(c, r) == pytest.approx(slack, abs=1e-12)
+                assert c.markov_slacks() == pytest.approx(slacks, abs=1e-12)
+                pen = sum(max(0.0, m - 1e-6) for m in slacks)
+                assert v == pytest.approx(-slack + region.PENALTY * pen, abs=1e-10)
+
+    def test_binning_constants_match_oracle(self):
+        rng = np.random.default_rng(13)
+        for sizes in [(2, 2, 2, 2, 2), (2, 3, 2, 2, 3), (3, 2, 1, 3, 2)]:
+            j = random_inner_coupling(rng, sizes).joint()
+            s = binning_constraint_system(j)
+            assert s.b[:12] == pytest.approx(binning_constants_direct(j.table), abs=1e-12)
 
 
 class TestFrontier:
