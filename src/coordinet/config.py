@@ -7,6 +7,7 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
+from .fme import TILDE_VARS
 from .region import COUPLING_NAMES
 
 
@@ -75,6 +76,14 @@ def _axes(s: str) -> str:
     return ",".join(ax)
 
 
+def _orders(s: str) -> str:
+    """``all``, or one elimination order: a permutation of the binning rates."""
+    order = ",".join(tok.strip() for tok in s.split(","))
+    if s != "all" and sorted(order.split(",")) != sorted(TILDE_VARS):
+        raise ValueError(f"must be 'all' or an order of {','.join(TILDE_VARS)}, got {s!r}")
+    return order
+
+
 # name -> {param: (parser, default)}; default None marks a required key.
 COMMAND_PARAMS = {
     "info": {},
@@ -106,7 +115,7 @@ COMMAND_PARAMS = {
     "fme-verify": {
         "couplings": (_at_least(1), 20),
         "samples": (int, 1000),   # still accepted; the exact check ignores it
-        "orders": (str, "all"),
+        "orders": (_orders, "all"),
     },
     "osrb": {
         "coupling": (_one_of(*COUPLING_NAMES), "w-from-y1"),

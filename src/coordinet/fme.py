@@ -335,7 +335,10 @@ def project_binning_system(s: LinearSystem, order: Sequence[str] = TILDE_VARS) -
     """Eliminate the auxiliary binning rates in ``order`` with syntactic
     cleanup after each step.  ``simplify`` keeps one row per coefficient
     vector, and the binning system's coefficients are the same for every
-    coupling, so no step exceeds 61 rows and none needs LP cleanup."""
+    coupling, so no step exceeds 61 rows and none needs LP cleanup.  Any
+    ``order`` but a permutation of ``TILDE_VARS`` is a ValueError."""
+    if sorted(order) != sorted(TILDE_VARS):
+        raise ValueError(f"order must be a permutation of {TILDE_VARS}, got {tuple(order)}")
     for var in order:
         s = simplify(fme_eliminate(s, var))
     # normalize column order for downstream comparisons

@@ -224,19 +224,20 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
     polished = None   # best witness with slack <= MARKOV_TARGET
     fallback = None   # best witness with slack <= ACCEPT_MARKOV only
 
-    def terms(rows):
-        i_val, slack = _wyner_terms(q2, embed(rows))
-        return float(i_val[0]), float(slack[0])
+    def terms(rows):  # (I(Y1Y2;W), Markov slack) of each row set, in one call
+        i_val, slack = _wyner_terms(q2, embed(np.stack(rows)))
+        return list(zip(i_val.tolist(), slack.tolist()))
 
     kw = dict(max_iters=MAX_ITERS, stall_limit=STALL_LIMIT)
     lam = cfg.penalty
     ends = [d.blocks[0] for d in _descend(objective, [[start] for start in starts], **kw)]
-    found = [terms(rows) for rows in ends]
+    found = terms(ends)
     loose = [i for i, (_, slack) in enumerate(found) if slack > MARKOV_TARGET]
     if loose:
         lam = POLISH_PENALTY
-        for i, d in zip(loose, _descend(objective, [[ends[i]] for i in loose], **kw)):
-            ends[i], found[i] = d.blocks[0], terms(d.blocks[0])
+        tight = [d.blocks[0] for d in _descend(objective, [[ends[i]] for i in loose], **kw)]
+        for i, rows, f in zip(loose, tight, terms(tight)):
+            ends[i], found[i] = rows, f
     for ridx, (rows, (i_val, slack)) in enumerate(zip(ends, found)):
         trace.append((ridx, i_val if slack <= ACCEPT_MARKOV else math.inf))
         entry = (i_val, rows.copy(), slack)
@@ -250,7 +251,7 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
         # a looser witness looks better; give it one aggressive polish pass
         lam = 10.0 * POLISH_PENALTY
         blocks, _, _ = coordinate_descent(objective, [fallback[1]], **kw)
-        i_val, slack = terms(blocks[0])
+        ((i_val, slack),) = terms(blocks)
         if slack <= MARKOV_TARGET and (polished is None or i_val < polished[0]):
             polished = (i_val, blocks[0].copy(), slack)
     best = polished if polished is not None else fallback

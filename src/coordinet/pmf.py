@@ -351,7 +351,11 @@ def loads_pmf(text: str) -> JointPmf:
         if len(parts) < 2:
             raise PmfError(f"bad alphabet token {tok!r}")
         labels = tuple(parts[2].split("|")) if len(parts) > 2 else None
-        alphas.append(Alphabet(parts[0], int(parts[1]), labels))
+        try:  # a non-integer size, a size below 1, a label count off the size, a repeated name
+            alphas.append(Alphabet(parts[0], int(parts[1]), labels))
+            _as_alphabets(alphas)
+        except ValueError as exc:
+            raise PmfError(f"bad alphabet token {tok!r}: {exc}") from None
     alphas = tuple(alphas)
     sizes = tuple(a.size for a in alphas)
     total = int(np.prod(sizes))
@@ -363,13 +367,16 @@ def loads_pmf(text: str) -> JointPmf:
         toks = ln.split()
         if len(toks) != len(sizes) + 1:
             raise PmfError(f"bad row {ln!r}")
-        idx = tuple(int(t) for t in toks[:-1])
+        try:
+            idx, prob = tuple(int(t) for t in toks[:-1]), float(toks[-1])
+        except ValueError:
+            raise PmfError(f"row {ln!r}: indices must be integers and the probability a number") from None
         if not all(0 <= i < k for i, k in zip(idx, sizes)):
             raise PmfError(f"row {ln!r}: index out of range for sizes {sizes}")
         if idx in seen:
             raise PmfError(f"row {ln!r}: cell {idx} listed twice")
         seen.add(idx)
-        table[idx] = float(toks[-1])
+        table[idx] = prob
     return JointPmf(alphas, table)
 
 

@@ -39,6 +39,7 @@ _BIG = 1e6
 # means; callers trade time against the restart count instead.
 TV_TOL = 1e-4           # inner: largest TV from the witness's marginal to q
 MARKOV_TOL = 1e-4       # outer: largest Markov slack of a witness
+MARKOV_FREE = 1e-6      # outer: Markov slack the objective leaves unpenalized
 SLACK_TOL = 1e-6        # smallest minimum slack still read as feasible
 OUTSIDE_MARGIN = 1e-3   # outer: a best slack below -this is "outside-heuristic"
 PENALTY = 100.0         # objective weight on TV (inner) or Markov slack (outer)
@@ -196,6 +197,33 @@ def inner_check(c: InnerCoupling, r: RateTuple) -> np.ndarray:
     return r.sums - inner_rhs(c)
 
 
+def _canonical_tables(q: JointPmf) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The tables p(u,v,w), p(y2|u,w), p(y1|v,w) of each canonical coupling,
+    at its smallest workable sizes; each has exact target marginal."""
+    n1, n2 = q.sizes
+    qt = q.table
+    q1 = qt.sum(axis=1)
+    q2 = qt.sum(axis=0)
+    e1, e2 = np.eye(n1), np.eye(n2)
+
+    def cond(t, marg):  # rows t[w] / marg[w], uniform where marg[w] is 0
+        return np.where(marg[:, None] > 0, t / np.where(marg > 0, marg, 1.0)[:, None],
+                        1.0 / t.shape[1])[None]
+
+    return {
+        # constants + independent product channels (exact iff q is a product)
+        "const": (np.ones((1, 1, 1)), q2.reshape(1, 1, n2), q1.reshape(1, 1, n1)),
+        # W carries the full pair (y1, y2)
+        "copy-w": (qt.reshape(1, 1, -1), np.tile(e2, (n1, 1))[None], np.repeat(e1, n2, axis=0)[None]),
+        # W = Y1, node 2 draws Y2 from the conditional
+        "w-from-y1": (q1.reshape(1, 1, n1), cond(qt, q1), e1[None]),
+        # W = Y2, node 1 draws Y1 from the conditional
+        "w-from-y2": (q2.reshape(1, 1, n2), e2[None], cond(qt.T, q2)),
+        # U = Y2 and V = Y1 with constant W
+        "uv-copy": (qt.T.reshape(n2, n1, 1), e2[:, None], e1[:, None]),
+    }
+
+
 COUPLING_NAMES = ("const", "copy-w", "w-from-y1", "w-from-y2", "uv-copy")  # what canonical_couplings builds
 
 
@@ -205,33 +233,12 @@ def canonical_couplings(q: JointPmf,
     seeds and as builtins.  Their auxiliary alphabets are padded to ``caps``
     (couplings that do not fit are left out), or take the smallest workable
     sizes when ``caps`` is None."""
-    n1, n2 = q.sizes
-    qt = q.table
-    q1 = qt.sum(axis=1)
-    q2 = qt.sum(axis=0)
-    e1, e2 = np.eye(n1), np.eye(n2)
     out: dict[str, InnerCoupling] = {}
-
-    def build(name, *tables):
-        c = _pad_inner(tables, tables[0].shape if caps is None else caps)
-        if c is not None:
-            out[name] = c
-
-    def cond(t, marg):  # rows t[w] / marg[w], uniform where marg[w] is 0
-        return np.where(marg[:, None] > 0, t / np.where(marg > 0, marg, 1.0)[:, None],
-                        1.0 / t.shape[1])[None]
-
-    # constants + independent product channels (exact iff q is a product)
-    build("const", np.ones((1, 1, 1)),
-          q2.reshape(1, 1, n2), q1.reshape(1, 1, n1))
-    # W carries the full pair (y1, y2)
-    build("copy-w", qt.reshape(1, 1, -1), np.tile(e2, (n1, 1))[None], np.repeat(e1, n2, axis=0)[None])
-    # W = Y1, node 2 draws Y2 from the conditional
-    build("w-from-y1", q1.reshape(1, 1, n1), cond(qt, q1), e1[None])
-    # W = Y2, node 1 draws Y1 from the conditional
-    build("w-from-y2", q2.reshape(1, 1, n2), e2[None], cond(qt.T, q2))
-    # U = Y2 and V = Y1 with constant W
-    build("uv-copy", qt.T.reshape(n2, n1, 1), e2[:, None], e1[:, None])
+    for name, tables in _canonical_tables(q).items():
+        size = tables[0].shape if caps is None else caps
+        blocks = _pad_inner(tables, size)
+        if blocks is not None:
+            out[name] = _blocks_to_coupling(blocks, size, *q.sizes)
     return out
 
 
@@ -250,33 +257,24 @@ def _inner_bounds(j: np.ndarray) -> np.ndarray:
     ], axis=1)
 
 
-def _inner_objective(qt: np.ndarray, sums: np.ndarray, caps):
+def _inner_eval(qt: np.ndarray, caps):
+    """Evaluator of inner candidates, given as blocks p(u,v,w), p(y2|u,w),
+    p(y1|v,w): the (B, 4) right-hand sides of ``_inner_bounds`` and, as the
+    one violation, the (B, 1) TV from each candidate's (Y1, Y2)-marginal to q."""
     nu, nv, nw = caps
     n1, n2 = qt.shape
-    s = np.minimum(sums, _BIG)
 
-    def objective(batch):
+    def evaluate(batch):
         p = batch[0].reshape(-1, nu, nv, nw)
         c2 = batch[1].reshape(-1, nu, nw, n2)
         c1 = batch[2].reshape(-1, nv, nw, n1)
         j = (p[:, :, :, :, None, None]
              * c1[:, None, :, :, :, None]
              * c2[:, :, None, :, None, :])  # (B, U, V, W, Y1, Y2)
-        min_slack = (s[None, :] - _inner_bounds(j)).min(axis=1)
-        marg = j.sum(axis=(1, 2, 3))  # over U, V, W
-        tv = 0.5 * np.abs(marg - qt[None]).sum(axis=(1, 2))
-        return -min_slack + PENALTY * np.maximum(0.0, tv - TV_TOL)
+        tv = 0.5 * np.abs(j.sum(axis=(1, 2, 3)) - qt[None]).sum(axis=(1, 2))
+        return _inner_bounds(j), tv[:, None]
 
-    return objective
-
-
-def _coupling_to_blocks(c: InnerCoupling):
-    nu, nv, nw = c.p_uvw.sizes
-    n2 = c.chan_y2.target[0].size
-    n1 = c.chan_y1.target[0].size
-    return [c.p_uvw.table.reshape(1, nu * nv * nw),
-            c.chan_y2.table.reshape(nu * nw, n2),
-            c.chan_y1.table.reshape(nv * nw, n1)]
+    return evaluate
 
 
 def _blocks_to_coupling(blocks, caps, n1, n2) -> InnerCoupling:
@@ -291,8 +289,8 @@ def _blocks_to_coupling(blocks, caps, n1, n2) -> InnerCoupling:
     )
 
 
-def _pad_inner(tables, caps) -> InnerCoupling | None:
-    """The coupling with tables p(u,v,w), p(y2|u,w), p(y1|v,w) padded up to
+def _pad_inner(tables, caps) -> list[np.ndarray] | None:
+    """The blocks of tables p(u,v,w), p(y2|u,w), p(y1|v,w) padded up to
     ``caps``: added symbols carry no mass and uniform output rows.  None
     when the tables do not fit."""
     p_uvw, y2_map, y1_map = tables
@@ -308,30 +306,49 @@ def _pad_inner(tables, caps) -> InnerCoupling | None:
     c2[:nu, :nw] = y2_map
     c1 = np.full((cv, cw, n1), 1.0 / n1)
     c1[:nv, :nw] = y1_map
-    return _blocks_to_coupling([p, c2, c1], caps, n1, n2)
+    return [p.reshape(1, cu * cv * cw), c2.reshape(cu * cw, n2), c1.reshape(cv * cw, n1)]
 
 
-def _search(objective, starts, check):
+def _objective(evaluate, sums, free):
+    """The descent objective of a search: minus the smallest slack of the
+    rate sums (capped at ``_BIG``) over the bounds, plus ``PENALTY`` times
+    the violations in excess of ``free``, summed."""
+    capped = np.minimum(sums, _BIG)
+
+    def objective(batch):
+        b, v = evaluate(batch)
+        return -(capped - b).min(axis=1) + PENALTY * np.maximum(0.0, v - free).sum(axis=1)
+
+    return objective
+
+
+def _search(evaluate, sums, tols, starts):
     """Walk start 1, its descent, start 2, ... up to the first witness of
-    membership; check(blocks) -> (slack, candidate), the slack -inf for an
-    invalid candidate.  The starts before the first start that is a witness
-    by itself descend, all in one batch.  Returns (found, best candidate,
-    its slack, restarts used)."""
-    seen, runs = [], len(starts)
-    for i, start in enumerate(starts):
-        seen.append(check(start))
-        if seen[-1][0] >= -SLACK_TOL:
-            runs = i
-            break
-    ends = _descend(objective, starts[:runs], max_iters=MAX_ITERS,
-                    stall_limit=STALL_LIMIT) if runs else []
+    membership.  ``evaluate(batch)`` gives each candidate's bounds, one per
+    entry of ``sums``, and its violations; ``tols`` is (free, accept), the
+    violation the objective leaves unpenalized and the most a witness may
+    have.  A witness's minimum slack is >= -``SLACK_TOL``; a candidate over
+    ``accept`` has slack -inf.  One evaluator call scores all starts, the
+    starts before the first witness descend in one batch, and one more call
+    scores their ends.  Returns (found, best blocks, their slack, restarts used)."""
+    free, accept = tols
+
+    def slacks(cands):
+        b, v = evaluate([np.array(k) for k in zip(*cands)])
+        return np.where((v <= accept).all(axis=1), (sums - b).min(axis=1), -math.inf)
+
+    first = slacks(starts)
+    runs = next((i for i, slack in enumerate(first) if slack >= -SLACK_TOL), len(starts))
+    ends = [d.blocks for d in _descend(_objective(evaluate, sums, free), starts[:runs],
+                                       max_iters=MAX_ITERS, stall_limit=STALL_LIMIT)] if runs else []
+    last = slacks(ends) if runs else []
     best_slack, best = -math.inf, None
-    for used, item in enumerate(seen, 1):
-        for slack, cand in [item] + ([check(ends[used - 1].blocks)] if used <= runs else []):
+    for i in range(len(starts)):
+        for slack, cand in [(first[i], starts[i])] + ([(last[i], ends[i])] if i < runs else []):
             if slack > best_slack:
-                best_slack, best = slack, cand
+                best_slack, best = float(slack), cand
             if slack >= -SLACK_TOL:
-                return True, best, best_slack, used
+                return True, best, best_slack, i + 1
     return False, best, best_slack, len(starts)
 
 
@@ -354,30 +371,24 @@ def inner_membership(q: JointPmf, r: RateTuple, caps: tuple[int, int, int] = (4,
     name, margin = _floor_certificate(q, r)
     if margin < -(SLACK_TOL + _mi_continuity(n1, n2, TV_TOL)):
         return RegionDecision("outside", None, margin, 0, name)
-    sums = r.sums
-    objective = _inner_objective(q.table, sums, caps)
     rng = np.random.default_rng(cfg.seed)
 
+    # new tables (canonical, padded seeds) get each row divided by its sum, as a pmf does
+    seeds = [((c.p_uvw.table, c.chan_y2.table, c.chan_y1.table), c.caps != tuple(caps))
+             for c in extra_seeds]
     starts: list[list[np.ndarray]] = []
-    for c in extra_seeds:
-        if c.caps != tuple(caps):
-            c = _pad_inner((c.p_uvw.table, c.chan_y2.table, c.chan_y1.table), caps)
-        if c is not None:
-            starts.append(_coupling_to_blocks(c))
-    for c in canonical_couplings(q, caps).values():
-        starts.append(_coupling_to_blocks(c))
+    for tables, new in seeds + [(t, True) for t in _canonical_tables(q).values()]:
+        blocks = _pad_inner(tables, caps)
+        if blocks is not None:
+            starts.append([b / b.sum(axis=1, keepdims=True) for b in blocks] if new else blocks)
     nu, nv, nw = caps
     while len(starts) < cfg.restarts + len(extra_seeds):
         starts.append([dirichlet_rows(rng, 1, nu * nv * nw),
                        dirichlet_rows(rng, nu * nw, n2),
                        dirichlet_rows(rng, nv * nw, n1)])
 
-    def check(blocks):
-        cand = _blocks_to_coupling(blocks, caps, n1, n2)
-        return (-math.inf if cand.tv_to(q) > TV_TOL
-                else float(np.min(inner_check(cand, r)))), cand
-
-    inside, witness, slack, used = _search(objective, starts, check)
+    inside, best, slack, used = _search(_inner_eval(q.table, caps), r.sums, (TV_TOL, TV_TOL), starts)
+    witness = None if best is None else _blocks_to_coupling(best, caps, n1, n2)
     return RegionDecision("inside" if inside else "inconclusive", witness, slack, used)
 
 
@@ -460,19 +471,13 @@ def _outer_bounds(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bounds, slacks
 
 
-def _outer_objective(qt: np.ndarray, sums3: np.ndarray, caps):
+def _outer_eval(qt: np.ndarray, caps):
+    """Evaluator of outer candidates, given as channel rows p(u,v|y1,y2):
+    the (B, 3) bounds and the (B, 2) Markov slacks of ``_outer_bounds``."""
     n1, n2 = qt.shape
     cu, cv = caps
-    s = np.minimum(sums3, _BIG)
-
-    def objective(batch):
-        rows = batch[0].reshape(-1, n1, n2, cu, cv)
-        b, mk = _outer_bounds(qt[None, :, :, None, None] * rows)   # j over (B, Y1, Y2, U, V)
-        min_slack = np.minimum(np.minimum(s[0] - b[:, 0], s[1] - b[:, 1]), s[2] - b[:, 2])
-        pen = (np.maximum(0.0, mk[:, 0] - 1e-6) + np.maximum(0.0, mk[:, 1] - 1e-6))
-        return -min_slack + PENALTY * pen
-
-    return objective
+    return lambda batch: _outer_bounds(qt[None, :, :, None, None]
+                                       * batch[0].reshape(-1, n1, n2, cu, cv))
 
 
 def outer_membership(q: JointPmf, r: RateTuple, config: SearchConfig | None = None,
@@ -498,7 +503,6 @@ def outer_membership(q: JointPmf, r: RateTuple, config: SearchConfig | None = No
     if caps is None:
         caps = (n1 * n2 + 1, n1 * n2 + 1)
     cu, cv = caps
-    objective = _outer_objective(q.table, r.sums[1:], caps)
     rng = np.random.default_rng(cfg.seed)
 
     starts = []
@@ -514,15 +518,11 @@ def outer_membership(q: JointPmf, r: RateTuple, config: SearchConfig | None = No
     while len(starts) < cfg.restarts + len(extra_seeds):
         starts.append([dirichlet_rows(rng, n1 * n2, cu * cv)])
 
-    def check(blocks):
-        chan = ConditionalPmf((Alphabet("Y1", n1), Alphabet("Y2", n2)),
-                              (Alphabet("U", cu), Alphabet("V", cv)),
-                              blocks[0].reshape(n1, n2, cu, cv))
-        cand = OuterCoupling(q, chan)
-        return (-math.inf if max(cand.markov_slacks()) > MARKOV_TOL
-                else outer_slack(cand, r)), cand
-
-    inside, witness, slack, used = _search(objective, starts, check)
+    inside, best, slack, used = _search(_outer_eval(q.table, caps), r.sums[1:],
+                                        (MARKOV_FREE, MARKOV_TOL), starts)
+    witness = None if best is None else OuterCoupling(q, ConditionalPmf(
+        (Alphabet("Y1", n1), Alphabet("Y2", n2)), (Alphabet("U", cu), Alphabet("V", cv)),
+        best[0].reshape(n1, n2, cu, cv)))
     verdict = ("inside" if inside else "outside-heuristic" if slack < -OUTSIDE_MARGIN
                else "inconclusive")
     return RegionDecision(verdict, witness, slack, used)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from coordinet.cli import main
-from coordinet.config import ParseError, ValidationError, parse_config
+from coordinet.config import ParseError, ValidationError, echo_config, parse_config
 from coordinet.region import COUPLING_NAMES, canonical_couplings
 from coordinet.sources import builtin_source, dsbs, identical_uniform, load_source, triple_abc
 
@@ -97,6 +97,7 @@ class TestConfigParsing:
     FRONTIER = ("[run]\ncommand = frontier\nsource = dsbs-0.1\n[frontier]\n"
                 "fixed_rates = inf,inf\ngrid_min = 0.1,0.1\ngrid_max = 0.4,0.4\ngrid_steps = 2,2\n")
     RATES = "rf1 = 1\nrb1 = 1\nrf2 = 1\nrb2 = 1\n"
+    FME = "[run]\ncommand = fme-verify\n[fme-verify]\ncouplings = 1\n"
     OSRB = "[run]\ncommand = osrb\nsource = dsbs-0.1\n[osrb]\nn_list = 2\nrt0 = 0.4\nrt1 = 0.2\nrt2 = 0.2\n"
 
     @pytest.mark.parametrize("text, key", [
@@ -129,17 +130,26 @@ class TestConfigParsing:
         ("[run]\ncommand = wyner\nsource = dsbs-0.1\n[wyner]\npenalty = inf\n", "penalty"),
         ("[run]\ncommand = info\nsource = dsbs-0.1\nthreads = -4\n", "threads"),
         ("[run]\ncommand = info\nsource = dsbs-0.1\nthreads = 0\n", "threads"),
+        (FME + "orders = Rt0,Rt1\n", "orders"),
+        (FME + "orders = Rt0,Rt0,Rt2\n", "orders"),
+        (FME + "orders = Rb1,Rt0,Rt1\n", "orders"),
     ], ids=["seed", "n", "sweep-n_list", "osrb-n_list", "empty-n_list", "grid_min-length",
             "grid_max-length", "fixed_rates-length", "grid_steps-length", "grid_steps-zero",
             "axes-repeated", "axes-unknown", "restarts", "cap_u", "osrb-side", "osrb-coupling",
             "protocol-coupling", "sweep-coupling", "penalty-negative", "penalty-nan",
-            "penalty-inf", "threads-negative", "threads-zero"])
+            "penalty-inf", "threads-negative", "threads-zero", "orders-two-rates",
+            "orders-repeated", "orders-unknown-rate"])
     def test_bad_value_is_a_config_error_naming_its_key(self, tmp_path, text, key):
         with pytest.raises(ValidationError) as err:
             parse_config(write_config(tmp_path, text))
         assert f"{key}:" in str(err.value)
         status = main([write_config(tmp_path, text), "--out", str(tmp_path / "out")])
         assert status == 1 and not (tmp_path / "out").exists()
+
+    def test_orders_accepts_a_spaced_permutation(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, self.FME + "orders = Rt2 , Rt0,Rt1\n"))
+        assert cfg.params["orders"] == "Rt2,Rt0,Rt1"
+        assert "orders = Rt2,Rt0,Rt1\n" in echo_config(cfg)
 
     @pytest.mark.parametrize("q", [dsbs(0.1), triple_abc(), identical_uniform(3)])
     def test_coupling_choices_are_the_canonical_names(self, q):

@@ -215,6 +215,14 @@ class TestProjectionExperiment:
             assert len(reports) == 6
             assert all(rep.agree and rep.method == "exact" for _, rep in reports)
 
+    @pytest.mark.parametrize("order", [("Rt0", "Rt1"), ("Rt0", "Rt0", "Rt2"),
+                                       ("Rb1", "Rt0", "Rt1"), ("Rt0", "Rt1", "Rt2", "Rt0")],
+                             ids=["two-rates", "repeated", "unknown-rate", "four-rates"])
+    def test_order_must_be_a_permutation_of_the_binning_rates(self, order):
+        base = binning_constraint_system(random_inner_coupling(np.random.default_rng(7)).joint())
+        with pytest.raises(ValueError, match="permutation"):
+            project_binning_system(base, order)
+
     def test_raw_projection_is_strictly_smaller(self):
         # the un-closed projection carries rate caps the direct system lacks
         rng = np.random.default_rng(7)

@@ -10,7 +10,8 @@ import pytest
 from coordinet.information import (WynerConfig, _greedy_merge_map, _wyner_terms,
                                    wyner_common_information)
 from coordinet.optimize import _descend, coordinate_descent, dirichlet_rows
-from coordinet.region import RateTuple, _inner_objective, _outer_objective
+from coordinet.region import (MARKOV_FREE, TV_TOL, RateTuple, _inner_eval, _objective,
+                              _outer_eval)
 from coordinet.sources import dsbs, triple_abc
 
 from oracles import coordinate_descent_sequential
@@ -99,7 +100,7 @@ def test_max_iters_cut():
 def test_inner_objective_matches_oracle():
     q = dsbs(0.1)
     caps = (2, 2, 2)
-    objective = _inner_objective(q.table, RateTuple(0.3, 0.2, 0.35, 0.15).sums, caps)
+    objective = _objective(_inner_eval(q.table, caps), RateTuple(0.3, 0.2, 0.35, 0.15).sums, TV_TOL)
     rng = np.random.default_rng(7)
     starts = [[dirichlet_rows(rng, 1, 8), dirichlet_rows(rng, 4, 2), dirichlet_rows(rng, 4, 2)]
               for _ in range(3)]
@@ -109,7 +110,7 @@ def test_inner_objective_matches_oracle():
 def test_outer_objective_matches_oracle():
     q = dsbs(0.1)
     caps = (3, 3)
-    objective = _outer_objective(q.table, np.array([0.6, 0.6, 0.45]), caps)
+    objective = _objective(_outer_eval(q.table, caps), np.array([0.6, 0.6, 0.45]), MARKOV_FREE)
     rng = np.random.default_rng(8)
     starts = [[dirichlet_rows(rng, 4, 9)] for _ in range(3)]
     assert_matches_oracle(objective, starts, max_iters=300, stall_limit=60)

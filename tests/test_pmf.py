@@ -318,6 +318,19 @@ class TestSerialization:
             loads_pmf("vars: A:2 B:2\n" + rows)
         assert repr(bad) in str(err.value)
 
+    @pytest.mark.parametrize("text, bad", [
+        ("vars: A:2\nx 0.5\n1 0.5\n", "x 0.5"),
+        ("vars: A:2\n0 half\n1 0.5\n", "0 half"),
+        ("vars: A:two\n0 1\n", "A:two"),
+        ("vars: A:0\n", "A:0"),
+        ("vars: A:2:a\n0 0.5\n1 0.5\n", "A:2:a"),
+        ("vars: A:2 A:2\n0 0 1\n0 1 0\n1 0 0\n1 1 0\n", "A:2"),
+    ], ids=["index", "probability", "size-word", "size-zero", "label-count", "repeated-name"])
+    def test_malformed_token_is_a_pmf_error_naming_it(self, text, bad):
+        with pytest.raises(PmfError) as err:
+            loads_pmf(text)
+        assert repr(bad) in str(err.value)
+
 
 class TestMultiVariableCondition:
     def test_given_follows_requested_order(self):

@@ -8,9 +8,9 @@ import pytest
 from coordinet import region
 from coordinet.fme import binning_constraint_system
 from coordinet.information import mutual_information
-from coordinet.pmf import Alphabet, ConditionalPmf, make_joint
-from coordinet.region import (OuterCoupling, RateTuple, SearchConfig, _coupling_to_blocks,
-                              _inner_objective, _mi_continuity, _outer_objective,
+from coordinet.pmf import Alphabet, ConditionalPmf, JointPmf, make_joint
+from coordinet.region import (OuterCoupling, RateTuple, SearchConfig, _inner_eval,
+                              _mi_continuity, _objective, _outer_eval, _pad_inner,
                               canonical_couplings, frontier, inner_check,
                               inner_membership, inner_rhs, outer_coupling_from_inner,
                               outer_membership, outer_slack, random_inner_coupling)
@@ -132,16 +132,24 @@ class TestInnerMembership:
         assert max(d.witness.chain_slacks()) <= 1e-9
 
 
-def sequential_search(objective, starts, check):
+def sequential_search(evaluate, sums, tols, starts):
     """The restart loop as it ran one restart at a time: start 1, its
-    descent, start 2, ..., stopping at the first witness."""
+    descent, start 2, ..., stopping at the first witness.  Each candidate is
+    checked alone, with the objective and witness test written out here."""
+    free, accept = tols
+    capped = np.minimum(sums, region._BIG)
     best_slack, best = -math.inf, None
+
+    def objective(batch):
+        b, v = evaluate(batch)
+        return -(capped - b).min(axis=1) + region.PENALTY * np.maximum(0.0, v - free).sum(axis=1)
 
     def consider(blocks):
         nonlocal best_slack, best
-        slack, cand = check(blocks)
-        if slack is not None and slack > best_slack:
-            best_slack, best = slack, cand
+        b, v = evaluate([np.asarray(x)[None] for x in blocks])
+        slack = -math.inf if (v[0] > accept).any() else float(np.min(sums - b[0]))
+        if slack > best_slack:
+            best_slack, best = slack, blocks
         return best_slack >= -region.SLACK_TOL
 
     for used, start in enumerate(starts, 1):
@@ -193,6 +201,75 @@ class TestRestartOrder:
         # the second start is a witness: only the first one descends
         d = inner_membership(dsbs(0.1), RateTuple(1, 1, 1, 1), (2, 2, 2), FAST)
         assert (d.verdict, d.restarts_used, descended) == ("inside", 2, [1])
+
+
+class TestOneEvaluationPerCandidate:
+    """A search scores all its starts in one evaluator call and its
+    descended ends in one more, and builds pmf objects only for the
+    candidate it returns."""
+
+    @staticmethod
+    def spy_bounds(monkeypatch, name):
+        sizes, bounds = [], getattr(region, name)
+
+        def counted(j):
+            sizes.append(len(j))
+            return bounds(j)
+
+        monkeypatch.setattr(region, name, counted)
+        return sizes
+
+    @staticmethod
+    def built(run):
+        """run() and the JointPmf and ConditionalPmf objects built while it runs."""
+        counts = {JointPmf: 0, ConditionalPmf: 0}
+        with pytest.MonkeyPatch.context() as mp:
+            for cls in counts:
+                def post_init(self, cls=cls, init=cls.__post_init__):
+                    counts[cls] += 1
+                    init(self)
+                mp.setattr(cls, "__post_init__", post_init)
+            result = run()
+        return result, counts[JointPmf], counts[ConditionalPmf]
+
+    def test_outer_starts_are_scored_in_one_call(self, monkeypatch):
+        sizes = self.spy_bounds(monkeypatch, "_outer_bounds")
+        # every rate infinite: the first start, the cell copy, is a witness
+        d = outer_membership(dsbs(0.1), RateTuple(INF, INF, INF, INF), FAST)
+        assert (d.verdict, d.restarts_used) == ("inside", 1)
+        assert sizes == [FAST.restarts]
+
+    def test_inner_starts_are_scored_in_one_call(self, monkeypatch):
+        sizes = self.spy_bounds(monkeypatch, "_inner_bounds")
+        d = inner_membership(independent_bits(), RateTuple(0, 0, 0, 0), (2, 2, 2), FAST)
+        assert (d.verdict, d.restarts_used) == ("inside", 1)
+        assert sizes == [FAST.restarts]
+
+    def test_descended_ends_are_scored_in_one_call(self, monkeypatch):
+        monkeypatch.setattr(region, "MAX_ITERS", 40)
+        descents = []
+        descend = region._descend
+        monkeypatch.setattr(region, "_descend", lambda objective, starts, **kw:
+                            descents.append(len(starts)) or descend(objective, starts, **kw))
+        sizes = self.spy_bounds(monkeypatch, "_inner_bounds")
+        d = inner_membership(dsbs(0.1), RateTuple(0.74, 0.75, 0.51, 0.33), (2, 2, 2),
+                             SearchConfig(restarts=3, seed=0))
+        # the four canonical starts at once, the descent's own calls, every end at once
+        assert (d.verdict, d.restarts_used, descents) == ("inconclusive", 4, [4])
+        assert (sizes[0], sizes[-1]) == (4, 4)
+
+    @pytest.mark.parametrize("which", ["inner", "outer"])
+    def test_pmf_objects_only_for_the_answer(self, monkeypatch, which):
+        monkeypatch.setattr(region, "MAX_ITERS", 40)
+        q, r, cfg = dsbs(0.1), RateTuple(0.74, 0.75, 0.51, 0.33), SearchConfig(restarts=3, seed=0)
+        _, floor_joints, _ = self.built(lambda: region._floor_certificate(q, r))
+        if which == "inner":
+            d, joints, channels = self.built(lambda: inner_membership(q, r, (2, 2, 2), cfg))
+            assert (joints - floor_joints, channels) == (1, 2)
+        else:
+            d, joints, channels = self.built(lambda: outer_membership(q, r, cfg, caps=(3, 3)))
+            assert (joints - floor_joints, channels) == (0, 1)
+        assert d.restarts_used >= 3 and d.witness is not None
 
 
 class TestOuterSlack:
@@ -385,9 +462,9 @@ class TestCertificates:
 
 
 class TestBatchedObjectives:
-    """One evaluator per bound serves the batched search objectives and the
-    scalar checks; each value must equal the plain-loop oracle of its
-    formula."""
+    """One evaluator per bound serves the batched search objective, the
+    witness test and the scalar checks; each value must equal the
+    plain-loop oracle of its formula."""
 
     def test_inner_objective_matches_oracle(self):
         rng = np.random.default_rng(11)
@@ -396,14 +473,19 @@ class TestBatchedObjectives:
             q = make_joint([("Y1", 2), ("Y2", 3)], rng.dirichlet(np.ones(6)))
             r = RateTuple(*rng.uniform(0.0, 2.0, size=4))
             coups = [random_inner_coupling(rng, (*caps, 2, 3)) for _ in range(4)]
-            blocks = [_coupling_to_blocks(c) for c in coups]
-            vals = _inner_objective(q.table, r.sums, caps)(
-                [np.stack([b[k] for b in blocks]) for k in range(3)])
-            for c, v in zip(coups, vals):
+            blocks = [_pad_inner((c.p_uvw.table, c.chan_y2.table, c.chan_y1.table), caps)
+                      for c in coups]
+            batch = [np.stack([b[k] for b in blocks]) for k in range(3)]
+            evaluate = _inner_eval(q.table, caps)
+            bounds, tvs = evaluate(batch)
+            vals = _objective(evaluate, r.sums, region.TV_TOL)(batch)
+            for c, b_row, tv_row, v in zip(coups, bounds, tvs, vals):
                 j = c.joint().table
                 rhs = inner_rhs_direct(j)
                 assert inner_rhs(c) == pytest.approx(rhs, abs=1e-12)
+                assert b_row == pytest.approx(rhs, abs=1e-12)
                 tv = tv_direct(j.sum(axis=(0, 1, 2)), q.table)
+                assert tv_row == pytest.approx([tv], abs=1e-12)
                 ref = (-min(s - b for s, b in zip(r.sums, rhs))
                        + region.PENALTY * max(0.0, tv - region.TV_TOL))
                 assert v == pytest.approx(ref, abs=1e-10)
@@ -417,8 +499,10 @@ class TestBatchedObjectives:
             sums3 = [r.rb1 + r.rf1, r.rb2 + r.rf2, r.rf1 + r.rf2]
             tables = rng.dirichlet(np.ones(cu * cv), size=(4, n1 * n2))
             tables[0] = np.eye(cu * cv)[np.arange(n1 * n2) % (cu * cv)]  # deterministic U, V
-            vals = _outer_objective(q.table, np.array(sums3), (cu, cv))([tables])
-            for t, v in zip(tables, vals):
+            evaluate = _outer_eval(q.table, (cu, cv))
+            bounds_b, slacks_b = evaluate([tables])
+            vals = _objective(evaluate, np.array(sums3), region.MARKOV_FREE)([tables])
+            for t, b_row, m_row, v in zip(tables, bounds_b, slacks_b, vals):
                 chan = ConditionalPmf((Alphabet("Y1", n1), Alphabet("Y2", n2)),
                                       (Alphabet("U", cu), Alphabet("V", cv)),
                                       t.reshape(n1, n2, cu, cv))
@@ -427,6 +511,8 @@ class TestBatchedObjectives:
                 slack = min(s - b for s, b in zip(sums3, bounds))
                 assert outer_slack(c, r) == pytest.approx(slack, abs=1e-12)
                 assert c.markov_slacks() == pytest.approx(slacks, abs=1e-12)
+                assert b_row == pytest.approx(bounds, abs=1e-12)
+                assert m_row == pytest.approx(slacks, abs=1e-12)
                 pen = sum(max(0.0, m - 1e-6) for m in slacks)
                 assert v == pytest.approx(-slack + region.PENALTY * pen, abs=1e-10)
 
