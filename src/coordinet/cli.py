@@ -137,24 +137,20 @@ def _cmd_fme(cfg, q, out_dir):
     orders = None if p["orders"] == "all" else [tuple(p["orders"].split(","))]
     sys_dir = os.path.join(out_dir, "systems")
     os.makedirs(sys_dir, exist_ok=True)
-    rows = []
-    agree_count = 0
+    systems = {"constraints": [], "direct": []}
     for ci in range(p["couplings"]):
-        coup = region.random_inner_coupling(rng)
-        joint = coup.joint()
-        base = fme.binning_constraint_system(joint)
-        direct = fme.theorem_rate_system(joint)
-        with open(os.path.join(sys_dir, f"coupling_{ci:03d}_constraints.lsys"), "w") as fh:
-            fh.write(base.to_text())
-        with open(os.path.join(sys_dir, f"coupling_{ci:03d}_direct.lsys"), "w") as fh:
-            fh.write(direct.to_text())
-        reports = fme.projection_matches_rate_system(base, direct, orders=orders)
-        ok = all(rep.agree for _, rep in reports)
-        agree_count += ok
-        for order, rep in reports:
-            rows.append({"coupling": ci, "order": "+".join(order),
-                         "agree": rep.agree, "vertices": rep.vertices})
+        joint = region.random_inner_coupling(rng).joint()
+        for name, build in (("constraints", fme.binning_constraint_system),
+                            ("direct", fme.theorem_rate_system)):
+            systems[name].append(build(joint))
+            with open(os.path.join(sys_dir, f"coupling_{ci:03d}_{name}.lsys"), "w") as fh:
+                fh.write(systems[name][-1].to_text())
+    base, direct = (fme.LinearSystem.stack(systems[name]) for name in ("constraints", "direct"))
+    per_coupling = fme.projection_matches_rate_system(base, direct, orders=orders)
+    rows = [{"coupling": ci, "order": "+".join(order), "agree": rep.agree, "vertices": rep.vertices}
+            for ci, reports in enumerate(per_coupling) for order, rep in reports]
     _write_csv(out_dir, ["coupling", "order", "agree", "vertices"], rows)
+    agree_count = sum(all(rep.agree for _, rep in reports) for reports in per_coupling)
     return {"agree_count": agree_count, "couplings": p["couplings"]}, 0
 
 

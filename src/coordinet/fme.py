@@ -38,7 +38,9 @@ def _snap(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Rows a.x <= b (strict[i] marks a.x < b), over named variables."""
+    """Rows a.x <= b (strict[i] marks a.x < b), over named variables.  A
+    batch of couplings shares ``a`` and has (rows, couplings) arrays ``b``
+    and ``strict``; a lone system, with vectors, is the batch of one."""
 
     variables: tuple[str, ...]
     a: np.ndarray = field(repr=False)
@@ -48,11 +50,11 @@ class LinearSystem:
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         a = _snap(np.atleast_2d(np.asarray(self.a, dtype=float)))
-        b = np.asarray(self.b, dtype=float).ravel()
-        strict = np.asarray(self.strict, dtype=bool).ravel()
+        b, strict = (x if x.ndim == 2 else x.ravel()
+                     for x in (np.asarray(self.b, dtype=float), np.asarray(self.strict, dtype=bool)))
         if a.shape[0] == 0:
             a = a.reshape(0, len(self.variables))
-        if a.shape[1] != len(self.variables) or len(b) != a.shape[0] or len(strict) != a.shape[0]:
+        if a.shape[1] != len(self.variables) or len(b) != a.shape[0] or strict.shape != b.shape:
             raise ValueError("inconsistent system dimensions")
         if not np.isfinite(b).all() or not np.isfinite(a).all():
             raise ValueError("coefficients and constants must be finite")
@@ -65,6 +67,21 @@ class LinearSystem:
     @property
     def nrows(self) -> int:
         return self.a.shape[0]
+
+    @property
+    def columns(self) -> list["LinearSystem"]:
+        """The lone systems of a batch, one per coupling."""
+        return [self] if self.b.ndim == 1 else [LinearSystem(self.variables, self.a, b, st)
+                                                for b, st in zip(self.b.T, self.strict.T)]
+
+    @staticmethod
+    def stack(systems: Sequence["LinearSystem"]) -> "LinearSystem":
+        """The batch of lone ``systems`` that share variables and coefficients."""
+        s0 = systems[0]
+        if any(s.variables != s0.variables or not np.array_equal(s.a, s0.a) for s in systems):
+            raise ValueError("a batch shares its variables and coefficient matrix")
+        return LinearSystem(s0.variables, s0.a, np.stack([s.b for s in systems], 1),
+                            np.stack([s.strict for s in systems], 1))
 
     @staticmethod
     def from_rows(variables: Sequence[str], rows) -> "LinearSystem":
@@ -129,7 +146,7 @@ class LinearSystem:
 
 
 def fme_eliminate(s: LinearSystem, var: str) -> LinearSystem:
-    """Project out ``var`` by pairing its upper and lower bounding rows.
+    """Project out ``var`` by pairing its upper and lower bounding rows, for a whole batch.
 
     A derived row is strict exactly when either parent is strict; rows not
     involving ``var`` carry over unchanged (minus the column) and come
@@ -143,12 +160,13 @@ def fme_eliminate(s: LinearSystem, var: str) -> LinearSystem:
     up = np.delete(s.a[pos] / c[pos, None], col, axis=1)
     lo = np.delete(s.a[neg] / -c[neg, None], col, axis=1)
     a = (up[:, None, :] + lo[None, :, :]).reshape(len(up) * len(lo), up.shape[1])
-    b = (s.b[pos] / c[pos])[:, None] + (s.b[neg] / -c[neg])[None, :]
+    cb, rows = c.reshape((-1,) + (1,) * (s.b.ndim - 1)), (-1,) + s.b.shape[1:]  # c along b's axes
+    b = (s.b[pos] / cb[pos])[:, None] + (s.b[neg] / -cb[neg])[None, :]
     strict = s.strict[pos][:, None] | s.strict[neg][None, :]
     return LinearSystem(tuple(v for v in s.variables if v != var),
                         np.vstack([np.delete(s.a[zero], col, axis=1), a]),
-                        np.concatenate([s.b[zero], b.ravel()]),
-                        np.concatenate([s.strict[zero], strict.ravel()]))
+                        np.concatenate([s.b[zero], b.reshape(rows)]),
+                        np.concatenate([s.strict[zero], strict.reshape(rows)]))
 
 
 def simplify(s: LinearSystem) -> LinearSystem:
@@ -158,9 +176,10 @@ def simplify(s: LinearSystem) -> LinearSystem:
 
     Tie rule: the row keeps the least constant of its group, and is strict
     when any row of the group whose constant lies within ``SNAP`` of that
-    least one is strict.
+    least one is strict.  A batch applies the rule in each coupling's
+    column and drops a trivial row only when it is trivial in every one.
     """
-    trivial = ~s.a.any(axis=1) & (s.b >= np.where(s.strict, SNAP, 0.0))
+    trivial = ~s.a.any(axis=1) & (s.b >= np.where(s.strict, SNAP, 0.0)).all(axis=tuple(range(1, s.b.ndim)))
     keys = np.round(s.a[~trivial], 12)
     b, strict = s.b[~trivial], s.strict[~trivial]
     # stable, so each group's earliest row leads it; with no variables every row is one group
@@ -260,7 +279,7 @@ def _vertices(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return v[np.sort(first)]
 
 
-def systems_equivalent(sys_a: LinearSystem, sys_b: LinearSystem) -> EquivalenceReport:
+def systems_equivalent(sys_a: LinearSystem | list[LinearSystem], sys_b: LinearSystem):
     """Exact comparison of the closures of two upward-closed systems (no
     positive coefficient), both taken within x >= 0.
 
@@ -268,21 +287,23 @@ def systems_equivalent(sys_a: LinearSystem, sys_b: LinearSystem) -> EquivalenceR
     (Minkowski-Weyl), so the two are equal exactly when every vertex of
     each satisfies the other within ``MEMBER_TOL``.  The report counts the
     vertices of both; the counterexample is the first vertex, of ``sys_a``
-    and then of ``sys_b``, that fails the other system.
+    and then of ``sys_b``, that fails the other system.  A list ``sys_a``
+    gives a list of reports, with the vertices of ``sys_b`` enumerated once.
     """
-    if set(sys_a.variables) != set(sys_b.variables):
-        raise ValueError("systems must share a variable set")
-    if sys_b.variables != sys_a.variables:
-        perm = [sys_b.variables.index(v) for v in sys_a.variables]
-        sys_b = LinearSystem(sys_a.variables, sys_b.a[:, perm], sys_b.b, sys_b.strict)
-    forms = (_lower_form(sys_a), _lower_form(sys_b))
-    verts = [_vertices(*f) for f in forms]
-    count = sum(len(v) for v in verts)
-    for v, (alpha, beta) in zip(verts, forms[::-1]):
-        out = np.flatnonzero(~(v @ alpha.T >= beta - MEMBER_TOL).all(axis=1))
-        if out.size:
-            return EquivalenceReport(False, count, v[out[0]])
-    return EquivalenceReport(True, count, None)
+    alpha_b, beta_b = _lower_form(sys_b)
+    verts_b = _vertices(alpha_b, beta_b)
+    reports = []
+    for s in sys_a if isinstance(sys_a, list) else [sys_a]:
+        if set(s.variables) != set(sys_b.variables):
+            raise ValueError("systems must share a variable set")
+        perm = [sys_b.variables.index(v) for v in s.variables]
+        forms = (_lower_form(s), (alpha_b[:, perm], beta_b))
+        verts = (_vertices(*forms[0]), verts_b[:, perm])
+        out = [v[~(v @ alpha.T >= beta - MEMBER_TOL).all(axis=1)] for v, (alpha, beta)
+               in zip(verts, forms[::-1])]
+        x = next((o[0] for o in out if len(o)), None)
+        reports.append(EquivalenceReport(x is None, sum(len(v) for v in verts), x))
+    return reports if isinstance(sys_a, list) else reports[0]
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +354,10 @@ def theorem_rate_system(j: JointPmf) -> LinearSystem:
 
 def project_binning_system(s: LinearSystem, order: Sequence[str] = TILDE_VARS) -> LinearSystem:
     """Eliminate the auxiliary binning rates in ``order`` with syntactic
-    cleanup after each step.  ``simplify`` keeps one row per coefficient
-    vector, and the binning system's coefficients are the same for every
-    coupling, so no step exceeds 61 rows and none needs LP cleanup.  Any
-    ``order`` but a permutation of ``TILDE_VARS`` is a ValueError."""
+    cleanup after each step, once for a whole batch of couplings: their
+    coefficients are the same, and ``simplify`` keeps one row per
+    coefficient vector, so no step exceeds 61 rows and none needs LP
+    cleanup.  Any ``order`` but a permutation of ``TILDE_VARS`` is a ValueError."""
     if sorted(order) != sorted(TILDE_VARS):
         raise ValueError(f"order must be a permutation of {TILDE_VARS}, got {tuple(order)}")
     for var in order:
@@ -350,15 +371,17 @@ def _drop_dominated(s: LinearSystem) -> LinearSystem:
     """Drop each row j that one other row i implies over the nonnegative
     orthant: a_j <= a_i and b_j >= b_i, with b_i < b_j or i strict if j is.
     After ``simplify`` no two rows imply each other.  The rows -z <= 0 and
-    y - x <= 0, which carry the orthant, stay."""
+    y - x <= 0, which carry the orthant, stay.  A batch drops a row only
+    when one row implies it in every coupling's column."""
     a, b, strict = s.a, s.b, s.strict
     nonzero = np.count_nonzero(a, axis=1)
-    carrier = ((b == 0) & ~strict & (a.min(axis=1) == -1)
+    carrier = (((b == 0) & ~strict).any(axis=tuple(range(1, b.ndim))) & (a.min(axis=1) == -1)
                & ((nonzero == 1) | ((nonzero == 2) & (a.max(axis=1) == 1))))
-    implies = (b[None, :] >= b[:, None]) & (~strict[None, :] | strict[:, None] | (b[:, None] < b[None, :]))
-    for col in a.T:  # [i, j]: a_j <= a_i, a column at a time
+    implies = ~np.eye(len(a), dtype=bool)
+    for col in a.T:  # [i, j]: a_j <= a_i, a variable at a time
         implies &= col[None, :] <= col[:, None]
-    np.fill_diagonal(implies, False)
+    for bk, sk in zip(np.atleast_2d(b.T), np.atleast_2d(strict.T)):  # and a coupling at a time
+        implies &= (bk[None, :] >= bk[:, None]) & (~sk[None, :] | sk[:, None] | (bk[:, None] < bk[None, :]))
     keep = carrier | ~implies.any(axis=0)
     return LinearSystem(s.variables, a[keep], b[keep], strict[keep])
 
@@ -370,7 +393,8 @@ def upward_closure(s: LinearSystem) -> LinearSystem:
 
     Rate regions are increasing sets (a link may carry fewer bits than its
     capacity), so this is the operational reading of a projected
-    constraint system.
+    constraint system.  A batch is closed once for all couplings, so a
+    column may keep rows that only another coupling needs.
     """
     xv = tuple(s.variables)
     yv = tuple("_lo_" + v for v in xv)
@@ -378,28 +402,28 @@ def upward_closure(s: LinearSystem) -> LinearSystem:
     eye, zero = np.eye(n), np.zeros((n, n))
     # rows y_k - x_k <= 0 and -y_k <= 0, in that order for each k
     links = np.stack([np.hstack([eye, -eye]), np.hstack([-eye, zero])], 1).reshape(2 * n, -1)
+    zeros = np.zeros((2 * n,) + s.b.shape[1:])
     t = LinearSystem(yv + xv, np.vstack([np.hstack([s.a, np.zeros_like(s.a)]), links]),
-                     np.concatenate([s.b, np.zeros(2 * n)]),
-                     np.concatenate([s.strict, np.zeros(2 * n, dtype=bool)]))
+                     np.concatenate([s.b, zeros]), np.concatenate([s.strict, zeros > 0]))
     for y in yv:
         t = _drop_dominated(simplify(fme_eliminate(t, y)))
     perm = [t.variables.index(v) for v in xv]
     return LinearSystem(xv, t.a[:, perm], t.b, t.strict)
 
 
-def projection_matches_rate_system(base: LinearSystem, direct: LinearSystem, orders=None
-                                   ) -> list[tuple[tuple[str, ...], EquivalenceReport]]:
+def projection_matches_rate_system(base: LinearSystem, direct: LinearSystem, orders=None):
     """For each elimination order, project the binning system ``base``,
     close the result upward and compare it exactly with the direct rate
-    system ``direct``.
+    system ``direct``: a list of (order, report).  Batches give one list
+    per coupling, projecting once per order for all of them.
 
     The raw projection also carries upper caps on the rates (binning above
     the source entropy breaks the uniformity constraints), which the
     direct system deliberately omits because extra link capacity can
     always go unused.
     """
-    if orders is None:
-        orders = list(permutations(TILDE_VARS))
-    return [(tuple(order),
-             systems_equivalent(upward_closure(project_binning_system(base, order)), direct))
-            for order in orders]
+    orders = [tuple(o) for o in (permutations(TILDE_VARS) if orders is None else orders)]
+    closed = [upward_closure(project_binning_system(base, order)).columns for order in orders]
+    out = [list(zip(orders, systems_equivalent([c[k] for c in closed], d)))
+           for k, d in enumerate(direct.columns)]
+    return out if base.b.ndim == 2 else out[0]

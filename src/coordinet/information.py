@@ -129,7 +129,7 @@ class WynerSolution:
     w_cardinality: int
     trace: list = field(default_factory=list)
     markov_slack: float = 0.0
-    lower_bound: float = 0.0        # I(Y1;Y2), certified (Wyner 1975)
+    lower_bound: float = 0.0        # certified: I(Y1;Y2), or the closed form on a DSBS (Wyner 1975)
 
 
 def _wyner_terms(q2: np.ndarray, r: np.ndarray):
@@ -260,6 +260,13 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
 
     i_val, rows, slack = best
     witness = ConditionalPmf(q.alphabets, (Alphabet("W", w_cap),), embed(rows))
+    lower = mutual_information(q, q.names[:1], q.names[1:])
+    if q2.shape == (2, 2) and q2[0, 0] == q2[1, 1] and q2[0, 1] == q2[1, 0]:
+        # a doubly symmetric binary source: Wyner's closed form 1 + h(p) - 2 h(a), with
+        # (1 - 2a)^2 = 1 - 2p for the crossover p (or 1 - p, its mirror, above 1/2)
+        p = min(2 * q2[0, 1], 2 * q2[0, 0])
+        a = (1 - math.sqrt(1 - 2 * p)) / 2
+        h_p, h_a = subset_entropies(np.array([[p, 1 - p], [a, 1 - a]]), ((0,),))[:, 0]
+        lower = 1 + h_p - 2 * h_a
     return WynerSolution(value=i_val, witness=witness, w_cardinality=w_cap,
-                         trace=trace, markov_slack=slack,
-                         lower_bound=mutual_information(q, q.names[:1], q.names[1:]))
+                         trace=trace, markov_slack=slack, lower_bound=lower)

@@ -373,8 +373,11 @@ def inner_membership(q: JointPmf, r: RateTuple, caps: tuple[int, int, int] = (4,
         return RegionDecision("outside", None, margin, 0, name)
     rng = np.random.default_rng(cfg.seed)
 
-    # new tables (canonical, padded seeds) get each row divided by its sum, as a pmf does
-    seeds = [((c.p_uvw.table, c.chan_y2.table, c.chan_y1.table), c.caps != tuple(caps))
+    # new tables (canonical, padded seeds) get each row divided by its sum, as a pmf does;
+    # a seed's undefined channel rows become uniform, as padded symbols' rows are
+    def rows(chan):
+        return np.where(chan.defined[..., None], chan.table, 1.0 / chan.table.shape[-1])
+    seeds = [((c.p_uvw.table, rows(c.chan_y2), rows(c.chan_y1)), c.caps != tuple(caps))
              for c in extra_seeds]
     starts: list[list[np.ndarray]] = []
     for tables, new in seeds + [(t, True) for t in _canonical_tables(q).values()]:

@@ -155,6 +155,17 @@ def wyner_deterministic_min(q_table, w_cap: int, slack_tol: float = 1e-9):
     return best
 
 
+def wyner_dsbs(p: float) -> float:
+    """Wyner's common information of the doubly symmetric binary source
+    with crossover p (Wyner 1975): 1 + h(p) - 2 h(a), where a solves
+    2a(1 - a) = p, the crossover of each output from a uniform common bit.
+    A crossover above 1/2 is the mirror image of 1 - p."""
+    if p > 0.5:
+        p = 1.0 - p
+    a = (1.0 - math.sqrt(1.0 - 2.0 * p)) / 2.0
+    return 1.0 + binary_entropy(p) - 2.0 * binary_entropy(a)
+
+
 def extension_interval(a, b, strict, col, point):
     """Feasible interval (lo, hi) for the eliminated variable of a system
     a.x <= b at a fixed projection point (closure semantics)."""
@@ -226,6 +237,26 @@ def simplify_loop(a, b, strict, snap=1e-9):
     out = np.array([list(k) for k in order]).reshape(len(order), np.shape(a)[1])
     return (out, np.array([keep[k][0] for k in order]),
             np.array([keep[k][1] for k in order], dtype=bool))
+
+
+def drop_dominated_loop(a, b, strict):
+    """Keep mask of the rows of a.x <= b that survive one pass of pruning
+    over the nonnegative orthant: row j goes when some other row i has
+    a_i >= a_j entrywise and b_i <= b_j, with b_i < b_j or i strict if j
+    is; rows -x_k <= 0 and x_k - x_l <= 0 with constant 0 always stay."""
+    keep = []
+    for j in range(len(a)):
+        nz = [c for c in a[j] if c != 0]
+        carrier = (b[j] == 0 and not strict[j]
+                   and (nz == [-1.0] or sorted(nz) == [-1.0, 1.0]))
+        implied = False
+        for i in range(len(a)):
+            if i == j or any(a[i][k] < a[j][k] for k in range(len(a[j]))):
+                continue
+            if b[i] <= b[j] and (b[i] < b[j] or strict[i] or not strict[j]):
+                implied = True
+        keep.append(carrier or not implied)
+    return np.array(keep, dtype=bool)
 
 
 def _facet_candidates(a_all, b_all, center, snap=1e-9):

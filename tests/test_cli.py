@@ -252,6 +252,22 @@ class TestCommands:
         text = (out / "systems" / "coupling_000_constraints.lsys").read_text()
         assert LinearSystem.from_text(text).nrows == 12 + 7
 
+    @pytest.mark.parametrize("orders, n_orders", [("all", 6), ("Rt1,Rt0,Rt2", 1)])
+    def test_fme_verify_eliminates_once_per_order(self, tmp_path, monkeypatch, orders, n_orders):
+        # the couplings share one batch: 3 projection and 4 closure eliminations per
+        # order, and one vertex enumeration per direct system and per (order, coupling)
+        from coordinet import fme
+        calls = {"fme_eliminate": 0, "_vertices": 0}
+        for name in calls:
+            def counted(*args, name=name, fn=getattr(fme, name)):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(fme, name, counted)
+        status, out = run_cli(tmp_path, "[run]\ncommand = fme-verify\nseed = 7\n"
+                                        f"[fme-verify]\ncouplings = 3\norders = {orders}\n")
+        assert status == 0 and read_summary(out)["agree_count"] == 3
+        assert calls == {"fme_eliminate": 7 * n_orders, "_vertices": 3 + 3 * n_orders}
+
     def test_protocol_stores_binning_seeds(self, tmp_path):
         status, out = run_cli(tmp_path,
                               "[run]\ncommand = protocol\nsource = identical-uniform-2\nseed = 3\n"
@@ -390,9 +406,10 @@ class TestGoldenSweep:
 
 
 class TestGoldenSearches:
-    """The bench's frontier job and a Wyner search, with results.csv and
-    summary.json committed: the searches must reach the same answers to
-    the last digit."""
+    """The bench's frontier and fme-verify jobs and a Wyner search, with
+    results.csv and summary.json committed: the searches must reach the
+    same answers to the last digit, and fme-verify the same verdicts and
+    vertex counts."""
 
     CONFIGS = {
         "frontier-dsbs": ("[run]\ncommand = frontier\nsource = dsbs-0.1\nseed = 0\n"
@@ -401,6 +418,8 @@ class TestGoldenSearches:
                           "cap_u = 2\ncap_v = 2\ncap_w = 2\nrestarts = 6\n"),
         "wyner-dsbs": ("[run]\ncommand = wyner\nsource = dsbs-0.1\nseed = 0\n"
                        "[wyner]\nw_cap = 4\nrestarts = 16\n"),
+        "fme-verify": ("[run]\ncommand = fme-verify\nseed = 1922502786\n\n"
+                       "[fme-verify]\ncouplings = 20\nsamples = 1000\norders = all\n"),
     }
 
     @pytest.mark.parametrize("job", sorted(CONFIGS))

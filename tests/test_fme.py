@@ -12,7 +12,7 @@ from coordinet.fme import (PROJECTED_VARS, SNAP, LinearSystem, binning_constrain
 from coordinet.information import entropy
 from coordinet.region import random_inner_coupling
 
-from oracles import (extension_interval, fme_eliminate_loop, simplify_loop,
+from oracles import (drop_dominated_loop, extension_interval, fme_eliminate_loop, simplify_loop,
                      systems_equivalent_sampled)
 
 
@@ -371,6 +371,89 @@ class TestAgainstLoopOracles:
             assert_same(out, simplify_loop(s.a, s.b, s.strict))
             assert out.nrows == 2 and list(out.b) == [b0, 0.0]
             assert list(out.strict) == [strict0, False]
+
+
+def random_batch(rng, nrows, nvars, couplings, coeffs=(-2, 3)):
+    """One coefficient matrix (small integers) with ``couplings`` columns of
+    coarse-grid constants and ~40% strict flags each."""
+    a = rng.integers(*coeffs, size=(nrows, nvars)).astype(float)
+    a[rng.random(a.shape) < 0.3] = 0.0      # some all-zero rows, trivial in some columns only
+    b = rng.choice([-0.5, 0.0, 0.5, 1.0, 1.5], size=(nrows, couplings))
+    return LinearSystem([f"x{k}" for k in range(nvars)], a, b, rng.random(b.shape) < 0.4)
+
+
+def row_set(a, b, strict):
+    return {(tuple(r), float(c), bool(t)) for r, c, t in zip(a, b, strict)}
+
+
+class TestBatch:
+    """A batch shares one coefficient matrix across couplings; each column
+    must describe the region its coupling's lone system describes."""
+
+    def test_simplify_keeps_each_columns_rows_and_region(self):
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            s = random_batch(rng, int(rng.integers(0, 12)), int(rng.integers(1, 4)), 3)
+            out = simplify(s)
+            assert out.b.shape == (out.nrows, 3) and out.strict.shape == out.b.shape
+            pts = rng.uniform(-2, 2, size=(300, len(s.variables)))
+            for k, col in enumerate(out.columns):
+                ref = simplify_loop(s.a, s.b[:, k], s.strict[:, k])
+                assert row_set(*ref) <= row_set(col.a, col.b, col.strict)
+                assert np.array_equal(col.contains(pts), LinearSystem(s.variables, *ref).contains(pts))
+
+    def test_drop_dominated_keeps_each_columns_rows_and_region(self):
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            nvars = int(rng.integers(1, 4))
+            s = random_batch(rng, int(rng.integers(1, 12)), nvars, 3, coeffs=(-2, 1))
+            orthant = LinearSystem(s.variables, -np.eye(nvars), np.zeros((nvars, 3)),
+                                   np.zeros((nvars, 3), dtype=bool))
+            s = simplify(LinearSystem(s.variables, np.vstack([s.a, orthant.a]),
+                                      np.vstack([s.b, orthant.b]),
+                                      np.vstack([s.strict, orthant.strict])))
+            out = fme._drop_dominated(s)
+            pts = rng.uniform(0, 2, size=(300, nvars))
+            for k, (col, before) in enumerate(zip(out.columns, s.columns)):
+                keep = drop_dominated_loop(s.a, s.b[:, k], s.strict[:, k])
+                assert row_set(s.a[keep], s.b[keep, k], s.strict[keep, k]) <= \
+                    row_set(col.a, col.b, col.strict)
+                assert np.array_equal(col.contains(pts), before.contains(pts))
+                lone = fme._drop_dominated(before)
+                assert row_set(lone.a, lone.b, lone.strict) == \
+                    row_set(s.a[keep], s.b[keep, k], s.strict[keep, k])
+
+    def test_closure_columns_match_lone_closures(self):
+        rng = np.random.default_rng(33)
+        joints = [random_inner_coupling(rng).joint() for _ in range(8)]
+        lone = [(binning_constraint_system(j), theorem_rate_system(j)) for j in joints]
+        base, direct = (LinearSystem.stack(list(x)) for x in zip(*lone))
+        batched = projection_matches_rate_system(base, direct)
+        assert len(batched) == 8
+        for (b, d), reports in zip(lone, batched):
+            expect = projection_matches_rate_system(b, d)
+            assert [(o, r.agree, r.vertices) for o, r in reports] == \
+                [(o, r.agree, r.vertices) for o, r in expect]
+        for order in itertools.permutations(("Rt0", "Rt1", "Rt2")):
+            closed = upward_closure(project_binning_system(base, order)).columns
+            for (b, _), col in zip(lone, closed):
+                assert systems_equivalent(col, upward_closure(project_binning_system(b, order))).agree
+
+    def test_lone_system_is_the_batch_of_one(self):
+        j = random_inner_coupling(np.random.default_rng(34)).joint()
+        s = binning_constraint_system(j)
+        one = LinearSystem.stack([s])
+        for order in itertools.permutations(("Rt0", "Rt1", "Rt2")):
+            lone = upward_closure(project_binning_system(s, order))
+            col, = upward_closure(project_binning_system(one, order)).columns
+            assert col.to_text() == lone.to_text()
+
+    def test_stack_needs_shared_coefficients(self):
+        s = sys_of(["x"], [({"x": 1}, "<=", 1.0)])
+        with pytest.raises(ValueError, match="shares"):
+            LinearSystem.stack([s, sys_of(["x"], [({"x": 2}, "<=", 1.0)])])
+        with pytest.raises(ValueError, match="inconsistent"):
+            LinearSystem(s.variables, s.a, np.ones((1, 2)), np.zeros((1, 3), dtype=bool))
 
 
 class TestSerialization:

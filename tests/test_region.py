@@ -1,6 +1,7 @@
 """Inner/outer bound evaluators and membership searches."""
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,32 @@ class TestInnerMembership:
         assert float(np.min(inner_check(d.witness, RateTuple(1, 1, 1, 1)))) >= -1e-6
         assert d.witness.tv_to(q) <= 1e-4
         assert max(d.witness.chain_slacks()) <= 1e-9
+
+    @pytest.mark.parametrize("caps", [(2, 2, 3), (2, 2, 2)], ids=["padded", "own-caps"])
+    def test_seed_with_an_undefined_channel_row(self, monkeypatch, caps):
+        # U = 1 carries no mass, so the seed's row p(y2 | u=1, w=1) may be undefined
+        q = dsbs(0.1)
+        c = canonical_couplings(q, (2, 2, 2))["w-from-y1"]
+        defined = np.ones((2, 2), dtype=bool)
+        defined[1, 1] = False
+        table = np.array(c.chan_y2.table)
+        table[1, 1] = 0.0
+        seed = region.InnerCoupling(c.p_uvw, ConditionalPmf(c.chan_y2.given, c.chan_y2.target,
+                                                            table, defined), c.chan_y1)
+        scored = []
+        search = region._search
+
+        def spy(evaluate, sums, tols, starts):
+            bounds, tv = evaluate([np.array(k) for k in zip(*starts[:1])])
+            scored.append((sums - bounds).min() if tv[0, 0] <= tols[1] else -INF)
+            return search(evaluate, sums, tols, starts)
+        monkeypatch.setattr(region, "_search", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = inner_membership(q, RateTuple(rf1=1.2, rb1=0, rf2=1.2, rb2=0), caps=caps,
+                                 config=SearchConfig(restarts=3), extra_seeds=[seed])
+        assert np.isfinite(scored[0])
+        assert d.verdict == "inside" and d.restarts_used == 1
 
 
 def sequential_search(evaluate, sums, tols, starts):

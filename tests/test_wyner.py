@@ -1,4 +1,5 @@
 """Common-information solver tests against brute-force and closed forms."""
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from coordinet.information import (WynerConfig, entropy, markov_slack,
 from coordinet.pmf import make_joint
 from coordinet.sources import dsbs, identical_uniform, independent_bits, triple_abc
 
-from oracles import binary_entropy, wyner_deterministic_min
+from oracles import binary_entropy, mi_from_table, wyner_deterministic_min, wyner_dsbs
 
 FAST = WynerConfig(restarts=12, seed=3)
 
@@ -81,9 +82,37 @@ def test_infeasible_cardinality_raises():
 
 
 def test_interval_has_certified_lower_bound():
+    # I(Y1;Y2) off the DSBS family; identical bits are the DSBS with crossover 0, where
+    # Wyner's closed form is I(Y1;Y2) = 1 as well
     small = WynerConfig(restarts=4, seed=0)
-    for q, lower in [(identical_uniform(2), 1.0), (dsbs(0.1), 1.0 - binary_entropy(0.1))]:
+    skewed = make_joint([("Y1", 2), ("Y2", 2)], [[0.5, 0.1], [0.1, 0.3]])
+    for q, lower in [(identical_uniform(2), 1.0), (skewed, mi_from_table(skewed.table))]:
         sol = wyner_common_information(q, config=small)
         assert sol.lower_bound == pytest.approx(mutual_information(q, ["Y1"], ["Y2"]), abs=1e-15)
         assert sol.lower_bound == pytest.approx(lower, abs=1e-12)
         assert sol.lower_bound <= sol.value + 1e-6
+    # on a DSBS the closed form, well above I(Y1;Y2) = 1 - h(0.1)
+    sol = wyner_common_information(dsbs(0.1), config=small)
+    assert sol.lower_bound == pytest.approx(wyner_dsbs(0.1), abs=1e-12)
+    assert 1.0 - binary_entropy(0.1) + 0.3 < sol.lower_bound <= sol.value + 1e-6
+
+
+@pytest.mark.parametrize("w_cap", [2, 4])
+@pytest.mark.parametrize("p", [0.05, 0.1, 0.2, 0.9])
+def test_dsbs_lower_end_is_wyners_closed_form(p, w_cap):
+    q = make_joint([("Y1", 2), ("Y2", 2)], [[(1 - p) / 2, p / 2], [p / 2, (1 - p) / 2]])
+    sol = wyner_common_information(q, w_cap=w_cap, config=FAST)
+    assert sol.lower_bound == pytest.approx(wyner_dsbs(p), abs=1e-12)
+    assert mutual_information(q, ["Y1"], ["Y2"]) < sol.lower_bound <= sol.value
+
+
+@pytest.mark.parametrize("p", [0.05, 0.1, 0.2])
+def test_dsbs_oracle_is_attained_by_the_symmetric_witness(p):
+    # W a uniform bit and Y_i = W xor Bern(a), with 2a(1 - a) = p: the outputs form the
+    # DSBS, are independent given W, and I(Y1Y2;W) is the closed form
+    a = (1 - math.sqrt(1 - 2 * p)) / 2
+    t = np.zeros((2, 2, 2))
+    for w, y1, y2 in itertools.product(range(2), repeat=3):
+        t[y1, y2, w] = 0.5 * (a if y1 != w else 1 - a) * (a if y2 != w else 1 - a)
+    assert np.allclose(t.sum(axis=2), [[(1 - p) / 2, p / 2], [p / 2, (1 - p) / 2]], atol=1e-15)
+    assert mi_from_table(t.reshape(4, 2)) == pytest.approx(wyner_dsbs(p), abs=1e-12)
