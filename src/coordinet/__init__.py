@@ -15,8 +15,8 @@ from .region import (FrontierPoint, InnerCoupling, OuterCoupling, RateTuple,
 from .fme import (EquivalenceReport, LinearSystem, binning_constraint_system,
                   fme_eliminate, projection_matches_rate_system, remove_redundant,
                   systems_equivalent, theorem_rate_system)
-from .osrb import (NO_CANDIDATE, BinningCode, InducedLaw, ProtocolConfig,
-                   SequenceSpace, bins_from_rate, make_binning, osrb_uniformity,
-                   run_protocol, sw_decode, sw_success_prob, sweep)
+from .osrb import (BinningCode, InducedLaw, ProtocolConfig, SequenceSpace,
+                   bins_from_rate, make_binning, osrb_uniformity, run_protocol,
+                   sweep)
 
 __version__ = "0.1.0"

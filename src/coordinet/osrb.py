@@ -26,23 +26,6 @@ from .region import InnerCoupling, RateTuple
 DOMAIN_CAP = 2 ** 22    # sequences a binning or a bin-law check may enumerate
 
 
-class _NoCandidate:
-    """Marker: the bin intersection handed to the decoder is empty."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NO_CANDIDATE"
-
-
-NO_CANDIDATE = _NoCandidate()
-
-
 # ---------------------------------------------------------------------------
 # Sequence-space index plumbing.  A sequence over a product alphabet of
 # size K is addressed by sum_i s_i * K^(n-1-i) (first symbol most
@@ -201,20 +184,6 @@ def _bin_keys(p: JointPmf, groups: Sequence[tuple[Sequence[str], BinningCode]], 
     return combined, side, n_bins, n_side
 
 
-def _argmax_per_key(prior: np.ndarray, keys: np.ndarray, tie: np.ndarray | None = None):
-    """Every key that occurs, ascending, and its winner: the input of
-    highest prior among those with that key, ties to the lowest ``tie``
-    rank (default: the input index).  ``keys`` holds one key per input,
-    or one such row per seed when no two seeds share a key."""
-    k = prior.size
-    rank = np.lexsort((np.arange(k) if tie is None else tie, -prior))  # inputs in that order
-    ks = keys.reshape(-1, k)[:, rank].ravel()
-    order = np.argsort(ks, kind="stable")
-    ks = ks[order]
-    starts = np.r_[True, ks[1:] != ks[:-1]]
-    return ks[starts], rank[order[starts] % k]
-
-
 def osrb_uniformity(p: JointPmf, groups: Sequence[tuple[Sequence[str], BinningCode]],
                     n: int) -> float:
     """Exact TV between the induced law of (side vars, bin indices) and
@@ -232,53 +201,6 @@ def osrb_uniformity(p: JointPmf, groups: Sequence[tuple[Sequence[str], BinningCo
     side_marg = np.bincount(side_idx, weights=flat, minlength=side_card)
     target = np.repeat(side_marg / n_combo, n_combo)
     return 0.5 * float(np.abs(induced - target).sum())
-
-
-# ---------------------------------------------------------------------------
-# Slepian-Wolf style ML decoding within bin intersections.
-
-def sw_decode(prior: JointPmf, constraints: Sequence[tuple[Sequence[str], BinningCode, int]],
-              n: int):
-    """Most-likely tuple under ``prior`` (a pmf over sequence variables)
-    among those matching every bin constraint; ties break toward the
-    lexicographically first tuple.  Returns per-variable sequence indices
-    or NO_CANDIDATE when the intersection is empty.  A bin index outside
-    ``[0, num_bins)`` of its code raises ValueError.
-    """
-    combined = _bin_keys(prior, [(vars_g, code) for vars_g, code, _ in constraints], n)[0]
-    target = 0
-    for _, code, bin_index in constraints:
-        if not 0 <= int(bin_index) < code.num_bins:
-            raise ValueError(f"bin index {bin_index} is outside [0, {code.num_bins})")
-        target = target * code.num_bins + int(bin_index)
-    keys, winners = _argmax_per_key(prior.table.ravel(), combined)
-    hit = winners[keys == target]
-    if not hit.size:
-        return NO_CANDIDATE
-    return tuple(int(i) for i in np.unravel_index(hit[0], prior.sizes))
-
-
-def sw_success_prob(p: JointPmf, groups: Sequence[tuple[Sequence[str], BinningCode]],
-                    n: int) -> float:
-    """Exact probability that ML decoding from bin indices plus side
-    information recovers the binned variables, for a fixed binning.
-
-    Side information is every variable of ``p`` not covered by a group.
-    Ties go to the lexicographically first decoded tuple, its variables
-    taken in group order.
-    """
-    ext = p.iid_extend(n, max_entries=DOMAIN_CAP)
-    flat = ext.table.ravel()
-    combined, side_idx, n_combo, _ = _bin_keys(ext, groups, n)
-    var_seqs = dict(zip(ext.names, np.unravel_index(np.arange(flat.size), ext.sizes)))
-    seq_sizes = dict(zip(ext.names, ext.sizes))
-    dec_idx = np.zeros(flat.size, dtype=np.int64)
-    for v in (v for vars_g, _ in groups for v in vars_g):
-        dec_idx = dec_idx * seq_sizes[v] + var_seqs[v]
-    _, winners = _argmax_per_key(flat, side_idx * n_combo + combined, tie=dec_idx)
-    success = np.zeros(flat.size, dtype=bool)
-    success[winners] = True
-    return float(flat[success].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +232,15 @@ class ProtocolConfig:
     caps: ProtocolCaps = field(default_factory=ProtocolCaps)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("block length must be >= 1")
-        for r in (self.rates.rf1, self.rates.rb1, self.rates.rf2, self.rates.rb2,
-                  *self.tilde_rates):
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+            raise ValueError(f"n: block length must be an int >= 1, got {self.n!r}")
+        tilde = tuple(self.tilde_rates)
+        if len(tilde) != 3:
+            raise ValueError(f"tilde_rates: need the three rates rt0, rt1, rt2, got {tilde!r}")
+        for r in (self.rates.rf1, self.rates.rb1, self.rates.rf2, self.rates.rb2, *tilde):
             if not math.isfinite(r) or r < 0:
                 raise ValueError("protocol rates must be finite and >= 0")
-        object.__setattr__(self, "tilde_rates", tuple(float(t) for t in self.tilde_rates))
+        object.__setattr__(self, "tilde_rates", tuple(float(t) for t in tilde))
 
 
 @dataclass
@@ -351,10 +275,18 @@ def _derandomization_fails(tv_best_g, tv_with_uniform_g):
 def _decoder_table(prior: np.ndarray, keys: np.ndarray, n_keys: int) -> np.ndarray:
     """Per key: the decoder input of highest prior among those with that
     key, ties to the lowest index; -1 for keys with empty preimage.
-    ``keys`` has one row per seed, and no two seeds share a key."""
+    ``keys`` has one row per seed, and no two seeds share a key; a key
+    outside [0, n_keys) raises ValueError."""
+    k = prior.size
+    rank = np.argsort(-prior, kind="stable")  # inputs by falling prior, ties by index
+    ks = keys.reshape(-1, k)[:, rank].ravel()
+    order = np.argsort(ks, kind="stable")
+    ks = ks[order]
+    if ks[0] < 0 or ks[-1] >= n_keys:
+        raise ValueError(f"bin keys [{ks[0]}, {ks[-1]}] reach outside [0, {n_keys})")
+    starts = np.r_[True, ks[1:] != ks[:-1]]
     table = np.full(n_keys, -1, dtype=np.int64)
-    hit, winner = _argmax_per_key(prior, keys)
-    table[hit] = winner
+    table[ks[starts]] = rank[order[starts] % k]
     return table
 
 
@@ -655,8 +587,10 @@ def sweep(base: ProtocolConfig, n_list: Sequence[int], seed_list: Sequence[int],
     The cells of one n share that n's plan and run in batched chunks of
     seeds on ``threads`` pool threads; records keep (n, seed) order and
     values whatever the thread count or chunking."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     records = []
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         run_chunks = pool.map if threads > 1 else map
         for n in map(int, n_list):
             recs = [_sweep_record(base, n, master_seed, seed) for seed in seed_list]

@@ -241,15 +241,6 @@ class JointPmf:
         out = self.table.reshape(self.table.shape + (1,) * nt) * ctab
         return JointPmf(self.alphabets + chan.target, out)
 
-    # -- sampling ----------------------------------------------------------
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Inverse-CDF sampling over the canonical (C-order) flat index."""
-        cdf = np.cumsum(self.table.ravel())
-        cdf[-1] = 1.0
-        if size is None:
-            return int(np.searchsorted(cdf, rng.random(), side="right"))
-        return np.searchsorted(cdf, rng.random(size), side="right")
-
 
 @dataclass(frozen=True)
 class ConditionalPmf:
@@ -301,22 +292,6 @@ class ConditionalPmf:
     @property
     def target_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.target)
-
-    @staticmethod
-    def deterministic(given, target, mapping) -> "ConditionalPmf":
-        """Point-mass rows: target flat index = mapping[given flat index]."""
-        given = _as_alphabets(given)
-        target = _as_alphabets(target)
-        gn = int(np.prod([a.size for a in given]))
-        tn = int(np.prod([a.size for a in target]))
-        mapping = np.asarray(mapping, dtype=int).reshape(gn)
-        if mapping.min() < 0 or mapping.max() >= tn:
-            raise ValueError("mapping out of target range")
-        t = np.zeros((gn, tn))
-        t[np.arange(gn), mapping] = 1.0
-        gs = tuple(a.size for a in given)
-        ts = tuple(a.size for a in target)
-        return ConditionalPmf(given, target, t.reshape(gs + ts))
 
 
 def make_joint(alphabets, table) -> JointPmf:

@@ -366,6 +366,29 @@ def sw_decode_loop(prior, names, symbol_sizes, constraints, n):
     return best
 
 
+def _iid_tuples(table, names, n):
+    """(probability, per-variable sequence index) of every n-tuple of
+    symbols under the per-symbol pmf ``table`` over ``names``, extended
+    i.i.d.; the first symbol of a sequence is its most significant."""
+    sizes = dict(zip(names, table.shape))
+    for symbols in itertools.product(itertools.product(*(range(k) for k in table.shape)),
+                                     repeat=n):
+        prob, seq = 1.0, dict.fromkeys(names, 0)
+        for sym_t in symbols:
+            prob *= table[sym_t]
+            for v, s in zip(names, sym_t):
+                seq[v] = seq[v] * sizes[v] + s
+        yield prob, seq
+
+
+def _bins_of(seq, sizes, groups, n):
+    """Each group's bin of the sequences ``seq``; a group starts with its
+    variables and its assignment array."""
+    return tuple(int(assignment[_composite_sequence([seq[v] for v in vars_g],
+                                                    [sizes[v] for v in vars_g], n)])
+                 for vars_g, assignment, *_ in groups)
+
+
 def sw_success_prob_loop(table, names, groups, n):
     """Probability that ML decoding recovers the grouped variables from
     their bins plus the other (side) variables, for the per-symbol pmf
@@ -378,17 +401,8 @@ def sw_success_prob_loop(table, names, groups, n):
     decoded = [v for vars_g, _ in groups for v in vars_g]
     side = [v for v in names if v not in decoded]
     best = {}  # (side sequences, bins) -> (probability, decoded sequences)
-    for symbols in itertools.product(itertools.product(*(range(k) for k in table.shape)),
-                                     repeat=n):
-        prob, seq = 1.0, dict.fromkeys(names, 0)
-        for sym_t in symbols:
-            prob *= table[sym_t]
-            for v, s in zip(names, sym_t):
-                seq[v] = seq[v] * sizes[v] + s
-        bins = tuple(int(assignment[_composite_sequence([seq[v] for v in vars_g],
-                                                        [sizes[v] for v in vars_g], n)])
-                     for vars_g, assignment in groups)
-        key = (tuple(seq[v] for v in side), bins)
+    for prob, seq in _iid_tuples(table, names, n):
+        key = (tuple(seq[v] for v in side), _bins_of(seq, sizes, groups, n))
         cand = (prob, tuple(seq[v] for v in decoded))
         if key not in best or cand[0] > best[key][0] or (
                 cand[0] == best[key][0] and cand[1] < best[key][1]):
@@ -399,6 +413,30 @@ def sw_success_prob_loop(table, names, groups, n):
     return total
 
 
+def osrb_uniformity_loop(table, names, groups, n):
+    """TV between the law of (side sequences, bins) and the side marginal
+    times independent uniform bins, for the per-symbol pmf ``table`` over
+    ``names`` extended i.i.d. to n symbols.  Each group is (variables,
+    assignment array, bin count) and is binned as one composite source;
+    the side variables are those in no group.  Every n-tuple of symbols
+    is visited."""
+    sizes = dict(zip(names, table.shape))
+    grouped = {v for vars_g, _, _ in groups for v in vars_g}
+    side = [v for v in names if v not in grouped]
+    induced, side_marg = {}, {}
+    for prob, seq in _iid_tuples(table, names, n):
+        s = tuple(seq[v] for v in side)
+        key = (s, _bins_of(seq, sizes, groups, n))
+        induced[key] = induced.get(key, 0.0) + prob
+        side_marg[s] = side_marg.get(s, 0.0) + prob
+    total_bins = math.prod(nb for _, _, nb in groups)
+    tv = 0.0
+    for s, mass in side_marg.items():
+        for bins in itertools.product(*(range(nb) for _, _, nb in groups)):
+            tv += abs(induced.get((s, bins), 0.0) - mass / total_bins)
+    return tv / 2
+
+
 def slow_protocol_law(p_wvu, chan1, chan2, n, codes, num_bins):
     """Reference implementation of the protocol's induced law by explicit
     loops over shared indices, backward messages, and relay tuples.
@@ -406,7 +444,9 @@ def slow_protocol_law(p_wvu, chan1, chan2, n, codes, num_bins):
     p_wvu: per-symbol table (w, v, u); chan1[(w,v) sym, y1], chan2[(w,u), y2]
     per-symbol channel matrices; codes: dict name -> assignment arrays over
     the matching sequence spaces; num_bins: dict name -> bin counts.
-    Returns joint array over (g0, g1, g2, y1 seq, y2 seq).
+    Returns the joint array over (g0, g1, g2, y1 seq, y2 seq) and each
+    node's decoding success: the relay weight of the tuples whose decoded
+    pair is their own.
     """
     nw, nv, nu = p_wvu.shape
     n1 = chan1.shape[1]
@@ -493,6 +533,7 @@ def slow_protocol_law(p_wvu, chan1, chan2, n, codes, num_bins):
 
     total_cells = (num_bins["g0"] * num_bins["g1"] * num_bins["g2"]
                    * num_bins["b1"] * num_bins["b2"])
+    sw1 = sw2 = 0.0
     for g0 in range(num_bins["g0"]):
         for g1 in range(num_bins["g1"]):
             for g2 in range(num_bins["g2"]):
@@ -524,7 +565,9 @@ def slow_protocol_law(p_wvu, chan1, chan2, n, codes, num_bins):
                             y1law = chan_seq(chan1, in1, nw * nv)
                             y2law = chan_seq(chan2, in2, nw * nu)
                             joint[gflat] += (pr / z) * np.outer(y1law, y2law) / total_cells
-    return joint
+                            sw1 += (pr / z) / total_cells if d1 == (w, v) else 0.0
+                            sw2 += (pr / z) / total_cells if d2 == (w, u) else 0.0
+    return joint, (sw1, sw2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,19 +5,33 @@ import statistics
 import numpy as np
 import pytest
 
-from coordinet.osrb import (NO_CANDIDATE, BinningCode, SequenceSpace, _argmax_per_key,
-                            bins_from_rate, make_binning, merge_sequences, osrb_uniformity,
-                            split_sequences, sw_decode, sw_success_prob)
+from coordinet.osrb import (BinningCode, SequenceSpace, _bin_keys, _decoder_table, bins_from_rate,
+                            make_binning, merge_sequences, osrb_uniformity, split_sequences)
 from coordinet.pmf import StateSpaceTooLarge, make_joint
 from coordinet.sources import dsbs
 
-from oracles import (binary_entropy, merge_sequences_loop, split_sequences_loop,
-                     sw_decode_loop, sw_success_prob_loop)
+from oracles import (binary_entropy, merge_sequences_loop, osrb_uniformity_loop,
+                     split_sequences_loop, sw_decode_loop, sw_success_prob_loop)
 
 
 def space(sizes, n, names=None):
     names = names or tuple(f"X{i}" for i in range(len(sizes)))
     return SequenceSpace(names, sizes, n)
+
+
+def sw_success_prob(p, groups, n):
+    """Probability that argmax decoding per bin key (_decoder_table, as
+    each protocol node decodes) recovers the grouped variables of ``p``
+    extended to n symbols from their bins (_bin_keys) plus the side
+    variables, those in no group.  The extension lists the decoded
+    variables first, in group order, so ties go to the first decoded tuple."""
+    decoded = list(dict.fromkeys(v for vars_g, _ in groups for v in vars_g))
+    ext = p.reorder(decoded + [v for v in p.names if v not in decoded]).iid_extend(n)
+    combined, side, n_combo, n_side = _bin_keys(ext, groups, n)
+    keys = side * n_combo + combined
+    prior = ext.table.ravel()
+    table = _decoder_table(prior, keys, n_side * n_combo)
+    return float(prior[table[keys] == np.arange(prior.size)].sum())
 
 
 class TestSequenceIndexing:
@@ -146,41 +160,43 @@ class TestUniformity:
 
 
 class TestSwDecode:
+    """A node's decoder table: per bin key, the input of highest prior."""
+
     def test_injective_binning_recovers_exactly(self):
         rng = np.random.default_rng(2)
-        t = rng.gamma(1.0, size=8)
-        prior = make_joint([("X", 8)], t / t.sum())  # a sequence space, n=3 binary
+        prior = rng.gamma(1.0, size=8)  # over a sequence space, n=3 binary
         code = BinningCode(space((2,), 3, ("X",)), 8, np.arange(8), seed=0)
+        table = _decoder_table(prior / prior.sum(), code.assignment, code.num_bins)
         for target in range(8):
-            got = sw_decode(prior, [(("X",), code, target)], 3)
-            assert got == (target,)
+            assert table[target] == target
 
     def test_all_ones_binning_returns_peak(self):
-        t = np.full(8, 0.05)
-        t[5] = 0.65
-        prior = make_joint([("X", 8)], t)
+        prior = np.full(8, 0.05)
+        prior[5] = 0.65
         code = BinningCode(space((2,), 3, ("X",)), 1, np.zeros(8, dtype=int), seed=0)
-        assert sw_decode(prior, [(("X",), code, 0)], 3) == (5,)
+        assert _decoder_table(prior, code.assignment, code.num_bins).tolist() == [5]
 
     def test_empty_intersection_is_no_candidate(self):
-        prior = make_joint([("X", 4)], np.full(4, 0.25))
+        prior = np.full(4, 0.25)
         c1 = BinningCode(space((2,), 2, ("X",)), 2, np.array([0, 0, 1, 1]), seed=0)
         c2 = BinningCode(space((2,), 2, ("X",)), 2, np.array([0, 0, 1, 1]), seed=0)
-        got = sw_decode(prior, [(("X",), c1, 0), (("X",), c2, 1)], 2)
-        assert got is NO_CANDIDATE
+        keys = c1.assignment * c2.num_bins + c2.assignment
+        table = _decoder_table(prior, keys, c1.num_bins * c2.num_bins)
+        assert table[0 * c2.num_bins + 1] == -1
 
     def test_lexicographic_tie_break(self):
-        prior = make_joint([("X", 4)], np.full(4, 0.25))
+        prior = np.full(4, 0.25)
         code = BinningCode(space((2,), 2, ("X",)), 2, np.array([0, 1, 0, 1]), seed=0)
-        assert sw_decode(prior, [(("X",), code, 0)], 2) == (0,)
+        assert _decoder_table(prior, code.assignment, code.num_bins).tolist() == [0, 1]
 
     @pytest.mark.parametrize("bin_index", [-1, 2, 5])
     def test_out_of_range_bin_index_raises(self, bin_index):
-        # an index past num_bins is a caller's error, not an empty intersection
-        prior = make_joint([("X", 4)], np.full(4, 0.25))
+        # a key past the key count is a caller's error, not an empty preimage
+        prior = np.full(4, 0.25)
         code = BinningCode(space((2,), 2, ("X",)), 2, np.array([0, 0, 1, 1]), seed=0)
+        keys = np.r_[code.assignment[:3], bin_index]
         with pytest.raises(ValueError, match="outside"):
-            sw_decode(prior, [(("X",), code, 1), (("X",), code, bin_index)], 2)
+            _decoder_table(prior, keys, code.num_bins)
 
 
 class TestSwSuccess:
@@ -246,6 +262,26 @@ def _random_cases(seed, count=40, max_entries=512):
         yield rng, names, sizes, n, _random_groups(rng, names, sizes, n)
 
 
+class TestUniformityMatchesLoop:
+    """The bin-index law's TV against a plain loop over every sequence
+    tuple: side information, several groups and groups in non-name order."""
+
+    def test_osrb_uniformity(self):
+        seen = dict(side=0, unordered=0, several=0)
+        for rng, names, sizes, n, groups in _random_cases(11):
+            table = _dyadic(rng, math.prod(sizes)).reshape(sizes)
+            p = make_joint(list(zip(names, sizes)), table)
+            got = osrb_uniformity(p, groups, n)
+            ref = osrb_uniformity_loop(table, names,
+                                       [(g, c.assignment, c.num_bins) for g, c in groups], n)
+            assert abs(got - ref) <= 1e-12
+            grouped = [v for g, _ in groups for v in g]
+            seen["side"] += len(set(grouped)) < len(names)
+            seen["unordered"] += any(g != sorted(g) for g, _ in groups)
+            seen["several"] += len(groups) > 1
+        assert min(seen.values()) > 0, seen
+
+
 class TestDecodersMatchLoops:
     """ML decoding against plain loops over every sequence tuple: ties,
     side information, several groups and groups in non-name order."""
@@ -265,6 +301,8 @@ class TestDecodersMatchLoops:
         assert min(seen.values()) > 0, seen
 
     def test_sw_decode(self):
+        # the decoder table over the combined bin keys of some groups, read
+        # at one bin tuple, is ML decoding within that bin intersection
         empty = 0
         for rng, names, sizes, n, groups in _random_cases(12):
             seq_sizes = [k ** n for k in sizes]
@@ -276,33 +314,33 @@ class TestDecodersMatchLoops:
                 else:
                     cons_groups = groups
                 cons = [(g, c, int(rng.integers(0, c.num_bins))) for g, c in cons_groups]
-                got = sw_decode(p, cons, n)
+                combined, _, n_combo, _ = _bin_keys(p, cons_groups, n)
+                target = 0
+                for _, c, b in cons:  # first group most significant, as in _bin_keys
+                    target = target * c.num_bins + b
+                got = int(_decoder_table(prior.ravel(), combined, n_combo)[target])
                 ref = sw_decode_loop(prior, names, sizes,
                                      [(g, c.assignment, b) for g, c, b in cons], n)
-                assert got == (NO_CANDIDATE if ref is None else ref)
+                assert got == (-1 if ref is None else np.ravel_multi_index(ref, seq_sizes))
                 empty += ref is None
         assert empty > 0
 
 
 def test_argmax_per_key_matches_a_loop():
-    """Per key the input of highest prior, ties to the lowest tie rank
-    (the input index by default), over seed-stacked key rows."""
+    """Per key the input of highest prior, ties to the lowest index, and -1
+    for a key no input has, over seed-stacked key rows."""
     rng = np.random.default_rng(13)
     for _ in range(30):
         k, seeds, n_keys = int(rng.integers(1, 40)), int(rng.integers(1, 4)), int(rng.integers(1, 8))
         prior = rng.integers(0, 3, size=k) / 7.0
         keys = rng.integers(0, n_keys, size=(seeds, k)) + np.arange(seeds)[:, None] * n_keys
-        for tie in (None, rng.permutation(k)):
-            rank = np.arange(k) if tie is None else tie
-            want = {}
-            for row in keys:
-                for i, key in enumerate(row.tolist()):
-                    j = want.get(key)
-                    if j is None or prior[i] > prior[j] or (prior[i] == prior[j] and rank[i] < rank[j]):
-                        want[key] = i
-            got_keys, got = _argmax_per_key(prior, keys, tie=tie)
-            assert got_keys.tolist() == sorted(want)
-            assert got.tolist() == [want[key] for key in sorted(want)]
+        want = [-1] * (seeds * n_keys)
+        for row in keys:
+            for i, key in enumerate(row.tolist()):
+                j = want[key]
+                if j < 0 or prior[i] > prior[j]:
+                    want[key] = i
+        assert _decoder_table(prior, keys, seeds * n_keys).tolist() == want
 
 
 class TestBinningDomainChecked:
@@ -320,17 +358,18 @@ class TestBinningDomainChecked:
         with pytest.raises(ValueError):
             measure(self.p, [(("X",), code)], 2)
 
+    # the bin keys a decoder table is built on, over given sequence spaces
     @pytest.mark.parametrize("domain", MISMATCHED)
     def test_sw_decode(self, domain):
         prior = self.p.iid_extend(2)
         code = make_binning(domain, 2, seed=0)
         with pytest.raises(ValueError):
-            sw_decode(prior, [(("X",), code, 0)], 2)
+            _bin_keys(prior, [(("X",), code)], 2)
 
     def test_sw_decode_block_length(self):
         code = make_binning(space((2,), 2, ("X",)), 2, seed=0)
         with pytest.raises(ValueError):
-            sw_decode(self.p, [(("X",), code, 0)], 1)
+            _bin_keys(self.p, [(("X",), code)], 1)
 
 
 class TestUniformityTrend:

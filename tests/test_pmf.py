@@ -254,32 +254,6 @@ class TestAttach:
                         p.table[a, b] * c.table[b, a, cc], abs=1e-15)
 
 
-class TestSampling:
-    def test_point_mass_always(self):
-        p = make_joint([("X", 3)], [0.0, 1.0, 0.0])
-        rng = np.random.default_rng(0)
-        assert all(p.sample(rng) == 1 for _ in range(50))
-
-    def test_fair_bit_frequency(self):
-        p = fair_bit()
-        rng = np.random.default_rng(1)
-        draws = p.sample(rng, size=100_000)
-        freq0 = float(np.mean(draws == 0))
-        assert 0.49 <= freq0 <= 0.51
-
-    def test_zero_mass_never_sampled(self):
-        p = make_joint([("X", 3)], [0.5, 0.0, 0.5])
-        rng = np.random.default_rng(2)
-        draws = p.sample(rng, size=100_000)
-        assert not np.any(draws == 1)
-
-    def test_deterministic_given_stream(self):
-        p = dsbs01()
-        a = p.sample(np.random.default_rng(7), size=100)
-        b = p.sample(np.random.default_rng(7), size=100)
-        assert np.array_equal(a, b)
-
-
 class TestSerialization:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(6)

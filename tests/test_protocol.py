@@ -15,7 +15,7 @@ from coordinet.pmf import ConditionalPmf
 from coordinet.region import InnerCoupling, RateTuple, canonical_couplings
 from coordinet.sources import builtin_coupling, dsbs, identical_uniform, independent_bits, load_source
 
-from oracles import slow_protocol_law
+from oracles import slow_protocol_law, sw_success_prob_loop
 
 
 def common_bit_config(n=2, rf=1.0, rb=0.0, rt=(0.0, 0.0, 0.0), seed=0):
@@ -25,9 +25,9 @@ def common_bit_config(n=2, rf=1.0, rb=0.0, rt=(0.0, 0.0, 0.0), seed=0):
                           tilde_rates=rt, seed=seed)
 
 
-def oracle_joint(cfg):
-    """The slow oracle's law for ``cfg``, with the binnings rebuilt exactly
-    as run_protocol draws them."""
+def oracle_codes(cfg):
+    """The assignment arrays and bin counts of ``cfg``'s seven binnings,
+    rebuilt exactly as run_protocol draws them."""
     coup = cfg.coupling
     nu, nv, nw = coup.p_uvw.sizes
     n = cfg.n
@@ -46,10 +46,21 @@ def oracle_joint(cfg):
         nb, _ = bins_from_rate(n, rate_map[name])
         codes[name] = make_binning(doms[name], nb, int(seeds[i])).assignment
         num_bins[name] = nb
+    return codes, num_bins
+
+
+def oracle_law(cfg):
+    """The slow oracle's joint and per-node decoding success for ``cfg``."""
+    coup = cfg.coupling
+    nu, nv, nw = coup.p_uvw.sizes
     p_wvu = coup.p_uvw.reorder(("W", "V", "U")).table
     chan1 = np.transpose(coup.chan_y1.table, (1, 0, 2)).reshape(nw * nv, -1)
     chan2 = np.transpose(coup.chan_y2.table, (1, 0, 2)).reshape(nw * nu, -1)
-    return slow_protocol_law(p_wvu, chan1, chan2, n, codes, num_bins)
+    return slow_protocol_law(p_wvu, chan1, chan2, cfg.n, *oracle_codes(cfg))
+
+
+def oracle_joint(cfg):
+    return oracle_law(cfg)[0]
 
 
 def coupling(name, q):
@@ -183,6 +194,19 @@ class TestExactnessInvariants:
                            rates=RateTuple(rf1=math.inf, rb1=0, rf2=1, rb2=0),
                            tilde_rates=(0, 0, 0), seed=0)
 
+    @pytest.mark.parametrize("field, shape", [
+        ("tilde_rates", dict(tilde_rates=(0.1, 0.0))),            # a missing rate
+        ("tilde_rates", dict(tilde_rates=(0.1, 0.0, 0.0, 5.0))),  # a rate that would be ignored
+        ("n", dict(n=2.5)),
+        ("n", dict(n=True)),
+    ])
+    def test_rejects_a_malformed_shape_naming_the_field(self, field, shape):
+        q = identical_uniform(2)
+        args = dict(q=q, coupling=builtin_coupling("w-from-y1", q), n=2,
+                    rates=RateTuple(1, 0, 1, 0), tilde_rates=(0, 0, 0))
+        with pytest.raises(ValueError, match=field):
+            ProtocolConfig(**{**args, **shape})
+
 
 class TestMixOutputs:
     def test_dense_and_grouped_paths_agree_with_direct_sum(self):
@@ -238,6 +262,18 @@ class TestMixOutputs:
                 assert bool(grouped) == (cap == 1 and not all(by_out))
 
 
+# (coupling, source, forms of the (y1, y2) channels: 1 an index map, 2 a matrix)
+CHANNEL_FORMS = [
+    ("uv-copy", "dsbs-0.1", (1, 1)),
+    ("w-from-y1", "identical-uniform-2", (1, 1)),
+    ("w-from-y1", "dsbs-0.1", (1, 2)),
+    ("w-from-y2", "dsbs-0.1", (2, 1)),
+    ("copy-w", "dsbs-0.1", (1, 1)),   # W = (Y1, Y2): several decoded inputs share an output
+    ("const", "dsbs-0.1", (2, 2)),
+    ("uv-copy-padded", "dsbs-0.1", (2, 2)),
+]
+
+
 class TestAgainstSlowOracle:
     def test_exact_match_small_case(self):
         q = identical_uniform(2)
@@ -271,20 +307,12 @@ class TestAgainstSlowOracle:
                              tilde_rates=(0.0, 0.5, 0.0), seed=5)
         law = run_protocol(cfg)
         assert law.num_bins["g1"] == 3
-        ref = oracle_joint(cfg)
+        ref, success = oracle_law(cfg)
         got = law.joint_with_g.table.reshape(ref.shape)
         assert np.abs(got - ref).max() <= 1e-12
+        assert np.abs(np.subtract((law.sw1_success, law.sw2_success), success)).max() <= 1e-12
 
-    # (coupling, source, forms of the (y1, y2) channels: 1 an index map, 2 a matrix)
-    @pytest.mark.parametrize("name, source, forms", [
-        ("uv-copy", "dsbs-0.1", (1, 1)),
-        ("w-from-y1", "identical-uniform-2", (1, 1)),
-        ("w-from-y1", "dsbs-0.1", (1, 2)),
-        ("w-from-y2", "dsbs-0.1", (2, 1)),
-        ("copy-w", "dsbs-0.1", (1, 1)),   # W = (Y1, Y2): several decoded inputs share an output
-        ("const", "dsbs-0.1", (2, 2)),
-        ("uv-copy-padded", "dsbs-0.1", (2, 2)),
-    ])
+    @pytest.mark.parametrize("name, source, forms", CHANNEL_FORMS)
     def test_each_channel_form_matches_oracle(self, name, source, forms):
         q = load_source(source)
         for n, seed in ((2, 5), (3, 1)):
@@ -293,9 +321,27 @@ class TestAgainstSlowOracle:
                                  tilde_rates=(0.5, 0.5, 0.0), seed=seed)
             assert tuple(c.ndim for c in osrb._ProtocolPlan(cfg).chans) == forms
             law = run_protocol(cfg)
-            ref = oracle_joint(cfg)
+            ref, success = oracle_law(cfg)
             assert np.abs(law.joint_with_g.table.reshape(ref.shape) - ref).max() <= 1e-12
             assert np.abs(law.marginal_direct - ref.sum(axis=0)).max() <= 1e-12
+            assert np.abs(np.subtract((law.sw1_success, law.sw2_success), success)).max() <= 1e-12
+
+    @pytest.mark.parametrize("name, source", [(name, source) for name, source, _ in CHANNEL_FORMS])
+    def test_node_success_is_slepian_wolf_success_at_zero_relay_rates(self, name, source):
+        # at rt = rb = 0 the relay's law is the prior, so each node's success
+        # is that of ML decoding its (w, v) or (w, u) sequence from its forward bins
+        q = load_source(source)
+        for n, seed in ((2, 5), (3, 1)):
+            cfg = ProtocolConfig(q=q, coupling=coupling(name, q), n=n,
+                                 rates=RateTuple(rf1=1.0, rb1=0.0, rf2=0.5, rb2=0.0),
+                                 tilde_rates=(0.0, 0.0, 0.0), seed=seed)
+            law = run_protocol(cfg)
+            codes, _ = oracle_codes(cfg)
+            p_wvu = cfg.coupling.p_uvw.reorder(("W", "V", "U")).table
+            sw1 = sw_success_prob_loop(p_wvu.sum(axis=2), ("W", "V"), [(("W", "V"), codes["f1"])], n)
+            sw2 = sw_success_prob_loop(p_wvu.sum(axis=1), ("W", "U"), [(("W", "U"), codes["f2"])], n)
+            assert abs(law.sw1_success - sw1) <= 1e-12
+            assert abs(law.sw2_success - sw2) <= 1e-12
 
     def test_index_map_only_for_one_hot_rows(self):
         one_hot = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -387,6 +433,11 @@ class TestSweep:
         bad = [r for r in recs if r["error"]]
         assert len(ok) == 2 and len(bad) == 2
         assert all("StateSpaceTooLarge" in r["error"] for r in bad)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_rejects_fewer_than_one_thread(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            sweep(common_bit_config(), [2], [0], threads=threads)
 
 
 class TestSharedPlan:

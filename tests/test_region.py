@@ -303,27 +303,24 @@ class TestOuterSlack:
     def test_all_rates_infinite(self):
         q = identical_uniform(2)
         c = OuterCoupling(q, ConditionalPmf(
-            (Alphabet("Y1", 2), Alphabet("Y2", 2)), (Alphabet("U", 2), Alphabet("V", 2)),
-            ConditionalPmf.deterministic(
-                (Alphabet("Y1", 2), Alphabet("Y2", 2)), (Alphabet("U", 2), Alphabet("V", 2)),
-                [0, 1, 2, 3]).table))
+            (Alphabet("Y1", 2), Alphabet("Y2", 2)), (Alphabet("U", 2), Alphabet("V", 2)), np.eye(4)))
         assert outer_slack(c, RateTuple(INF, INF, INF, INF)) == INF
 
     def test_copy_everything_deficit(self):
         # U = V = Y1 = Y2 fair bit; rb1 + rf1 = 0.5 misses I(Y1Y2;V) = 1 by half
         q = identical_uniform(2)
-        chan = ConditionalPmf.deterministic(
+        chan = ConditionalPmf(
             (Alphabet("Y1", 2), Alphabet("Y2", 2)), (Alphabet("U", 2), Alphabet("V", 2)),
-            [0, 0, 3, 3])  # (u,v) = (y1,y1); off-diagonal rows are zero-mass
+            np.eye(4)[[0, 0, 3, 3]])  # (u,v) = (y1,y1); off-diagonal rows are zero-mass
         c = OuterCoupling(q, chan)
         s = outer_slack(c, RateTuple(rf1=0.25, rb1=0.25, rf2=INF, rb2=INF))
         assert s == pytest.approx(-0.5, abs=1e-9)
 
     def test_constants_on_independent(self):
         q = independent_bits()
-        chan = ConditionalPmf.deterministic(
+        chan = ConditionalPmf(
             (Alphabet("Y1", 2), Alphabet("Y2", 2)), (Alphabet("U", 1), Alphabet("V", 1)),
-            [0, 0, 0, 0])
+            np.eye(1)[[0, 0, 0, 0]])
         c = OuterCoupling(q, chan)
         assert max(c.markov_slacks()) <= 1e-12
         assert outer_slack(c, RateTuple(0, 0, 0, 0)) == pytest.approx(0.0, abs=1e-9)
