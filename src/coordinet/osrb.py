@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pmf import Alphabet, JointPmf, StateSpaceTooLarge, mass_check
+from .pmf import Alphabet, JointPmf, StateSpaceTooLarge, check_block_length, mass_check
 from .region import InnerCoupling, RateTuple
 
 DOMAIN_CAP = 2 ** 22    # sequences a binning or a bin-law check may enumerate
@@ -43,8 +43,9 @@ class SequenceSpace:
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
-        if self.n < 1 or any(s < 1 for s in self.sizes):
-            raise ValueError("need n >= 1 and positive alphabet sizes")
+        check_block_length(self.n)
+        if any(s < 1 for s in self.sizes):
+            raise ValueError("need positive alphabet sizes")
         object.__setattr__(self, "size", self.symbol_size ** self.n)
 
     @property
@@ -232,8 +233,7 @@ class ProtocolConfig:
     caps: ProtocolCaps = field(default_factory=ProtocolCaps)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"n: block length must be an int >= 1, got {self.n!r}")
+        check_block_length(self.n)
         tilde = tuple(self.tilde_rates)
         if len(tilde) != 3:
             raise ValueError(f"tilde_rates: need the three rates rt0, rt1, rt2, got {tilde!r}")
@@ -344,7 +344,9 @@ class _ProtocolPlan:
     checks, the bin counts, the (w, wv, wu) indices and the prior of every
     live relay tuple, the decoder priors and their w digits, the two
     output channels (_sequence_channel), and q^n, built on first use since
-    it is needed only after mixing.  Arrays are read-only: plans are shared.
+    it is needed only after mixing (iid_extend makes it in its final layout,
+    so at most two tables, the product and its normalised copy, are alive
+    at once).  Arrays are read-only: plans are shared.
 
     ``sweep`` builds one ``shared`` plan per block length for all its
     seeds.  A lone call builds its own, which keeps no relay-tuple arrays:
@@ -500,10 +502,19 @@ def _run_seeds(plan: _ProtocolPlan, seeds: Sequence[int]) -> dict:
     marg = _mix_outputs(pair, live_w, empty_cells.sum(axis=(1, 2))[:, None] * unif_cell,
                         *plan.mix, plan.caps.with_g, True, plan.origin)
 
+    # the three TVs, each |difference| formed in place in one buffer; the
+    # marginal's buffer is dropped before the joint-sized one is made
     qn = plan.qn()
-    tv_marginal = 0.5 * np.abs(joint.sum(axis=1) - qn).sum(axis=(1, 2))
-    tv_uniform = 0.5 * np.abs(joint - qn / gtot).sum(axis=(1, 2, 3))
-    per_g_tv = 0.5 * np.abs(joint * gtot - qn).sum(axis=(2, 3))
+    buf = joint.sum(axis=1)
+    buf -= qn
+    tv_marginal = 0.5 * np.abs(buf, out=buf).sum(axis=(1, 2))
+    del buf
+    buf = np.empty_like(joint)
+    np.subtract(joint, np.divide(qn, gtot, out=buf), out=buf)
+    tv_uniform = 0.5 * np.abs(buf, out=buf).sum(axis=(1, 2, 3))
+    np.multiply(joint, gtot, out=buf)
+    buf -= qn
+    per_g_tv = 0.5 * np.abs(buf, out=buf).sum(axis=(2, 3))
     best = per_g_tv.argmin(axis=1)
 
     return {"joint": joint, "marg": marg, "raw_mass": raw_mass, "tv_marginal": tv_marginal,

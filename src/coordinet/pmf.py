@@ -84,12 +84,21 @@ def _as_alphabets(alphabets: Iterable) -> tuple[Alphabet, ...]:
     return tuple(out)
 
 
+def check_block_length(n) -> None:
+    """Raise ValueError naming ``n`` unless it is an int >= 1 (a bool is not)."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n: block length must be an int >= 1, got {n!r}")
+
+
 def mass_check(t: np.ndarray):
     """The checks of a pmf table, run on each row of ``t`` (one table per
-    row): the rows with negatives within NEG_TOL zeroed, their sums, and
-    per row the error building a JointPmf of it raises, or None."""
-    finite, low = np.isfinite(t).all(axis=-1), t.min(axis=-1)
-    t = np.where(t < 0, 0.0, t)
+    row): ``t`` itself, or a copy with its negatives zeroed when a row has
+    one (or a NaN), the row sums, and per row the error building a JointPmf
+    of it raises, or None.  No other whole-table temporary is made."""
+    low, high = t.min(axis=-1), t.max(axis=-1)
+    finite = np.isfinite(low) & np.isfinite(high)
+    if not (low >= 0).all():  # a negative entry, or a NaN
+        t = np.where(t < 0, 0.0, t)
     s = t.sum(axis=-1)
     return t, s, [NonFiniteMass("probabilities must be finite") if not f
                   else NegativeMass(f"negative probability {m}") if m < -NEG_TOL
@@ -173,26 +182,24 @@ class JointPmf:
     def iid_extend(self, n: int, max_entries: int = DEFAULT_IID_CAP) -> "JointPmf":
         """The n-fold product law; each variable becomes its own sequence
         alphabet of size ``k**n`` indexed lexicographically (first symbol
-        most significant)."""
-        if n < 1:
-            raise ValueError("block length must be >= 1")
+        most significant).  Each step multiplies the extension so far by
+        one more symbol on interleaved axes, (K1^m, 1, K2^m, 1, ...) *
+        (1, K1, 1, K2, ...), so the table is built in its final layout,
+        its products taken left to right over the symbols."""
+        check_block_length(n)
         sizes = self.sizes
         total = 1
         for k in sizes:
             total *= k ** n
             if total > max_entries:
                 raise StateSpaceTooLarge(f"{total}+ entries exceeds cap {max_entries}")
-        flat = self.table.ravel()
-        ext = flat
-        for _ in range(n - 1):
-            ext = np.multiply.outer(ext, flat).ravel()
-        d = len(sizes)
-        full = ext.reshape(sizes * n)  # axes: (t0 v0, t0 v1, ..., t1 v0, ...)
-        perm = [t * d + j for j in range(d) for t in range(n)]
-        full = full.transpose(perm)
-        new_tab = full.reshape([k ** n for k in sizes])
+        step = self.table.reshape([d for k in sizes for d in (1, k)])
+        ext = self.table
+        for m in range(1, n):
+            ext = (ext.reshape([d for k in sizes for d in (k ** m, 1)]) * step).reshape(
+                [k ** (m + 1) for k in sizes])
         alphas = tuple(Alphabet(a.name, a.size ** n) for a in self.alphabets)
-        return JointPmf(alphas, new_tab)
+        return JointPmf(alphas, ext)
 
     def tv(self, other: "JointPmf") -> float:
         """Total variation distance, (1/2) * sum |p - q|."""

@@ -381,6 +381,29 @@ def _iid_tuples(table, names, n):
         yield prob, seq
 
 
+def iid_extend_loop(table, n):
+    """The n-fold product of the per-symbol pmf ``table``, one entry per
+    n-tuple of symbols, each variable's sequence on its own axis."""
+    names = list(range(table.ndim))
+    out = np.zeros([k ** n for k in table.shape])
+    for prob, seq in _iid_tuples(table, names, n):
+        out[tuple(seq[v] for v in names)] = prob
+    return out
+
+
+def iid_extend_transpose(table, n):
+    """The n-fold product built as a chain of outer products of the whole
+    flattened symbol law, with axes (t0 v0, t0 v1, ..., t1 v0, ...), then
+    transposed so each variable's n symbol axes are adjacent."""
+    flat = np.asarray(table, dtype=float).ravel()
+    ext = flat
+    for _ in range(n - 1):
+        ext = np.multiply.outer(ext, flat).ravel()
+    d = table.ndim
+    perm = [t * d + j for j in range(d) for t in range(n)]
+    return ext.reshape(table.shape * n).transpose(perm).reshape([k ** n for k in table.shape])
+
+
 def _bins_of(seq, sizes, groups, n):
     """Each group's bin of the sequences ``seq``; a group starts with its
     variables and its assignment array."""

@@ -40,6 +40,11 @@ class TestSequenceIndexing:
         comps = split_sequences(idx, (2, 3), 3)
         assert np.array_equal(merge_sequences(comps, (2, 3), 3), idx)
 
+    @pytest.mark.parametrize("n", [True, 2.0, 0])
+    def test_rejects_a_block_length_that_is_not_a_positive_int(self, n):
+        with pytest.raises(ValueError, match="n: block length"):
+            SequenceSpace(("W",), (2,), n)
+
     def test_msb_first_convention(self):
         # sequence (1, 0) over a binary alphabet has index 2
         comps = split_sequences(np.array([2]), (2,), 2)
@@ -260,6 +265,16 @@ def _random_cases(seed, count=40, max_entries=512):
         while math.prod(sizes) ** n > max_entries:
             n -= 1
         yield rng, names, sizes, n, _random_groups(rng, names, sizes, n)
+    # two side variables of more than one symbol each, which the side index
+    # must keep apart
+    dom = SequenceSpace(["B"], [2], 2)
+    yield rng, ["A", "B", "C"], [2, 2, 3], 2, [(["B"], make_binning(dom, 3, int(rng.integers(1 << 30))))]
+
+
+def _two_side(names, sizes, groups):
+    """Whether at least two side variables have more than one symbol."""
+    grouped = {v for g, _ in groups for v in g}
+    return sum(k > 1 for v, k in zip(names, sizes) if v not in grouped) >= 2
 
 
 class TestUniformityMatchesLoop:
@@ -267,7 +282,7 @@ class TestUniformityMatchesLoop:
     tuple: side information, several groups and groups in non-name order."""
 
     def test_osrb_uniformity(self):
-        seen = dict(side=0, unordered=0, several=0)
+        seen = dict(side=0, two_side=0, unordered=0, several=0)
         for rng, names, sizes, n, groups in _random_cases(11):
             table = _dyadic(rng, math.prod(sizes)).reshape(sizes)
             p = make_joint(list(zip(names, sizes)), table)
@@ -277,6 +292,7 @@ class TestUniformityMatchesLoop:
             assert abs(got - ref) <= 1e-12
             grouped = [v for g, _ in groups for v in g]
             seen["side"] += len(set(grouped)) < len(names)
+            seen["two_side"] += _two_side(names, sizes, groups)
             seen["unordered"] += any(g != sorted(g) for g, _ in groups)
             seen["several"] += len(groups) > 1
         assert min(seen.values()) > 0, seen
@@ -287,7 +303,7 @@ class TestDecodersMatchLoops:
     side information, several groups and groups in non-name order."""
 
     def test_sw_success_prob(self):
-        seen = dict(side=0, unordered=0, several=0)
+        seen = dict(side=0, two_side=0, unordered=0, several=0)
         for rng, names, sizes, n, groups in _random_cases(11):
             table = _dyadic(rng, math.prod(sizes)).reshape(sizes)
             p = make_joint(list(zip(names, sizes)), table)
@@ -296,6 +312,7 @@ class TestDecodersMatchLoops:
             assert got == ref
             grouped = [v for g, _ in groups for v in g]
             seen["side"] += len(set(grouped)) < len(names)
+            seen["two_side"] += _two_side(names, sizes, groups)
             seen["unordered"] += any(g != sorted(g) for g, _ in groups)
             seen["several"] += len(groups) > 1
         assert min(seen.values()) > 0, seen

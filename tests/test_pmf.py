@@ -6,7 +6,7 @@ from coordinet.pmf import (Alphabet, AlphabetMismatch, ConditionalPmf, JointPmf,
                            NegativeMass, NonFiniteMass, NotNormalized, PmfError,
                            StateSpaceTooLarge, UnknownVariable, dumps_pmf, loads_pmf, make_joint)
 
-from oracles import tv_direct
+from oracles import iid_extend_loop, iid_extend_transpose, tv_direct
 
 
 def fair_bit():
@@ -147,6 +147,23 @@ class TestIidExtend:
     def test_cap(self):
         with pytest.raises(StateSpaceTooLarge):
             fair_bit().iid_extend(30)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 1, 2), (4,)])
+    def test_matches_the_transposed_chain_and_a_loop(self, shape):
+        # byte for byte the table the outer-product chain and its transpose
+        # give (normalised alike), and within 1e-15 of a loop over tuples
+        p = random_pmf(np.random.default_rng(len(shape)), shape)
+        for n in range(1, 6):
+            e = p.iid_extend(n)
+            assert e.sizes == tuple(k ** n for k in shape)
+            ref = JointPmf(e.alphabets, iid_extend_transpose(p.table, n)).table
+            assert e.table.tobytes() == ref.tobytes()
+            assert np.abs(e.table - iid_extend_loop(p.table, n)).max() <= 1e-15
+
+    @pytest.mark.parametrize("n", [True, 2.0, 0, "3"])
+    def test_rejects_a_block_length_that_is_not_a_positive_int(self, n):
+        with pytest.raises(ValueError, match="n: block length"):
+            fair_bit().iid_extend(n)
 
     def test_commutes_with_marginal(self):
         rng = np.random.default_rng(0)

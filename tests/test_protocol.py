@@ -1,6 +1,7 @@
 """End-to-end protocol runs: exactness, fixtures, and the slow oracle."""
 import math
 import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -186,6 +187,19 @@ class TestExactnessInvariants:
         marg_from_joint = law.joint_with_g.table.sum(axis=(0, 1, 2))
         assert np.abs(marg_from_joint - law.marginal_direct).sum() <= 1e-12
         assert law.tv_best_g <= 2.0 * law.tv_with_uniform_g
+
+    def test_output_stage_makes_no_whole_table_temporaries(self):
+        # w-from-y1 at n=10 holds the joint, the direct marginal, q^n and one
+        # TV buffer, (y1, y2) tables of 8 MiB each; 4.5 tables leaves room for
+        # everything smaller but not for one more table
+        cfg = common_bit_config(n=10, rf=1.4, seed=1)
+        tracemalloc.start()
+        try:
+            run_protocol(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 8 * 4 ** 10, f"peak {peak / (8 * 4 ** 10):.2f} tables"
 
     def test_rejects_infinite_rates(self):
         q = identical_uniform(2)
