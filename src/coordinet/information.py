@@ -55,6 +55,12 @@ def _marginal_plan(shape: tuple[int, ...], subsets: tuple[tuple[int, ...], ...])
     return tuple(steps), tuple(formed.index(s) for s in keyed), offsets
 
 
+def _xlog2x(p: np.ndarray) -> np.ndarray:
+    """p * log2(p) in place, with 0 * log2(0) = 0; returns p."""
+    p *= np.log2(np.where(p > 0, p, 1.0))
+    return p
+
+
 def subset_entropies(table: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
     """(B, len(subsets)) entropies in bits of the marginals of a (B, *axes)
     batch of tables on subsets of the non-batch axes (0-based, any order).
@@ -72,8 +78,7 @@ def subset_entropies(table: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.
     margs = [t]
     for src, axes in steps:
         margs.append(margs[src].sum(axis=axes))
-    flat = np.concatenate([margs[i].reshape(len(t), -1) for i in picks], axis=1)
-    flat *= np.log2(np.where(flat > 0, flat, 1.0))
+    flat = _xlog2x(np.concatenate([margs[i].reshape(len(t), -1) for i in picks], axis=1))
     # reduceat adds each segment in sequence; a lone subset goes through
     # ndarray.sum, whose pairwise order is the one a direct sum uses
     return -(flat.sum(axis=1, keepdims=True) if len(picks) == 1
@@ -132,33 +137,35 @@ class WynerSolution:
     lower_bound: float = 0.0        # certified: I(Y1;Y2), or the closed form on a DSBS (Wyner 1975)
 
 
-def _wyner_terms(q2: np.ndarray, r: np.ndarray):
-    """I(Y1Y2;W) and I(Y1;Y2|W) for a batch of conditionals r[(b,)cell,w]."""
-    if r.ndim == 2:
-        r = r[None]
-    j = (q2.ravel()[None, :, None] * r).reshape(len(r), *q2.shape, r.shape[-1])
-    # axes of j: Y1 0, Y2 1, W 2
-    hy, hw, hyw, h1w, h2w = subset_entropies(j, ((0, 1), (2,), (0, 1, 2), (0, 2), (1, 2))).T
-    return np.maximum(0.0, hy + hw - hyw), np.maximum(0.0, h1w + h2w - hyw - hw)
+def _wyner_eval(q2: np.ndarray, support: np.ndarray):
+    """I(Y1Y2;W) and I(Y1;Y2|W), each (B,), as a function of a (B, |support|, W)
+    batch of conditionals p(w|y1,y2) on the flat cells ``support`` of q2.
+
+    One product with the q-weighted indicators of the cells gives p(w),
+    p(y1,w) and p(y2,w); H(W|Y1Y2) = sum_c q_c H(r_c) comes from the rows
+    and H(Y1Y2) is a constant, so no (Y1, Y2, W) table is formed."""
+    n1, n2 = q2.shape
+    qs = q2.ravel()[support]
+    # row 0 sums the cells into p(w), the next n1 rows by Y1 into p(y1,w), the rest by Y2
+    weights = qs * np.vstack([np.ones(len(qs)), np.eye(n1)[support // n2].T,
+                              np.eye(n2)[support % n2].T])
+    h_y = -_xlog2x(qs.copy()).sum()
+
+    def terms(r):
+        x = _xlog2x(weights @ r)
+        h_w = -x[:, 0].sum(axis=1)
+        h_w_given_y = -(_xlog2x(r.copy()) * qs[:, None]).sum(axis=(1, 2))
+        return (np.maximum(0.0, h_w - h_w_given_y),
+                np.maximum(0.0, -x[:, 1:].sum(axis=(1, 2)) - h_w - h_y - h_w_given_y))
+    return terms
 
 
-def _greedy_merge_map(q2: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Greedy agglomeration of support cells into W-bins that keeps
-    Y1 _|_ Y2 | W exact; each merge strictly lowers I(Y1Y2;W).  Returns the
-    final cell -> bin map (good deterministic witnesses for structured
-    sources)."""
-    ms = len(support)
+def _greedy_merge_map(terms, ms: int) -> np.ndarray:
+    """Greedy agglomeration of the ``ms`` support cells into W-bins that
+    keeps Y1 _|_ Y2 | W exact, scored by a ``_wyner_eval`` ``terms``; each
+    merge strictly lowers I(Y1Y2;W).  Returns the final cell -> bin map
+    (good deterministic witnesses for structured sources)."""
     assign = np.arange(ms)
-
-    def stats(a):
-        nb = a.max() + 1
-        rows = np.zeros((ms, nb))
-        rows[np.arange(ms), a] = 1.0
-        full = np.zeros((q2.size, nb))
-        full[support] = rows
-        i_val, slack = _wyner_terms(q2, full)
-        return float(i_val[0]), float(slack[0])
-
     while assign.max() > 0:
         bins = np.unique(assign)
         best = None
@@ -166,7 +173,7 @@ def _greedy_merge_map(q2: np.ndarray, support: np.ndarray) -> np.ndarray:
             for y in bins[i + 1:]:
                 trial = np.where(assign == y, x, assign)
                 trial = np.unique(trial, return_inverse=True)[1]
-                i_val, slack = stats(trial)
+                i_val, slack = (float(t[0]) for t in terms(np.eye(len(bins) - 1)[trial][None]))
                 if slack <= MERGE_TOL and (best is None or i_val < best[0]):
                     best = (i_val, trial)
         if best is None:
@@ -193,27 +200,25 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
     n1, n2 = q.sizes
     if w_cap is None:
         w_cap = n1 * n2
-    if w_cap < 1:
-        raise ValueError("w_cap must be >= 1")
+    if not isinstance(w_cap, (int, np.integer)) or isinstance(w_cap, bool) or w_cap < 1:
+        raise ValueError(f"w_cap must be an int >= 1, got {w_cap!r}")
+    if not (math.isfinite(cfg.penalty) and cfg.penalty >= 0):
+        raise ValueError(f"penalty must be finite and >= 0, got {cfg.penalty!r}")
+    if cfg.restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {cfg.restarts!r}")
     q2 = q.table
-    flat = q2.ravel()
-    support = np.flatnonzero(flat > 0)
+    support = np.flatnonzero(q2.ravel() > 0)
     ms = len(support)
-
-    def embed(rows):
-        """Support rows, batched or not, with uniform rows off the support."""
-        full = np.full((*rows.shape[:-2], n1 * n2, w_cap), 1.0 / w_cap)
-        full[..., support, :] = rows
-        return full
+    wyner = _wyner_eval(q2, support)
 
     def objective(batch):
-        i_joint, slack = _wyner_terms(q2, embed(batch[0]))
+        i_joint, slack = wyner(batch[0])
         return i_joint + lam * slack
 
     rng = np.random.default_rng(cfg.seed)
     # deterministic W: the merge map when it fits, cell-index copy (always feasible), constant
     maps = [np.arange(ms) % w_cap, np.zeros(ms, dtype=int)]
-    merged = _greedy_merge_map(q2, support)
+    merged = _greedy_merge_map(wyner, ms)
     if merged.max() < w_cap:
         maps.insert(0, merged)
     starts = [np.eye(w_cap)[m] for m in maps]
@@ -225,7 +230,7 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
     fallback = None   # best witness with slack <= ACCEPT_MARKOV only
 
     def terms(rows):  # (I(Y1Y2;W), Markov slack) of each row set, in one call
-        i_val, slack = _wyner_terms(q2, embed(np.stack(rows)))
+        i_val, slack = wyner(np.stack(rows))
         return list(zip(i_val.tolist(), slack.tolist()))
 
     kw = dict(max_iters=MAX_ITERS, stall_limit=STALL_LIMIT)
@@ -259,7 +264,9 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
         raise OptimizerFailed(f"no restart reached Markov slack <= {ACCEPT_MARKOV}")
 
     i_val, rows, slack = best
-    witness = ConditionalPmf(q.alphabets, (Alphabet("W", w_cap),), embed(rows))
+    full = np.full((n1 * n2, w_cap), 1.0 / w_cap)   # uniform rows off the support
+    full[support] = rows
+    witness = ConditionalPmf(q.alphabets, (Alphabet("W", w_cap),), full)
     lower = mutual_information(q, q.names[:1], q.names[1:])
     if q2.shape == (2, 2) and q2[0, 0] == q2[1, 1] and q2[0, 1] == q2[1, 0]:
         # a doubly symmetric binary source: Wyner's closed form 1 + h(p) - 2 h(a), with

@@ -57,39 +57,50 @@ def _descend(objective, starts, *, max_iters: int = 5000,
     formed per restart, and the objective must score each batch row by
     itself, whatever else shares the batch.
     """
-    R = len(starts)
     blocks = [np.array([s[i] for s in starts], dtype=float) for i in range(len(starts[0]))]
     value = objective(blocks).astype(float)
-    evals, stalled, iters = np.ones(R, dtype=int), np.zeros(R, dtype=int), np.zeros(R, dtype=int)
-    reason = np.full(R, "max_iters", dtype=object)   # kept by a restart the budget stops
-    act = np.arange(R if max_iters > 0 else 0)       # the restarts still descending
+    # one row per restart still descending; a restart that stops moves to ``done``
+    ids, done = np.arange(len(starts)), [None] * len(starts)
+    evals, stalled, improved = (np.ones(len(ids), dtype=int), np.zeros(len(ids), dtype=int),
+                                np.zeros(len(ids), dtype=bool))
     coords = [(bi, r, k) for bi, b in enumerate(blocks)
               for r in range(b.shape[1]) for k in range(b.shape[2])]
     it = 0
 
+    def retire(out, reason):
+        nonlocal ids, value, evals, stalled, improved
+        for i in np.flatnonzero(out):
+            done[ids[i]] = Descent([b[i] for b in blocks], float(value[i]), it, int(evals[i]), reason)
+        keep = ~out
+        blocks[:] = [b[keep] for b in blocks]
+        ids, value, evals, stalled, improved = (
+            ids[keep], value[keep], evals[keep], stalled[keep], improved[keep])
+
     def score(bi, r, cand, keep):
         """Objective at the kept candidates, +inf elsewhere; (A, C)."""
         ai, ci = np.nonzero(keep)
-        batch = [b[act[ai]] for b in blocks]
+        batch = [b[ai] for b in blocks]
         batch[bi][:, r] = cand[ai, ci]
         out = np.full(keep.shape, np.inf)
         out[ai, ci] = objective(batch)
-        evals[act] += keep.sum(axis=1)
+        evals[:] += keep.sum(axis=1)
         return out
 
-    while act.size:
-        improved = np.zeros(R, dtype=bool)
+    if max_iters <= 0:
+        retire(np.ones(len(ids), dtype=bool), "max_iters")
+    while ids.size:
+        improved[:] = False
         for bi, r, k in coords:
             it += 1
-            rows = blocks[bi][act, r]
+            rows = blocks[bi][:, r]
             rk = rows[:, k]
             below = rk < 1.0
             ts = _grid(np.where(below, -rk / np.where(below, 1.0 - rk, 1.0), 0.0),
-                       np.ones(act.size), 9)
+                       np.ones(ids.size), 9)
             keep = np.abs(ts) > 1e-15
             cand = _apply(rows, k, ts)
             vals = score(bi, r, cand, keep)
-            ar = np.arange(act.size)
+            ar = np.arange(ids.size)
             first = keep.argmax(axis=1)
             j = vals.argmin(axis=1)
             # a dropped step wins only a tie among infinities: the first kept one is the argmin
@@ -105,22 +116,21 @@ def _descend(objective, starts, *, max_iters: int = 5000,
             better = vals2[ar, j2] < best_v
             best_v = np.where(better, vals2[ar, j2], best_v)
             best_row = np.where(better[:, None], cand2[ar, j2], best_row)
-            up = best_v < value[act] - IMPROVE_TOL
-            blocks[bi][act[up], r] = best_row[up]
-            value[act[up]] = best_v[up]
-            stalled[act] = np.where(up, 0, stalled[act] + 1)
-            improved[act[up]] = True
-            iters[act] = it
-            stall = stalled[act] >= stall_limit
-            reason[act[stall]] = "stall"
-            act = act[~stall] if it < max_iters else act[:0]
-            if not act.size:
+            up = best_v < value - IMPROVE_TOL
+            blocks[bi][up, r] = best_row[up]
+            value[up] = best_v[up]
+            stalled = np.where(up, 0, stalled + 1)
+            improved |= up
+            stall = stalled >= stall_limit
+            if stall.any():
+                retire(stall, "stall")
+            if it >= max_iters and ids.size:
+                retire(np.ones(ids.size, dtype=bool), "max_iters")
+            if not ids.size:
                 break
         else:
-            reason[act[~improved[act]]] = "no_improvement"
-            act = act[improved[act]]
-    return [Descent([b[i] for b in blocks], float(value[i]), int(iters[i]), int(evals[i]),
-                    str(reason[i])) for i in range(R)]
+            retire(~improved, "no_improvement")
+    return done
 
 
 def coordinate_descent(objective, blocks, *, max_iters: int = 5000, stall_limit: int = 50):

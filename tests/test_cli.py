@@ -406,10 +406,10 @@ class TestGoldenSweep:
 
 
 class TestGoldenSearches:
-    """The bench's frontier and fme-verify jobs and a Wyner search, with
-    results.csv and summary.json committed: the searches must reach the
-    same answers to the last digit, and fme-verify the same verdicts and
-    vertex counts."""
+    """The bench's frontier, Wyner and fme-verify jobs and a Wyner search
+    on a DSBS, with results.csv and summary.json committed: the searches
+    must reach the same answers to the last digit, and fme-verify the same
+    verdicts and vertex counts."""
 
     CONFIGS = {
         "frontier-dsbs": ("[run]\ncommand = frontier\nsource = dsbs-0.1\nseed = 0\n"
@@ -418,6 +418,8 @@ class TestGoldenSearches:
                           "cap_u = 2\ncap_v = 2\ncap_w = 2\nrestarts = 6\n"),
         "wyner-dsbs": ("[run]\ncommand = wyner\nsource = dsbs-0.1\nseed = 0\n"
                        "[wyner]\nw_cap = 4\nrestarts = 16\n"),
+        "wyner-triple-abc": ("[run]\ncommand = wyner\nsource = triple-abc\nseed = 0\n"
+                             "[wyner]\nw_cap = 5\nrestarts = 12\n"),
         "fme-verify": ("[run]\ncommand = fme-verify\nseed = 1922502786\n\n"
                        "[fme-verify]\ncouplings = 20\nsamples = 1000\norders = all\n"),
     }

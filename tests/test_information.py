@@ -4,11 +4,12 @@ import itertools
 import numpy as np
 import pytest
 
-from coordinet.information import (_wyner_terms, conditional_entropy, entropy, markov_slack,
-                                   mutual_information, subset_entropies)
+from coordinet.information import (_greedy_merge_map, _wyner_eval, conditional_entropy, entropy,
+                                   markov_slack, mutual_information, subset_entropies)
 from coordinet.pmf import UnknownVariable, make_joint
+from coordinet.sources import dsbs, identical_uniform, independent_bits, triple_abc
 
-from oracles import binary_entropy, cond_mi_direct, entropy_direct
+from oracles import binary_entropy, cond_mi_direct, entropy_direct, wyner_terms_full
 
 
 def random_pmf(rng, sizes, names=None):
@@ -179,7 +180,8 @@ def test_lone_subset_is_the_direct_sum():
                 assert subset_entropies(table[None], [keep])[0, 0] == ref
 
 
-# (table shape without the batch axis, subsets) as the three search objectives ask
+# (table shape without the batch axis, subsets) as the inner and outer objectives and the
+# full-table Wyner reference ask
 OBJECTIVE_TABLES = {
     "wyner": ((3, 3, 5), ((0, 1), (2,), (0, 1, 2), (0, 2), (1, 2))),
     "inner": ((2, 2, 2, 2, 2), ((2,), (3, 4), (2, 3, 4), (0, 2), (1, 2), (0, 1, 2),
@@ -231,7 +233,8 @@ def test_wyner_terms_match_mutual_information():
         q2 = (q2 / q2.sum()).reshape(n1, n2)
         r = rng.dirichlet(np.ones(nw), size=(4, n1 * n2))
         r[0, 1:] = np.eye(nw)[np.arange(n1 * n2 - 1) % nw]   # one deterministic W
-        i_joint, slack = _wyner_terms(q2, r)
+        support = np.flatnonzero(q2.ravel() > 0)
+        i_joint, slack = _wyner_eval(q2, support)(r[:, support])
         for b in range(len(r)):
             j = make_joint([("Y1", n1), ("Y2", n2), ("W", nw)],
                            q2[:, :, None] * r[b].reshape(n1, n2, nw))
@@ -239,3 +242,37 @@ def test_wyner_terms_match_mutual_information():
                 mutual_information(j, ["Y1", "Y2"], ["W"]), abs=1e-10)
             assert slack[b] == pytest.approx(
                 mutual_information(j, ["Y1"], ["Y2"], given=["W"]), abs=1e-10)
+
+
+@pytest.mark.parametrize("nw", [1, 2, 5, 9])
+def test_wyner_eval_matches_the_full_table_formula(nw):
+    """The support evaluator against the former full-table formula, on
+    sources with cells off the support; |W| = 9 takes numpy's pairwise sum
+    along W.  Each row's terms do not depend on the batch it rides in."""
+    rng = np.random.default_rng(12 + nw)
+    for n1, n2 in [(2, 2), (2, 3), (3, 4)]:
+        q2 = batch_with_zeros(rng, (1, n1, n2))[0]
+        support = np.flatnonzero(q2.ravel() > 0)
+        terms = _wyner_eval(q2, support)
+        for size in (1, 100):
+            r = rng.dirichlet(np.ones(nw), size=(size, len(support)))
+            r[0] = np.eye(nw)[np.arange(len(support)) % nw]   # deterministic W: 0 log 0 terms
+            r[-1, 0] = np.eye(nw)[-1]
+            got, ref = terms(r), wyner_terms_full(q2, support, r)
+            for g, f in zip(got, ref):
+                assert np.abs(g - f).max() <= 1e-14
+            for b in (0, size - 1):
+                lone = terms(r[b:b + 1])
+                assert [x.tobytes() for x in lone] == [x[b:b + 1].tobytes() for x in got]
+
+
+@pytest.mark.parametrize("q", [triple_abc(), dsbs(0.05), dsbs(0.1), dsbs(0.2), identical_uniform(2),
+                               identical_uniform(3), identical_uniform(4), independent_bits()],
+                         ids=["triple-abc", "dsbs-0.05", "dsbs-0.1", "dsbs-0.2",
+                              "identical-uniform-2", "identical-uniform-3", "identical-uniform-4",
+                              "independent"])
+def test_greedy_merge_map_is_the_full_table_formulas(q):
+    support = np.flatnonzero(q.table.ravel() > 0)
+    got = _greedy_merge_map(_wyner_eval(q.table, support), len(support))
+    ref = _greedy_merge_map(lambda r: wyner_terms_full(q.table, support, r), len(support))
+    assert got.tolist() == ref.tolist()

@@ -7,7 +7,7 @@ same value, the same iteration count and the same number of rows scored.
 import numpy as np
 import pytest
 
-from coordinet.information import (WynerConfig, _greedy_merge_map, _wyner_terms,
+from coordinet.information import (WynerConfig, _greedy_merge_map, _wyner_eval,
                                    wyner_common_information)
 from coordinet.optimize import _descend, coordinate_descent, dirichlet_rows
 from coordinet.region import (MARKOV_FREE, TV_TOL, RateTuple, _inner_eval, _objective,
@@ -41,15 +41,13 @@ def assert_matches_oracle(objective, starts, **kw):
     return got
 
 
-def wyner_objective(q, w_cap, lam):
+def wyner_objective(q, lam):
     """The penalized Wyner objective on the rows of q's support, as the solver builds it."""
-    q2 = q.table
-    support = np.flatnonzero(q2.ravel() > 0)
+    support = np.flatnonzero(q.table.ravel() > 0)
+    wyner = _wyner_eval(q.table, support)
 
     def objective(batch):
-        full = np.repeat(np.full((q2.size, w_cap), 1.0 / w_cap)[None], len(batch[0]), axis=0)
-        full[:, support] = batch[0]
-        i_joint, slack = _wyner_terms(q2, full)
+        i_joint, slack = wyner(batch[0])
         return i_joint + lam * slack
 
     return objective, len(support)
@@ -58,7 +56,7 @@ def wyner_objective(q, w_cap, lam):
 @pytest.mark.parametrize("q, w_cap", [(triple_abc(), 5), (dsbs(0.1), 4)],
                          ids=["triple-abc", "dsbs-0.1"])
 def test_wyner_objective_matches_oracle(q, w_cap):
-    objective, ms = wyner_objective(q, w_cap, 100.0)
+    objective, ms = wyner_objective(q, 100.0)
     rng = np.random.default_rng(4)
     starts = [[dirichlet_rows(rng, ms, w_cap)] for _ in range(4)]
     assert_matches_oracle(objective, starts, max_iters=5000, stall_limit=50)
@@ -69,13 +67,14 @@ def wyner_seeds(q, w_cap, rng):
     support = np.flatnonzero(q.table.ravel() > 0)
     ms = len(support)
     eye = np.eye(w_cap)
-    return [[eye[_greedy_merge_map(q.table, support)]], [eye[np.arange(ms) % w_cap]],
+    merged = _greedy_merge_map(_wyner_eval(q.table, support), ms)
+    return [[eye[merged]], [eye[np.arange(ms) % w_cap]],
             [eye[np.zeros(ms, dtype=int)]], [dirichlet_rows(rng, ms, w_cap)],
             [dirichlet_rows(rng, ms, w_cap)]]
 
 
 def test_restarts_of_very_different_lengths():
-    objective, _ = wyner_objective(triple_abc(), 5, 100.0)
+    objective, _ = wyner_objective(triple_abc(), 100.0)
     starts = wyner_seeds(triple_abc(), 5, np.random.default_rng(5))
     got = assert_matches_oracle(objective, starts, max_iters=5000, stall_limit=50)
     iters = [d.iters for d in got]
@@ -83,14 +82,14 @@ def test_restarts_of_very_different_lengths():
 
 
 def test_every_stop_reason_in_one_batch():
-    objective, _ = wyner_objective(triple_abc(), 5, 100.0)
+    objective, _ = wyner_objective(triple_abc(), 100.0)
     starts = wyner_seeds(triple_abc(), 5, np.random.default_rng(5))
     got = assert_matches_oracle(objective, starts, max_iters=300, stall_limit=50)
     assert {d.reason for d in got} == {"stall", "max_iters", "no_improvement"}
 
 
 def test_max_iters_cut():
-    objective, ms = wyner_objective(dsbs(0.1), 4, 100.0)
+    objective, ms = wyner_objective(dsbs(0.1), 100.0)
     rng = np.random.default_rng(6)
     starts = [[dirichlet_rows(rng, ms, 4)] for _ in range(3)]
     got = assert_matches_oracle(objective, starts, max_iters=37, stall_limit=50)
@@ -117,7 +116,7 @@ def test_outer_objective_matches_oracle():
 
 
 def test_one_restart_and_the_public_entry_point():
-    objective, ms = wyner_objective(dsbs(0.1), 4, 100.0)
+    objective, ms = wyner_objective(dsbs(0.1), 100.0)
     start = [dirichlet_rows(np.random.default_rng(9), ms, 4)]
     (d,) = assert_matches_oracle(objective, [start], max_iters=5000, stall_limit=50)
     blocks, value, iters = coordinate_descent(objective, start)
@@ -145,6 +144,15 @@ def test_each_stop_reason(start, kw, expected):
     (d,) = assert_matches_oracle(objective, [[start]], **kw)
     assert (d.iters, d.reason) == expected
     assert d.value == -7.0
+
+
+def test_stall_and_max_iters_on_the_same_iteration():
+    # the restart at the optimum stalls at iteration 3, when the budget stops the other one:
+    # each keeps its own reason
+    objective = linear(np.arange(8.0)[::-1])
+    starts = [[np.eye(8)[:1]], [np.full((1, 8), 1 / 8)]]
+    got = assert_matches_oracle(objective, starts, max_iters=3, stall_limit=3)
+    assert [(d.iters, d.reason) for d in got] == [(3, "stall"), (3, "max_iters")]
 
 
 def test_coarse_grid_scoring_only_infinities():

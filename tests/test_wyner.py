@@ -72,6 +72,23 @@ def test_penalty_weight_stability(lam):
                                     config=cfg).value == pytest.approx(1.0, abs=1e-3)
 
 
+def test_penalty_must_be_finite_and_nonnegative():
+    for bad in (math.nan, -1.0, math.inf):
+        with pytest.raises(ValueError, match="penalty"):
+            wyner_common_information(dsbs(0.1), w_cap=4, config=WynerConfig(restarts=2, penalty=bad))
+
+
+def test_restarts_must_be_nonnegative():
+    with pytest.raises(ValueError, match="restarts"):
+        wyner_common_information(dsbs(0.1), w_cap=4, config=WynerConfig(restarts=-1))
+
+
+def test_w_cap_must_be_a_positive_int():
+    for bad in (0, -2, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="w_cap"):
+            wyner_common_information(dsbs(0.1), w_cap=bad, config=WynerConfig(restarts=2))
+
+
 def test_infeasible_cardinality_raises():
     from coordinet.information import OptimizerFailed
     # two W symbols cannot make three perfectly correlated values
