@@ -8,9 +8,10 @@ result against the four direct rate inequalities of the inner bound.
 """
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice, permutations
+from itertools import chain, combinations, permutations
 from typing import Sequence
 
 import numpy as np
@@ -250,6 +251,14 @@ def _lower_form(s: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack([-s.a, np.eye(n)]), np.concatenate([-s.b, np.zeros(n)])
 
 
+@functools.lru_cache(maxsize=64)
+def _bases(rows: int, n: int) -> np.ndarray:
+    """The n-row bases of ``rows`` rows in lexicographic order, read-only: each round asks again."""
+    idx = np.fromiter(chain.from_iterable(combinations(range(rows), n)), np.intp).reshape(-1, n)
+    idx.setflags(write=False)
+    return idx
+
+
 def _vertices(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """The distinct vertices of {x : alpha.x >= beta}, whose last n rows are
     x >= 0.  Rows join lazily: from x >= 0 on, each vertex of the rows so
@@ -261,10 +270,10 @@ def _vertices(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     rows = np.arange(m - n, m)
     while True:
         a, b = alpha[rows], beta[rows]
-        bases = combinations(range(len(rows)), n)
+        bases = _bases(len(rows), n)
         found = [np.empty((0, n))]
-        while (idx := np.fromiter(chain.from_iterable(islice(bases, BASIS_CHUNK)), np.intp)).size:
-            mats, rhs = a[idx.reshape(-1, n)], b[idx.reshape(-1, n)]
+        for lo in range(0, len(bases), BASIS_CHUNK):
+            mats, rhs = a[bases[lo:lo + BASIS_CHUNK]], b[bases[lo:lo + BASIS_CHUNK]]
             ok = np.abs(np.linalg.det(mats)) > SNAP
             x = np.linalg.solve(mats[ok], rhs[ok][..., None])[..., 0]
             found.append(x[(x @ a.T >= b - MEMBER_TOL).all(axis=1)])

@@ -191,8 +191,8 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
     fits, cell copy, constant W; all of them always run, even when
     ``config.restarts`` is smaller) and Dirichlet restarts up to
     ``config.restarts`` in all, on the penalized objective I(Y1Y2;W) +
-    penalty * I(Y1;Y2|W).  Every restart whose conditional-independence
-    slack is above ``MARKOV_TARGET`` is then polished under a large penalty.
+    penalty * I(Y1;Y2|W).  A restart whose conditional-independence slack
+    is above ``MARKOV_TARGET`` when it stops is polished under a large penalty.
     """
     cfg = config or WynerConfig()
     if len(q.alphabets) != 2:
@@ -211,9 +211,11 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
     ms = len(support)
     wyner = _wyner_eval(q2, support)
 
-    def objective(batch):
+    lams = np.array([cfg.penalty, POLISH_PENALTY, 10.0 * POLISH_PENALTY])   # per phase
+
+    def objective(batch, phase):
         i_joint, slack = wyner(batch[0])
-        return i_joint + lam * slack
+        return i_joint + lams[phase] * slack
 
     rng = np.random.default_rng(cfg.seed)
     # deterministic W: the merge map when it fits, cell-index copy (always feasible), constant
@@ -225,37 +227,25 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
     while len(starts) < cfg.restarts:
         starts.append(dirichlet_rows(rng, ms, w_cap))
 
-    trace = []
-    polished = None   # best witness with slack <= MARKOV_TARGET
-    fallback = None   # best witness with slack <= ACCEPT_MARKOV only
-
     def terms(rows):  # (I(Y1Y2;W), Markov slack) of each row set, in one call
         i_val, slack = wyner(np.stack(rows))
         return list(zip(i_val.tolist(), slack.tolist()))
 
+    def polish(i, d):  # a restart above MARKOV_TARGET after phase 0 goes on at POLISH_PENALTY
+        return d.phase == 0 and terms(d.blocks)[0][1] > MARKOV_TARGET, None
+
     kw = dict(max_iters=MAX_ITERS, stall_limit=STALL_LIMIT)
-    lam = cfg.penalty
-    ends = [d.blocks[0] for d in _descend(objective, [[start] for start in starts], **kw)]
+    ends = [d.blocks[0] for d in _descend(objective, [[s] for s in starts], on_stop=polish, **kw)]
     found = terms(ends)
-    loose = [i for i, (_, slack) in enumerate(found) if slack > MARKOV_TARGET]
-    if loose:
-        lam = POLISH_PENALTY
-        tight = [d.blocks[0] for d in _descend(objective, [[ends[i]] for i in loose], **kw)]
-        for i, rows, f in zip(loose, tight, terms(tight)):
-            ends[i], found[i] = rows, f
-    for ridx, (rows, (i_val, slack)) in enumerate(zip(ends, found)):
-        trace.append((ridx, i_val if slack <= ACCEPT_MARKOV else math.inf))
-        entry = (i_val, rows.copy(), slack)
-        if slack <= MARKOV_TARGET:
-            if polished is None or i_val < polished[0]:
-                polished = entry
-        elif slack <= ACCEPT_MARKOV:
-            if fallback is None or i_val < fallback[0]:
-                fallback = entry
+    trace = [(i, v if slack <= ACCEPT_MARKOV else math.inf) for i, (v, slack) in enumerate(found)]
+    entries = [(v, ends[i].copy(), slack) for i, (v, slack) in enumerate(found)]
+    exact = [e for e in entries if e[2] <= MARKOV_TARGET]
+    loose = [e for e in entries if MARKOV_TARGET < e[2] <= ACCEPT_MARKOV]
+    # the first end of least I(Y1Y2;W) of each kind
+    polished, fallback = (min(es, key=lambda e: e[0], default=None) for es in (exact, loose))
     if fallback is not None and (polished is None or fallback[0] < polished[0] - 1e-9):
         # a looser witness looks better; give it one aggressive polish pass
-        lam = 10.0 * POLISH_PENALTY
-        blocks, _, _ = coordinate_descent(objective, [fallback[1]], **kw)
+        blocks, _, _ = coordinate_descent(lambda batch: objective(batch, 2), [fallback[1]], **kw)
         ((i_val, slack),) = terms(blocks)
         if slack <= MARKOV_TARGET and (polished is None or i_val < polished[0]):
             polished = (i_val, blocks[0].copy(), slack)

@@ -29,11 +29,12 @@ class Descent(NamedTuple):
     value: float
     iters: int
     evals: int      # objective rows scored, the starting point included
-    reason: str     # "stall" | "max_iters" | "no_improvement"
+    reason: str     # "stall" | "max_iters" | "no_improvement" | "cut"
+    phase: int = 0
 
 
-def _grid(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
-    """Row i is np.linspace(lo[i], hi[i], num), with linspace's rounding."""
+def _grid(lo: np.ndarray, hi, num: int) -> np.ndarray:
+    """Row i is np.linspace(lo[i], hi[i], num), with linspace's rounding; ``hi`` may be a scalar."""
     g = np.arange(num) * ((hi - lo) / (num - 1))[:, None]
     g += lo[:, None]
     g[:, -1] = hi
@@ -44,104 +45,118 @@ def _apply(rows: np.ndarray, k: int, ts: np.ndarray) -> np.ndarray:
     """(A, C, n): each row of ``rows`` moved toward vertex k by each step of its row of ``ts``."""
     out = (1.0 - ts)[:, :, None] * rows[:, None, :]
     out[:, :, k] += ts
-    np.clip(out, 0.0, None, out=out)
+    np.maximum(out, 0.0, out=out)
     return out / out.sum(axis=2, keepdims=True)
 
 
-def _descend(objective, starts, *, max_iters: int = 5000,
-             stall_limit: int = 50) -> list[Descent]:
+def _descend(objective, starts, *, max_iters: int = 5000, stall_limit: int = 50,
+             on_stop=None) -> list[Descent]:
     """Coordinate descent from each start (a list of blocks, the same shapes
     for every start), all restarts in lockstep; one Descent per start.
 
-    Each restart's trajectory is what it would be alone: step grids are
-    formed per restart, and the objective must score each batch row by
-    itself, whatever else shares the batch.
+    An iteration examines one coordinate (block, row, vertex); a restart stops
+    after ``stall_limit`` iterations in a row that improve by ``IMPROVE_TOL``
+    or less, after ``max_iters``, or after a sweep that improves none.
+    ``objective(batch, phase)`` scores row b of a batch in phase ``phase[b]``;
+    restarts begin in phase 0.  ``on_stop(i, d)`` sees restart i's Descent as
+    it stops and returns (again, cut): with ``again``, restart i goes on from
+    d in phase d.phase + 1 at the next sweep start, with its own budget, stall
+    count and rows (its Descent is its last phase); every restart from ``cut``
+    (> i, or None) on ends now, with reason "cut".  Each restart's trajectory,
+    phase by phase, is what it would be alone: grids are formed per restart,
+    and the objective must score each batch row by itself.
     """
-    blocks = [np.array([s[i] for s in starts], dtype=float) for i in range(len(starts[0]))]
-    value = objective(blocks).astype(float)
-    # one row per restart still descending; a restart that stops moves to ``done``
-    ids, done = np.arange(len(starts)), [None] * len(starts)
-    evals, stalled, improved = (np.ones(len(ids), dtype=int), np.zeros(len(ids), dtype=int),
-                                np.zeros(len(ids), dtype=bool))
+    blocks = [np.empty((0, *np.shape(b))) for b in starts[0]]
+    # per restart descending: index, phase, first iteration, rows scored, stall count, improved
+    # this sweep; one that stops leaves, and re-enters at a sweep start for a next phase
+    state, value = np.empty((0, 6), dtype=int), np.empty(0)
+    done, pending = [None] * len(starts), [(i, s, 0) for i, s in enumerate(starts)]
     coords = [(bi, r, k) for bi, b in enumerate(blocks)
               for r in range(b.shape[1]) for k in range(b.shape[2])]
-    it = 0
+    it, ar, deadline = 0, None, None
+
+    def take(rows, st, val):  # new working arrays, and what depends on them alone
+        nonlocal state, value, ar, deadline
+        blocks[:], state, value = rows, st, val
+        ar, deadline = np.arange(len(st)), min(st[:, 2], default=np.inf) + max_iters
 
     def retire(out, reason):
-        nonlocal ids, value, evals, stalled, improved
-        for i in np.flatnonzero(out):
-            done[ids[i]] = Descent([b[i] for b in blocks], float(value[i]), it, int(evals[i]), reason)
-        keep = ~out
-        blocks[:] = [b[keep] for b in blocks]
-        ids, value, evals, stalled, improved = (
-            ids[keep], value[keep], evals[keep], stalled[keep], improved[keep])
+        cut = len(starts)
+        for i in np.argsort(state[:, 0]):   # in restart order: a hook may cut the later ones
+            (idx, phase, begin, scored), ended = state[i, :4].tolist(), bool(out[i])
+            if ended or idx >= cut:
+                d = done[idx] = Descent([b[i] for b in blocks], float(value[i]), it - begin, scored,
+                                        reason if ended else "cut", phase)
+                again, last = on_stop(idx, d) if on_stop and ended and idx < cut else (False, None)
+                if again:
+                    pending.append((idx, d.blocks, d.phase + 1))
+                cut = cut if last is None else min(cut, last)
+        pending[:] = [p for p in pending if p[0] < cut]
+        keep = ~out & (state[:, 0] < cut)
+        take([b[keep] for b in blocks], state[keep], value[keep])
 
-    def score(bi, r, cand, keep):
-        """Objective at the kept candidates, +inf elsewhere; (A, C)."""
+    def score(bi, r, cand, ts):
+        """Objective at the candidates of the steps |t| > 1e-15, +inf at the others: (A, C)
+        values, the mask of steps kept and their count per restart."""
+        keep = np.abs(ts) > 1e-15
         ai, ci = np.nonzero(keep)
         batch = [b[ai] for b in blocks]
         batch[bi][:, r] = cand[ai, ci]
-        out = np.full(keep.shape, np.inf)
-        out[ai, ci] = objective(batch)
-        evals[:] += keep.sum(axis=1)
-        return out
+        out, kept = np.full(keep.shape, np.inf), keep.sum(axis=1)
+        out[ai, ci] = objective(batch, state[ai, 1])
+        state[:, 3] += kept
+        return out, keep, kept
 
-    if max_iters <= 0:
-        retire(np.ones(len(ids), dtype=bool), "max_iters")
-    while ids.size:
-        improved[:] = False
+    while pending or len(state):
+        if pending:   # a sweep start: restarts entering a phase are scored where they stand
+            new = [np.array([p[1][bi] for p in pending], dtype=float) for bi in range(len(blocks))]
+            st, pending[:] = np.array([(i, ph, it, 1, 0, 0) for i, _, ph in pending]), []
+            take([np.concatenate(x) for x in zip(blocks, new)], np.concatenate([state, st]),
+                 np.concatenate([value, objective(new, st[:, 1]).astype(float)]))
+            if max_iters <= 0:
+                retire(state[:, 2] == it, "max_iters")
+                continue
+        state[:, 5] = 0
         for bi, r, k in coords:
             it += 1
             rows = blocks[bi][:, r]
             rk = rows[:, k]
             below = rk < 1.0
-            ts = _grid(np.where(below, -rk / np.where(below, 1.0 - rk, 1.0), 0.0),
-                       np.ones(ids.size), 9)
-            keep = np.abs(ts) > 1e-15
+            ts = _grid(np.where(below, -rk / np.where(below, 1.0 - rk, 1.0), 0.0), 1.0, 9)
             cand = _apply(rows, k, ts)
-            vals = score(bi, r, cand, keep)
-            ar = np.arange(ids.size)
-            first = keep.argmax(axis=1)
-            j = vals.argmin(axis=1)
+            vals, keep, kept = score(bi, r, cand, ts)
+            first, j = keep.argmax(axis=1), vals.argmin(axis=1)
             # a dropped step wins only a tie among infinities: the first kept one is the argmin
-            j = np.where(keep[ar, j], j, first)
-            best_v, best_row = vals[ar, j], cand[ar, j]
+            j, lo = np.where(keep[ar, j], j, first), ts[ar, first]
             # refine around the coarse minimum; every grid ends at t = 1
-            step = (ts[:, -1] - ts[ar, first]) / np.maximum(keep.sum(axis=1) - 1, 1)
-            t2 = _grid(np.maximum(ts[ar, first], ts[ar, j] - step),
-                       np.minimum(1.0, ts[ar, j] + step), 7)
+            tj, step = ts[ar, j], (1.0 - lo) / np.maximum(kept - 1, 1)
+            t2 = _grid(np.maximum(lo, tj - step), np.minimum(1.0, tj + step), 7)
             cand2 = _apply(rows, k, t2)
-            vals2 = score(bi, r, cand2, np.abs(t2) > 1e-15)
+            vals2 = score(bi, r, cand2, t2)[0]
             j2 = vals2.argmin(axis=1)
-            better = vals2[ar, j2] < best_v
-            best_v = np.where(better, vals2[ar, j2], best_v)
-            best_row = np.where(better[:, None], cand2[ar, j2], best_row)
+            best_v, v2 = vals[ar, j], vals2[ar, j2]
+            better = v2 < best_v
+            best_v = np.where(better, v2, best_v)
             up = best_v < value - IMPROVE_TOL
-            blocks[bi][up, r] = best_row[up]
-            value[up] = best_v[up]
-            stalled = np.where(up, 0, stalled + 1)
-            improved |= up
-            stall = stalled >= stall_limit
-            if stall.any():
-                retire(stall, "stall")
-            if it >= max_iters and ids.size:
-                retire(np.ones(ids.size, dtype=bool), "max_iters")
-            if not ids.size:
+            state[:, 4] += 1
+            if up.any():
+                blocks[bi][up, r] = np.where(better[:, None], cand2[ar, j2], cand[ar, j])[up]
+                value[up], state[up, 4], state[up, 5] = best_v[up], 0, 1
+            if state[:, 4].max() >= stall_limit:
+                retire(state[:, 4] >= stall_limit, "stall")
+            if it >= deadline:
+                retire(it - state[:, 2] >= max_iters, "max_iters")
+            if not len(state):
                 break
         else:
-            retire(~improved, "no_improvement")
+            retire(state[:, 5] == 0, "no_improvement")
     return done
 
 
 def coordinate_descent(objective, blocks, *, max_iters: int = 5000, stall_limit: int = 50):
-    """Minimize ``objective`` by cyclic coordinate line searches.
-
-    objective(list of arrays with a leading batch axis) -> (B,) values.
-    Returns (blocks, value, iterations).  One iteration is one coordinate
-    (block, row, vertex) examined; the search stops when ``stall_limit``
-    consecutive iterations improve by ``IMPROVE_TOL`` or less, after
-    ``max_iters`` iterations, or after a sweep over every coordinate
-    that improves none.
-    """
-    d = _descend(objective, [blocks], max_iters=max_iters, stall_limit=stall_limit)[0]
+    """``_descend`` from one start, in one phase, for a one-argument
+    ``objective(batch)``; returns (blocks, value, iterations).  Kept as the
+    name perfbench/tracer.py wraps at every module that binds it."""
+    d = _descend(lambda batch, _: objective(batch), [blocks], max_iters=max_iters,
+                 stall_limit=stall_limit)[0]
     return d.blocks, d.value, d.iters

@@ -315,7 +315,7 @@ def _objective(evaluate, sums, free):
     the violations in excess of ``free``, summed."""
     capped = np.minimum(sums, _BIG)
 
-    def objective(batch):
+    def objective(batch, phase=None):  # one phase: every row scores alike
         b, v = evaluate(batch)
         return -(capped - b).min(axis=1) + PENALTY * np.maximum(0.0, v - free).sum(axis=1)
 
@@ -328,8 +328,8 @@ def _search(evaluate, sums, tols, starts):
     entry of ``sums``, and its violations; ``tols`` is (free, accept), the
     violation the objective leaves unpenalized and the most a witness may
     have.  A witness's minimum slack is >= -``SLACK_TOL``; a candidate over
-    ``accept`` has slack -inf.  One evaluator call scores all starts, the
-    starts before the first witness descend in one batch, and one more call
+    ``accept`` has slack -inf.  One evaluator call scores all starts, the starts before the
+    first witness descend in one batch, cut after an end that is a witness, and one more call
     scores their ends.  Returns (found, best blocks, their slack, restarts used)."""
     free, accept = tols
 
@@ -339,8 +339,12 @@ def _search(evaluate, sums, tols, starts):
 
     first = slacks(starts)
     runs = next((i for i, slack in enumerate(first) if slack >= -SLACK_TOL), len(starts))
+
+    def cut_after_witness(i, d):  # the walk stops at a witness: later descents are not needed
+        return False, (i + 1 if slacks([d.blocks])[0] >= -SLACK_TOL else None)
     ends = [d.blocks for d in _descend(_objective(evaluate, sums, free), starts[:runs],
-                                       max_iters=MAX_ITERS, stall_limit=STALL_LIMIT)] if runs else []
+                                       max_iters=MAX_ITERS, stall_limit=STALL_LIMIT,
+                                       on_stop=cut_after_witness)] if runs else []
     last = slacks(ends) if runs else []
     best_slack, best = -math.inf, None
     for i in range(len(starts)):

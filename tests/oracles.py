@@ -171,21 +171,18 @@ def wyner_terms_full(q_table, support, rows):
     p(w|y1,y2) on the support cells, the way the solver scored them before
     it worked on the support alone: the rows are embedded in the full
     (Y1, Y2, W) table, with uniform rows off the support, and five marginal
-    entropies of it are combined.
-
-    The one reference here that uses library code: it keeps the former
-    formula exactly, through the entropy kernel (checked on its own against
-    the direct sums above), so the greedy merge map can be held to it.
-    """
-    from coordinet.information import subset_entropies
-
+    entropies of it, each summed cell by cell, are combined."""
     q = np.asarray(q_table, dtype=float)
     w = rows.shape[-1]
     full = np.full((len(rows), q.size, w), 1.0 / w)
     full[:, support] = rows
-    j = (q.ravel()[None, :, None] * full).reshape(len(rows), *q.shape, w)
-    hy, hw, hyw, h1w, h2w = subset_entropies(j, ((0, 1), (2,), (0, 1, 2), (0, 2), (1, 2))).T
-    return np.maximum(0.0, hy + hw - hyw), np.maximum(0.0, h1w + h2w - hyw - hw)
+    i_joint, slack = [], []
+    for j in (q.ravel()[None, :, None] * full).reshape(len(rows), *q.shape, w):
+        hy, hw, hyw, h1w, h2w = (marginal_entropy_direct(j, axes)
+                                 for axes in ((0, 1), (2,), (0, 1, 2), (0, 2), (1, 2)))
+        i_joint.append(max(0.0, hy + hw - hyw))
+        slack.append(max(0.0, h1w + h2w - hyw - hw))
+    return np.array(i_joint), np.array(slack)
 
 
 def extension_interval(a, b, strict, col, point):

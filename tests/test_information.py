@@ -4,8 +4,9 @@ import itertools
 import numpy as np
 import pytest
 
-from coordinet.information import (_greedy_merge_map, _wyner_eval, conditional_entropy, entropy,
-                                   markov_slack, mutual_information, subset_entropies)
+from coordinet.information import (MERGE_TOL, _greedy_merge_map, _wyner_eval,
+                                   conditional_entropy, entropy, markov_slack,
+                                   mutual_information, subset_entropies)
 from coordinet.pmf import UnknownVariable, make_joint
 from coordinet.sources import dsbs, identical_uniform, independent_bits, triple_abc
 
@@ -272,7 +273,36 @@ def test_wyner_eval_matches_the_full_table_formula(nw):
                               "identical-uniform-2", "identical-uniform-3", "identical-uniform-4",
                               "independent"])
 def test_greedy_merge_map_is_the_full_table_formulas(q):
+    """Along the greedy path, each merge step picks the candidate that the
+    plain-sum formula picks, wherever no other candidate lies within 1e-12 of
+    that one and no slack within 1e-12 of MERGE_TOL, where rounding could
+    flip the choice."""
     support = np.flatnonzero(q.table.ravel() > 0)
-    got = _greedy_merge_map(_wyner_eval(q.table, support), len(support))
-    ref = _greedy_merge_map(lambda r: wyner_terms_full(q.table, support, r), len(support))
-    assert got.tolist() == ref.tolist()
+    wyner, seen = _wyner_eval(q.table, support), []
+
+    def terms(r):
+        got = wyner(r)
+        seen.append((*(float(t[0]) for t in got),
+                     *(float(t[0]) for t in wyner_terms_full(q.table, support, r))))
+        return got
+
+    def pick(cands):  # the first candidate of least I(Y1Y2;W) among those with slack <= MERGE_TOL
+        ok = [(i_val, n) for n, (i_val, slack) in enumerate(cands) if slack <= MERGE_TOL]
+        return min(ok)[1] if ok else None
+
+    _greedy_merge_map(terms, len(support))
+    steps, bins, clear = [], len(support), 0
+    while seen:   # a step with b bins tries every one of the b(b - 1)/2 merges
+        steps.append(seen[:bins * (bins - 1) // 2])
+        del seen[:bins * (bins - 1) // 2]
+        bins -= 1
+    for step in steps:
+        ref = [c[2:] for c in step]
+        best = pick(ref)
+        if any(abs(slack - MERGE_TOL) <= 1e-12 or (best not in (None, n) and slack <= MERGE_TOL
+                                                   and abs(i_val - ref[best][0]) <= 1e-12)
+               for n, (i_val, slack) in enumerate(ref)):
+            continue
+        assert pick([c[:2] for c in step]) == best
+        clear += 1
+    assert clear >= 1

@@ -7,7 +7,9 @@ same value, the same iteration count and the same number of rows scored.
 import numpy as np
 import pytest
 
-from coordinet.information import (WynerConfig, _greedy_merge_map, _wyner_eval,
+from coordinet import information
+from coordinet.information import (MARKOV_TARGET, MAX_ITERS, POLISH_PENALTY, STALL_LIMIT,
+                                   WynerConfig, _greedy_merge_map, _wyner_eval,
                                    wyner_common_information)
 from coordinet.optimize import _descend, coordinate_descent, dirichlet_rows
 from coordinet.region import (MARKOV_FREE, TV_TOL, RateTuple, _inner_eval, _objective,
@@ -22,8 +24,9 @@ def bits(a) -> bytes:
 
 
 def assert_matches_oracle(objective, starts, **kw):
-    """Run the batch and the oracle on each start; returns the batch's Descents."""
-    got = _descend(objective, starts, **kw)
+    """Run the batch, every restart in phase 0, and the oracle on each start;
+    returns the batch's Descents."""
+    got = _descend(lambda batch, _: objective(batch), starts, **kw)
     assert len(got) == len(starts)
     for start, d in zip(starts, got):
         rows = [0]
@@ -178,3 +181,110 @@ def test_structured_wyner_seeds_always_run():
     sol = wyner_common_information(triple_abc(), w_cap=5, config=WynerConfig(restarts=1))
     assert [i for i, _ in sol.trace] == [0, 1, 2]
     assert sol.value == pytest.approx(1.0, abs=1e-9)
+
+
+def test_a_stop_hook_cuts_the_later_restarts():
+    # restart 1 starts at the optimum and stops first, after a sweep with no improvement;
+    # its hook cuts restart 2 there, while restart 0, before it, runs to its own end
+    objective = linear(np.arange(8.0)[::-1])
+    at_optimum, uniform = np.eye(8)[:1], np.full((1, 8), 1 / 8)
+    stops = []
+
+    def on_stop(i, d):
+        stops.append(i)
+        return False, i + 1
+
+    got = _descend(lambda batch, _: objective(batch), [[uniform], [at_optimum], [uniform]],
+                   on_stop=on_stop)
+    assert [(d.iters, d.reason) for d in got] == [(16, "no_improvement"), (8, "no_improvement"),
+                                                  (8, "cut")]
+    assert stops == [1, 0]
+
+
+def spy_wyner_descent(monkeypatch):
+    """Run the solver's one descent as it is, recording the objective calls,
+    the starts and every phase's Descent of each restart."""
+    seen = {"calls": 0, "phases": {}}
+
+    def spy(objective, starts, *, on_stop, **kw):
+        def counted(batch, phase):
+            seen["calls"] += 1
+            return objective(batch, phase)
+
+        def recorded(i, d):
+            seen["phases"].setdefault(i, []).append(d)
+            return on_stop(i, d)
+
+        seen["starts"] = starts
+        seen["ends"] = _descend(counted, starts, on_stop=recorded, **kw)
+        return seen["ends"]
+
+    monkeypatch.setattr(information, "_descend", spy)
+    return seen
+
+
+@pytest.mark.parametrize("q, w_cap, restarts, waiting",
+                         [(triple_abc(), 5, 12, 4), (dsbs(0.1), 4, 16, 0)],
+                         ids=["triple-abc", "dsbs-0.1"])
+def test_wyner_phases_are_chained_oracle_runs(monkeypatch, q, w_cap, restarts, waiting):
+    """Each restart of the solver's one descent is the oracle run at the
+    search penalty, then, when its slack is above MARKOV_TARGET, a fresh
+    oracle run at POLISH_PENALTY from its end: blocks, value, iterations and
+    rows, phase by phase.  ``waiting`` restarts stop their first phase
+    mid-sweep, and wait for the next sweep start to polish."""
+    seen = spy_wyner_descent(monkeypatch)
+    cfg = WynerConfig(restarts=restarts, seed=0)
+    wyner_common_information(q, w_cap, cfg)
+    support = np.flatnonzero(q.table.ravel() > 0)
+    wyner = _wyner_eval(q.table, support)
+    sweep = len(support) * w_cap
+    waited = 0
+    for i, start in enumerate(seen["starts"]):
+        phases, blocks = seen["phases"][i], start
+        for phase, lam in enumerate((cfg.penalty, POLISH_PENALTY)):
+            objective, rows = wyner_objective(q, lam)[0], [0]
+
+            def counted(batch):
+                rows[0] += len(batch[0])
+                return objective(batch)
+
+            blocks, value, iters = coordinate_descent_sequential(
+                counted, blocks, max_iters=MAX_ITERS, stall_limit=STALL_LIMIT)
+            d = phases[phase]
+            assert [bits(b) for b in d.blocks] == [bits(b) for b in blocks]
+            assert (bits(d.value), d.iters, d.evals) == (bits(value), iters, rows[0])
+            assert d.phase == phase
+            if wyner(blocks[0][None])[1][0] <= MARKOV_TARGET:
+                break
+        assert len(phases) == phase + 1 and seen["ends"][i] is phases[-1]
+        waited += len(phases) == 2 and phases[0].iters % sweep != 0
+    assert waited == waiting
+
+
+def test_bench_wyner_job_objective_calls(monkeypatch):
+    # triple-abc, w_cap 5, 12 restarts, seed 0: 2,548 calls when the polish waited for
+    # the slowest first phase, 1,671 with each restart polishing after its own
+    seen = spy_wyner_descent(monkeypatch)
+    sol = wyner_common_information(triple_abc(), 5, WynerConfig(restarts=12, seed=0))
+    assert sol.value == pytest.approx(1.0, abs=1e-9)
+    assert seen["calls"] <= 1760
+
+
+def test_the_fallback_polish_runs_at_ten_times_the_polish_penalty(monkeypatch):
+    # with MARKOV_TARGET at 1e-9, the best end of dsbs-0.2 at w_cap 4 is a loose witness, so
+    # it gets one more descent; that descent scores its start at 10 * POLISH_PENALTY
+    monkeypatch.setattr(information, "MARKOV_TARGET", 1e-9)
+    q = dsbs(0.2)
+    wyner, seen = _wyner_eval(q.table, np.flatnonzero(q.table.ravel() > 0)), []
+    descend = information.coordinate_descent
+
+    def spy(objective, blocks, **kw):
+        i_joint, slack = wyner(blocks[0][None])
+        expected = i_joint + 10 * POLISH_PENALTY * slack
+        seen.append(bits(objective([blocks[0][None]])) == bits(expected))
+        return descend(objective, blocks, **kw)
+
+    monkeypatch.setattr(information, "coordinate_descent", spy)
+    sol = wyner_common_information(q, 4, WynerConfig(restarts=6, seed=0))
+    assert seen == [True]
+    assert sol.markov_slack <= 1e-9 and sol.value == pytest.approx(1.0, abs=1e-9)

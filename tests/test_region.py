@@ -15,7 +15,7 @@ from coordinet.region import (OuterCoupling, RateTuple, SearchConfig, _inner_eva
                               canonical_couplings, frontier, inner_check,
                               inner_membership, inner_rhs, outer_coupling_from_inner,
                               outer_membership, outer_slack, random_inner_coupling)
-from coordinet.sources import dsbs, identical_uniform, independent_bits
+from coordinet.sources import dsbs, identical_uniform, independent_bits, triple_abc
 
 from oracles import (binning_constants_direct, coordinate_descent_sequential, inner_rhs_direct,
                      outer_bounds_direct, tv_direct)
@@ -213,6 +213,36 @@ class TestRestartOrder:
             assert (got.verdict, got.restarts_used) == (want.verdict, want.restarts_used)
             assert np.float64(got.best_slack).tobytes() == np.float64(want.best_slack).tobytes()
             assert got.witness.joint().table.tobytes() == want.witness.joint().table.tobytes()
+
+    def test_later_descents_stop_once_an_earlier_end_is_a_witness(self, monkeypatch):
+        """On this grid the later restarts of a batch once descended to their ends
+        after an earlier end was a witness (20,883 rows scored); they are cut
+        now, and every decision stays the one-at-a-time loop's."""
+        monkeypatch.setattr(region, "MAX_ITERS", 600)
+        rows, descend = [0], region._descend
+
+        def counted(objective, starts, **kw):
+            def scored(batch, phase):
+                rows[0] += len(batch[0])
+                return objective(batch, phase)
+            return descend(scored, starts, **kw)
+
+        def grid():
+            return frontier(triple_abc(), {"rf1": 0.6, "rf2": 0.6}, ("rb1", "rb2"),
+                            ((0.0, 0.6, 3), (0.0, 0.6, 3)), caps=(2, 2, 2),
+                            config=SearchConfig(restarts=4, seed=1))
+
+        monkeypatch.setattr(region, "_descend", counted)
+        batched = grid()
+        assert 0 < rows[0] < 20883
+        monkeypatch.setattr(region, "_search", sequential_search)
+        for got, want in zip(batched, grid()):
+            for g, w in ((got.inner, want.inner), (got.outer, want.outer)):
+                assert (g.verdict, g.restarts_used) == (w.verdict, w.restarts_used)
+                assert np.float64(g.best_slack).tobytes() == np.float64(w.best_slack).tobytes()
+                assert (g.witness is None) == (w.witness is None)
+                if g.witness is not None:
+                    assert g.witness.joint().table.tobytes() == w.witness.joint().table.tobytes()
 
     def test_a_start_that_witnesses_membership_is_not_descended(self, monkeypatch):
         descended = []
