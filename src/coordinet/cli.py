@@ -87,7 +87,7 @@ def _cmd_region(cfg, q, out_dir):
         dec = region.inner_membership(q, r, caps=caps, config=scfg)
     else:
         dec = region.outer_membership(q, r, config=scfg)
-    if dec.witness is not None:
+    if dec.verdict == "inside":
         write_pmf(dec.witness.joint(), os.path.join(out_dir, "witness.pmf"))
     row = {"rf1": r.rf1, "rb1": r.rb1, "rf2": r.rf2, "rb2": r.rb2,
            "verdict": dec.verdict, "certificate": dec.certificate,

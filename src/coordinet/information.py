@@ -139,25 +139,36 @@ class WynerSolution:
 
 def _wyner_eval(q2: np.ndarray, support: np.ndarray):
     """I(Y1Y2;W) and I(Y1;Y2|W), each (B,), as a function of a (B, |support|, W)
-    batch of conditionals p(w|y1,y2) on the flat cells ``support`` of q2.
+    batch of conditionals p(w|y1,y2) on the flat cells ``support`` of q2; with
+    ``sides``, I(W;Y1) and I(W;Y2) follow.
 
     One product with the q-weighted indicators of the cells gives p(w),
     p(y1,w) and p(y2,w); H(W|Y1Y2) = sum_c q_c H(r_c) comes from the rows
-    and H(Y1Y2) is a constant, so no (Y1, Y2, W) table is formed."""
+    and H(Y1Y2), H(Y1), H(Y2) are constants, so no (Y1, Y2, W) table is formed."""
     n1, n2 = q2.shape
     qs = q2.ravel()[support]
     # row 0 sums the cells into p(w), the next n1 rows by Y1 into p(y1,w), the rest by Y2
     weights = qs * np.vstack([np.ones(len(qs)), np.eye(n1)[support // n2].T,
                               np.eye(n2)[support % n2].T])
-    h_y = -_xlog2x(qs.copy()).sum()
+    h_y, h_1, h_2 = (-_xlog2x(m.copy()).sum() for m in (qs, q2.sum(axis=1), q2.sum(axis=0)))
 
-    def terms(r):
+    def terms(r, sides=False):  # the Wyner objective asks for no sides and skips their cost
         x = _xlog2x(weights @ r)
         h_w = -x[:, 0].sum(axis=1)
         h_w_given_y = -(_xlog2x(r.copy()) * qs[:, None]).sum(axis=(1, 2))
-        return (np.maximum(0.0, h_w - h_w_given_y),
-                np.maximum(0.0, -x[:, 1:].sum(axis=(1, 2)) - h_w - h_y - h_w_given_y))
+        out = (np.maximum(0.0, h_w - h_w_given_y),
+               np.maximum(0.0, -x[:, 1:].sum(axis=(1, 2)) - h_w - h_y - h_w_given_y))
+        return out if not sides else out + (
+            np.maximum(0.0, h_w + h_1 + x[:, 1:n1 + 1].sum(axis=(1, 2))),
+            np.maximum(0.0, h_w + h_2 + x[:, n1 + 1:].sum(axis=(1, 2))))
     return terms
+
+
+def _support_channel(q: JointPmf, name: str, rows: np.ndarray) -> ConditionalPmf:
+    """The channel from q's variables to ``name``: ``rows`` on q's support, uniform off it."""
+    full = np.full((q.table.size, rows.shape[1]), 1.0 / rows.shape[1])
+    full[q.table.ravel() > 0] = rows
+    return ConditionalPmf(q.alphabets, (Alphabet(name, rows.shape[1]),), full)
 
 
 def _greedy_merge_map(terms, ms: int) -> np.ndarray:
@@ -254,9 +265,7 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
         raise OptimizerFailed(f"no restart reached Markov slack <= {ACCEPT_MARKOV}")
 
     i_val, rows, slack = best
-    full = np.full((n1 * n2, w_cap), 1.0 / w_cap)   # uniform rows off the support
-    full[support] = rows
-    witness = ConditionalPmf(q.alphabets, (Alphabet("W", w_cap),), full)
+    witness = _support_channel(q, "W", rows)
     lower = mutual_information(q, q.names[:1], q.names[1:])
     if q2.shape == (2, 2) and q2[0, 0] == q2[1, 1] and q2[0, 1] == q2[1, 0]:
         # a doubly symmetric binary source: Wyner's closed form 1 + h(p) - 2 h(a), with

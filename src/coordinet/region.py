@@ -4,8 +4,9 @@ The inner bound is evaluated on couplings factored as
 p(u,v,w) * p(y2|u,w) * p(y1|v,w), which carries the long Markov chain
 Y2 - UW - VW - Y1 by construction; membership searches only have to
 drive the (Y1,Y2)-marginal onto the target.  The outer bound is evaluated
-on couplings q(y1,y2) * p(u,v|y1,y2) with the two short chains
-Y2 - U - Y1 and Y2 - V - Y1 enforced by penalty.
+on couplings q(y1,y2) * p(u|y1,y2) * p(v|y1,y2), each channel scored as in
+Wyner's problem, with the two short chains Y2 - U - Y1 and Y2 - V - Y1
+enforced by penalty.
 """
 from __future__ import annotations
 
@@ -15,20 +16,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .information import mutual_information, subset_entropies
+from .information import (POLISH_PENALTY, _support_channel, _wyner_eval, mutual_information,
+                          subset_entropies)
 # coordinate_descent stays bound here: perfbench/tracer.py wraps it at every module that binds it
 from .optimize import _descend, coordinate_descent, dirichlet_rows  # noqa: F401
 from .pmf import Alphabet, ConditionalPmf, JointPmf
 
-# The joint entropies the bounds are linear forms of, as axis subsets of
-# an inner joint over INNER_AXES and an outer one over OUTER_AXES.  The
-# binning system's constants (fme) are forms of the nine inner ones.
+# The joint entropies the inner bounds and the binning system's constants
+# (fme) are linear forms of, as axis subsets of a joint over INNER_AXES.
 INNER_AXES = ("U", "V", "W", "Y1", "Y2")
-OUTER_AXES = ("Y1", "Y2", "U", "V")
 INNER_SUBSETS = tuple(tuple(map(INNER_AXES.index, s.split())) for s in (
     "W", "Y1 Y2", "W Y1 Y2", "U W", "V W", "U V W", "U V W Y1 Y2", "V W Y1 Y2", "U W Y1 Y2"))
-OUTER_SUBSETS = tuple(tuple(map(OUTER_AXES.index, s.split())) for s in (
-    "Y1 Y2", "U", "V", "Y1 Y2 U", "Y1 Y2 V", "Y1", "Y2", "Y1 U", "Y2 U", "Y1 V", "Y2 V"))
 
 # Stand-in for infinite rates inside smooth objectives; comparisons and
 # reported slacks use true math.inf.
@@ -105,21 +103,25 @@ class InnerCoupling:
 
 @dataclass(frozen=True)
 class OuterCoupling:
-    """Auxiliary coupling for the outer bound: q composed with p(u,v|y1,y2)."""
+    """Auxiliary coupling for the outer bound: q with p(u|y1,y2) and p(v|y1,y2).
+    Its bounds read only the (Y, U) and (Y, V) marginals, so U and V are
+    taken independent given Y = (Y1, Y2)."""
 
     q: JointPmf                     # over (Y1, Y2)
-    chan_uv: ConditionalPmf         # (Y1, Y2) -> (U, V)
+    chan_u: ConditionalPmf          # (Y1, Y2) -> U
+    chan_v: ConditionalPmf          # (Y1, Y2) -> V
 
     @property
     def caps(self) -> tuple[int, int]:
-        return tuple(a.size for a in self.chan_uv.target)
+        return self.chan_u.target[0].size, self.chan_v.target[0].size
 
     def joint(self) -> JointPmf:
-        return self.q.attach(self.chan_uv)
+        """q(y1,y2) * p(u|y1,y2) * p(v|y1,y2) over (Y1, Y2, U, V)."""
+        return self.q.attach(self.chan_u).attach(self.chan_v)
 
     def markov_slacks(self) -> tuple[float, float]:
         """I(Y1;Y2|U) and I(Y1;Y2|V)."""
-        return tuple(map(float, _outer_bounds(_batch(self.joint(), OUTER_AXES))[1][0]))
+        return tuple(map(float, _outer_terms(self)[1]))
 
 
 @dataclass
@@ -309,43 +311,49 @@ def _pad_inner(tables, caps) -> list[np.ndarray] | None:
     return [p.reshape(1, cu * cv * cw), c2.reshape(cu * cw, n2), c1.reshape(cv * cw, n1)]
 
 
-def _objective(evaluate, sums, free):
+def _objective(evaluate, sums, free, penalties=(PENALTY,)):
     """The descent objective of a search: minus the smallest slack of the
-    rate sums (capped at ``_BIG``) over the bounds, plus ``PENALTY`` times
-    the violations in excess of ``free``, summed."""
+    rate sums (capped at ``_BIG``) over the bounds, plus the penalty of the
+    row's phase times the violations in excess of ``free``, summed."""
     capped = np.minimum(sums, _BIG)
+    lams = np.array(penalties)
 
-    def objective(batch, phase=None):  # one phase: every row scores alike
+    def objective(batch, phase=0):
         b, v = evaluate(batch)
-        return -(capped - b).min(axis=1) + PENALTY * np.maximum(0.0, v - free).sum(axis=1)
+        return -(capped - b).min(axis=1) + lams[phase] * np.maximum(0.0, v - free).sum(axis=1)
 
     return objective
 
 
-def _search(evaluate, sums, tols, starts):
+def _search(evaluate, sums, tols, starts, penalties=(PENALTY,)):
     """Walk start 1, its descent, start 2, ... up to the first witness of
     membership.  ``evaluate(batch)`` gives each candidate's bounds, one per
     entry of ``sums``, and its violations; ``tols`` is (free, accept), the
     violation the objective leaves unpenalized and the most a witness may
     have.  A witness's minimum slack is >= -``SLACK_TOL``; a candidate over
-    ``accept`` has slack -inf.  One evaluator call scores all starts, the starts before the
-    first witness descend in one batch, cut after an end that is a witness, and one more call
+    ``accept`` has slack -inf.  A descent runs at the first of ``penalties``;
+    an end that misses being a witness only by its violations goes on at the next.
+    One evaluator call scores all starts, the starts before the first witness
+    descend in one batch, cut after an end that is a witness, and one more call
     scores their ends.  Returns (found, best blocks, their slack, restarts used)."""
     free, accept = tols
 
-    def slacks(cands):
+    def slacks(cands):  # each candidate's slack, and its minimum slack whatever its violations
         b, v = evaluate([np.array(k) for k in zip(*cands)])
-        return np.where((v <= accept).all(axis=1), (sums - b).min(axis=1), -math.inf)
+        raw = (sums - b).min(axis=1)
+        return np.where((v <= accept).all(axis=1), raw, -math.inf), raw
 
-    first = slacks(starts)
+    first = slacks(starts)[0]
     runs = next((i for i, slack in enumerate(first) if slack >= -SLACK_TOL), len(starts))
 
-    def cut_after_witness(i, d):  # the walk stops at a witness: later descents are not needed
-        return False, (i + 1 if slacks([d.blocks])[0] >= -SLACK_TOL else None)
-    ends = [d.blocks for d in _descend(_objective(evaluate, sums, free), starts[:runs],
+    def on_stop(i, d):  # a witness ends the walk; an end short of one only by violations polishes
+        (slack,), (raw,) = slacks([d.blocks])
+        return (slack < -SLACK_TOL <= raw and d.phase + 1 < len(penalties),
+                i + 1 if slack >= -SLACK_TOL else None)
+    ends = [d.blocks for d in _descend(_objective(evaluate, sums, free, penalties), starts[:runs],
                                        max_iters=MAX_ITERS, stall_limit=STALL_LIMIT,
-                                       on_stop=cut_after_witness)] if runs else []
-    last = slacks(ends) if runs else []
+                                       on_stop=on_stop)] if runs else []
+    last = slacks(ends)[0] if runs else []
     best_slack, best = -math.inf, None
     for i in range(len(starts)):
         for slack, cand in [(first[i], starts[i])] + ([(last[i], ends[i])] if i < runs else []):
@@ -405,86 +413,72 @@ def inner_membership(q: JointPmf, r: RateTuple, caps: tuple[int, int, int] = (4,
 def outer_slack(c: OuterCoupling, r: RateTuple) -> float:
     """min over the three outer-bound inequalities of (rate sum - bound);
     their rate sums are the last three of ``r.sums``."""
-    return float(np.min(r.sums[1:] - _outer_bounds(_batch(c.joint(), OUTER_AXES))[0][0]))
+    return float(np.min(r.sums[1:] - _outer_terms(c)[0]))
 
 
 def outer_coupling_from_inner(c: InnerCoupling,
                               caps: tuple[int, int] | None = None) -> OuterCoupling | None:
-    """The outer coupling induced by an inner one: U' = (U, W), V' = (V, W).
+    """The outer coupling induced by an inner one: U' = (U, W), V' = (V, W),
+    each without its symbols of zero mass.
 
     The long chain Y2 - UW - VW - Y1 gives both short chains Y2 - U' - Y1
     and Y2 - V' - Y1, so every inner witness converts to an outer witness.
     Returns None when the used support does not fit under ``caps``.
     """
-    j = c.joint().reorder(("Y1", "Y2", "U", "V", "W"))
-    nu, nv, nw = c.p_uvw.sizes
-    n1, n2 = j.sizes[0], j.sizes[1]
+    j = c.joint()
     q = j.marginal(("Y1", "Y2"))
-    if caps is None:
-        caps = (n1 * n2 + 1, n1 * n2 + 1)
-    cond = j.condition(("Y1", "Y2"))  # rows over (U, V, W)
-    rows = cond.table.reshape(n1 * n2, nu, nv, nw)
-    full = np.zeros((n1 * n2, nu * nw, nv * nw))
-    for w in range(nw):
-        full[:, w + nw * np.arange(nu)[:, None], w + nw * np.arange(nv)[None, :]] = rows[..., w]
-    used_u = np.flatnonzero(full.sum(axis=(0, 2)) > 0)
-    used_v = np.flatnonzero(full.sum(axis=(0, 1)) > 0)
-    if len(used_u) > caps[0] or len(used_v) > caps[1]:
-        return None
-    table = np.full((n1 * n2, caps[0], caps[1]), 0.0)
-    table[np.ix_(np.arange(n1 * n2), np.arange(len(used_u)), np.arange(len(used_v)))] = \
-        full[np.ix_(np.arange(n1 * n2), used_u, used_v)]
-    # rows with zero conditioning mass get an arbitrary valid distribution
-    defined = np.asarray(cond.defined).reshape(n1 * n2)
-    table[~defined, 0, 0] = 1.0
-    chan = ConditionalPmf((Alphabet("Y1", n1), Alphabet("Y2", n2)),
-                          (Alphabet("U", caps[0]), Alphabet("V", caps[1])),
-                          table.reshape(n1, n2, caps[0], caps[1]))
-    return OuterCoupling(q, chan)
+    on = q.table.ravel() > 0
+    chans = []
+    for name, cap in zip("UV", caps or (on.size + 1, on.size + 1)):
+        # p(aux, w, y1, y2) as rows over the support cells, columns aux * |W| + w
+        t = j.marginal((name, "W", "Y1", "Y2")).table.reshape(-1, on.size).T[on]
+        t = t[:, t.sum(axis=0) > 0]
+        if t.shape[1] > cap:
+            return None
+        chans.append(_support_channel(q, name, np.pad(t / t.sum(axis=1, keepdims=True),
+                                                      ((0, 0), (0, cap - t.shape[1])))))
+    return OuterCoupling(q, *chans)
 
 
-def _canonical_outer_channels(q: JointPmf, caps) -> list[np.ndarray]:
-    n1, n2 = q.sizes
-    cu, cv = caps
-    m = n1 * n2
-    rows = []
-
-    def det(u_of, v_of):
-        t = np.zeros((m, cu * cv))
-        for cell in range(m):
-            y1, y2 = cell // n2, cell % n2
-            t[cell, u_of(y1, y2) * cv + v_of(y1, y2)] = 1.0
-        return t
-
-    if cu >= m and cv >= m:
-        rows.append(det(lambda y1, y2: y1 * n2 + y2, lambda y1, y2: y1 * n2 + y2))
-    if cu >= n2 and cv >= n1:
-        rows.append(det(lambda y1, y2: y2, lambda y1, y2: y1))
-    if cu >= n1 and cv >= n2:
-        rows.append(det(lambda y1, y2: y1, lambda y1, y2: y2))
-    rows.append(det(lambda y1, y2: 0, lambda y1, y2: 0))
-    return rows
+def _canonical_outer_channels(q: JointPmf, caps) -> list[list[np.ndarray]]:
+    """Deterministic starts, U and V as maps of q's support cells: the pairs
+    (cell, cell), (y2, y1), (y1, y2) and (constant, constant) that fit ``caps``."""
+    cells = np.flatnonzero(q.table.ravel() > 0)
+    n2 = q.sizes[1]
+    cell, y1, y2, const = np.arange(len(cells)), cells // n2, cells % n2, 0 * cells
+    eye_u, eye_v = np.eye(caps[0]), np.eye(caps[1])
+    return [[eye_u[u], eye_v[v]] for u, v in ((cell, cell), (y2, y1), (y1, y2), (const, const))
+            if u.max() < caps[0] and v.max() < caps[1]]
 
 
-def _outer_bounds(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For a (B, Y1, Y2, U, V) batch of joints: the (B, 3) outer bounds
-    I(Y1Y2;V), I(Y1Y2;U), max(I(U;Y1), I(V;Y2)) and the (B, 2) Markov
-    slacks I(Y1;Y2|U), I(Y1;Y2|V), clamped at 0."""
-    hy, hu, hv, hyu, hyv, h1, h2, h1u, h2u, h1v, h2v = subset_entropies(j, OUTER_SUBSETS).T
-    bounds = np.stack([hy + hv - hyv, hy + hu - hyu,
-                       np.maximum(h1 + hu - h1u, h2 + hv - h2v)], axis=1)
-    slacks = np.stack([np.maximum(0.0, (h1u - hu) + (h2u - hu) - (hyu - hu)),
-                       np.maximum(0.0, (h1v - hv) + (h2v - hv) - (hyv - hv))], axis=1)
-    return bounds, slacks
+def _outer_eval(qt: np.ndarray):
+    """Evaluator of outer candidates, given as the rows of p(u|y1,y2) and
+    p(v|y1,y2) on q's support cells: the ``_wyner_eval`` terms of each channel
+    make the (B, 3) bounds I(Y1Y2;V), I(Y1Y2;U), max(I(U;Y1), I(V;Y2)) and
+    the (B, 2) Markov slacks I(Y1;Y2|U), I(Y1;Y2|V), clamped at 0."""
+    terms = _wyner_eval(qt, np.flatnonzero(qt.ravel() > 0))
+
+    def evaluate(batch):  # U rows, then V rows, in one call; added columns are symbols of no mass
+        n, cells = batch[0].shape[:2]
+        rows = np.zeros((2 * n, cells, max(b.shape[2] for b in batch)))
+        rows[:n, :, :batch[0].shape[2]], rows[n:, :, :batch[1].shape[2]] = batch
+        i_y, slack, i_1, i_2 = terms(rows, sides=True)
+        return (np.stack([i_y[n:], i_y[:n], np.maximum(i_1[:n], i_2[n:])], axis=1),
+                np.stack([slack[:n], slack[n:]], axis=1))
+
+    return evaluate
 
 
-def _outer_eval(qt: np.ndarray, caps):
-    """Evaluator of outer candidates, given as channel rows p(u,v|y1,y2):
-    the (B, 3) bounds and the (B, 2) Markov slacks of ``_outer_bounds``."""
-    n1, n2 = qt.shape
-    cu, cv = caps
-    return lambda batch: _outer_bounds(qt[None, :, :, None, None]
-                                       * batch[0].reshape(-1, n1, n2, cu, cv))
+def _outer_rows(c: OuterCoupling, q: JointPmf) -> list[np.ndarray]:
+    """The rows of c's channels on the support cells of q: outer search blocks."""
+    on = q.table.ravel() > 0
+    return [chan.table.reshape(on.size, -1)[on] for chan in (c.chan_u, c.chan_v)]
+
+
+def _outer_terms(c: OuterCoupling) -> tuple[np.ndarray, np.ndarray]:
+    """The (3,) bounds and (2,) Markov slacks of one coupling."""
+    bounds, slacks = _outer_eval(c.q.table)([b[None] for b in _outer_rows(c, c.q)])
+    return bounds[0], slacks[0]
 
 
 def outer_membership(q: JointPmf, r: RateTuple, config: SearchConfig | None = None,
@@ -498,38 +492,33 @@ def outer_membership(q: JointPmf, r: RateTuple, config: SearchConfig | None = No
     rf1+rf2 >= I(Y1;Y2), and, per link, I(Y1Y2;V) >= I(Y1;Y2) - I(Y1;Y2|V).
     A point missing a floor by more than
     ``MARKOV_TOL + SLACK_TOL`` is certified "outside".  Otherwise the search
-    runs; "outside-heuristic" is declared when no restart finds a valid
-    coupling within ``OUTSIDE_MARGIN`` of feasibility, and global
-    optimality is not certified.
+    runs; a descent that ends short of a witness only by its Markov slacks
+    goes on at ``POLISH_PENALTY``.  "outside-heuristic" is declared when no
+    restart finds a valid coupling within ``OUTSIDE_MARGIN`` of feasibility,
+    and global optimality is not certified.
     """
     cfg = config or SearchConfig()
-    n1, n2 = q.sizes
     name, margin = _floor_certificate(q, r)
     if margin < -(MARKOV_TOL + SLACK_TOL):
         return RegionDecision("outside", None, margin, 0, name)
-    if caps is None:
-        caps = (n1 * n2 + 1, n1 * n2 + 1)
-    cu, cv = caps
+    cu, cv = caps = caps or (q.table.size + 1, q.table.size + 1)
     rng = np.random.default_rng(cfg.seed)
 
-    starts = []
-    for c in extra_seeds:
-        su, sv = c.caps
-        if su > cu or sv > cv:
-            continue
-        t = np.zeros((n1 * n2, cu, cv))
-        t[:, :su, :sv] = c.chan_uv.table.reshape(n1 * n2, su, sv)
-        starts.append([t.reshape(n1 * n2, cu * cv)])
-    for t in _canonical_outer_channels(q, caps):
-        starts.append([t])
+    # a seed's rows get zero columns up to the caps: added symbols carry no mass
+    starts = [[np.pad(b, ((0, 0), (0, cap - b.shape[1])))
+               for b, cap in zip(_outer_rows(c, q), caps)]
+              for c in extra_seeds if c.caps[0] <= cu and c.caps[1] <= cv]
+    starts += _canonical_outer_channels(q, caps)
+    cells = int(np.count_nonzero(q.table))
     while len(starts) < cfg.restarts + len(extra_seeds):
-        starts.append([dirichlet_rows(rng, n1 * n2, cu * cv)])
+        starts.append([dirichlet_rows(rng, cells, cu), dirichlet_rows(rng, cells, cv)])
 
-    inside, best, slack, used = _search(_outer_eval(q.table, caps), r.sums[1:],
-                                        (MARKOV_FREE, MARKOV_TOL), starts)
-    witness = None if best is None else OuterCoupling(q, ConditionalPmf(
-        (Alphabet("Y1", n1), Alphabet("Y2", n2)), (Alphabet("U", cu), Alphabet("V", cv)),
-        best[0].reshape(n1, n2, cu, cv)))
+    inside, best, slack, used = _search(_outer_eval(q.table), r.sums[1:],
+                                        (MARKOV_FREE, MARKOV_TOL), starts,
+                                        (PENALTY, POLISH_PENALTY))
+    # rows off q's support are uniform, as in the common-information witness
+    witness = None if best is None else OuterCoupling(
+        q, _support_channel(q, "U", best[0]), _support_channel(q, "V", best[1]))
     verdict = ("inside" if inside else "outside-heuristic" if slack < -OUTSIDE_MARGIN
                else "inconclusive")
     return RegionDecision(verdict, witness, slack, used)

@@ -166,6 +166,20 @@ def wyner_dsbs(p: float) -> float:
     return 1.0 + binary_entropy(p) - 2.0 * binary_entropy(a)
 
 
+def dsbs_wyner_witness(p: float):
+    """Wyner's common information C of the doubly symmetric binary source
+    with crossover 0 < p <= 1/2, and the conditional p(w|y1,y2) that attains
+    it (Wyner 1975): W a uniform bit and Y_i = W xor Bern(a), 2a(1 - a) = p,
+    so p(w|y1,y2) = (1/2) p(y1|w) p(y2|w) / q(y1,y2).  Returns
+    (1 + h(p) - 2 h(a), the witness as a [y1, y2, w] table)."""
+    a = (1.0 - math.sqrt(1.0 - 2.0 * p)) / 2.0
+    witness = np.zeros((2, 2, 2))
+    for y1, y2, w in itertools.product(range(2), repeat=3):
+        q = (1.0 - p) / 2.0 if y1 == y2 else p / 2.0
+        witness[y1, y2, w] = 0.5 * (a if y1 != w else 1 - a) * (a if y2 != w else 1 - a) / q
+    return 1.0 + binary_entropy(p) - 2.0 * binary_entropy(a), witness
+
+
 def wyner_terms_full(q_table, support, rows):
     """I(Y1Y2;W) and I(Y1;Y2|W) of a (B, |support|, W) batch of conditionals
     p(w|y1,y2) on the support cells, the way the solver scored them before

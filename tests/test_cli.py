@@ -195,6 +195,17 @@ class TestCommands:
         assert payload["verdict"] == "inside"
         assert (out / "witness.pmf").exists()
 
+    def test_witness_pmf_only_for_inside(self, tmp_path):
+        # dsbs-0.1 at 0.89/0/0.89/0 is inside (U, V constant, W a uniform bit), but the
+        # search misses that coupling: its best candidate is no witness, so no file
+        status, out = run_cli(tmp_path,
+                              "[run]\ncommand = region-inner\nsource = dsbs-0.1\nseed = 0\n"
+                              "[region-inner]\nrf1 = 0.89\nrb1 = 0\nrf2 = 0.89\nrb2 = 0\n"
+                              "cap_u = 2\ncap_v = 2\ncap_w = 2\nrestarts = 8\n")
+        assert status == 0
+        assert read_summary(out)["verdict"] == "inconclusive"
+        assert not (out / "witness.pmf").exists()
+
     def test_minus_inf_slack_keeps_its_sign(self, tmp_path):
         # caps 1,1,1 fit only the constant coupling, whose marginal misses
         # dsbs-0.1, so no candidate is valid and the best slack is -inf

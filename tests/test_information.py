@@ -227,6 +227,8 @@ def test_subset_entropies_reject_bad_subsets():
 
 
 def test_wyner_terms_match_mutual_information():
+    """I(Y1Y2;W) and I(Y1;Y2|W) against the library's mutual information, and
+    I(W;Y1), I(W;Y2) against the plain-sum oracle."""
     rng = np.random.default_rng(9)
     for n1, n2, nw in [(2, 2, 2), (2, 3, 4), (3, 3, 5)]:
         q2 = rng.dirichlet(np.ones(n1 * n2))
@@ -235,7 +237,9 @@ def test_wyner_terms_match_mutual_information():
         r = rng.dirichlet(np.ones(nw), size=(4, n1 * n2))
         r[0, 1:] = np.eye(nw)[np.arange(n1 * n2 - 1) % nw]   # one deterministic W
         support = np.flatnonzero(q2.ravel() > 0)
-        i_joint, slack = _wyner_eval(q2, support)(r[:, support])
+        terms = _wyner_eval(q2, support)
+        i_joint, slack, i_w1, i_w2 = terms(r[:, support], sides=True)
+        assert [t.tobytes() for t in terms(r[:, support])] == [i_joint.tobytes(), slack.tobytes()]
         for b in range(len(r)):
             j = make_joint([("Y1", n1), ("Y2", n2), ("W", nw)],
                            q2[:, :, None] * r[b].reshape(n1, n2, nw))
@@ -243,6 +247,8 @@ def test_wyner_terms_match_mutual_information():
                 mutual_information(j, ["Y1", "Y2"], ["W"]), abs=1e-10)
             assert slack[b] == pytest.approx(
                 mutual_information(j, ["Y1"], ["Y2"], given=["W"]), abs=1e-10)
+            assert i_w1[b] == pytest.approx(cond_mi_direct(j.table, (2,), (0,), ()), abs=1e-12)
+            assert i_w2[b] == pytest.approx(cond_mi_direct(j.table, (2,), (1,), ()), abs=1e-12)
 
 
 @pytest.mark.parametrize("nw", [1, 2, 5, 9])

@@ -112,9 +112,10 @@ def test_inner_objective_matches_oracle():
 def test_outer_objective_matches_oracle():
     q = dsbs(0.1)
     caps = (3, 3)
-    objective = _objective(_outer_eval(q.table, caps), np.array([0.6, 0.6, 0.45]), MARKOV_FREE)
+    objective = _objective(_outer_eval(q.table), np.array([0.6, 0.6, 0.45]), MARKOV_FREE)
     rng = np.random.default_rng(8)
-    starts = [[dirichlet_rows(rng, 4, 9)] for _ in range(3)]
+    starts = [[dirichlet_rows(rng, 4, caps[0]), dirichlet_rows(rng, 4, caps[1])]
+              for _ in range(3)]
     assert_matches_oracle(objective, starts, max_iters=300, stall_limit=60)
 
 

@@ -17,13 +17,20 @@ from coordinet.region import (OuterCoupling, RateTuple, SearchConfig, _inner_eva
                               outer_membership, outer_slack, random_inner_coupling)
 from coordinet.sources import dsbs, identical_uniform, independent_bits, triple_abc
 
-from oracles import (binning_constants_direct, coordinate_descent_sequential, inner_rhs_direct,
-                     outer_bounds_direct, tv_direct)
+from oracles import (binning_constants_direct, cond_mi_direct, coordinate_descent_sequential,
+                     dsbs_wyner_witness, inner_rhs_direct, outer_bounds_direct, tv_direct)
 
 INF = math.inf
 FAST = SearchConfig(restarts=6, seed=0)
 I_DSBS = 0.5310044064107188
 FWD_FLOOR = "rf1+rf2 >= I(Y1;Y2)"
+
+
+def channel(name, rows, n1=2, n2=2):
+    """A channel (Y1, Y2) -> ``name``, one row per (y1, y2) cell."""
+    rows = np.asarray(rows, dtype=float)
+    return ConditionalPmf((Alphabet("Y1", n1), Alphabet("Y2", n2)),
+                          (Alphabet(name, rows.shape[-1]),), rows)
 
 
 def const_coupling(q):
@@ -159,22 +166,30 @@ class TestInnerMembership:
         assert d.verdict == "inside" and d.restarts_used == 1
 
 
-def sequential_search(evaluate, sums, tols, starts):
+def sequential_search(evaluate, sums, tols, starts, penalties=(region.PENALTY,)):
     """The restart loop as it ran one restart at a time: start 1, its
-    descent, start 2, ..., stopping at the first witness.  Each candidate is
-    checked alone, with the objective and witness test written out here."""
+    descent, start 2, ..., stopping at the first witness; a descent's end that
+    misses being a witness only by its violations descends again at the next
+    penalty.  Each candidate is checked alone, with the objective and witness
+    test written out here."""
     free, accept = tols
     capped = np.minimum(sums, region._BIG)
     best_slack, best = -math.inf, None
 
-    def objective(batch):
-        b, v = evaluate(batch)
-        return -(capped - b).min(axis=1) + region.PENALTY * np.maximum(0.0, v - free).sum(axis=1)
+    def objective(lam):
+        def at(batch):
+            b, v = evaluate(batch)
+            return -(capped - b).min(axis=1) + lam * np.maximum(0.0, v - free).sum(axis=1)
+        return at
+
+    def slack_and_ok(blocks):
+        b, v = evaluate([np.asarray(x)[None] for x in blocks])
+        return float(np.min(sums - b[0])), not (v[0] > accept).any()
 
     def consider(blocks):
         nonlocal best_slack, best
-        b, v = evaluate([np.asarray(x)[None] for x in blocks])
-        slack = -math.inf if (v[0] > accept).any() else float(np.min(sums - b[0]))
+        slack, ok = slack_and_ok(blocks)
+        slack = slack if ok else -math.inf
         if slack > best_slack:
             best_slack, best = slack, blocks
         return best_slack >= -region.SLACK_TOL
@@ -182,9 +197,14 @@ def sequential_search(evaluate, sums, tols, starts):
     for used, start in enumerate(starts, 1):
         if consider(start):
             return True, best, best_slack, used
-        blocks, _, _ = coordinate_descent_sequential(objective, start,
-                                                     max_iters=region.MAX_ITERS,
-                                                     stall_limit=region.STALL_LIMIT)
+        blocks = start
+        for lam in penalties:
+            blocks, _, _ = coordinate_descent_sequential(objective(lam), blocks,
+                                                         max_iters=region.MAX_ITERS,
+                                                         stall_limit=region.STALL_LIMIT)
+            slack, ok = slack_and_ok(blocks)
+            if ok or slack < -region.SLACK_TOL:
+                break
         if consider(blocks):
             return True, best, best_slack, used
     return False, best, best_slack, len(starts)
@@ -213,6 +233,33 @@ class TestRestartOrder:
             assert (got.verdict, got.restarts_used) == (want.verdict, want.restarts_used)
             assert np.float64(got.best_slack).tobytes() == np.float64(want.best_slack).tobytes()
             assert got.witness.joint().table.tobytes() == want.witness.joint().table.tobytes()
+
+    def test_an_end_short_only_by_its_markov_slack_is_polished(self, monkeypatch):
+        # at the penalty of the search, the descents from the constant and the random
+        # start end with slack > 0 and a Markov slack just above MARKOV_TOL; at the
+        # polish penalty the first of them is a witness
+        q = make_joint([("Y1", 2), ("Y2", 3)],
+                       np.random.default_rng(14).dirichlet(np.ones(6)).reshape(2, 3))
+        r = RateTuple(0.8329578281868744, 0.9531246181240335,
+                      0.3308446412995356, 1.0607986035784231)
+        cfg = SearchConfig(restarts=4, seed=1)
+        monkeypatch.setattr(region, "MAX_ITERS", 400)
+        phases, descend = [], region._descend
+
+        def spy(objective, starts, **kw):
+            ends = descend(objective, starts, **kw)
+            phases.extend(d.phase for d in ends)
+            return ends
+
+        monkeypatch.setattr(region, "_descend", spy)
+        got = outer_membership(q, r, cfg, caps=(3, 3))
+        assert (got.verdict, got.restarts_used, phases) == ("inside", 3, [0, 0, 1, 1])
+        assert max(got.witness.markov_slacks()) <= region.MARKOV_TOL
+        monkeypatch.setattr(region, "_search", sequential_search)
+        want = outer_membership(q, r, cfg, caps=(3, 3))
+        assert (got.verdict, got.restarts_used) == (want.verdict, want.restarts_used)
+        assert np.float64(got.best_slack).tobytes() == np.float64(want.best_slack).tobytes()
+        assert got.witness.joint().table.tobytes() == want.witness.joint().table.tobytes()
 
     def test_later_descents_stop_once_an_earlier_end_is_a_witness(self, monkeypatch):
         """On this grid the later restarts of a batch once descended to their ends
@@ -266,14 +313,15 @@ class TestOneEvaluationPerCandidate:
     candidate it returns."""
 
     @staticmethod
-    def spy_bounds(monkeypatch, name):
-        sizes, bounds = [], getattr(region, name)
+    def spy_eval(monkeypatch, name):
+        """The batch sizes scored by the evaluators ``region.<name>`` makes."""
+        sizes, make = [], getattr(region, name)
 
-        def counted(j):
-            sizes.append(len(j))
-            return bounds(j)
+        def made(*args):
+            evaluate = make(*args)
+            return lambda batch: sizes.append(len(batch[0])) or evaluate(batch)
 
-        monkeypatch.setattr(region, name, counted)
+        monkeypatch.setattr(region, name, made)
         return sizes
 
     @staticmethod
@@ -290,14 +338,14 @@ class TestOneEvaluationPerCandidate:
         return result, counts[JointPmf], counts[ConditionalPmf]
 
     def test_outer_starts_are_scored_in_one_call(self, monkeypatch):
-        sizes = self.spy_bounds(monkeypatch, "_outer_bounds")
+        sizes = self.spy_eval(monkeypatch, "_outer_eval")
         # every rate infinite: the first start, the cell copy, is a witness
         d = outer_membership(dsbs(0.1), RateTuple(INF, INF, INF, INF), FAST)
         assert (d.verdict, d.restarts_used) == ("inside", 1)
         assert sizes == [FAST.restarts]
 
     def test_inner_starts_are_scored_in_one_call(self, monkeypatch):
-        sizes = self.spy_bounds(monkeypatch, "_inner_bounds")
+        sizes = self.spy_eval(monkeypatch, "_inner_eval")
         d = inner_membership(independent_bits(), RateTuple(0, 0, 0, 0), (2, 2, 2), FAST)
         assert (d.verdict, d.restarts_used) == ("inside", 1)
         assert sizes == [FAST.restarts]
@@ -308,7 +356,7 @@ class TestOneEvaluationPerCandidate:
         descend = region._descend
         monkeypatch.setattr(region, "_descend", lambda objective, starts, **kw:
                             descents.append(len(starts)) or descend(objective, starts, **kw))
-        sizes = self.spy_bounds(monkeypatch, "_inner_bounds")
+        sizes = self.spy_eval(monkeypatch, "_inner_eval")
         d = inner_membership(dsbs(0.1), RateTuple(0.74, 0.75, 0.51, 0.33), (2, 2, 2),
                              SearchConfig(restarts=3, seed=0))
         # the four canonical starts at once, the descent's own calls, every end at once
@@ -325,33 +373,28 @@ class TestOneEvaluationPerCandidate:
             assert (joints - floor_joints, channels) == (1, 2)
         else:
             d, joints, channels = self.built(lambda: outer_membership(q, r, cfg, caps=(3, 3)))
-            assert (joints - floor_joints, channels) == (0, 1)
+            assert (joints - floor_joints, channels) == (0, 2)
         assert d.restarts_used >= 3 and d.witness is not None
 
 
 class TestOuterSlack:
     def test_all_rates_infinite(self):
         q = identical_uniform(2)
-        c = OuterCoupling(q, ConditionalPmf(
-            (Alphabet("Y1", 2), Alphabet("Y2", 2)), (Alphabet("U", 2), Alphabet("V", 2)), np.eye(4)))
+        c = OuterCoupling(q, channel("U", np.eye(2)[[0, 0, 1, 1]]),   # U = Y1
+                          channel("V", np.eye(2)[[0, 1, 0, 1]]))      # V = Y2
         assert outer_slack(c, RateTuple(INF, INF, INF, INF)) == INF
 
     def test_copy_everything_deficit(self):
         # U = V = Y1 = Y2 fair bit; rb1 + rf1 = 0.5 misses I(Y1Y2;V) = 1 by half
         q = identical_uniform(2)
-        chan = ConditionalPmf(
-            (Alphabet("Y1", 2), Alphabet("Y2", 2)), (Alphabet("U", 2), Alphabet("V", 2)),
-            np.eye(4)[[0, 0, 3, 3]])  # (u,v) = (y1,y1); off-diagonal rows are zero-mass
-        c = OuterCoupling(q, chan)
+        copy_y1 = np.eye(2)[[0, 0, 1, 1]]  # the off-diagonal rows are zero-mass
+        c = OuterCoupling(q, channel("U", copy_y1), channel("V", copy_y1))
         s = outer_slack(c, RateTuple(rf1=0.25, rb1=0.25, rf2=INF, rb2=INF))
         assert s == pytest.approx(-0.5, abs=1e-9)
 
     def test_constants_on_independent(self):
         q = independent_bits()
-        chan = ConditionalPmf(
-            (Alphabet("Y1", 2), Alphabet("Y2", 2)), (Alphabet("U", 1), Alphabet("V", 1)),
-            np.eye(1)[[0, 0, 0, 0]])
-        c = OuterCoupling(q, chan)
+        c = OuterCoupling(q, channel("U", np.ones((4, 1))), channel("V", np.ones((4, 1))))
         assert max(c.markov_slacks()) <= 1e-12
         assert outer_slack(c, RateTuple(0, 0, 0, 0)) == pytest.approx(0.0, abs=1e-9)
 
@@ -360,6 +403,9 @@ class TestOuterMembership:
     def test_all_infinite_inside(self):
         d = outer_membership(identical_uniform(2), RateTuple(INF, INF, INF, INF), config=FAST)
         assert d.verdict == "inside"
+        for chan in (d.witness.chan_u, d.witness.chan_v):   # uniform off the support
+            off = chan.table.reshape(4, -1)[[1, 2]]
+            assert np.all(off == 1.0 / off.shape[1])
 
     def test_common_bit_forward_deficit_outside(self):
         d = outer_membership(identical_uniform(2),
@@ -381,6 +427,25 @@ class TestOuterMembership:
         assert d.verdict == "inside"
         assert max(d.witness.markov_slacks()) <= 1e-4
         assert outer_slack(d.witness, RateTuple(1.5, 1.5, 1.5, 1.5)) >= -1e-6
+
+    @pytest.mark.parametrize("p, rb, rf", [(0.2, (0.2, 0.1), (0.7, 0.7)),
+                                           (0.2, (0.2, 0.1), (0.9, 0.7)),
+                                           (0.1, (0.0, 0.0), (0.95, 0.95)),
+                                           (0.1, (0.0, 0.0), (1.1, 0.95))])
+    def test_dsbs_common_bit_seed_is_a_witness(self, p, rb, rf):
+        # U = V = W, the common bit of Wyner's DSBS witness: the links need C and the
+        # forward sum I(W;Y1); searched alone, these points once read outside-heuristic
+        c_dsbs, witness = dsbs_wyner_witness(p)
+        q = dsbs(p)
+        i_w_y1 = cond_mi_direct(q.table[:, :, None] * witness, (2,), (0,), ())
+        r = RateTuple(rf1=rf[0], rb1=rb[0], rf2=rf[1], rb2=rb[1])
+        seed = OuterCoupling(q, channel("U", witness.reshape(4, 2)),
+                             channel("V", witness.reshape(4, 2)))
+        d = outer_membership(q, r, SearchConfig(restarts=0, seed=0), extra_seeds=[seed])
+        margin = min(r.rb1 + r.rf1 - c_dsbs, r.rb2 + r.rf2 - c_dsbs, r.rf1 + r.rf2 - i_w_y1)
+        assert (d.verdict, d.restarts_used) == ("inside", 1)
+        assert d.best_slack == pytest.approx(margin, abs=1e-9)
+        assert margin > 0.07
 
 
 class TestMonotonicityAndNesting:
@@ -459,6 +524,18 @@ class TestCertificates:
                 d = outer_membership(oc.q, r, config=cfg, extra_seeds=[oc])
                 assert d.verdict == "inside", (oc.q.table, r, d)
 
+    def test_inner_conversion_keeps_only_symbols_with_mass(self):
+        # padded to caps (4, 4, 4), U' = (U, W) and V' = (V, W) have 16 symbols each,
+        # of which the coupling uses 1 or 2
+        q = dsbs(0.1)
+        for name, caps in (("const", (1, 1)), ("uv-copy", (2, 2)), ("w-from-y1", (2, 2))):
+            c = canonical_couplings(q, caps=(4, 4, 4))[name]
+            oc = outer_coupling_from_inner(c, caps)
+            assert oc.caps == caps and max(oc.markov_slacks()) <= 1e-12
+            assert np.abs(oc.joint().marginal(("Y1", "Y2")).table
+                          - c.marginal_y().table).max() <= 1e-15
+        assert outer_coupling_from_inner(c, (2, 1)) is None
+
     def test_outer_never_rules_out_a_coupling_within_markov_tol(self):
         # U and V are noisy copies of Y2 and Y1: each chain holds only up to
         # I(Y1;Y2|U) > 0, so the coupling's own forward bound lies below I(Y1;Y2)
@@ -466,9 +543,8 @@ class TestCertificates:
         cfg = SearchConfig(restarts=0, seed=0)
         for eps in (1e-6, 1e-5, 2e-5):
             flip = np.array([[1 - eps, eps], [eps, 1 - eps]])
-            chan = np.einsum("bu,av->abuv", flip, flip)        # (Y1, Y2) -> (U, V)
-            oc = OuterCoupling(q, ConditionalPmf((Alphabet("Y1", 2), Alphabet("Y2", 2)),
-                                                 (Alphabet("U", 2), Alphabet("V", 2)), chan))
+            oc = OuterCoupling(q, channel("U", flip[[0, 1, 0, 1]]),   # U a noisy Y2
+                               channel("V", flip[[0, 0, 1, 1]]))      # V a noisy Y1
             assert 0.0 < max(oc.markov_slacks()) <= region.MARKOV_TOL
             b1, b2, b3 = _outer_bounds(oc)
             assert b3 < I_DSBS
@@ -545,30 +621,38 @@ class TestBatchedObjectives:
                 assert v == pytest.approx(ref, abs=1e-10)
 
     def test_outer_objective_matches_oracle(self):
+        """The two-channel evaluator against the plain-sum formulas on
+        q(y1,y2) p(u|y1,y2) p(v|y1,y2), with cells of q off the support."""
         rng = np.random.default_rng(12)
         n1, n2, cu, cv = 2, 3, 3, 2
-        for _ in range(8):
-            q = make_joint([("Y1", n1), ("Y2", n2)], rng.dirichlet(np.ones(n1 * n2)))
+        for trial in range(9):
+            t = rng.dirichlet(np.ones(n1 * n2))
+            t[rng.permutation(n1 * n2)[:trial % 3]] = 0.0   # up to two cells off the support
+            q = make_joint([("Y1", n1), ("Y2", n2)], (t / t.sum()).reshape(n1, n2))
+            on = q.table.ravel() > 0
             r = RateTuple(*rng.uniform(0.0, 2.0, size=4))
             sums3 = [r.rb1 + r.rf1, r.rb2 + r.rf2, r.rf1 + r.rf2]
-            tables = rng.dirichlet(np.ones(cu * cv), size=(4, n1 * n2))
-            tables[0] = np.eye(cu * cv)[np.arange(n1 * n2) % (cu * cv)]  # deterministic U, V
-            evaluate = _outer_eval(q.table, (cu, cv))
-            bounds_b, slacks_b = evaluate([tables])
-            vals = _objective(evaluate, np.array(sums3), region.MARKOV_FREE)([tables])
-            for t, b_row, m_row, v in zip(tables, bounds_b, slacks_b, vals):
-                chan = ConditionalPmf((Alphabet("Y1", n1), Alphabet("Y2", n2)),
-                                      (Alphabet("U", cu), Alphabet("V", cv)),
-                                      t.reshape(n1, n2, cu, cv))
-                c = OuterCoupling(q, chan)
-                bounds, slacks = outer_bounds_direct(c.joint().table)
+            us = rng.dirichlet(np.ones(cu), size=(4, n1 * n2))
+            vs = rng.dirichlet(np.ones(cv), size=(4, n1 * n2))
+            us[0] = np.eye(cu)[np.arange(n1 * n2) % cu]         # deterministic U, V
+            vs[0] = np.eye(cv)[np.arange(n1 * n2) % cv]
+            batch = [us[:, on], vs[:, on]]
+            evaluate = _outer_eval(q.table)
+            bounds_b, slacks_b = evaluate(batch)
+            vals = _objective(evaluate, np.array(sums3), region.MARKOV_FREE)(batch)
+            for u, v, b_row, m_row, val in zip(us, vs, bounds_b, slacks_b, vals):
+                c = OuterCoupling(q, channel("U", u, n1, n2), channel("V", v, n1, n2))
+                j = (q.table[:, :, None, None] * u.reshape(n1, n2, cu, 1)
+                     * v.reshape(n1, n2, 1, cv))
+                assert np.abs(c.joint().table - j).max() <= 1e-15
+                bounds, slacks = outer_bounds_direct(j)
                 slack = min(s - b for s, b in zip(sums3, bounds))
                 assert outer_slack(c, r) == pytest.approx(slack, abs=1e-12)
                 assert c.markov_slacks() == pytest.approx(slacks, abs=1e-12)
                 assert b_row == pytest.approx(bounds, abs=1e-12)
                 assert m_row == pytest.approx(slacks, abs=1e-12)
                 pen = sum(max(0.0, m - 1e-6) for m in slacks)
-                assert v == pytest.approx(-slack + region.PENALTY * pen, abs=1e-10)
+                assert val == pytest.approx(-slack + region.PENALTY * pen, abs=1e-10)
 
     def test_binning_constants_match_oracle(self):
         rng = np.random.default_rng(13)
