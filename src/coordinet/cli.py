@@ -1,8 +1,8 @@
 """Command-line entry point: one config file in, one run directory out.
 
 Every run writes the echoed config, a results.csv, and a summary.json of
-the key scalar results.  Exit status: 0 success, 2 when some sweep cells
-failed, 1 on a fatal error.
+the key scalar results.  Exit status: 0 success, 2 when some sweep or
+osrb cells failed, 1 on a fatal error.
 """
 from __future__ import annotations
 
@@ -213,21 +213,33 @@ def _cmd_osrb(cfg, q, out_dir):
     sizes = dict(zip(per_symbol.names, per_symbol.sizes))
     rows = []
     for n in p["n_list"]:
-        for seed in range(p["seeds"]):
-            subseeds = np.random.SeedSequence(osrb.cell_seed(cfg.master_seed, n, seed)).generate_state(3)
-            groups = []
-            for gi, (gv, rate) in enumerate(zip(groups_vars, group_rates)):
-                nb, _ = osrb.bins_from_rate(n, rate)
-                dom = osrb.SequenceSpace(gv, tuple(sizes[v] for v in gv), n)
-                groups.append((gv, osrb.make_binning(dom, nb, int(subseeds[gi]))))
-            tv = osrb.osrb_uniformity(per_symbol, groups, n)
-            rows.append({"n": n, "seed": seed, "tv": tv})
-    _write_csv(out_dir, ["n", "seed", "tv"], rows)
+        cells = [{"n": n, "seed": seed, "error": ""} for seed in range(p["seeds"])]
+        try:  # one check per block length; a failing n fails each of its cells
+            seed_groups = []
+            for seed in range(p["seeds"]):
+                subseeds = np.random.SeedSequence(osrb.cell_seed(cfg.master_seed, n, seed)).generate_state(3)
+                groups = []
+                for gi, (gv, rate) in enumerate(zip(groups_vars, group_rates)):
+                    nb, _ = osrb.bins_from_rate(n, rate)
+                    dom = osrb.SequenceSpace(gv, tuple(sizes[v] for v in gv), n)
+                    groups.append((gv, osrb.make_binning(dom, nb, int(subseeds[gi]))))
+                seed_groups.append(groups)
+            for cell, tv in zip(cells, osrb.osrb_uniformity(per_symbol, seed_groups, n)):
+                cell["tv"] = tv
+        except Exception as exc:  # per-block-length failure, the run continues
+            for cell in cells:
+                cell["error"] = f"{type(exc).__name__}: {exc}"
+        rows.extend(cells)
+    _write_csv(out_dir, ["n", "seed", "tv", "error"], rows)
+    failures = sum(1 for r in rows if r["error"])
     summary = {}
     for n in p["n_list"]:
-        summary[f"median_tv_n{n}"] = statistics.median(r["tv"] for r in rows if r["n"] == n)
+        vals = [r["tv"] for r in rows if r["n"] == n and not r["error"]]
+        if vals:
+            summary[f"median_tv_n{n}"] = statistics.median(vals)
     summary["cells"] = len(rows)
-    return summary, 0
+    summary["failed_cells"] = failures
+    return summary, (2 if failures else 0)
 
 
 def run(cfg: RunConfig) -> int:

@@ -12,7 +12,6 @@ induced law.
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
@@ -24,6 +23,7 @@ from .pmf import Alphabet, JointPmf, StateSpaceTooLarge, check_block_length, mas
 from .region import InnerCoupling, RateTuple
 
 DOMAIN_CAP = 2 ** 22    # sequences a binning or a bin-law check may enumerate
+TV_BLOCK = 2 ** 16      # (y1, y2) entries of q^n per block of the protocol's TV stage
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +95,16 @@ def product_law(vec: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _block_law(q: np.ndarray, m: int) -> np.ndarray:
+    """The law of m i.i.d. symbols of the 2-D table ``q`` as a (X1^m, X2^m)
+    table, each entry the left-to-right product over the symbols, as in
+    JointPmf.iid_extend, but not normalised; [[1.0]] at m = 0."""
+    out = np.ones((1, 1))
+    for _ in range(m):
+        out = (out[:, None, :, None] * q[None, :, None, :]).reshape(len(out) * len(q), -1)
+    return out
+
+
 def channel_matrix(per_symbol: np.ndarray, n: int) -> np.ndarray:
     """Product extension of a (in_symbols, out_symbols) channel matrix."""
     return reduce(np.kron, [np.asarray(per_symbol, dtype=float)] * n)
@@ -157,14 +167,27 @@ def bins_from_rate(n: int, rate: float) -> tuple[int, float]:
     return num, math.log2(num) / n
 
 
-def _bin_keys(p: JointPmf, groups: Sequence[tuple[Sequence[str], BinningCode]], n: int):
+def _once(memo: dict, key, make):
+    """``memo[key]``, made by ``make()`` on first use."""
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
+
+
+def _bin_keys(p: JointPmf, groups: Sequence[tuple[Sequence[str], BinningCode]], n: int,
+              memo: dict | None = None):
     """Per entry of ``p``, a pmf over n-sequence spaces: the combined bin
     index of the groups (first group most significant) and the index of
     the side variables, those in no group, in ``p``'s order; then the
     bin and side counts.  Each code's domain must be its group's
-    variables at block length ``n``."""
+    variables at block length ``n``.  ``memo`` keeps what depends on ``p``
+    and the groups' variables only (the sequence indices, each group's
+    index into its domain, the side index) for later calls on the same
+    ``p`` and ``n``."""
+    memo = {} if memo is None else memo
     seq_sizes = dict(zip(p.names, p.sizes))
-    var_seqs = dict(zip(p.names, np.unravel_index(np.arange(p.table.size), p.sizes)))
+    var_seqs = _once(memo, "sequences",
+                     lambda: dict(zip(p.names, np.unravel_index(np.arange(p.table.size), p.sizes))))
     combined = np.zeros(p.table.size, dtype=np.int64)
     n_bins, grouped = 1, set()
     for vars_g, code in groups:
@@ -172,36 +195,49 @@ def _bin_keys(p: JointPmf, groups: Sequence[tuple[Sequence[str], BinningCode]], 
         if (code.domain.n != n or len(code.domain.sizes) != len(vars_g)
                 or any(k ** n != seq_sizes.get(v) for k, v in zip(code.domain.sizes, vars_g))):
             raise ValueError(f"binning domain {code.domain} does not match variables {vars_g} at n={n}")
-        g_idx = merge_sequences([var_seqs[v] for v in vars_g], code.domain.sizes, n)
+        g_idx = _once(memo, vars_g,
+                      lambda: merge_sequences([var_seqs[v] for v in vars_g], code.domain.sizes, n))
         combined = combined * code.num_bins + code.assignment[g_idx]
         n_bins *= code.num_bins
         grouped.update(vars_g)
-    side = np.zeros(p.table.size, dtype=np.int64)
-    n_side = 1
-    for v in p.names:
-        if v not in grouped:
-            side = side * seq_sizes[v] + var_seqs[v]
-            n_side *= seq_sizes[v]
+
+    def side_index():
+        side = np.zeros(p.table.size, dtype=np.int64)
+        n_side = 1
+        for v in p.names:
+            if v not in grouped:
+                side = side * seq_sizes[v] + var_seqs[v]
+                n_side *= seq_sizes[v]
+        return side, n_side
+    side, n_side = _once(memo, frozenset(grouped), side_index)
     return combined, side, n_bins, n_side
 
 
-def osrb_uniformity(p: JointPmf, groups: Sequence[tuple[Sequence[str], BinningCode]],
-                    n: int) -> float:
-    """Exact TV between the induced law of (side vars, bin indices) and
-    side-marginal x independent uniform bins.
+def osrb_uniformity(p: JointPmf, seed_groups: Sequence[Sequence[tuple[Sequence[str], BinningCode]]],
+                    n: int) -> list[float]:
+    """Per group list in ``seed_groups`` (one per seed), the exact TV
+    between the induced law of (side vars, bin indices) and side-marginal
+    x independent uniform bins.
 
     ``p`` is the per-symbol joint; each group of variables is binned as one
     composite source over its n-sequence space.  Variables not in any
-    group act as side information.
+    group act as side information.  The extension and every index and
+    side marginal that no assignment enters are built once for all seeds;
+    each seed pays for its gather, its bin law and its TV.
     """
     ext = p.iid_extend(n, max_entries=DOMAIN_CAP)
     flat = ext.table.ravel()
-    combined, side_idx, n_combo, side_card = _bin_keys(ext, groups, n)
-    induced = np.bincount(side_idx * n_combo + combined, weights=flat,
-                          minlength=side_card * n_combo)
-    side_marg = np.bincount(side_idx, weights=flat, minlength=side_card)
-    target = np.repeat(side_marg / n_combo, n_combo)
-    return 0.5 * float(np.abs(induced - target).sum())
+    memo, tvs = {}, []
+    for groups in seed_groups:
+        combined, side_idx, n_combo, side_card = _bin_keys(ext, groups, n, memo)
+        induced = np.bincount(side_idx * n_combo + combined, weights=flat,
+                              minlength=side_card * n_combo)
+        side_vars = frozenset(p.names) - {v for vars_g, _ in groups for v in vars_g}
+        side_marg = _once(memo, ("side marginal", side_vars),
+                          lambda: np.bincount(side_idx, weights=flat, minlength=side_card))
+        target = np.repeat(side_marg / n_combo, n_combo)
+        tvs.append(0.5 * float(np.abs(induced - target).sum()))
+    return tvs
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +379,12 @@ class _ProtocolPlan:
     """The part of run_protocol that does not depend on the seed: the cap
     checks, the bin counts, the (w, wv, wu) indices and the prior of every
     live relay tuple, the decoder priors and their w digits, the two
-    output channels (_sequence_channel), and q^n, built on first use since
-    it is needed only after mixing (iid_extend makes it in its final layout,
-    so at most two tables, the product and its normalised copy, are alive
-    at once).  Arrays are read-only: plans are shared.
+    output channels (_sequence_channel), and the two factors of q^n, which
+    is never built whole: the law of the first j symbols and the law of
+    the last n - j, j the fewest leading symbols for which a block of Y1
+    sequences sharing them holds at most TV_BLOCK (y1, y2) entries.  A
+    block's q^n rows are one prefix row times the suffix table (q_rows).
+    Arrays are read-only: plans are shared.
 
     ``sweep`` builds one ``shared`` plan per block length for all its
     seeds.  A lone call builds its own, which keeps no relay-tuple arrays:
@@ -375,7 +413,9 @@ class _ProtocolPlan:
                             for i in (1, 2))
         if max(self.n_keys) > cfg.caps.with_g:
             raise StateSpaceTooLarge(f"decoder key spaces {self.n_keys} exceed cap {cfg.caps.with_g}")
-        self.q, self.n, self.caps, self.sizes = cfg.q, n, cfg.caps, (nw, nv, nu)
+        self.n, self.caps, self.sizes = n, cfg.caps, (nw, nv, nu)
+        j = next(j for j in range(n + 1) if n1 ** (n - j) * n2 ** n <= TV_BLOCK or j == n)
+        self.q_prefix, self.q_suffix = (_block_law(cfg.q.table, m) for m in (j, n - j))
         self.domains = (SequenceSpace(("W",), (nw,), n), SequenceSpace(("W", "V"), (nw, nv), n),
                         SequenceSpace(("W", "U"), (nw, nu), n))
         self.p_wvu = coup.p_uvw.reorder(("W", "V", "U"))
@@ -397,9 +437,8 @@ class _ProtocolPlan:
         per_seed = max(self.gtot * max(self.k_y, self.m[0] * self.m[1]), *self.n_keys)
         self.chunk = max(1, (cfg.caps.with_g >> 8) // per_seed)
         self._relay = self._relay_tuples() if shared else None
-        self._qn = None
-        self._lock = threading.Lock()
-        for a in (self.prior_wv, self.prior_wu, self.wv_w, self.wu_w, *self.chans):
+        for a in (self.prior_wv, self.prior_wu, self.wv_w, self.wu_w, *self.chans,
+                  self.q_prefix, self.q_suffix):
             a.setflags(write=False)
 
     def keyed(self, d1, d2):
@@ -426,11 +465,12 @@ class _ProtocolPlan:
         """(w, wv, wu, prior) of every live relay tuple, in tuple order."""
         return self._relay if self._relay is not None else self._relay_tuples()
 
-    def qn(self) -> np.ndarray:
-        with self._lock:
-            if self._qn is None:
-                self._qn = self.q.iid_extend(self.n, max_entries=self.caps.y_pairs).table
-            return self._qn
+    def q_rows(self, a: int, out: np.ndarray) -> np.ndarray:
+        """q^n's rows of block ``a``, the Y1 sequences whose first j symbols
+        are prefix ``a``, written into ``out`` as a (rows, y2) table."""
+        head, tail = self.q_prefix[a], self.q_suffix
+        np.multiply(head[:, None], tail[:, None, :], out=out.reshape(len(tail), len(head), -1))
+        return out
 
 
 def _run_seeds(plan: _ProtocolPlan, seeds: Sequence[int]) -> dict:
@@ -502,19 +542,24 @@ def _run_seeds(plan: _ProtocolPlan, seeds: Sequence[int]) -> dict:
     marg = _mix_outputs(pair, live_w, empty_cells.sum(axis=(1, 2))[:, None] * unif_cell,
                         *plan.mix, plan.caps.with_g, True, plan.origin)
 
-    # the three TVs, each |difference| formed in place in one buffer; the
-    # marginal's buffer is dropped before the joint-sized one is made
-    qn = plan.qn()
-    buf = joint.sum(axis=1)
-    buf -= qn
-    tv_marginal = 0.5 * np.abs(buf, out=buf).sum(axis=(1, 2))
-    del buf
-    buf = np.empty_like(joint)
-    np.subtract(joint, np.divide(qn, gtot, out=buf), out=buf)
-    tv_uniform = 0.5 * np.abs(buf, out=buf).sum(axis=(1, 2, 3))
-    np.multiply(joint, gtot, out=buf)
-    buf -= qn
-    per_g_tv = 0.5 * np.abs(buf, out=buf).sum(axis=(2, 3))
+    # the three TVs, accumulated over blocks of Y1 rows: per block, its q^n
+    # rows and each |difference| are formed in place in block-sized buffers
+    rows = len(plan.q_suffix)
+    qb = np.empty((rows, joint.shape[3]))
+    buf = np.empty((S, gtot, *qb.shape))
+    tv_marginal, tv_uniform, per_g_tv = np.zeros(S), np.zeros(S), np.zeros((S, gtot))
+    for a in range(len(plan.q_prefix)):
+        plan.q_rows(a, qb)
+        block = joint[:, :, a * rows:(a + 1) * rows]
+        marg_b = block.sum(axis=1, out=buf[:, 0])
+        marg_b -= qb
+        tv_marginal += np.abs(marg_b, out=marg_b).sum(axis=(1, 2))
+        np.subtract(block, np.divide(qb, gtot, out=buf), out=buf)
+        tv_uniform += np.abs(buf, out=buf).sum(axis=(1, 2, 3))
+        np.multiply(block, gtot, out=buf)
+        buf -= qb
+        per_g_tv += np.abs(buf, out=buf).sum(axis=(2, 3))
+    tv_marginal, tv_uniform, per_g_tv = 0.5 * tv_marginal, 0.5 * tv_uniform, 0.5 * per_g_tv
     best = per_g_tv.argmin(axis=1)
 
     return {"joint": joint, "marg": marg, "raw_mass": raw_mass, "tv_marginal": tv_marginal,
@@ -525,11 +570,12 @@ def _run_seeds(plan: _ProtocolPlan, seeds: Sequence[int]) -> dict:
 
 def _law(plan: _ProtocolPlan, batch: dict, s: int) -> InducedLaw:
     """Seed ``s``'s law from a batch; building its JointPmf and InducedLaw
-    runs their checks."""
+    runs their checks.  The JointPmf takes over the seed's joint row,
+    normalised in place, so each row makes one law."""
     shape = (plan.bins["g0"], plan.bins["g1"], plan.bins["g2"], *batch["joint"].shape[2:])
     return InducedLaw(
-        joint_with_g=JointPmf(tuple(map(Alphabet, ("G0", "G1", "G2", "Y1", "Y2"), shape)),
-                              batch["joint"][s].reshape(shape)),
+        joint_with_g=JointPmf.adopt(tuple(map(Alphabet, ("G0", "G1", "G2", "Y1", "Y2"), shape)),
+                                    batch["joint"][s].reshape(shape)),
         best_g=tuple(int(i) for i in np.unravel_index(batch["best"][s], shape[:3])),
         effective_rates=dict(plan.eff), num_bins=dict(plan.bins), marginal_direct=batch["marg"][s],
         binning_seeds=dict(zip(_CODES, map(int, batch["subseeds"][s]))),

@@ -113,7 +113,9 @@ class JointPmf:
     alphabets: tuple[Alphabet, ...]
     table: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, in_place: bool = False):
+        """Check the table (mass_check) and keep it divided by its sum: a
+        new array, or with ``in_place`` (from ``adopt``) the table itself."""
         alphabets = _as_alphabets(self.alphabets)
         object.__setattr__(self, "alphabets", alphabets)
         sizes = tuple(a.size for a in alphabets)
@@ -123,9 +125,21 @@ class JointPmf:
         t, s, errors = mass_check(t.reshape(1, -1))
         if errors[0]:
             raise errors[0]
-        t = (t[0] / s[0]).reshape(sizes)
+        t = np.divide(t[0], s[0], out=t[0] if in_place else None).reshape(sizes)
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
+
+    @classmethod
+    def adopt(cls, alphabets, table: np.ndarray) -> "JointPmf":
+        """A pmf that takes over ``table``, a writable array its caller
+        hands over and no longer uses: the checks ``JointPmf(...)`` runs,
+        then the table divided by its sum in place and kept, not copied
+        (``JointPmf(...)`` never modifies a caller's array)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "alphabets", alphabets)
+        object.__setattr__(p, "table", table)
+        p.__post_init__(in_place=True)
+        return p
 
     # -- naming ---------------------------------------------------------
     @property
@@ -185,7 +199,8 @@ class JointPmf:
         most significant).  Each step multiplies the extension so far by
         one more symbol on interleaved axes, (K1^m, 1, K2^m, 1, ...) *
         (1, K1, 1, K2, ...), so the table is built in its final layout,
-        its products taken left to right over the symbols."""
+        its products taken left to right over the symbols, and normalised
+        in place (``adopt``)."""
         check_block_length(n)
         sizes = self.sizes
         total = 1
@@ -194,12 +209,12 @@ class JointPmf:
             if total > max_entries:
                 raise StateSpaceTooLarge(f"{total}+ entries exceeds cap {max_entries}")
         step = self.table.reshape([d for k in sizes for d in (1, k)])
-        ext = self.table
+        ext = self.table.copy()  # at n = 1 the product is our own table, which adopt must not write
         for m in range(1, n):
             ext = (ext.reshape([d for k in sizes for d in (k ** m, 1)]) * step).reshape(
                 [k ** (m + 1) for k in sizes])
         alphas = tuple(Alphabet(a.name, a.size ** n) for a in self.alphabets)
-        return JointPmf(alphas, ext)
+        return JointPmf.adopt(alphas, ext)
 
     def tv(self, other: "JointPmf") -> float:
         """Total variation distance, (1/2) * sum |p - q|."""

@@ -437,6 +437,23 @@ def iid_extend_transpose(table, n):
     return ext.reshape(table.shape * n).transpose(perm).reshape([k ** n for k in table.shape])
 
 
+def protocol_tvs_loop(joint, qn):
+    """The three TVs of a (g, y1, y2) protocol joint against q^n, by a
+    loop over every cell: of its (y1, y2) marginal, of the joint against
+    q^n times uniform g, and per g of gtot times the joint's g slice (the
+    best g's is the least).  Sums are exactly rounded (math.fsum)."""
+    gtot, ny1, ny2 = joint.shape
+    marg, unif, per_g = [], [], [[] for _ in range(gtot)]
+    for y1 in range(ny1):
+        for y2 in range(ny2):
+            q = qn[y1, y2]
+            marg.append(abs(math.fsum(joint[g, y1, y2] for g in range(gtot)) - q))
+            for g in range(gtot):
+                unif.append(abs(joint[g, y1, y2] - q / gtot))
+                per_g[g].append(abs(joint[g, y1, y2] * gtot - q))
+    return math.fsum(marg) / 2, math.fsum(unif) / 2, [math.fsum(t) / 2 for t in per_g]
+
+
 def _bins_of(seq, sizes, groups, n):
     """Each group's bin of the sequences ``seq``; a group starts with its
     variables and its assignment array."""

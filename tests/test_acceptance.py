@@ -292,7 +292,7 @@ def test_criterion_8_uniformity_trend():
                     nb, _ = bins_from_rate(n, rate)
                     dom = SequenceSpace(gv, tuple({"W": 2, "V": 1, "U": 1}[v] for v in gv), n)
                     groups.append((gv, make_binning(dom, nb, int(subs[gi]))))
-                tvs.append(osrb_uniformity(per, groups, n))
+                tvs.extend(osrb_uniformity(per, [groups], n))
             med[n] = statistics.median(tvs)
         assert med[4] < med[2], med
 

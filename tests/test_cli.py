@@ -326,6 +326,21 @@ class TestCommands:
         assert payload["cells"] == 12
         assert "median_tv_n2" in payload
 
+    def test_osrb_failing_block_length_is_recorded_exit_2(self, tmp_path):
+        # n = 23 puts 2^23 W sequences in a binning domain, past DOMAIN_CAP
+        status, out = run_cli(tmp_path,
+                              "[run]\ncommand = osrb\nsource = dsbs-0.1\nseed = 5\n"
+                              "[osrb]\ncoupling = w-from-y1\nside = none\n"
+                              "rt0 = 0.4\nrt1 = 0.2\nrt2 = 0.2\nn_list = 2,23\nseeds = 3\n")
+        assert status == 2
+        payload = read_summary(out)
+        assert payload["cells"] == 6 and payload["failed_cells"] == 3
+        assert "median_tv_n2" in payload and "median_tv_n23" not in payload
+        with open(out / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["n"], bool(r["tv"]), r["error"].split(":")[0]) for r in rows] == \
+            [("2", True, "")] * 3 + [("23", False, "StateSpaceTooLarge")] * 3
+
     def test_fatal_error_exit_1(self, tmp_path):
         status = main([write_config(tmp_path, "[run]\ncommand = info\nsource = no-such-thing\n"),
                        "--out", str(tmp_path / "x")])
@@ -417,10 +432,10 @@ class TestGoldenSweep:
 
 
 class TestGoldenSearches:
-    """The bench's frontier, Wyner and fme-verify jobs and a Wyner search
-    on a DSBS, with results.csv and summary.json committed: the searches
-    must reach the same answers to the last digit, and fme-verify the same
-    verdicts and vertex counts."""
+    """The bench's frontier, Wyner, fme-verify and osrb jobs and a Wyner
+    search on a DSBS, with results.csv and summary.json committed: the
+    searches must reach the same answers to the last digit, fme-verify the
+    same verdicts and vertex counts, and the bin-law check the same TVs."""
 
     CONFIGS = {
         "frontier-dsbs": ("[run]\ncommand = frontier\nsource = dsbs-0.1\nseed = 0\n"
@@ -433,6 +448,9 @@ class TestGoldenSearches:
                              "[wyner]\nw_cap = 5\nrestarts = 12\n"),
         "fme-verify": ("[run]\ncommand = fme-verify\nseed = 1922502786\n\n"
                        "[fme-verify]\ncouplings = 20\nsamples = 1000\norders = all\n"),
+        "osrb-uniformity": ("[run]\ncommand = osrb\nsource = dsbs-0.1\nseed = 535517541\n"
+                            "[osrb]\ncoupling = w-from-y1\nside = none\nrt0 = 0.4\nrt1 = 0.2\n"
+                            "rt2 = 0.2\nn_list = 2,4,6,8,10\nseeds = 20\n"),
     }
 
     @pytest.mark.parametrize("job", sorted(CONFIGS))

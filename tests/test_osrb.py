@@ -5,9 +5,10 @@ import statistics
 import numpy as np
 import pytest
 
+from coordinet import osrb
 from coordinet.osrb import (BinningCode, SequenceSpace, _bin_keys, _decoder_table, bins_from_rate,
                             make_binning, merge_sequences, osrb_uniformity, split_sequences)
-from coordinet.pmf import StateSpaceTooLarge, make_joint
+from coordinet.pmf import JointPmf, StateSpaceTooLarge, make_joint
 from coordinet.sources import dsbs
 
 from oracles import (binary_entropy, merge_sequences_loop, osrb_uniformity_loop,
@@ -141,27 +142,53 @@ class TestUniformity:
     def test_even_split_is_uniform(self):
         p = make_joint([("X", 2)], [0.5, 0.5])
         code = BinningCode(space((2,), 1, ("X",)), 2, np.array([0, 1]), seed=0)
-        assert osrb_uniformity(p, [(("X",), code)], 1) == pytest.approx(0.0, abs=1e-15)
+        assert osrb_uniformity(p, [[(("X",), code)]], 1) == [pytest.approx(0.0, abs=1e-15)]
 
     def test_everything_in_one_of_two_bins(self):
         p = make_joint([("X", 2)], [0.5, 0.5])
         code = BinningCode(space((2,), 1, ("X",)), 2, np.array([0, 0]), seed=0)
-        assert osrb_uniformity(p, [(("X",), code)], 1) == pytest.approx(0.5, abs=1e-15)
+        assert osrb_uniformity(p, [[(("X",), code)]], 1) == [pytest.approx(0.5, abs=1e-15)]
 
     def test_single_bin_always_exact(self):
         rng = np.random.default_rng(0)
         t = rng.gamma(1.0, size=4)
         p = make_joint([("X", 2), ("Y", 2)], t / t.sum())
         code = make_binning(space((2,), 2, ("X",)), 1, seed=1)
-        assert osrb_uniformity(p, [(("X",), code)], 2) == pytest.approx(0.0, abs=1e-12)
+        assert osrb_uniformity(p, [[(("X",), code)]], 2) == [pytest.approx(0.0, abs=1e-12)]
 
     def test_overlapping_groups(self):
         # composite sources sharing a component are binned independently
         p = make_joint([("W", 2), ("V", 2)], np.full(4, 0.25))
         c1 = make_binning(space((2,), 2, ("W",)), 2, seed=0)
         c2 = make_binning(space((2, 2), 2, ("W", "V")), 2, seed=1)
-        tv = osrb_uniformity(p, [(("W",), c1), (("W", "V"), c2)], 2)
+        [tv] = osrb_uniformity(p, [[(("W",), c1), (("W", "V"), c2)]], 2)
         assert 0.0 <= tv <= 1.0
+
+
+class TestUniformityBatch:
+    """One osrb_uniformity call checks a block length's seeds: each TV
+    equals a lone call's bit for bit, and the extension and each group's
+    sequence index are built once, not once per seed."""
+
+    def test_batch_equals_lone_calls(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        t = rng.gamma(1.0, size=12)
+        p = make_joint([("W", 2), ("V", 3), ("U", 2)], t / t.sum())
+        n = 3
+        seed_groups = [[(("W",), make_binning(space((2,), n, ("W",)), 3, seed)),
+                        (("W", "V"), make_binning(space((2, 3), n, ("W", "V")), 4, seed + 50))]
+                       for seed in range(4)]
+        # another grouping (side U alone, groups out of name order) in the same batch
+        seed_groups.insert(2, [(("V", "W"), make_binning(space((3, 2), n, ("V", "W")), 5, 9))])
+        lone = [tv for groups in seed_groups for tv in osrb_uniformity(p, [groups], n)]
+        counts = {"iid_extend": 0, "merge_sequences": 0}
+
+        def counted(name, fn):
+            return lambda *a, **k: counts.__setitem__(name, counts[name] + 1) or fn(*a, **k)
+        monkeypatch.setattr(osrb, "merge_sequences", counted("merge_sequences", osrb.merge_sequences))
+        monkeypatch.setattr(JointPmf, "iid_extend", counted("iid_extend", JointPmf.iid_extend))
+        assert osrb_uniformity(p, seed_groups, n) == lone
+        assert counts == {"iid_extend": 1, "merge_sequences": 3}
 
 
 class TestSwDecode:
@@ -286,7 +313,7 @@ class TestUniformityMatchesLoop:
         for rng, names, sizes, n, groups in _random_cases(11):
             table = _dyadic(rng, math.prod(sizes)).reshape(sizes)
             p = make_joint(list(zip(names, sizes)), table)
-            got = osrb_uniformity(p, groups, n)
+            [got] = osrb_uniformity(p, [groups], n)
             ref = osrb_uniformity_loop(table, names,
                                        [(g, c.assignment, c.num_bins) for g, c in groups], n)
             assert abs(got - ref) <= 1e-12
@@ -371,9 +398,9 @@ class TestBinningDomainChecked:
     @pytest.mark.parametrize("domain", MISMATCHED)
     @pytest.mark.parametrize("measure", [sw_success_prob, osrb_uniformity])
     def test_bin_laws(self, measure, domain):
-        code = make_binning(domain, 2, seed=0)
-        with pytest.raises(ValueError):
-            measure(self.p, [(("X",), code)], 2)
+        groups = [(("X",), make_binning(domain, 2, seed=0))]
+        with pytest.raises(ValueError):  # osrb_uniformity takes one group list per seed
+            measure(self.p, [groups] if measure is osrb_uniformity else groups, 2)
 
     # the bin keys a decoder table is built on, over given sequence spaces
     @pytest.mark.parametrize("domain", MISMATCHED)
@@ -406,7 +433,7 @@ class TestUniformityTrend:
                     nb, _ = bins_from_rate(n, rate)
                     dom = SequenceSpace(gv, tuple(sizes[v] for v in gv), n)
                     groups.append((gv, make_binning(dom, nb, int(subs[gi]))))
-                tvs.append(osrb_uniformity(per_symbol, groups, n))
+                tvs.extend(osrb_uniformity(per_symbol, [groups], n))
             out[n] = statistics.median(tvs)
         return out
 

@@ -1,4 +1,6 @@
 """Tests for the dense pmf type and its core operations."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,18 @@ class TestIidExtend:
         with pytest.raises(ValueError, match="n: block length"):
             fair_bit().iid_extend(n)
 
+    def test_normalised_without_a_copy(self):
+        # (Y1, Y2)^10 is one table of 8 MiB; a normalised copy would make two
+        q = make_joint([("Y1", 2), ("Y2", 2)], [0.5, 0.0, 0.0, 0.5])
+        tracemalloc.start()
+        try:
+            e = q.iid_extend(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * 4 ** 10, f"peak {peak / (8 * 4 ** 10):.2f} tables"
+        assert e.table.tobytes() == JointPmf(e.alphabets, iid_extend_transpose(q.table, 10)).table.tobytes()
+
     def test_commutes_with_marginal(self):
         rng = np.random.default_rng(0)
         p = random_pmf(rng, (2, 3))
@@ -172,6 +186,24 @@ class TestIidExtend:
         b = p.marginal(["X0"]).iid_extend(3)
         assert a.names == b.names and a.sizes == b.sizes
         assert np.allclose(a.table, b.table, atol=1e-12)
+
+
+class TestAdopt:
+    def test_constructor_copies_and_adopt_normalises_in_place(self):
+        t = np.array([0.25, 0.5, 0.25]) * (1 + 1e-9)  # within SUM_TOL of 1
+        kept = t.copy()
+        p = JointPmf((Alphabet("X", 3),), t)
+        assert np.array_equal(t, kept) and not np.shares_memory(p.table, t)
+        a = JointPmf.adopt((Alphabet("X", 3),), t)
+        assert np.shares_memory(a.table, t) and not a.table.flags.writeable
+        assert a.table.tobytes() == p.table.tobytes()
+
+    @pytest.mark.parametrize("table, exc", [([0.5, -0.5, 1.0], NegativeMass),
+                                            ([0.5, np.nan, 0.5], NonFiniteMass),
+                                            ([0.5, 0.25, 0.0], NotNormalized)])
+    def test_runs_the_constructors_checks(self, table, exc):
+        with pytest.raises(exc):
+            JointPmf.adopt((Alphabet("X", 3),), np.array(table))
 
 
 class TestTotalVariation:

@@ -1,5 +1,7 @@
 """End-to-end protocol runs: exactness, fixtures, and the slow oracle."""
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import weakref
@@ -11,12 +13,12 @@ import pytest
 from coordinet import osrb, pmf
 from coordinet.osrb import (ProtocolCaps, ProtocolConfig, SequenceSpace, _mix_outputs,
                             bins_from_rate, make_binning, run_protocol, sweep)
-from coordinet.pmf import StateSpaceTooLarge
+from coordinet.pmf import StateSpaceTooLarge, make_joint
 from coordinet.pmf import ConditionalPmf
 from coordinet.region import InnerCoupling, RateTuple, canonical_couplings
 from coordinet.sources import builtin_coupling, dsbs, identical_uniform, independent_bits, load_source
 
-from oracles import slow_protocol_law, sw_success_prob_loop
+from oracles import iid_extend_loop, protocol_tvs_loop, slow_protocol_law, sw_success_prob_loop
 
 
 def common_bit_config(n=2, rf=1.0, rb=0.0, rt=(0.0, 0.0, 0.0), seed=0):
@@ -189,9 +191,10 @@ class TestExactnessInvariants:
         assert law.tv_best_g <= 2.0 * law.tv_with_uniform_g
 
     def test_output_stage_makes_no_whole_table_temporaries(self):
-        # w-from-y1 at n=10 holds the joint, the direct marginal, q^n and one
-        # TV buffer, (y1, y2) tables of 8 MiB each; 4.5 tables leaves room for
-        # everything smaller but not for one more table
+        # w-from-y1 at n=10 holds two (y1, y2) tables of 8 MiB each, the
+        # joint and the direct marginal: q^n and the TV buffers are
+        # block-sized and the law takes over the joint; 2.5 tables leaves
+        # room for everything smaller but not for one more table
         cfg = common_bit_config(n=10, rf=1.4, seed=1)
         tracemalloc.start()
         try:
@@ -199,7 +202,24 @@ class TestExactnessInvariants:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * 8 * 4 ** 10, f"peak {peak / (8 * 4 ** 10):.2f} tables"
+        assert peak <= 2.5 * 8 * 4 ** 10, f"peak {peak / (8 * 4 ** 10):.2f} tables"
+
+    def test_n12_under_raised_caps_stays_under_400_mib(self):
+        # a fresh interpreter, so the peak resident set is this run's alone
+        code = ("import resource\n"
+                "from coordinet.osrb import ProtocolCaps, ProtocolConfig, run_protocol\n"
+                "from coordinet.region import RateTuple\n"
+                "from coordinet.sources import builtin_coupling, identical_uniform\n"
+                "q = identical_uniform(2)\n"
+                "run_protocol(ProtocolConfig(q=q, coupling=builtin_coupling('w-from-y1', q), n=12,\n"
+                "    rates=RateTuple(rf1=1.4, rb1=0, rf2=1.4, rb2=0), tilde_rates=(0, 0, 0), seed=1,\n"
+                "    caps=ProtocolCaps(wvu=2 ** 24, y_pairs=2 ** 24, with_g=2 ** 26)))\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                             env=dict(os.environ, PYTHONPATH=src), check=True)
+        maxrss_mib = int(out.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+        assert maxrss_mib < 400, f"peak {maxrss_mib:.0f} MiB"
 
     def test_rejects_infinite_rates(self):
         q = identical_uniform(2)
@@ -517,6 +537,36 @@ class TestSharedPlan:
         run_protocol(replace(base, n=4))
         assert len(made) == 3
         assert all(ref() is None for ref in made)
+
+
+class TestBlockedTvStage:
+    """The TV stage walks q^n in blocks of Y1 sequences that share their
+    first j symbols, each block's rows one prefix-law row times the suffix
+    law; with TV_BLOCK made small, n = 3-4 runs over many blocks."""
+
+    SOURCES = {"dsbs-0.1": dsbs(0.1),
+               "3x2": make_joint([("Y1", 3), ("Y2", 2)], [[0.3, 0.1], [0.05, 0.25], [0.2, 0.1]])}
+
+    @pytest.mark.parametrize("source, n, blocks", [("dsbs-0.1", 4, 8), ("3x2", 3, 9)])
+    def test_blocks_and_tvs_match_loops(self, monkeypatch, source, n, blocks):
+        monkeypatch.setattr(osrb, "TV_BLOCK", 32)
+        q = self.SOURCES[source]
+        cfg = ProtocolConfig(q=q, coupling=builtin_coupling("w-from-y1", q), n=n,
+                             rates=RateTuple(rf1=1.0, rb1=0.5, rf2=0.5, rb2=0.5),
+                             tilde_rates=(0.5, 0.5, 0.0), seed=3)
+        plan = osrb._ProtocolPlan(cfg, shared=True)
+        assert len(plan.q_prefix) == blocks and plan.gtot > 1
+        qn = iid_extend_loop(q.table, n)
+        rows = len(plan.q_suffix)
+        out = np.empty((rows, qn.shape[1]))
+        for a in range(blocks):
+            ref = qn[a * rows:(a + 1) * rows]
+            assert (np.abs(plan.q_rows(a, out) - ref) <= 1e-15 * ref).all(), a
+        batch = osrb._run_seeds(plan, [cfg.seed])
+        tv_marginal, tv_uniform, per_g = protocol_tvs_loop(batch["joint"][0], qn)
+        assert abs(batch["tv_marginal"][0] - tv_marginal) <= 1e-15
+        assert abs(batch["tv_with_uniform_g"][0] - tv_uniform) <= 1e-15
+        assert abs(batch["tv_best_g"][0] - min(per_g)) <= 1e-15
 
 
 class TestBatchedSeeds:
