@@ -8,7 +8,6 @@ result against the four direct rate inequalities of the inner bound.
 """
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass, field
 from itertools import chain, combinations, permutations
@@ -26,15 +25,11 @@ log = logging.getLogger(__name__)
 SNAP = 1e-9
 MEMBER_TOL = 1e-9
 BASIS_CHUNK = 4096      # vertex-enumeration bases solved per batch
+PAIR_CHUNK = 1 << 16    # (row, row, entry) triples compared per batch when pruning rows
 
 RATE_VARS = ("Rt0", "Rt1", "Rt2", "Rb1", "Rb2", "Rf1", "Rf2")
 PROJECTED_VARS = ("Rb1", "Rb2", "Rf1", "Rf2")
 TILDE_VARS = ("Rt0", "Rt1", "Rt2")
-
-
-def _snap(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    return np.where(np.abs(a) < SNAP, 0.0, a)
 
 
 @dataclass(frozen=True)
@@ -50,7 +45,8 @@ class LinearSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        a = _snap(np.atleast_2d(np.asarray(self.a, dtype=float)))
+        a = np.atleast_2d(np.asarray(self.a, dtype=float))
+        a = np.where(np.abs(a) < SNAP, 0.0, a)
         b, strict = (x if x.ndim == 2 else x.ravel()
                      for x in (np.asarray(self.b, dtype=float), np.asarray(self.strict, dtype=bool)))
         if a.shape[0] == 0:
@@ -59,11 +55,9 @@ class LinearSystem:
             raise ValueError("inconsistent system dimensions")
         if not np.isfinite(b).all() or not np.isfinite(a).all():
             raise ValueError("coefficients and constants must be finite")
-        for arr in (a, b, strict):
+        for name, arr in (("a", a), ("b", b), ("strict", strict)):
             arr.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "strict", strict)
+            object.__setattr__(self, name, arr)
 
     @property
     def nrows(self) -> int:
@@ -244,48 +238,47 @@ class EquivalenceReport:
 
 def _lower_form(s: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
     """The rows of an upward-closed ``s`` as alpha.x >= beta with alpha >= 0,
-    followed by the rows x >= 0."""
+    followed by the rows x >= 0; beta is (rows, couplings), one column for a lone system."""
     if (s.a > 0).any():
         raise ValueError("exact comparison needs upward-closed systems (no positive coefficient)")
-    n = s.a.shape[1]
-    return np.vstack([-s.a, np.eye(n)]), np.concatenate([-s.b, np.zeros(n)])
+    n, b = s.a.shape[1], s.b if s.b.ndim == 2 else s.b[:, None]
+    return np.vstack([-s.a, np.eye(n)]), np.vstack([-b, np.zeros((n, b.shape[1]))])
 
 
-@functools.lru_cache(maxsize=64)
 def _bases(rows: int, n: int) -> np.ndarray:
-    """The n-row bases of ``rows`` rows in lexicographic order, read-only: each round asks again."""
-    idx = np.fromiter(chain.from_iterable(combinations(range(rows), n)), np.intp).reshape(-1, n)
-    idx.setflags(write=False)
-    return idx
+    """The n-row bases of ``rows`` rows in lexicographic order."""
+    return np.fromiter(chain.from_iterable(combinations(range(rows), n)), np.intp).reshape(-1, n)
 
 
-def _vertices(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """The distinct vertices of {x : alpha.x >= beta}, whose last n rows are
-    x >= 0.  Rows join lazily: from x >= 0 on, each vertex of the rows so
-    far (over all n-row bases in lexicographic order, ``BASIS_CHUNK`` at a
-    time, singular ones skipped) that violates a row adds its most violated
-    one.  When none does, the rows so far describe the system, since both
-    are their vertex hull plus x >= 0."""
+def _vertices(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct vertices of {x : alpha.x >= beta[:, k]} for every column
+    k of the (rows, K) ``beta``, whose last n rows are x >= 0, and the column
+    of each, in the order first found.  Rows join lazily, shared by the
+    columns: from x >= 0 on, each vertex of the rows so far (over all n-row
+    bases in lexicographic order, ``BASIS_CHUNK`` bases × columns at a time,
+    singular ones skipped) that violates a row of its column adds its most
+    violated one.  When none does, the rows so far describe each column's
+    system, since both are their vertex hull plus x >= 0."""
     m, n = alpha.shape
-    rows = np.arange(m - n, m)
+    rows, step = np.arange(m - n, m), max(1, BASIS_CHUNK // beta.shape[1])
     while True:
         a, b = alpha[rows], beta[rows]
         bases = _bases(len(rows), n)
-        found = [np.empty((0, n))]
-        for lo in range(0, len(bases), BASIS_CHUNK):
-            mats, rhs = a[bases[lo:lo + BASIS_CHUNK]], b[bases[lo:lo + BASIS_CHUNK]]
-            ok = np.abs(np.linalg.det(mats)) > SNAP
-            x = np.linalg.solve(mats[ok], rhs[ok][..., None])[..., 0]
-            found.append(x[(x @ a.T >= b - MEMBER_TOL).all(axis=1)])
-        v = np.concatenate(found)
-        slack = v @ alpha.T - beta
+        found = [(np.empty((0, n)), np.empty(0, np.intp))]   # (vertices, their columns)
+        for chunk in np.split(bases, range(step, len(bases), step)):
+            ok = np.abs(np.linalg.det(a[chunk])) > SNAP     # one det per basis: a is shared
+            x = np.linalg.solve(a[chunk[ok]], b[chunk[ok]]).transpose(0, 2, 1)
+            feasible = (x @ a.T >= b.T - MEMBER_TOL).all(axis=2)
+            found.append((x[feasible], np.nonzero(feasible)[1]))
+        v, col = (np.concatenate(f) for f in zip(*found))
+        slack = v @ alpha.T - beta.T[col]
         slack[:, rows] = 0.0    # these hold by the mask above, so each added row is new
         bad = (slack < -MEMBER_TOL).any(axis=1)
         if not bad.any():
             break
         rows = np.union1d(rows, slack[bad].argmin(axis=1))
-    _, first = np.unique(np.round(v, 9), axis=0, return_index=True)
-    return v[np.sort(first)]
+    first = np.sort(np.unique(np.column_stack([col, np.round(v, 9)]), axis=0, return_index=True)[1])
+    return v[first], col[first]
 
 
 def systems_equivalent(sys_a: LinearSystem | list[LinearSystem], sys_b: LinearSystem):
@@ -296,23 +289,26 @@ def systems_equivalent(sys_a: LinearSystem | list[LinearSystem], sys_b: LinearSy
     (Minkowski-Weyl), so the two are equal exactly when every vertex of
     each satisfies the other within ``MEMBER_TOL``.  The report counts the
     vertices of both; the counterexample is the first vertex, of ``sys_a``
-    and then of ``sys_b``, that fails the other system.  A list ``sys_a``
-    gives a list of reports, with the vertices of ``sys_b`` enumerated once.
+    and then of ``sys_b``, that fails the other system.  Batches give a
+    report per coupling, each side enumerated once for all of them; a list
+    ``sys_a`` gives a list of those, with ``sys_b`` enumerated once.
     """
     alpha_b, beta_b = _lower_form(sys_b)
-    verts_b = _vertices(alpha_b, beta_b)
-    reports = []
+    (verts_b, col_b), k, out = _vertices(alpha_b, beta_b), beta_b.shape[1], []
     for s in sys_a if isinstance(sys_a, list) else [sys_a]:
-        if set(s.variables) != set(sys_b.variables):
-            raise ValueError("systems must share a variable set")
+        if set(s.variables) != set(sys_b.variables) or s.b.shape[1:] != sys_b.b.shape[1:]:
+            raise ValueError("systems must share a variable set and a batch shape")
         perm = [sys_b.variables.index(v) for v in s.variables]
-        forms = (_lower_form(s), (alpha_b[:, perm], beta_b))
-        verts = (_vertices(*forms[0]), verts_b[:, perm])
-        out = [v[~(v @ alpha.T >= beta - MEMBER_TOL).all(axis=1)] for v, (alpha, beta)
-               in zip(verts, forms[::-1])]
-        x = next((o[0] for o in out if len(o)), None)
-        reports.append(EquivalenceReport(x is None, sum(len(v) for v in verts), x))
-    return reports if isinstance(sys_a, list) else reports[0]
+        (alpha_a, beta_a), vb = _lower_form(s), verts_b[:, perm]
+        va, col_a = _vertices(alpha_a, beta_a)
+        fail_a = ~(va @ alpha_b[:, perm].T >= beta_b.T[col_a] - MEMBER_TOL).all(axis=1)
+        fail_b = ~(vb @ alpha_a.T >= beta_a.T[col_b] - MEMBER_TOL).all(axis=1)
+        cols, first = np.unique(np.concatenate([col_a[fail_a], col_b[fail_b]]), return_index=True)
+        x = dict(zip(cols.tolist(), np.concatenate([va[fail_a], vb[fail_b]])[first]))
+        counts = np.bincount(col_a, minlength=k) + np.bincount(col_b, minlength=k)
+        reports = [EquivalenceReport(c not in x, int(counts[c]), x.get(c)) for c in range(k)]
+        out.append(reports if s.b.ndim == 2 else reports[0])
+    return out if isinstance(sys_a, list) else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +378,20 @@ def _drop_dominated(s: LinearSystem) -> LinearSystem:
     After ``simplify`` no two rows imply each other.  The rows -z <= 0 and
     y - x <= 0, which carry the orthant, stay.  A batch drops a row only
     when one row implies it in every coupling's column."""
-    a, b, strict = s.a, s.b, s.strict
+    a = s.a
+    b, strict = (x if x.ndim == 2 else x[:, None] for x in (s.b, s.strict))
     nonzero = np.count_nonzero(a, axis=1)
-    carrier = (((b == 0) & ~strict).any(axis=tuple(range(1, b.ndim))) & (a.min(axis=1) == -1)
+    carrier = (((b == 0) & ~strict).any(axis=1) & (a.min(axis=1) == -1)
                & ((nonzero == 1) | ((nonzero == 2) & (a.max(axis=1) == 1))))
-    implies = ~np.eye(len(a), dtype=bool)
-    for col in a.T:  # [i, j]: a_j <= a_i, a variable at a time
-        implies &= col[None, :] <= col[:, None]
-    for bk, sk in zip(np.atleast_2d(b.T), np.atleast_2d(strict.T)):  # and a coupling at a time
-        implies &= (bk[None, :] >= bk[:, None]) & (~sk[None, :] | sk[:, None] | (bk[:, None] < bk[None, :]))
+    # [i, j]: key_j >= key_i entrywise, for key -a beside the constants' dense ranks doubled,
+    # plus 1 if loose, in every coupling; ``PAIR_CHUNK`` (i, j, entry) triples at a time
+    rank = 2 * np.unique(b.ravel(), return_inverse=True)[1].reshape(b.shape) + ~strict
+    key, step = np.hstack([-a, rank]), max(1, PAIR_CHUNK // (len(a) * (a.shape[1] + b.shape[1])))
+    implies = np.vstack([(key[None, :] >= key[lo:lo + step, None]).all(axis=2)
+                         for lo in range(0, len(a), step)])
+    np.fill_diagonal(implies, False)
     keep = carrier | ~implies.any(axis=0)
-    return LinearSystem(s.variables, a[keep], b[keep], strict[keep])
+    return LinearSystem(s.variables, a[keep], s.b[keep], s.strict[keep])
 
 
 def upward_closure(s: LinearSystem) -> LinearSystem:
@@ -432,7 +431,6 @@ def projection_matches_rate_system(base: LinearSystem, direct: LinearSystem, ord
     always go unused.
     """
     orders = [tuple(o) for o in (permutations(TILDE_VARS) if orders is None else orders)]
-    closed = [upward_closure(project_binning_system(base, order)).columns for order in orders]
-    out = [list(zip(orders, systems_equivalent([c[k] for c in closed], d)))
-           for k, d in enumerate(direct.columns)]
-    return out if base.b.ndim == 2 else out[0]
+    reports = systems_equivalent([upward_closure(project_binning_system(base, order))
+                                  for order in orders], direct)
+    return [list(zip(orders, r)) for r in zip(*reports)] if base.b.ndim == 2 else list(zip(orders, reports))

@@ -7,6 +7,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +25,7 @@ POLISH_PENALTY = 5e4    # penalty for polishing restarts above MARKOV_TARGET
 MAX_ITERS = 5000
 STALL_LIMIT = 50
 MERGE_TOL = 1e-9        # a greedy merge keeps the chain exact up to rounding noise
+MERGE_CHUNK = 1 << 18   # greedy-merge trial entries (cells × bins) scored per call
 
 
 class OptimizerFailed(Exception):
@@ -173,23 +175,21 @@ def _support_channel(q: JointPmf, name: str, rows: np.ndarray) -> ConditionalPmf
 
 def _greedy_merge_map(terms, ms: int) -> np.ndarray:
     """Greedy agglomeration of the ``ms`` support cells into W-bins that
-    keeps Y1 _|_ Y2 | W exact, scored by a ``_wyner_eval`` ``terms``; each
-    merge strictly lowers I(Y1Y2;W).  Returns the final cell -> bin map
-    (good deterministic witnesses for structured sources)."""
+    keeps Y1 _|_ Y2 | W exact, scored by a ``_wyner_eval`` ``terms``: each round
+    scores every merge of two bins, ``MERGE_CHUNK`` entries a call, and takes the
+    first of least I(Y1Y2;W) with slack <= ``MERGE_TOL``.  Returns the cell -> bin map."""
     assign = np.arange(ms)
-    while assign.max() > 0:
-        bins = np.unique(assign)
-        best = None
-        for i, x in enumerate(bins):
-            for y in bins[i + 1:]:
-                trial = np.where(assign == y, x, assign)
-                trial = np.unique(trial, return_inverse=True)[1]
-                i_val, slack = (float(t[0]) for t in terms(np.eye(len(bins) - 1)[trial][None]))
-                if slack <= MERGE_TOL and (best is None or i_val < best[0]):
-                    best = (i_val, trial)
-        if best is None:
+    while (bins := assign.max()) > 0:   # bins left after a merge
+        # each merge of bin y into bin x < y, in lexicographic order; the bins above y move down
+        x, y = np.array(list(combinations(range(bins + 1), 2))).T
+        trials = np.where(assign == y[:, None], x[:, None], assign) - (assign > y[:, None])
+        step = max(1, MERGE_CHUNK // (ms * bins))
+        i_val, slack = np.concatenate([terms(np.eye(bins)[trials[lo:lo + step]])
+                                       for lo in range(0, len(trials), step)], axis=1)
+        ok = slack <= MERGE_TOL
+        if not ok.any():
             break
-        assign = best[1]
+        assign = trials[np.argmin(np.where(ok, i_val, np.inf))]
     return assign
 
 

@@ -199,6 +199,27 @@ def wyner_terms_full(q_table, support, rows):
     return np.array(i_joint), np.array(slack)
 
 
+def greedy_merge_map_loop(terms, ms: int, merge_tol: float = 1e-9):
+    """The greedy merge map one merge at a time: each round tries every
+    pair of bins x < y in order, scores the map with y merged into x (bins
+    renumbered in order) alone, and keeps the first of least I(Y1Y2;W) among
+    those with slack <= ``merge_tol``; it stops when none qualifies or one
+    bin is left."""
+    assign = list(range(ms))
+    while max(assign) > 0:
+        nbins, best = max(assign) + 1, None
+        for x in range(nbins):
+            for y in range(x + 1, nbins):
+                trial = [x if c == y else (c - 1 if c > y else c) for c in assign]
+                i_val, slack = (float(t[0]) for t in terms(np.eye(nbins - 1)[trial][None]))
+                if slack <= merge_tol and (best is None or i_val < best[0]):
+                    best = (i_val, trial)
+        if best is None:
+            break
+        assign = best[1]
+    return np.array(assign)
+
+
 def extension_interval(a, b, strict, col, point):
     """Feasible interval (lo, hi) for the eliminated variable of a system
     a.x <= b at a fixed projection point (closure semantics)."""
@@ -290,6 +311,23 @@ def drop_dominated_loop(a, b, strict):
                 implied = True
         keep.append(carrier or not implied)
     return np.array(keep, dtype=bool)
+
+
+def vertices_bruteforce(a, b, snap=1e-9, tol=1e-9):
+    """The distinct vertices of {x : a.x >= b} for one system, the slow
+    way: every n-row basis of all the rows, one ``np.linalg.solve`` each,
+    bases with |det| <= ``snap`` skipped, the solutions that satisfy every
+    row within ``tol`` kept, as a set of tuples rounded to 9 digits."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    found = set()
+    for basis in itertools.combinations(range(len(a)), a.shape[1]):
+        mat = a[list(basis)]
+        if abs(np.linalg.det(mat)) <= snap:
+            continue
+        x = np.linalg.solve(mat, b[list(basis)])
+        if all(row @ x >= const - tol for row, const in zip(a, b)):
+            found.add(tuple(float(c) + 0.0 for c in np.round(x, 9)))
+    return found
 
 
 def _facet_candidates(a_all, b_all, center, snap=1e-9):

@@ -266,7 +266,7 @@ class TestCommands:
     @pytest.mark.parametrize("orders, n_orders", [("all", 6), ("Rt1,Rt0,Rt2", 1)])
     def test_fme_verify_eliminates_once_per_order(self, tmp_path, monkeypatch, orders, n_orders):
         # the couplings share one batch: 3 projection and 4 closure eliminations per
-        # order, and one vertex enumeration per direct system and per (order, coupling)
+        # order, and one vertex enumeration for the direct batch and one per order
         from coordinet import fme
         calls = {"fme_eliminate": 0, "_vertices": 0}
         for name in calls:
@@ -277,7 +277,7 @@ class TestCommands:
         status, out = run_cli(tmp_path, "[run]\ncommand = fme-verify\nseed = 7\n"
                                         f"[fme-verify]\ncouplings = 3\norders = {orders}\n")
         assert status == 0 and read_summary(out)["agree_count"] == 3
-        assert calls == {"fme_eliminate": 7 * n_orders, "_vertices": 3 + 3 * n_orders}
+        assert calls == {"fme_eliminate": 7 * n_orders, "_vertices": 1 + n_orders}
 
     def test_protocol_stores_binning_seeds(self, tmp_path):
         status, out = run_cli(tmp_path,

@@ -13,7 +13,7 @@ from coordinet.information import entropy
 from coordinet.region import random_inner_coupling
 
 from oracles import (drop_dominated_loop, extension_interval, fme_eliminate_loop, simplify_loop,
-                     systems_equivalent_sampled)
+                     systems_equivalent_sampled, vertices_bruteforce)
 
 
 def sys_of(variables, rows):
@@ -423,6 +423,20 @@ class TestBatch:
                 assert row_set(lone.a, lone.b, lone.strict) == \
                     row_set(s.a[keep], s.b[keep, k], s.strict[keep, k])
 
+    def test_drop_dominated_in_chunks_of_row_pairs(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        batches = [random_batch(rng, int(rng.integers(2, 30)), int(rng.integers(1, 4)), 3,
+                   coeffs=(-2, 1)) for _ in range(40)]
+
+        def pruned():
+            return [[x.tobytes() for x in (t.a, t.b, t.strict)]
+                    for t in map(fme._drop_dominated, batches)]
+        expect = pruned()
+        for chunk in (1, 50):
+            monkeypatch.setattr(fme, "PAIR_CHUNK", chunk)
+            assert pruned() == expect
+        assert sum(len(t.a) < len(s.a) for t, s in zip(map(fme._drop_dominated, batches), batches)) >= 10
+
     def test_closure_columns_match_lone_closures(self):
         rng = np.random.default_rng(33)
         joints = [random_inner_coupling(rng).joint() for _ in range(8)]
@@ -454,6 +468,114 @@ class TestBatch:
             LinearSystem.stack([s, sys_of(["x"], [({"x": 2}, "<=", 1.0)])])
         with pytest.raises(ValueError, match="inconsistent"):
             LinearSystem(s.variables, s.a, np.ones((1, 2)), np.zeros((1, 3), dtype=bool))
+
+
+def vertex_sets(s):
+    """Each column's vertices from one batched enumeration of ``s``, as sets rounded to 9 digits."""
+    verts, col = fme._vertices(*fme._lower_form(s))
+    return [{tuple(float(c) + 0.0 for c in np.round(v, 9)) for v in verts[col == k]}
+            for k in range(len(s.columns))]
+
+
+def lone_oracle(s):
+    """The brute-force vertex set of a lone upward-closed system within x >= 0."""
+    n = s.a.shape[1]
+    return vertices_bruteforce(np.vstack([-s.a, np.eye(n)]), np.concatenate([-s.b, np.zeros(n)]))
+
+
+class TestVertexBatch:
+    """One lazy enumeration serves every column of a batch: each column gets
+    the vertices, verdict and count its lone system gets."""
+
+    def batch(self, seed, couplings):
+        rng = np.random.default_rng(seed)
+        joints = [random_inner_coupling(rng).joint() for _ in range(couplings)]
+        return (LinearSystem.stack([binning_constraint_system(j) for j in joints]),
+                LinearSystem.stack([theorem_rate_system(j) for j in joints]))
+
+    def test_each_column_is_the_bruteforce_vertex_set(self):
+        base, direct = self.batch(51, 3)
+        systems = [direct] + [upward_closure(project_binning_system(base, order))
+                              for order in itertools.permutations(("Rt0", "Rt1", "Rt2"))]
+        for s in systems:
+            got = vertex_sets(s)
+            assert min(map(len, got)) > 0
+            assert got == [lone_oracle(col) for col in s.columns]
+
+    def test_degenerate_systems_are_the_bruteforce_vertex_set(self):
+        v4, nonneg = TestExactEquivalence.V4, TestExactEquivalence.NONNEG
+        row = ({"x1": -1, "x3": -2}, "<=", -1.0)
+        systems = [
+            [({"x1": -1, "x2": -1}, "<=", -1.0), ({"x1": -2, "x2": -2}, "<=", -2.0)],
+            [row, row],
+            [({"x1": -1, v: -1}, "<=", -1.0) for v in v4[1:]],
+            [({"x1": -1, "x2": -1}, "<=", -1.0),
+             ({"x1": -0.5, "x2": -500, "x3": -500, "x4": -500}, "<=", -(0.5 + 0.5e-6))],
+        ]
+        for rows in systems:
+            s = sys_of(v4, rows + nonneg)
+            assert vertex_sets(LinearSystem.stack([s])) == [lone_oracle(s)]
+
+    def test_one_shifted_column_disagrees_alone(self):
+        base, direct = self.batch(52, 6)
+        closed = upward_closure(project_binning_system(base))
+        lone = [systems_equivalent(c, d) for c, d in zip(closed.columns, direct.columns)]
+        assert all(r.agree for r in lone)
+        for row in range(4):
+            for delta in (1e-6, -1e-6):
+                b = direct.b.copy()
+                b[row, 2] += delta
+                moved = LinearSystem(direct.variables, direct.a, b, direct.strict)
+                reports = systems_equivalent(closed, moved)
+                assert [r.agree for r in reports] == [k != 2 for k in range(6)], (row, delta)
+                assert in_exactly_one(reports[2].counterexample, closed.columns[2], moved.columns[2])
+                for k in (0, 1, 3, 4, 5):
+                    assert (reports[k].vertices, reports[k].counterexample) == (lone[k].vertices, None)
+
+    @pytest.mark.parametrize("chunk", [1, 13, 97])
+    def test_basis_chunk_does_not_change_a_report(self, monkeypatch, chunk):
+        base, direct = self.batch(53, 6)
+        b = direct.b.copy()
+        b[1, 4] -= 1e-6
+        direct = LinearSystem(direct.variables, direct.a, b, direct.strict)
+
+        def reports():
+            return [[(o, r.agree, r.vertices, None if r.counterexample is None
+                      else r.counterexample.tobytes()) for o, r in per]
+                    for per in projection_matches_rate_system(base, direct)]
+        expect = reports()
+        monkeypatch.setattr(fme, "BASIS_CHUNK", chunk)
+        assert reports() == expect
+        assert sum(not r[1] for per in expect for r in per) == 6
+
+    def test_columns_whose_lone_row_sets_differ(self, monkeypatch):
+        # column 0 needs the cut row, which column 1 never takes in alone
+        v4, nonneg = TestExactEquivalence.V4, TestExactEquivalence.NONNEG
+        cut = {"x1": -0.5, "x2": -500, "x3": -500, "x4": -500}
+        lone = [sys_of(v4, [({"x1": -1, "x2": -1}, "<=", -1.0), (cut, "<=", const)] + nonneg)
+                for const in (-(0.5 + 0.5e-6), 1.0)]
+        rounds = []
+        bases = fme._bases
+        monkeypatch.setattr(fme, "_bases", lambda rows, n: rounds.append(rows) or bases(rows, n))
+        final = []
+        for s in lone:
+            rounds.clear()
+            fme._vertices(*fme._lower_form(s))
+            final.append(rounds[-1])
+        assert final == [6, 5]
+        for pair in (lone, lone[::-1]):   # the column that needs the cut first and last
+            batch = LinearSystem.stack(pair)
+            assert vertex_sets(batch) == [lone_oracle(s) for s in pair]
+            reports = systems_equivalent(batch, LinearSystem.stack([lone[1], lone[1]]))
+            expect = [systems_equivalent(s, lone[1]) for s in pair]
+            assert [(r.agree, r.vertices) for r in reports] == [(r.agree, r.vertices) for r in expect]
+            assert [r.agree for r in reports] == [s is lone[1] for s in pair]
+
+    def test_batches_must_match(self):
+        base, direct = self.batch(54, 2)
+        closed = upward_closure(project_binning_system(base))
+        with pytest.raises(ValueError, match="batch shape"):
+            systems_equivalent(closed, direct.columns[0])
 
 
 class TestSerialization:

@@ -4,13 +4,15 @@ import itertools
 import numpy as np
 import pytest
 
+from coordinet import information
 from coordinet.information import (MERGE_TOL, _greedy_merge_map, _wyner_eval,
                                    conditional_entropy, entropy, markov_slack,
                                    mutual_information, subset_entropies)
 from coordinet.pmf import UnknownVariable, make_joint
 from coordinet.sources import dsbs, identical_uniform, independent_bits, triple_abc
 
-from oracles import binary_entropy, cond_mi_direct, entropy_direct, wyner_terms_full
+from oracles import (binary_entropy, cond_mi_direct, entropy_direct, greedy_merge_map_loop,
+                     wyner_terms_full)
 
 
 def random_pmf(rng, sizes, names=None):
@@ -273,6 +275,34 @@ def test_wyner_eval_matches_the_full_table_formula(nw):
                 assert [x.tobytes() for x in lone] == [x[b:b + 1].tobytes() for x in got]
 
 
+@pytest.mark.parametrize("chunk", [None, 1, 40])
+def test_greedy_merge_map_is_the_pairwise_loop(monkeypatch, chunk):
+    """A round's merges scored in one call (or in chunks of ``chunk`` entries)
+    pick the map that scoring them one at a time picks."""
+    if chunk is not None:
+        monkeypatch.setattr(information, "MERGE_CHUNK", chunk)
+    rng = np.random.default_rng(61)
+    tables = [q.table for q in (triple_abc(), dsbs(0.1), identical_uniform(3), independent_bits())]
+    tables += [np.kron(np.eye(k), rng.random((2, 2))) for k in (2, 3)]
+    # (0,0) may join (0,1) or (1,0), not both, at exactly equal cost: the first merge wins
+    tables.append(np.array([[0.5, 0.25], [0.25, 0.0]]))
+    # blocks a little short of independent: merging one costs a slack far above MERGE_TOL
+    tables.append(np.kron(np.eye(2), [[0.2502, 0.2498], [0.2498, 0.2502]]))
+    for n1, n2 in ((2, 3), (3, 3), (4, 2)):
+        t = rng.random((n1, n2)) * (rng.random((n1, n2)) < 0.7)
+        t[0, 0] += 0.1
+        tables.append(t)
+    merged = 0
+    for t in tables:
+        t = t / t.sum()
+        support = np.flatnonzero(t.ravel() > 0)
+        wyner = _wyner_eval(t, support)
+        got = _greedy_merge_map(wyner, len(support))
+        assert got.tolist() == greedy_merge_map_loop(wyner, len(support)).tolist()
+        merged += got.max() < len(support) - 1
+    assert merged >= 4
+
+
 @pytest.mark.parametrize("q", [triple_abc(), dsbs(0.05), dsbs(0.1), dsbs(0.2), identical_uniform(2),
                                identical_uniform(3), identical_uniform(4), independent_bits()],
                          ids=["triple-abc", "dsbs-0.05", "dsbs-0.1", "dsbs-0.2",
@@ -286,10 +316,9 @@ def test_greedy_merge_map_is_the_full_table_formulas(q):
     support = np.flatnonzero(q.table.ravel() > 0)
     wyner, seen = _wyner_eval(q.table, support), []
 
-    def terms(r):
+    def terms(r):   # every row of a call: a merge round scores its trials together
         got = wyner(r)
-        seen.append((*(float(t[0]) for t in got),
-                     *(float(t[0]) for t in wyner_terms_full(q.table, support, r))))
+        seen.extend(zip(*(t.tolist() for t in got + wyner_terms_full(q.table, support, r))))
         return got
 
     def pick(cands):  # the first candidate of least I(Y1Y2;W) among those with slack <= MERGE_TOL
