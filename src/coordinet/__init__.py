@@ -3,15 +3,12 @@ coordinating two nodes through a relay."""
 
 from .pmf import (Alphabet, AlphabetMismatch, ConditionalPmf, JointPmf,
                   NegativeMass, NonFiniteMass, NotNormalized, PmfError,
-                  StateSpaceTooLarge, UndefinedConditional, UnknownVariable,
-                  make_joint, read_pmf, write_pmf)
+                  StateSpaceTooLarge, UnknownVariable, make_joint, read_pmf, write_pmf)
 from .information import (OptimizerFailed, WynerConfig, WynerSolution,
-                          conditional_entropy, entropy, markov_slack,
-                          mutual_information, wyner_common_information)
+                          entropy, mutual_information, wyner_common_information)
 from .region import (FrontierPoint, InnerCoupling, OuterCoupling, RateTuple,
                      RegionDecision, SearchConfig, canonical_couplings, frontier,
-                     inner_check, inner_membership, inner_rhs, outer_membership,
-                     outer_slack)
+                     inner_membership, outer_membership)
 from .fme import (EquivalenceReport, LinearSystem, binning_constraint_system,
                   fme_eliminate, projection_matches_rate_system, remove_redundant,
                   systems_equivalent, theorem_rate_system)

@@ -69,8 +69,7 @@ def _cmd_info(cfg, q, out_dir):
 
 def _cmd_wyner(cfg, q, out_dir):
     p = cfg.params
-    wcfg = information.WynerConfig(restarts=p["restarts"], penalty=p["penalty"],
-                                   seed=cfg.master_seed)
+    wcfg = information.WynerConfig(restarts=p["restarts"], seed=cfg.master_seed)
     sol = information.wyner_common_information(q, w_cap=p["w_cap"] or None, config=wcfg)
     rows = [{"restart": i, "value": v} for i, v in sol.trace]
     _write_csv(out_dir, ["restart", "value"], rows)

@@ -32,13 +32,6 @@ def _rate(s: str) -> float:
     return v
 
 
-def _penalty(s: str) -> float:
-    v = float(s)
-    if not 0 <= v < math.inf:  # nan fails both
-        raise ValueError(f"must be finite and >= 0, got {s}")
-    return v
-
-
 def _one_of(*choices: str):
     """Parser of one of ``choices``."""
     def parse(s: str) -> str:
@@ -90,7 +83,6 @@ COMMAND_PARAMS = {
     "wyner": {
         "w_cap": (_at_least(0), 0),     # 0 means the solver default
         "restarts": (_at_least(0), 64),
-        "penalty": (_penalty, 100.0),
     },
     "region-inner": {
         "rf1": (_rate, None), "rb1": (_rate, None),

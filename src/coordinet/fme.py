@@ -117,7 +117,7 @@ class LinearSystem:
 
     @staticmethod
     def from_text(text: str) -> "LinearSystem":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+        lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
         if not lines or not lines[0].startswith("vars:"):
             raise ValueError("system text must start with a 'vars:' header")
         variables = tuple(lines[0][len("vars:"):].split())
@@ -233,7 +233,6 @@ class EquivalenceReport:
     agree: bool
     vertices: int
     counterexample: np.ndarray | None
-    method: str = "exact"
 
 
 def _lower_form(s: LinearSystem) -> tuple[np.ndarray, np.ndarray]:

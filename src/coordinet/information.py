@@ -21,6 +21,7 @@ from .pmf import Alphabet, ConditionalPmf, JointPmf, UnknownVariable
 # ACCEPT_MARKOV is kept only when no exact witness is found.
 MARKOV_TARGET = 1e-6
 ACCEPT_MARKOV = 1e-4
+PENALTY = 100.0         # weight on I(Y1;Y2|W) (here) or on TV or Markov slack (region)
 POLISH_PENALTY = 5e4    # penalty for polishing restarts above MARKOV_TARGET
 MAX_ITERS = 5000
 STALL_LIMIT = 50
@@ -95,12 +96,6 @@ def entropy(p: JointPmf, vars: Sequence[str] | None = None) -> float:
     return max(0.0, float(subset_entropies(p.table[None], (axes,))[0, 0]))
 
 
-def conditional_entropy(p: JointPmf, left: Sequence[str], given: Sequence[str] = ()) -> float:
-    if not given:
-        return entropy(p, left)
-    return entropy(p, tuple(left) + tuple(given)) - entropy(p, given)
-
-
 def mutual_information(p: JointPmf, left: Sequence[str], right: Sequence[str],
                        given: Sequence[str] = ()) -> float:
     """I(left; right | given), clamped at 0 against rounding noise."""
@@ -109,13 +104,10 @@ def mutual_information(p: JointPmf, left: Sequence[str], right: Sequence[str],
         if set(a) & set(b):
             raise UnknownVariable(f"variable sets overlap: {set(a) & set(b)}")
     p.axes(left + right + given)
-    val = conditional_entropy(p, left, given) - conditional_entropy(p, left, right + given)
-    return max(0.0, val)
 
-
-def markov_slack(p: JointPmf, a: Sequence[str], b: Sequence[str], c: Sequence[str]) -> float:
-    """I(a; c | b): zero exactly when the chain a - b - c holds."""
-    return mutual_information(p, a, c, given=b)
+    def h(vs, cond):  # H(vs | cond)
+        return entropy(p, vs + cond) - entropy(p, cond) if cond else entropy(p, vs)
+    return max(0.0, h(left, given) - h(left, right + given))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +117,6 @@ def markov_slack(p: JointPmf, a: Sequence[str], b: Sequence[str], c: Sequence[st
 @dataclass
 class WynerConfig:
     restarts: int = 64
-    penalty: float = 100.0
     seed: int = 0
 
 
@@ -202,7 +193,7 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
     fits, cell copy, constant W; all of them always run, even when
     ``config.restarts`` is smaller) and Dirichlet restarts up to
     ``config.restarts`` in all, on the penalized objective I(Y1Y2;W) +
-    penalty * I(Y1;Y2|W).  A restart whose conditional-independence slack
+    ``PENALTY`` * I(Y1;Y2|W).  A restart whose conditional-independence slack
     is above ``MARKOV_TARGET`` when it stops is polished under a large penalty.
     """
     cfg = config or WynerConfig()
@@ -213,8 +204,6 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
         w_cap = n1 * n2
     if not isinstance(w_cap, (int, np.integer)) or isinstance(w_cap, bool) or w_cap < 1:
         raise ValueError(f"w_cap must be an int >= 1, got {w_cap!r}")
-    if not (math.isfinite(cfg.penalty) and cfg.penalty >= 0):
-        raise ValueError(f"penalty must be finite and >= 0, got {cfg.penalty!r}")
     if cfg.restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {cfg.restarts!r}")
     q2 = q.table
@@ -222,7 +211,7 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
     ms = len(support)
     wyner = _wyner_eval(q2, support)
 
-    lams = np.array([cfg.penalty, POLISH_PENALTY, 10.0 * POLISH_PENALTY])   # per phase
+    lams = np.array([PENALTY, POLISH_PENALTY, 10.0 * POLISH_PENALTY])   # per phase
 
     def objective(batch, phase):
         i_joint, slack = wyner(batch[0])

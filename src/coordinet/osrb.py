@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial, reduce
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .pmf import Alphabet, JointPmf, StateSpaceTooLarge, check_block_length, mass_check
+from .pmf import Alphabet, JointPmf, StateSpaceTooLarge, _iid_power, check_block_length, mass_check
 from .region import InnerCoupling, RateTuple
 
 DOMAIN_CAP = 2 ** 22    # sequences a binning or a bin-law check may enumerate
@@ -88,26 +88,12 @@ def merge_sequences(comps: Sequence[np.ndarray], sizes: Sequence[int], n: int) -
 
 def product_law(vec: np.ndarray, n: int) -> np.ndarray:
     """The i.i.d. law over n-sequences of a per-symbol pmf vector."""
-    vec = np.asarray(vec, dtype=float)
-    out = vec
-    for _ in range(n - 1):  # each entry is the same left-to-right product as a kron chain
-        out = np.multiply.outer(out, vec).ravel()
-    return out
-
-
-def _block_law(q: np.ndarray, m: int) -> np.ndarray:
-    """The law of m i.i.d. symbols of the 2-D table ``q`` as a (X1^m, X2^m)
-    table, each entry the left-to-right product over the symbols, as in
-    JointPmf.iid_extend, but not normalised; [[1.0]] at m = 0."""
-    out = np.ones((1, 1))
-    for _ in range(m):
-        out = (out[:, None, :, None] * q[None, :, None, :]).reshape(len(out) * len(q), -1)
-    return out
+    return _iid_power(np.asarray(vec, dtype=float), n)
 
 
 def channel_matrix(per_symbol: np.ndarray, n: int) -> np.ndarray:
     """Product extension of a (in_symbols, out_symbols) channel matrix."""
-    return reduce(np.kron, [np.asarray(per_symbol, dtype=float)] * n)
+    return _iid_power(np.asarray(per_symbol, dtype=float), n)
 
 
 def _sequence_channel(per_symbol: np.ndarray, n: int) -> np.ndarray:
@@ -415,7 +401,7 @@ class _ProtocolPlan:
             raise StateSpaceTooLarge(f"decoder key spaces {self.n_keys} exceed cap {cfg.caps.with_g}")
         self.n, self.caps, self.sizes = n, cfg.caps, (nw, nv, nu)
         j = next(j for j in range(n + 1) if n1 ** (n - j) * n2 ** n <= TV_BLOCK or j == n)
-        self.q_prefix, self.q_suffix = (_block_law(cfg.q.table, m) for m in (j, n - j))
+        self.q_prefix, self.q_suffix = (_iid_power(cfg.q.table, m) for m in (j, n - j))
         self.domains = (SequenceSpace(("W",), (nw,), n), SequenceSpace(("W", "V"), (nw, nv), n),
                         SequenceSpace(("W", "U"), (nw, nu), n))
         self.p_wvu = coup.p_uvw.reorder(("W", "V", "U"))

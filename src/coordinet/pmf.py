@@ -49,10 +49,6 @@ class StateSpaceTooLarge(PmfError):
     pass
 
 
-class UndefinedConditional(PmfError):
-    """A conditional row with zero conditioning mass was actually needed."""
-
-
 @dataclass(frozen=True)
 class Alphabet:
     """A named finite alphabet, optionally with display labels."""
@@ -171,50 +167,17 @@ class JointPmf:
         alphas = tuple(a for i, a in enumerate(self.alphabets) if i in keep_axes)
         return JointPmf(alphas, t)
 
-    def condition(self, given: Sequence[str]) -> "ConditionalPmf":
-        """Condition on ``given`` (in the requested order).
-
-        Rows whose conditioning event has zero mass are flagged undefined
-        and zero-filled, never replaced by a fabricated distribution.
-        """
-        g_axes = self.axes(given)
-        if len(g_axes) >= len(self.alphabets):
-            raise UnknownVariable("conditioning must leave at least one target variable")
-        t_axes = tuple(i for i in range(len(self.alphabets)) if i not in g_axes)
-        perm = g_axes + t_axes
-        t = self.table.transpose(perm)
-        ng = len(g_axes)
-        row_mass = t.sum(axis=tuple(range(ng, t.ndim)))
-        defined = row_mass > 0.0
-        denom = np.where(defined, row_mass, 1.0)
-        rows = t / denom.reshape(denom.shape + (1,) * (t.ndim - ng))
-        rows = np.where(defined.reshape(denom.shape + (1,) * (t.ndim - ng)), rows, 0.0)
-        given_alpha = tuple(self.alphabets[i] for i in g_axes)
-        target_alpha = tuple(self.alphabets[i] for i in t_axes)
-        return ConditionalPmf(given_alpha, target_alpha, rows, defined)
-
     def iid_extend(self, n: int, max_entries: int = DEFAULT_IID_CAP) -> "JointPmf":
-        """The n-fold product law; each variable becomes its own sequence
-        alphabet of size ``k**n`` indexed lexicographically (first symbol
-        most significant).  Each step multiplies the extension so far by
-        one more symbol on interleaved axes, (K1^m, 1, K2^m, 1, ...) *
-        (1, K1, 1, K2, ...), so the table is built in its final layout,
-        its products taken left to right over the symbols, and normalised
-        in place (``adopt``)."""
+        """The n-fold product law: each variable becomes its own sequence alphabet of
+        size ``k**n``, the table ``_iid_power`` normalised in place (``adopt``)."""
         check_block_length(n)
-        sizes = self.sizes
         total = 1
-        for k in sizes:
+        for k in self.sizes:
             total *= k ** n
             if total > max_entries:
                 raise StateSpaceTooLarge(f"{total}+ entries exceeds cap {max_entries}")
-        step = self.table.reshape([d for k in sizes for d in (1, k)])
-        ext = self.table.copy()  # at n = 1 the product is our own table, which adopt must not write
-        for m in range(1, n):
-            ext = (ext.reshape([d for k in sizes for d in (k ** m, 1)]) * step).reshape(
-                [k ** (m + 1) for k in sizes])
         alphas = tuple(Alphabet(a.name, a.size ** n) for a in self.alphabets)
-        return JointPmf.adopt(alphas, ext)
+        return JointPmf.adopt(alphas, _iid_power(self.table, n))
 
     def tv(self, other: "JointPmf") -> float:
         """Total variation distance, (1/2) * sum |p - q|."""
@@ -232,8 +195,6 @@ class JointPmf:
         """Multiply a channel onto this pmf: result over (own vars + targets).
 
         The channel's given-variables are matched to this pmf by name.
-        Undefined channel rows are allowed only where this pmf puts zero
-        mass on the conditioning assignment.
         """
         g_names = [a.name for a in chan.given]
         g_axes = self.axes(g_names)
@@ -244,18 +205,10 @@ class JointPmf:
         for a in chan.target:
             if a.name in self.names:
                 raise AlphabetMismatch(f"channel target {a.name} already present")
-        if not bool(chan.defined.all()):
-            base = self.table.sum(axis=tuple(i for i in range(len(self.alphabets)) if i not in set(g_axes)))
-            # base axes follow pmf order of the given vars; align to chan order
-            order = np.argsort(np.argsort(g_axes))
-            base = base.transpose(tuple(order))
-            if float(base[~chan.defined].sum()) > 1e-15:
-                raise UndefinedConditional("positive mass on an undefined conditional row")
         nt = len(chan.target)
-        ctab = np.where(chan.defined.reshape(chan.defined.shape + (1,) * nt), chan.table, 0.0)
         # transpose chan's given axes into this pmf's relative order
         rel = np.argsort(g_axes)  # chan-given position sorted by pmf axis
-        ctab = ctab.transpose(tuple(np.argsort(rel)) + tuple(len(g_axes) + i for i in range(nt)))
+        ctab = chan.table.transpose(tuple(np.argsort(rel)) + tuple(len(g_axes) + i for i in range(nt)))
         shape = [1] * len(self.alphabets) + [a.size for a in chan.target]
         for pos, ax in enumerate(sorted(g_axes)):
             shape[ax] = ctab.shape[pos]
@@ -266,16 +219,12 @@ class JointPmf:
 
 @dataclass(frozen=True)
 class ConditionalPmf:
-    """Rows of pmfs over ``target``, one per assignment of ``given``.
-
-    ``defined`` marks rows that came from a positive-mass conditioning
-    event; undefined rows hold zeros.
-    """
+    """Rows of pmfs over ``target``, one per assignment of ``given``; every
+    row must sum to 1."""
 
     given: tuple[Alphabet, ...]
     target: tuple[Alphabet, ...]
     table: np.ndarray = field(repr=False)
-    defined: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         given = _as_alphabets(self.given)
@@ -291,29 +240,26 @@ class ConditionalPmf:
             raise NegativeMass(f"negative conditional probability {t.min()}")
         t = np.where(t < 0, 0.0, t)
         sums = t.sum(axis=tuple(range(len(gs), t.ndim)))
-        defined = self.defined
-        if defined is None:
-            defined = np.ones(gs, dtype=bool)
-        else:
-            defined = np.asarray(defined, dtype=bool).reshape(gs)
-        bad = defined & (np.abs(sums - 1.0) > SUM_TOL)
+        bad = np.abs(sums - 1.0) > SUM_TOL
         if bad.any():
             raise NotNormalized(f"{int(bad.sum())} conditional row(s) do not sum to 1")
-        denom = np.where(defined & (sums > 0), sums, 1.0)
-        t = t / denom.reshape(gs + (1,) * len(ts))
-        t = np.where(defined.reshape(gs + (1,) * len(ts)), t, 0.0)
+        t = t / sums.reshape(gs + (1,) * len(ts))
         t.setflags(write=False)
-        defined.setflags(write=False)
         object.__setattr__(self, "table", t)
-        object.__setattr__(self, "defined", defined)
 
-    @property
-    def given_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.given)
 
-    @property
-    def target_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.target)
+def _iid_power(table: np.ndarray, n: int) -> np.ndarray:
+    """The n-fold i.i.d. power of ``table`` as a new array, ones at n = 0: axis sizes k -> k**n,
+    sequences lexicographic (first symbol most significant), products taken left to right.
+    Each step multiplies by one more symbol on interleaved axes, (K1^m, 1, K2^m, 1, ...) *
+    (1, K1, 1, K2, ...), so the power is built in its final layout."""
+    sizes = table.shape
+    step = table.reshape([d for k in sizes for d in (1, k)])
+    out = np.ones([1] * len(sizes))
+    for m in range(n):
+        out = (out.reshape([d for k in sizes for d in (k ** m, 1)]) * step).reshape(
+            [k ** (m + 1) for k in sizes])
+    return out
 
 
 def make_joint(alphabets, table) -> JointPmf:
@@ -339,7 +285,7 @@ def dumps_pmf(p: JointPmf) -> str:
 
 
 def loads_pmf(text: str) -> JointPmf:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("vars:"):
         raise PmfError("pmf text must start with a 'vars:' header")
     alphas = []

@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .information import (POLISH_PENALTY, _support_channel, _wyner_eval, mutual_information,
-                          subset_entropies)
+from .information import (PENALTY, POLISH_PENALTY, _support_channel, _wyner_eval,
+                          mutual_information, subset_entropies)
 # coordinate_descent stays bound here: perfbench/tracer.py wraps it at every module that binds it
 from .optimize import _descend, coordinate_descent, dirichlet_rows  # noqa: F401
 from .pmf import Alphabet, ConditionalPmf, JointPmf
@@ -40,7 +40,6 @@ MARKOV_TOL = 1e-4       # outer: largest Markov slack of a witness
 MARKOV_FREE = 1e-6      # outer: Markov slack the objective leaves unpenalized
 SLACK_TOL = 1e-6        # smallest minimum slack still read as feasible
 OUTSIDE_MARGIN = 1e-3   # outer: a best slack below -this is "outside-heuristic"
-PENALTY = 100.0         # objective weight on TV (inner) or Markov slack (outer)
 MAX_ITERS = 3000
 STALL_LIMIT = 60
 
@@ -139,6 +138,13 @@ class SearchConfig:
     seed: int = 0
 
 
+def _check_caps(caps, k: int) -> None:
+    """Raise ValueError naming ``caps`` unless it holds ``k`` ints >= 1 (a bool is not one)."""
+    if not (isinstance(caps, (tuple, list)) and len(caps) == k and all(
+            isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 1 for c in caps)):
+        raise ValueError(f"caps must be {k} ints >= 1, got {caps!r}")
+
+
 def _batch(j: JointPmf, names: Sequence[str]) -> np.ndarray:
     """The table of ``j``, axes in the order of ``names``, as a batch of one."""
     return j.table.transpose(j.axes(names))[None]
@@ -187,16 +193,6 @@ def inner_rhs_from_joint(j: JointPmf) -> np.ndarray:
     """The four right-hand sides of the inner-bound inequalities, from a
     joint over (U, V, W, Y1, Y2)."""
     return _inner_bounds(_batch(j, INNER_AXES))[0]
-
-
-def inner_rhs(c: InnerCoupling) -> np.ndarray:
-    return inner_rhs_from_joint(c.joint())
-
-
-def inner_check(c: InnerCoupling, r: RateTuple) -> np.ndarray:
-    """Rate sums minus the inner right-hand sides; all >= 0 (within
-    tolerance) means r is achievable through this coupling."""
-    return r.sums - inner_rhs(c)
 
 
 def _canonical_tables(q: JointPmf) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -378,6 +374,7 @@ def inner_membership(q: JointPmf, r: RateTuple, caps: tuple[int, int, int] = (4,
     reports the best minimum slack seen among couplings whose marginal
     matched the target.
     """
+    _check_caps(caps, 3)
     cfg = config or SearchConfig()
     n1, n2 = q.sizes
     name, margin = _floor_certificate(q, r)
@@ -385,11 +382,8 @@ def inner_membership(q: JointPmf, r: RateTuple, caps: tuple[int, int, int] = (4,
         return RegionDecision("outside", None, margin, 0, name)
     rng = np.random.default_rng(cfg.seed)
 
-    # new tables (canonical, padded seeds) get each row divided by its sum, as a pmf does;
-    # a seed's undefined channel rows become uniform, as padded symbols' rows are
-    def rows(chan):
-        return np.where(chan.defined[..., None], chan.table, 1.0 / chan.table.shape[-1])
-    seeds = [((c.p_uvw.table, rows(c.chan_y2), rows(c.chan_y1)), c.caps != tuple(caps))
+    # new tables (canonical, padded seeds) get each row divided by its sum, as a pmf does
+    seeds = [((c.p_uvw.table, c.chan_y2.table, c.chan_y1.table), c.caps != tuple(caps))
              for c in extra_seeds]
     starts: list[list[np.ndarray]] = []
     for tables, new in seeds + [(t, True) for t in _canonical_tables(q).values()]:
@@ -409,12 +403,6 @@ def inner_membership(q: JointPmf, r: RateTuple, caps: tuple[int, int, int] = (4,
 
 # ---------------------------------------------------------------------------
 # Outer bound.
-
-def outer_slack(c: OuterCoupling, r: RateTuple) -> float:
-    """min over the three outer-bound inequalities of (rate sum - bound);
-    their rate sums are the last three of ``r.sums``."""
-    return float(np.min(r.sums[1:] - _outer_terms(c)[0]))
-
 
 def outer_coupling_from_inner(c: InnerCoupling,
                               caps: tuple[int, int] | None = None) -> OuterCoupling | None:
@@ -497,6 +485,8 @@ def outer_membership(q: JointPmf, r: RateTuple, config: SearchConfig | None = No
     restart finds a valid coupling within ``OUTSIDE_MARGIN`` of feasibility,
     and global optimality is not certified.
     """
+    if caps is not None:
+        _check_caps(caps, 2)
     cfg = config or SearchConfig()
     name, margin = _floor_certificate(q, r)
     if margin < -(MARKOV_TOL + SLACK_TOL):
@@ -543,6 +533,7 @@ def frontier(q: JointPmf, fixed: dict[str, float], axes: tuple[str, str],
     Witnesses found at dominated grid points are reused as seeds, which
     also guarantees membership is monotone along the grid.
     """
+    _check_caps(caps, 3)
     cfg = config or SearchConfig()
     names = {"rf1", "rb1", "rf2", "rb2"}
     ax1, ax2 = axes
@@ -579,11 +570,6 @@ def random_inner_coupling(rng: np.random.Generator,
                           sizes: tuple[int, int, int, int, int] = (2, 2, 2, 2, 2)) -> InnerCoupling:
     """A random coupling (Dirichlet tables); handy for property tests."""
     nu, nv, nw, n1, n2 = sizes
-    return InnerCoupling(
-        JointPmf((Alphabet("U", nu), Alphabet("V", nv), Alphabet("W", nw)),
-                 dirichlet_rows(rng, 1, nu * nv * nw).reshape(nu, nv, nw)),
-        ConditionalPmf((Alphabet("U", nu), Alphabet("W", nw)), (Alphabet("Y2", n2),),
-                       dirichlet_rows(rng, nu * nw, n2).reshape(nu, nw, n2)),
-        ConditionalPmf((Alphabet("V", nv), Alphabet("W", nw)), (Alphabet("Y1", n1),),
-                       dirichlet_rows(rng, nv * nw, n1).reshape(nv, nw, n1)),
-    )
+    blocks = [dirichlet_rows(rng, 1, nu * nv * nw), dirichlet_rows(rng, nu * nw, n2),
+              dirichlet_rows(rng, nv * nw, n1)]
+    return _blocks_to_coupling(blocks, (nu, nv, nw), n1, n2)

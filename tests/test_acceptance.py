@@ -17,8 +17,8 @@ from coordinet.information import WynerConfig, entropy, mutual_information, wyne
 from coordinet.osrb import (ProtocolConfig, SequenceSpace, bins_from_rate, make_binning,
                             osrb_uniformity, run_protocol, sweep)
 from coordinet.pmf import Alphabet, ConditionalPmf, JointPmf, make_joint
-from coordinet.region import (InnerCoupling, RateTuple, SearchConfig, inner_check,
-                              inner_membership, outer_coupling_from_inner,
+from coordinet.region import (InnerCoupling, RateTuple, SearchConfig, inner_membership,
+                              inner_rhs_from_joint, outer_coupling_from_inner,
                               outer_membership, random_inner_coupling)
 from coordinet.fme import (binning_constraint_system, projection_matches_rate_system,
                            theorem_rate_system)
@@ -247,7 +247,7 @@ def test_criterion_6_one_way_reduction_regime():
         r = RateTuple(rf1=0.0, rb1=INF, rf2=rf2_star + eps, rb2=sum_star - rf2_star)
         din, _ = both_memberships("dsbs-0.1", q, r, inner_seeds=[coup])
         assert din.verdict == "inside"
-        assert float(np.min(inner_check(coup, r))) >= eps - 1e-9
+        assert float(np.min(r.sums - inner_rhs_from_joint(j))) >= eps - 1e-9
 
         # 0.05 below the frontier, in each coordinate direction; the first
         # misses the rf1+rf2 >= I(Y1;Y2) floor, the second (rb2+rf2 = 0.95)

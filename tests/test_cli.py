@@ -73,6 +73,13 @@ class TestConfigParsing:
                 tmp_path, "[run]\ncommand = info\nsource = dsbs-0.1\n[info]\nfoo = 1\n"))
         assert "foo" in str(err.value)
 
+    def test_wyner_penalty_is_an_unknown_key(self, tmp_path):
+        # the search penalty is a module constant, not a setting
+        with pytest.raises(ValidationError) as err:
+            parse_config(write_config(
+                tmp_path, "[run]\ncommand = wyner\nsource = dsbs-0.1\n[wyner]\npenalty = 100\n"))
+        assert "[wyner] unknown key 'penalty'" in str(err.value)
+
     def test_missing_required_field(self, tmp_path):
         with pytest.raises(ValidationError) as err:
             parse_config(write_config(
@@ -125,9 +132,6 @@ class TestConfigParsing:
          + RATES, "coupling"),
         ("[run]\ncommand = sweep\nsource = dsbs-0.1\n[sweep]\nn_list = 2\ncoupling = UV-copy\n"
          + RATES, "coupling"),
-        ("[run]\ncommand = wyner\nsource = dsbs-0.1\n[wyner]\npenalty = -5\n", "penalty"),
-        ("[run]\ncommand = wyner\nsource = dsbs-0.1\n[wyner]\npenalty = nan\n", "penalty"),
-        ("[run]\ncommand = wyner\nsource = dsbs-0.1\n[wyner]\npenalty = inf\n", "penalty"),
         ("[run]\ncommand = info\nsource = dsbs-0.1\nthreads = -4\n", "threads"),
         ("[run]\ncommand = info\nsource = dsbs-0.1\nthreads = 0\n", "threads"),
         (FME + "orders = Rt0,Rt1\n", "orders"),
@@ -136,8 +140,8 @@ class TestConfigParsing:
     ], ids=["seed", "n", "sweep-n_list", "osrb-n_list", "empty-n_list", "grid_min-length",
             "grid_max-length", "fixed_rates-length", "grid_steps-length", "grid_steps-zero",
             "axes-repeated", "axes-unknown", "restarts", "cap_u", "osrb-side", "osrb-coupling",
-            "protocol-coupling", "sweep-coupling", "penalty-negative", "penalty-nan",
-            "penalty-inf", "threads-negative", "threads-zero", "orders-two-rates",
+            "protocol-coupling", "sweep-coupling", "threads-negative", "threads-zero",
+            "orders-two-rates",
             "orders-repeated", "orders-unknown-rate"])
     def test_bad_value_is_a_config_error_naming_its_key(self, tmp_path, text, key):
         with pytest.raises(ValidationError) as err:

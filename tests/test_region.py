@@ -1,7 +1,6 @@
 """Inner/outer bound evaluators and membership searches."""
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +10,10 @@ from coordinet.fme import binning_constraint_system
 from coordinet.information import mutual_information
 from coordinet.pmf import Alphabet, ConditionalPmf, JointPmf, make_joint
 from coordinet.region import (OuterCoupling, RateTuple, SearchConfig, _inner_eval,
-                              _mi_continuity, _objective, _outer_eval, _pad_inner,
-                              canonical_couplings, frontier, inner_check,
-                              inner_membership, inner_rhs, outer_coupling_from_inner,
-                              outer_membership, outer_slack, random_inner_coupling)
+                              _mi_continuity, _objective, _outer_eval, _outer_terms, _pad_inner,
+                              canonical_couplings, frontier, inner_membership,
+                              inner_rhs_from_joint, outer_coupling_from_inner,
+                              outer_membership, random_inner_coupling)
 from coordinet.sources import dsbs, identical_uniform, independent_bits, triple_abc
 
 from oracles import (binning_constants_direct, cond_mi_direct, coordinate_descent_sequential,
@@ -58,21 +57,22 @@ class TestRateTuple:
 class TestInnerRhs:
     def test_constants_independent_all_zero(self):
         q = independent_bits()
-        assert np.allclose(inner_rhs(const_coupling(q)), 0.0, atol=1e-12)
+        assert np.allclose(inner_rhs_from_joint(const_coupling(q).joint()), 0.0, atol=1e-12)
 
     def test_copy_w_on_common_bit(self):
         q = identical_uniform(2)
         # I(W;Y1Y2) = 1 enters the total bound twice
-        assert np.allclose(inner_rhs(copy_w_coupling(q)), [2.0, 1.0, 1.0, 1.0], atol=1e-9)
+        assert np.allclose(inner_rhs_from_joint(copy_w_coupling(q).joint()), [2.0, 1.0, 1.0, 1.0],
+                           atol=1e-9)
 
     def test_uv_copy_forward_bound_is_mutual_information(self):
-        b = inner_rhs(uv_copy_coupling(dsbs(0.1)))
+        b = inner_rhs_from_joint(uv_copy_coupling(dsbs(0.1)).joint())
         assert b[3] == pytest.approx(I_DSBS, abs=1e-9)
 
     def test_link_bounds_never_exceed_total(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            b = inner_rhs(random_inner_coupling(rng))
+            b = inner_rhs_from_joint(random_inner_coupling(rng).joint())
             assert b[1] <= b[0] + 1e-9
             assert b[2] <= b[0] + 1e-9
 
@@ -80,16 +80,18 @@ class TestInnerRhs:
 class TestInnerCheck:
     def test_all_infinite(self):
         q = identical_uniform(2)
-        s = inner_check(copy_w_coupling(q), RateTuple(INF, INF, INF, INF))
+        s = RateTuple(INF, INF, INF, INF).sums - inner_rhs_from_joint(copy_w_coupling(q).joint())
         assert np.all(np.isinf(s))
 
     def test_zero_rates_constants_independent(self):
-        s = inner_check(const_coupling(independent_bits()), RateTuple(0, 0, 0, 0))
+        s = RateTuple(0, 0, 0, 0).sums - inner_rhs_from_joint(
+            const_coupling(independent_bits()).joint())
         assert np.allclose(s, 0.0, atol=1e-9)
 
     def test_slack_pattern_copy_coupling(self):
         q = identical_uniform(2)
-        s = inner_check(copy_w_coupling(q), RateTuple(rf1=1, rb1=0, rf2=1, rb2=0))
+        s = (RateTuple(rf1=1, rb1=0, rf2=1, rb2=0).sums
+             - inner_rhs_from_joint(copy_w_coupling(q).joint()))
         assert np.allclose(s, [0.0, 0.0, 0.0, 1.0], atol=1e-9)
 
 
@@ -135,35 +137,9 @@ class TestInnerMembership:
                              caps=(2, 2, 2), config=FAST)
         assert d.verdict == "inside"
         # recompute everything from the stored coupling
-        assert float(np.min(inner_check(d.witness, RateTuple(1, 1, 1, 1)))) >= -1e-6
+        assert np.min(RateTuple(1, 1, 1, 1).sums - inner_rhs_from_joint(d.witness.joint())) >= -1e-6
         assert d.witness.tv_to(q) <= 1e-4
         assert max(d.witness.chain_slacks()) <= 1e-9
-
-    @pytest.mark.parametrize("caps", [(2, 2, 3), (2, 2, 2)], ids=["padded", "own-caps"])
-    def test_seed_with_an_undefined_channel_row(self, monkeypatch, caps):
-        # U = 1 carries no mass, so the seed's row p(y2 | u=1, w=1) may be undefined
-        q = dsbs(0.1)
-        c = canonical_couplings(q, (2, 2, 2))["w-from-y1"]
-        defined = np.ones((2, 2), dtype=bool)
-        defined[1, 1] = False
-        table = np.array(c.chan_y2.table)
-        table[1, 1] = 0.0
-        seed = region.InnerCoupling(c.p_uvw, ConditionalPmf(c.chan_y2.given, c.chan_y2.target,
-                                                            table, defined), c.chan_y1)
-        scored = []
-        search = region._search
-
-        def spy(evaluate, sums, tols, starts):
-            bounds, tv = evaluate([np.array(k) for k in zip(*starts[:1])])
-            scored.append((sums - bounds).min() if tv[0, 0] <= tols[1] else -INF)
-            return search(evaluate, sums, tols, starts)
-        monkeypatch.setattr(region, "_search", spy)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            d = inner_membership(q, RateTuple(rf1=1.2, rb1=0, rf2=1.2, rb2=0), caps=caps,
-                                 config=SearchConfig(restarts=3), extra_seeds=[seed])
-        assert np.isfinite(scored[0])
-        assert d.verdict == "inside" and d.restarts_used == 1
 
 
 def sequential_search(evaluate, sums, tols, starts, penalties=(region.PENALTY,)):
@@ -382,21 +358,22 @@ class TestOuterSlack:
         q = identical_uniform(2)
         c = OuterCoupling(q, channel("U", np.eye(2)[[0, 0, 1, 1]]),   # U = Y1
                           channel("V", np.eye(2)[[0, 1, 0, 1]]))      # V = Y2
-        assert outer_slack(c, RateTuple(INF, INF, INF, INF)) == INF
+        assert np.min(RateTuple(INF, INF, INF, INF).sums[1:] - _outer_terms(c)[0]) == INF
 
     def test_copy_everything_deficit(self):
         # U = V = Y1 = Y2 fair bit; rb1 + rf1 = 0.5 misses I(Y1Y2;V) = 1 by half
         q = identical_uniform(2)
         copy_y1 = np.eye(2)[[0, 0, 1, 1]]  # the off-diagonal rows are zero-mass
         c = OuterCoupling(q, channel("U", copy_y1), channel("V", copy_y1))
-        s = outer_slack(c, RateTuple(rf1=0.25, rb1=0.25, rf2=INF, rb2=INF))
+        s = np.min(RateTuple(rf1=0.25, rb1=0.25, rf2=INF, rb2=INF).sums[1:] - _outer_terms(c)[0])
         assert s == pytest.approx(-0.5, abs=1e-9)
 
     def test_constants_on_independent(self):
         q = independent_bits()
         c = OuterCoupling(q, channel("U", np.ones((4, 1))), channel("V", np.ones((4, 1))))
         assert max(c.markov_slacks()) <= 1e-12
-        assert outer_slack(c, RateTuple(0, 0, 0, 0)) == pytest.approx(0.0, abs=1e-9)
+        s = np.min(RateTuple(0, 0, 0, 0).sums[1:] - _outer_terms(c)[0])
+        assert s == pytest.approx(0.0, abs=1e-9)
 
 
 class TestOuterMembership:
@@ -426,7 +403,7 @@ class TestOuterMembership:
         d = outer_membership(q, RateTuple(1.5, 1.5, 1.5, 1.5), config=FAST)
         assert d.verdict == "inside"
         assert max(d.witness.markov_slacks()) <= 1e-4
-        assert outer_slack(d.witness, RateTuple(1.5, 1.5, 1.5, 1.5)) >= -1e-6
+        assert np.min(RateTuple(1.5, 1.5, 1.5, 1.5).sums[1:] - _outer_terms(d.witness)[0]) >= -1e-6
 
     @pytest.mark.parametrize("p, rb, rf", [(0.2, (0.2, 0.1), (0.7, 0.7)),
                                            (0.2, (0.2, 0.1), (0.9, 0.7)),
@@ -567,7 +544,7 @@ class TestCertificates:
             for name in ("uv-copy", "w-from-y1", "copy-w"):
                 c = canonical_couplings(qp)[name]
                 assert c.tv_to(q) <= region.TV_TOL
-                b_total, b_link1, b_link2, b_fwd = inner_rhs(c)
+                b_total, b_link1, b_link2, b_fwd = inner_rhs_from_joint(c.joint())
                 rf1 = rng.uniform() * b_fwd
                 rf2 = b_fwd - rf1
                 rb1 = max(0.0, b_link1 - rf1)
@@ -612,7 +589,7 @@ class TestBatchedObjectives:
             for c, b_row, tv_row, v in zip(coups, bounds, tvs, vals):
                 j = c.joint().table
                 rhs = inner_rhs_direct(j)
-                assert inner_rhs(c) == pytest.approx(rhs, abs=1e-12)
+                assert inner_rhs_from_joint(c.joint()) == pytest.approx(rhs, abs=1e-12)
                 assert b_row == pytest.approx(rhs, abs=1e-12)
                 tv = tv_direct(j.sum(axis=(0, 1, 2)), q.table)
                 assert tv_row == pytest.approx([tv], abs=1e-12)
@@ -647,7 +624,8 @@ class TestBatchedObjectives:
                 assert np.abs(c.joint().table - j).max() <= 1e-15
                 bounds, slacks = outer_bounds_direct(j)
                 slack = min(s - b for s, b in zip(sums3, bounds))
-                assert outer_slack(c, r) == pytest.approx(slack, abs=1e-12)
+                got = np.min(r.sums[1:] - _outer_terms(c)[0])
+                assert got == pytest.approx(slack, abs=1e-12)
                 assert c.markov_slacks() == pytest.approx(slacks, abs=1e-12)
                 assert b_row == pytest.approx(bounds, abs=1e-12)
                 assert m_row == pytest.approx(slacks, abs=1e-12)
@@ -694,3 +672,22 @@ class TestFrontier:
             inside = min(p.rates.rf1, p.rates.rf2) >= 1.0 - 1e-9
             assert (p.inner.verdict == "inside") == inside
             assert (p.outer.verdict == "inside") == inside
+
+
+class TestCapsGuard:
+    R = RateTuple(rf1=1, rb1=1, rf2=1, rb2=1)
+
+    @pytest.mark.parametrize("caps", [(0, 2, 2), (2.5, 2, 2), (True, 2, 2), (2, 2), None],
+                             ids=["zero", "float", "bool", "two", "none"])
+    def test_inner_and_frontier_need_three_ints_of_at_least_one(self, caps):
+        with pytest.raises(ValueError, match="caps"):
+            inner_membership(dsbs(0.1), self.R, caps=caps, config=FAST)
+        with pytest.raises(ValueError, match="caps"):
+            frontier(dsbs(0.1), {"rb1": 1.0, "rb2": 1.0}, ("rf1", "rf2"),
+                     ((0.5, 0.5, 1), (0.5, 0.5, 1)), caps=caps, config=FAST)
+
+    @pytest.mark.parametrize("caps", [(0, 3), (2.5, 3), (3,), (3, 3, 3)],
+                             ids=["zero", "float", "one", "three"])
+    def test_outer_needs_two_ints_of_at_least_one(self, caps):
+        with pytest.raises(ValueError, match="caps"):
+            outer_membership(dsbs(0.1), self.R, config=FAST, caps=caps)

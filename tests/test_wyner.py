@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from coordinet.information import (WynerConfig, entropy, markov_slack,
-                                   mutual_information, wyner_common_information)
+from coordinet.information import (WynerConfig, entropy, mutual_information,
+                                   wyner_common_information)
 from coordinet.pmf import make_joint
 from coordinet.sources import dsbs, identical_uniform, independent_bits, triple_abc
 
@@ -39,7 +39,7 @@ def test_witness_consistency():
     sol = wyner_common_information(q, config=FAST)
     j = q.attach(sol.witness)
     assert mutual_information(j, ["Y1", "Y2"], ["W"]) == pytest.approx(sol.value, abs=1e-9)
-    assert markov_slack(j, ["Y1"], ["W"], ["Y2"]) <= 1e-6
+    assert mutual_information(j, ["Y1"], ["Y2"], given=["W"]) <= 1e-6
     assert sol.markov_slack <= 1e-6
 
 
@@ -62,20 +62,13 @@ def test_trace_records_restarts():
     assert min(finite) == pytest.approx(sol.value, abs=1e-9)
 
 
-@pytest.mark.parametrize("lam", [10.0, 100.0, 1000.0])
-def test_penalty_weight_stability(lam):
-    cfg = WynerConfig(restarts=8, seed=2, penalty=lam)
+def test_known_values_at_the_search_penalty():
+    cfg = WynerConfig(restarts=8, seed=2)
     assert wyner_common_information(independent_bits(), config=cfg).value == pytest.approx(0.0, abs=1e-3)
     assert wyner_common_information(identical_uniform(2), w_cap=3,
                                     config=cfg).value == pytest.approx(1.0, abs=1e-3)
     assert wyner_common_information(triple_abc(), w_cap=5,
                                     config=cfg).value == pytest.approx(1.0, abs=1e-3)
-
-
-def test_penalty_must_be_finite_and_nonnegative():
-    for bad in (math.nan, -1.0, math.inf):
-        with pytest.raises(ValueError, match="penalty"):
-            wyner_common_information(dsbs(0.1), w_cap=4, config=WynerConfig(restarts=2, penalty=bad))
 
 
 def test_restarts_must_be_nonnegative():
