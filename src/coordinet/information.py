@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .optimize import _descend, coordinate_descent, dirichlet_rows
+from .optimize import IMPROVE_TOL, _descend, coordinate_descent, dirichlet_rows
 from .pmf import Alphabet, ConditionalPmf, JointPmf, UnknownVariable
 
 # The common-information solver's acceptance rule and per-restart descent
@@ -190,11 +190,13 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
     with the certified lower bound I(Y1;Y2) beside it.
 
     Runs local searches from the structured seeds (the merge map when it
-    fits, cell copy, constant W; all of them always run, even when
-    ``config.restarts`` is smaller) and Dirichlet restarts up to
-    ``config.restarts`` in all, on the penalized objective I(Y1Y2;W) +
+    fits, cell copy, constant W; all of them run, even when ``config.restarts``
+    is smaller, unless one already meets the lower end) and Dirichlet restarts
+    up to ``config.restarts`` in all, on the penalized objective I(Y1Y2;W) +
     ``PENALTY`` * I(Y1;Y2|W).  A restart whose conditional-independence slack
     is above ``MARKOV_TARGET`` when it stops is polished under a large penalty.
+    A seed with slack <= ``MARKOV_TARGET`` whose value is within
+    ``IMPROVE_TOL`` of the lower end is the answer: no descent runs.
     """
     cfg = config or WynerConfig()
     if len(q.alphabets) != 2:
@@ -207,6 +209,14 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
     if cfg.restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {cfg.restarts!r}")
     q2 = q.table
+    lower = mutual_information(q, q.names[:1], q.names[1:])
+    if q2.shape == (2, 2) and q2[0, 0] == q2[1, 1] and q2[0, 1] == q2[1, 0]:
+        # a doubly symmetric binary source: Wyner's closed form 1 + h(p) - 2 h(a), with
+        # (1 - 2a)^2 = 1 - 2p for the crossover p (or 1 - p, its mirror, above 1/2)
+        p = min(2 * q2[0, 1], 2 * q2[0, 0])
+        a = (1 - math.sqrt(1 - 2 * p)) / 2
+        h_p, h_a = subset_entropies(np.array([[p, 1 - p], [a, 1 - a]]), ((0,),))[:, 0]
+        lower = 1 + h_p - 2 * h_a
     support = np.flatnonzero(q2.ravel() > 0)
     ms = len(support)
     wyner = _wyner_eval(q2, support)
@@ -217,19 +227,29 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
         i_joint, slack = wyner(batch[0])
         return i_joint + lams[phase] * slack
 
-    rng = np.random.default_rng(cfg.seed)
     # deterministic W: the merge map when it fits, cell-index copy (always feasible), constant
     maps = [np.arange(ms) % w_cap, np.zeros(ms, dtype=int)]
     merged = _greedy_merge_map(wyner, ms)
     if merged.max() < w_cap:
         maps.insert(0, merged)
     starts = [np.eye(w_cap)[m] for m in maps]
-    while len(starts) < cfg.restarts:
-        starts.append(dirichlet_rows(rng, ms, w_cap))
 
     def terms(rows):  # (I(Y1Y2;W), Markov slack) of each row set, in one call
         i_val, slack = wyner(np.stack(rows))
         return list(zip(i_val.tolist(), slack.tolist()))
+
+    def listed(found):  # the trace: each value, inf where its slack is above ACCEPT_MARKOV
+        return [(i, v if s <= ACCEPT_MARKOV else math.inf) for i, (v, s) in enumerate(found)]
+
+    seeded = terms(starts)
+    for rows, (i_val, slack) in zip(starts, seeded):
+        if slack <= MARKOV_TARGET and i_val <= lower + IMPROVE_TOL:   # no descent can do better
+            return WynerSolution(value=i_val, witness=_support_channel(q, "W", rows),
+                                 w_cardinality=w_cap, trace=listed(seeded), markov_slack=slack,
+                                 lower_bound=lower)
+    rng = np.random.default_rng(cfg.seed)
+    while len(starts) < cfg.restarts:
+        starts.append(dirichlet_rows(rng, ms, w_cap))
 
     def polish(i, d):  # a restart above MARKOV_TARGET after phase 0 goes on at POLISH_PENALTY
         return d.phase == 0 and terms(d.blocks)[0][1] > MARKOV_TARGET, None
@@ -237,7 +257,6 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
     kw = dict(max_iters=MAX_ITERS, stall_limit=STALL_LIMIT)
     ends = [d.blocks[0] for d in _descend(objective, [[s] for s in starts], on_stop=polish, **kw)]
     found = terms(ends)
-    trace = [(i, v if slack <= ACCEPT_MARKOV else math.inf) for i, (v, slack) in enumerate(found)]
     entries = [(v, ends[i].copy(), slack) for i, (v, slack) in enumerate(found)]
     exact = [e for e in entries if e[2] <= MARKOV_TARGET]
     loose = [e for e in entries if MARKOV_TARGET < e[2] <= ACCEPT_MARKOV]
@@ -255,13 +274,5 @@ def wyner_common_information(q: JointPmf, w_cap: int | None = None,
 
     i_val, rows, slack = best
     witness = _support_channel(q, "W", rows)
-    lower = mutual_information(q, q.names[:1], q.names[1:])
-    if q2.shape == (2, 2) and q2[0, 0] == q2[1, 1] and q2[0, 1] == q2[1, 0]:
-        # a doubly symmetric binary source: Wyner's closed form 1 + h(p) - 2 h(a), with
-        # (1 - 2a)^2 = 1 - 2p for the crossover p (or 1 - p, its mirror, above 1/2)
-        p = min(2 * q2[0, 1], 2 * q2[0, 0])
-        a = (1 - math.sqrt(1 - 2 * p)) / 2
-        h_p, h_a = subset_entropies(np.array([[p, 1 - p], [a, 1 - a]]), ((0,),))[:, 0]
-        lower = 1 + h_p - 2 * h_a
     return WynerSolution(value=i_val, witness=witness, w_cardinality=w_cap,
-                         trace=trace, markov_slack=slack, lower_bound=lower)
+                         trace=listed(found), markov_slack=slack, lower_bound=lower)

@@ -90,15 +90,6 @@ class InnerCoupling:
     def marginal_y(self) -> JointPmf:
         return self.joint().marginal(("Y1", "Y2"))
 
-    def tv_to(self, q: JointPmf) -> float:
-        return self.marginal_y().tv(q)
-
-    def chain_slacks(self) -> tuple[float, float]:
-        """The two conditional informations certifying Y2 - UW - VW - Y1."""
-        j = self.joint()
-        return (mutual_information(j, ("Y2",), ("V", "Y1"), given=("U", "W")),
-                mutual_information(j, ("Y1",), ("Y2", "U"), given=("V", "W")))
-
 
 @dataclass(frozen=True)
 class OuterCoupling:
@@ -117,10 +108,6 @@ class OuterCoupling:
     def joint(self) -> JointPmf:
         """q(y1,y2) * p(u|y1,y2) * p(v|y1,y2) over (Y1, Y2, U, V)."""
         return self.q.attach(self.chan_u).attach(self.chan_v)
-
-    def markov_slacks(self) -> tuple[float, float]:
-        """I(Y1;Y2|U) and I(Y1;Y2|V)."""
-        return tuple(map(float, _outer_terms(self)[1]))
 
 
 @dataclass

@@ -241,7 +241,7 @@ def test_criterion_6_one_way_reduction_regime():
         # corner from a split auxiliary: V = Y1 witness handed to the search
         coup = _bsc_split_coupling(0.05)
         j = coup.joint()
-        assert coup.tv_to(q) <= 1e-9
+        assert coup.marginal_y().tv(q) <= 1e-9
         rf2_star = mutual_information(j, ("U",), ("Y1",))
         sum_star = mutual_information(j, ("Y1", "Y2"), ("U",))
         r = RateTuple(rf1=0.0, rb1=INF, rf2=rf2_star + eps, rb2=sum_star - rf2_star)

@@ -11,10 +11,11 @@ from coordinet import information
 from coordinet.information import (MARKOV_TARGET, MAX_ITERS, PENALTY, POLISH_PENALTY,
                                    STALL_LIMIT, WynerConfig, _greedy_merge_map, _wyner_eval,
                                    wyner_common_information)
-from coordinet.optimize import _descend, coordinate_descent, dirichlet_rows
+from coordinet.optimize import IMPROVE_TOL, _descend, coordinate_descent, dirichlet_rows
+from coordinet.pmf import make_joint
 from coordinet.region import (MARKOV_FREE, TV_TOL, RateTuple, _inner_eval, _objective,
                               _outer_eval)
-from coordinet.sources import dsbs, triple_abc
+from coordinet.sources import dsbs, identical_uniform, independent_bits, triple_abc
 
 from oracles import coordinate_descent_sequential
 
@@ -178,7 +179,7 @@ def test_no_budget_returns_the_start():
 
 
 def test_structured_wyner_seeds_always_run():
-    # restarts=1 still runs the merge-map, cell-copy and constant-W seeds
+    # restarts=1 still scores the merge-map, cell-copy and constant-W seeds
     sol = wyner_common_information(triple_abc(), w_cap=5, config=WynerConfig(restarts=1))
     assert [i for i, _ in sol.trace] == [0, 1, 2]
     assert sol.value == pytest.approx(1.0, abs=1e-9)
@@ -224,9 +225,50 @@ def spy_wyner_descent(monkeypatch):
     return seen
 
 
+def block_product(seed, shapes):
+    """A block-diagonal source: block k has weight pi_k and, inside it, independent
+    Y1 and Y2 of the given shape, so C = H(block) = I(Y1;Y2)."""
+    rng = np.random.default_rng(seed)
+    pi = rng.dirichlet(np.ones(len(shapes)))
+    t = np.zeros((sum(a for a, _ in shapes), sum(b for _, b in shapes)))
+    r = c = 0
+    for w, (a, b) in zip(pi, shapes):
+        t[r:r + a, c:c + b] = w * np.outer(rng.dirichlet(np.ones(a)), rng.dirichlet(np.ones(b)))
+        r, c = r + a, c + b
+    return make_joint([("Y1", len(t)), ("Y2", t.shape[1])], t)
+
+
+CLOSED = {**{f"identical-uniform-{k}": identical_uniform(k) for k in (2, 3, 4)},
+          "independent": independent_bits(), "triple-abc": triple_abc(),
+          "blocks-2x1-1x2": block_product(0, [(2, 1), (1, 2)]),
+          "blocks-2x2-1x1": block_product(1, [(2, 2), (1, 1)]),
+          "blocks-1x2-2x1-1x1": block_product(2, [(1, 2), (2, 1), (1, 1)])}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED))
+def test_a_start_at_the_lower_end_stops_before_any_descent(monkeypatch, name):
+    q = CLOSED[name]
+    seen = spy_wyner_descent(monkeypatch)
+    sol = wyner_common_information(q, config=WynerConfig(restarts=12, seed=0))
+    assert "starts" not in seen and seen["calls"] == 0
+    assert sol.lower_bound - 1e-12 <= sol.value <= sol.lower_bound + IMPROVE_TOL
+    assert sol.markov_slack <= MARKOV_TARGET
+    rows = sol.witness.table.reshape(q.table.size, -1)[q.table.ravel() > 0]
+    assert set(rows.ravel().tolist()) <= {0.0, 1.0}
+    assert [i for i, _ in sol.trace] == [0, 1, 2]
+
+
+# the first np.random.default_rng(3).dirichlet(np.ones(9)) table: its Wyner interval stays
+# open, so every restart descends, and seven of them wait mid-sweep at w_cap 4
+RANDOM_3X3 = make_joint([("Y1", 3), ("Y2", 3)], [
+    [0.01763399431628701, 0.06245710851691908, 0.2243288580885056],
+    [0.3526561384923663, 0.055057750019720686, 0.04132779975449621],
+    [0.06965235473906316, 0.016444414135607658, 0.16044158193703437]])
+
+
 @pytest.mark.parametrize("q, w_cap, restarts, waiting",
-                         [(triple_abc(), 5, 12, 4), (dsbs(0.1), 4, 16, 0)],
-                         ids=["triple-abc", "dsbs-0.1"])
+                         [(RANDOM_3X3, 4, 12, 7), (dsbs(0.1), 4, 16, 0)],
+                         ids=["random-3x3", "dsbs-0.1"])
 def test_wyner_phases_are_chained_oracle_runs(monkeypatch, q, w_cap, restarts, waiting):
     """Each restart of the solver's one descent is the oracle run at the
     search penalty, then, when its slack is above MARKOV_TARGET, a fresh
@@ -262,13 +304,24 @@ def test_wyner_phases_are_chained_oracle_runs(monkeypatch, q, w_cap, restarts, w
     assert waited == waiting
 
 
+@pytest.mark.parametrize("q, w_cap", [(dsbs(0.1), 4), (RANDOM_3X3, 4)],
+                         ids=["dsbs-0.1", "random-3x3"])
+def test_an_open_interval_runs_every_restart(monkeypatch, q, w_cap):
+    seen = spy_wyner_descent(monkeypatch)
+    sol = wyner_common_information(q, w_cap, WynerConfig(restarts=12, seed=0))
+    assert len(seen["starts"]) == 12 and seen["calls"] > 0
+    assert [i for i, _ in sol.trace] == list(range(12))
+    assert sol.value > sol.lower_bound + IMPROVE_TOL
+
+
 def test_bench_wyner_job_objective_calls(monkeypatch):
     # triple-abc, w_cap 5, 12 restarts, seed 0: 2,548 calls when the polish waited for
-    # the slowest first phase, 1,671 with each restart polishing after its own
+    # the slowest first phase, 1,671 with each restart polishing after its own, and none
+    # since the merge-map start scores I(Y1;Y2) before any descent
     seen = spy_wyner_descent(monkeypatch)
     sol = wyner_common_information(triple_abc(), 5, WynerConfig(restarts=12, seed=0))
     assert sol.value == pytest.approx(1.0, abs=1e-9)
-    assert seen["calls"] <= 1760
+    assert seen["calls"] == 0
 
 
 def test_the_fallback_polish_runs_at_ten_times_the_polish_penalty(monkeypatch):

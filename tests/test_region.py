@@ -103,7 +103,7 @@ class TestCanonicalCouplings:
             assert set(couplings) == {"const", "copy-w", "w-from-y1", "w-from-y2", "uv-copy"}
             for name, c in couplings.items():
                 if name != "const":
-                    assert c.tv_to(q) == pytest.approx(0.0, abs=1e-12), name
+                    assert c.marginal_y().tv(q) == pytest.approx(0.0, abs=1e-12), name
         # the canonical couplings seed the inner search whenever they fit the caps
         d = inner_membership(q23, RateTuple(1, 1, 1, 1), caps=(4, 4, 4),
                              config=SearchConfig(restarts=1, seed=0))
@@ -115,7 +115,7 @@ class TestInnerMembership:
         d = inner_membership(independent_bits(), RateTuple(0, 0, 0, 0),
                              caps=(2, 2, 2), config=FAST)
         assert d.verdict == "inside"
-        assert d.witness.tv_to(independent_bits()) <= 1e-4
+        assert d.witness.marginal_y().tv(independent_bits()) <= 1e-4
 
     def test_common_bit_half_rates_with_infinite_backward(self):
         q = identical_uniform(2)
@@ -138,8 +138,10 @@ class TestInnerMembership:
         assert d.verdict == "inside"
         # recompute everything from the stored coupling
         assert np.min(RateTuple(1, 1, 1, 1).sums - inner_rhs_from_joint(d.witness.joint())) >= -1e-6
-        assert d.witness.tv_to(q) <= 1e-4
-        assert max(d.witness.chain_slacks()) <= 1e-9
+        assert d.witness.marginal_y().tv(q) <= 1e-4
+        j = d.witness.joint()
+        assert max(mutual_information(j, ("Y2",), ("V", "Y1"), given=("U", "W")),
+                   mutual_information(j, ("Y1",), ("Y2", "U"), given=("V", "W"))) <= 1e-9
 
 
 def sequential_search(evaluate, sums, tols, starts, penalties=(region.PENALTY,)):
@@ -230,7 +232,7 @@ class TestRestartOrder:
         monkeypatch.setattr(region, "_descend", spy)
         got = outer_membership(q, r, cfg, caps=(3, 3))
         assert (got.verdict, got.restarts_used, phases) == ("inside", 3, [0, 0, 1, 1])
-        assert max(got.witness.markov_slacks()) <= region.MARKOV_TOL
+        assert max(_outer_terms(got.witness)[1]) <= region.MARKOV_TOL
         monkeypatch.setattr(region, "_search", sequential_search)
         want = outer_membership(q, r, cfg, caps=(3, 3))
         assert (got.verdict, got.restarts_used) == (want.verdict, want.restarts_used)
@@ -371,7 +373,7 @@ class TestOuterSlack:
     def test_constants_on_independent(self):
         q = independent_bits()
         c = OuterCoupling(q, channel("U", np.ones((4, 1))), channel("V", np.ones((4, 1))))
-        assert max(c.markov_slacks()) <= 1e-12
+        assert max(_outer_terms(c)[1]) <= 1e-12
         s = np.min(RateTuple(0, 0, 0, 0).sums[1:] - _outer_terms(c)[0])
         assert s == pytest.approx(0.0, abs=1e-9)
 
@@ -402,7 +404,7 @@ class TestOuterMembership:
         q = dsbs(0.1)
         d = outer_membership(q, RateTuple(1.5, 1.5, 1.5, 1.5), config=FAST)
         assert d.verdict == "inside"
-        assert max(d.witness.markov_slacks()) <= 1e-4
+        assert max(_outer_terms(d.witness)[1]) <= 1e-4
         assert np.min(RateTuple(1.5, 1.5, 1.5, 1.5).sums[1:] - _outer_terms(d.witness)[0]) >= -1e-6
 
     @pytest.mark.parametrize("p, rb, rf", [(0.2, (0.2, 0.1), (0.7, 0.7)),
@@ -508,7 +510,7 @@ class TestCertificates:
         for name, caps in (("const", (1, 1)), ("uv-copy", (2, 2)), ("w-from-y1", (2, 2))):
             c = canonical_couplings(q, caps=(4, 4, 4))[name]
             oc = outer_coupling_from_inner(c, caps)
-            assert oc.caps == caps and max(oc.markov_slacks()) <= 1e-12
+            assert oc.caps == caps and max(_outer_terms(oc)[1]) <= 1e-12
             assert np.abs(oc.joint().marginal(("Y1", "Y2")).table
                           - c.marginal_y().table).max() <= 1e-15
         assert outer_coupling_from_inner(c, (2, 1)) is None
@@ -522,7 +524,7 @@ class TestCertificates:
             flip = np.array([[1 - eps, eps], [eps, 1 - eps]])
             oc = OuterCoupling(q, channel("U", flip[[0, 1, 0, 1]]),   # U a noisy Y2
                                channel("V", flip[[0, 0, 1, 1]]))      # V a noisy Y1
-            assert 0.0 < max(oc.markov_slacks()) <= region.MARKOV_TOL
+            assert 0.0 < max(_outer_terms(oc)[1]) <= region.MARKOV_TOL
             b1, b2, b3 = _outer_bounds(oc)
             assert b3 < I_DSBS
             r = RateTuple(rf1=b3 / 2, rb1=b1 - b3 / 2, rf2=b3 / 2, rb2=b2 - b3 / 2)
@@ -543,7 +545,7 @@ class TestCertificates:
             assert mutual_information(q, ["Y1"], ["Y2"]) > mutual_information(qp, ["Y1"], ["Y2"])
             for name in ("uv-copy", "w-from-y1", "copy-w"):
                 c = canonical_couplings(qp)[name]
-                assert c.tv_to(q) <= region.TV_TOL
+                assert c.marginal_y().tv(q) <= region.TV_TOL
                 b_total, b_link1, b_link2, b_fwd = inner_rhs_from_joint(c.joint())
                 rf1 = rng.uniform() * b_fwd
                 rf2 = b_fwd - rf1
@@ -626,7 +628,7 @@ class TestBatchedObjectives:
                 slack = min(s - b for s, b in zip(sums3, bounds))
                 got = np.min(r.sums[1:] - _outer_terms(c)[0])
                 assert got == pytest.approx(slack, abs=1e-12)
-                assert c.markov_slacks() == pytest.approx(slacks, abs=1e-12)
+                assert _outer_terms(c)[1] == pytest.approx(slacks, abs=1e-12)
                 assert b_row == pytest.approx(bounds, abs=1e-12)
                 assert m_row == pytest.approx(slacks, abs=1e-12)
                 pen = sum(max(0.0, m - 1e-6) for m in slacks)
