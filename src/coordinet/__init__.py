@@ -9,9 +9,8 @@ from .information import (OptimizerFailed, WynerConfig, WynerSolution,
 from .region import (FrontierPoint, InnerCoupling, OuterCoupling, RateTuple,
                      RegionDecision, SearchConfig, canonical_couplings, frontier,
                      inner_membership, outer_membership)
-from .fme import (EquivalenceReport, LinearSystem, binning_constraint_system,
-                  fme_eliminate, projection_matches_rate_system, remove_redundant,
-                  systems_equivalent, theorem_rate_system)
+from .fme import (EquivalenceReport, LinearSystem, binning_constraint_system, fme_eliminate,
+                  projection_matches_rate_system, systems_equivalent, theorem_rate_system)
 from .osrb import (BinningCode, InducedLaw, ProtocolConfig, SequenceSpace,
                    bins_from_rate, make_binning, osrb_uniformity, run_protocol,
                    sweep)

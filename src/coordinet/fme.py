@@ -1,6 +1,6 @@
 """Fourier-Motzkin elimination over affine inequality systems in named
-rate variables, redundancy removal, and an exact equivalence test for
-upward-closed systems by vertex enumeration.
+rate variables, syntactic cleanup and upward closure, and an exact
+equivalence test for upward-closed systems by vertex enumeration.
 
 The headline experiment: instantiate the three binning-rate constraint
 sets at a coupling, project out the three auxiliary rates, and check the
@@ -8,7 +8,6 @@ result against the four direct rate inequalities of the inner bound.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from itertools import chain, combinations, permutations
 from typing import Sequence
@@ -19,8 +18,6 @@ import numpy as np
 from .information import entropy, subset_entropies  # noqa: F401
 from .pmf import JointPmf
 from .region import INNER_AXES, INNER_SUBSETS, _batch, inner_rhs_from_joint
-
-log = logging.getLogger(__name__)
 
 SNAP = 1e-9
 MEMBER_TOL = 1e-9
@@ -45,6 +42,9 @@ class LinearSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
+        repeated = sorted({v for v in self.variables if self.variables.count(v) > 1})
+        if repeated:
+            raise ValueError(f"repeated variable names {repeated}")
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
         a = np.where(np.abs(a) < SNAP, 0.0, a)
         b, strict = (x if x.ndim == 2 else x.ravel()
@@ -191,41 +191,10 @@ def simplify(s: LinearSystem) -> LinearSystem:
 
 
 def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first use: importing
-    scipy.optimize costs most of the package's start-up time and memory,
-    and only ``remove_redundant`` needs it."""
+    """``scipy.optimize.linprog``, imported on call.  Nothing in the package calls it; it
+    stays bound while perfbench/tracer.py and its self-tests look it up (ROADMAP item 6)."""
     from scipy.optimize import linprog as scipy_linprog
     return scipy_linprog(*args, **kwargs)
-
-
-def remove_redundant(s: LinearSystem) -> LinearSystem:
-    """Drop rows whose left side cannot beat their constant under the rest.
-
-    Each subproblem max a_i.x s.t. remaining rows (closed) is solved as an
-    LP; unbounded subproblems are flagged and the row kept conservatively.
-    Strictness is immaterial here because redundancy is judged on closures.
-    """
-    s = simplify(s)
-    kept = list(range(s.nrows))
-    i = 0
-    while i < len(kept):
-        ridx = kept[i]
-        rest = [j for j in kept if j != ridx]
-        if not rest:
-            i += 1
-            continue
-        res = linprog(-s.a[ridx], A_ub=s.a[rest], b_ub=s.b[rest],
-                      bounds=[(None, None)] * len(s.variables), method="highs")
-        if res.status == 3:
-            log.warning("remove_redundant: unbounded subproblem, keeping row %d", ridx)
-            i += 1
-        elif res.status == 2:
-            kept.pop(i)  # remaining system already empty; row adds nothing
-        elif res.status == 0 and -res.fun <= s.b[ridx] + MEMBER_TOL:
-            kept.pop(i)
-        else:
-            i += 1
-    return LinearSystem(s.variables, s.a[kept], s.b[kept], s.strict[kept])
 
 
 @dataclass
@@ -360,8 +329,8 @@ def project_binning_system(s: LinearSystem, order: Sequence[str] = TILDE_VARS) -
     """Eliminate the auxiliary binning rates in ``order`` with syntactic
     cleanup after each step, once for a whole batch of couplings: their
     coefficients are the same, and ``simplify`` keeps one row per
-    coefficient vector, so no step exceeds 61 rows and none needs LP
-    cleanup.  Any ``order`` but a permutation of ``TILDE_VARS`` is a ValueError."""
+    coefficient vector, so no step exceeds 61 rows.  Any ``order`` but a
+    permutation of ``TILDE_VARS`` is a ValueError."""
     if sorted(order) != sorted(TILDE_VARS):
         raise ValueError(f"order must be a permutation of {TILDE_VARS}, got {tuple(order)}")
     for var in order:

@@ -87,9 +87,6 @@ class InnerCoupling:
         j = self.p_uvw.attach(self.chan_y2).attach(self.chan_y1)
         return j.reorder(INNER_AXES)
 
-    def marginal_y(self) -> JointPmf:
-        return self.joint().marginal(("Y1", "Y2"))
-
 
 @dataclass(frozen=True)
 class OuterCoupling:
@@ -363,6 +360,8 @@ def inner_membership(q: JointPmf, r: RateTuple, caps: tuple[int, int, int] = (4,
     """
     _check_caps(caps, 3)
     cfg = config or SearchConfig()
+    if cfg.restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {cfg.restarts!r}")
     n1, n2 = q.sizes
     name, margin = _floor_certificate(q, r)
     if margin < -(SLACK_TOL + _mi_continuity(n1, n2, TV_TOL)):
@@ -475,6 +474,8 @@ def outer_membership(q: JointPmf, r: RateTuple, config: SearchConfig | None = No
     if caps is not None:
         _check_caps(caps, 2)
     cfg = config or SearchConfig()
+    if cfg.restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {cfg.restarts!r}")
     name, margin = _floor_certificate(q, r)
     if margin < -(MARKOV_TOL + SLACK_TOL):
         return RegionDecision("outside", None, margin, 0, name)

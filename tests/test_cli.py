@@ -493,10 +493,24 @@ class TestThreads:
 
 
 class TestColdStart:
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        # scipy.optimize is imported on the first LP, not at package import
-        code = "import sys, coordinet, coordinet.cli; print('scipy.optimize' in sys.modules)"
+    def test_golden_searches_run_without_scipy(self, tmp_path):
+        # scipy is no runtime dependency: with it unimportable, the package imports
+        # and the golden searches reproduce their outputs
+        code = ("import json, sys\n"
+                "sys.modules['scipy'] = None\n"
+                "import coordinet, coordinet.cli\n"
+                "print(json.dumps([coordinet.cli.main([cfg, '--out', out])\n"
+                "                  for cfg, out in json.loads(sys.argv[1])]))\n")
+        jobs = sorted(TestGoldenSearches.CONFIGS)
+        runs = [(write_config(tmp_path, TestGoldenSearches.CONFIGS[job], f"{job}.ini"),
+                 str(tmp_path / job)) for job in jobs]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, check=True, timeout=60)
-        assert out.stdout.strip() == "False"
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True,
+                             text=True, env=env, check=True, timeout=120)
+        # the statuses are the last line, after what the runs print
+        assert json.loads(out.stdout.splitlines()[-1]) == [0] * len(jobs)
+        for job in jobs:
+            for name in ("results.csv", "summary.json"):
+                golden = os.path.join(os.path.dirname(__file__), "data", f"{job}-{name}")
+                with open(golden, "rb") as fh:
+                    assert (tmp_path / job / name).read_bytes() == fh.read(), (job, name)

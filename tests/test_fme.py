@@ -1,4 +1,4 @@
-"""Fourier-Motzkin elimination, redundancy removal, equivalence testing."""
+"""Fourier-Motzkin elimination, upward closure, equivalence testing."""
 import itertools
 
 import numpy as np
@@ -7,7 +7,7 @@ import pytest
 from coordinet import fme
 from coordinet.fme import (PROJECTED_VARS, SNAP, LinearSystem, binning_constraint_system,
                            fme_eliminate, project_binning_system,
-                           projection_matches_rate_system, remove_redundant, simplify,
+                           projection_matches_rate_system, simplify,
                            systems_equivalent, theorem_rate_system, upward_closure)
 from coordinet.information import entropy
 from coordinet.region import random_inner_coupling
@@ -48,37 +48,17 @@ class TestEliminate:
             fme_eliminate(sys_of(["x"], []), "z")
 
 
-class TestRemoveRedundant:
-    def test_dominated_pair(self):
-        s = sys_of(["y"], [({"y": 1}, "<=", 1.0), ({"y": 1}, "<=", 2.0)])
-        out = remove_redundant(s)
-        assert out.nrows == 1 and out.b[0] == 1.0
+class TestRepeatedVariables:
+    """A repeated name would give one variable two columns, each row's
+    coefficient filled into both."""
 
-    def test_irredundant_triangle_unchanged(self):
-        s = sys_of(["x", "y"], [({"x": -1}, "<=", 0.0),
-                                ({"y": -1}, "<=", 0.0),
-                                ({"x": 1, "y": 1}, "<=", 1.0)])
-        assert remove_redundant(s).nrows == 3
+    def test_from_text_refuses_a_repeated_name(self):
+        with pytest.raises(ValueError, match=r"repeated variable names \['x'\]"):
+            LinearSystem.from_text("vars: x x\n1*x <= 2\n-1*x <= 0\n")
 
-    def test_unbounded_subproblem_keeps_row(self):
-        s = sys_of(["x", "y"], [({"x": 1}, "<=", 1.0), ({"y": 1}, "<=", 1.0)])
-        out = remove_redundant(s)
-        assert out.nrows == 2
-
-    def test_membership_preserved_on_samples(self):
-        rng = np.random.default_rng(0)
-        coup = random_inner_coupling(rng)
-        s = project_binning_system(binning_constraint_system(coup.joint()))
-        cleaned = remove_redundant(s)
-        pts = rng.uniform(0, 3, size=(10_000, 4))
-        assert np.array_equal(s.contains(pts), cleaned.contains(pts))
-
-    def test_projected_system_cleans_to_bounds_plus_nonnegativity(self):
-        rng = np.random.default_rng(1)
-        coup = random_inner_coupling(rng)
-        s = project_binning_system(binning_constraint_system(coup.joint()))
-        cleaned = remove_redundant(upward_closure(s))
-        assert cleaned.nrows == 4 + 4
+    def test_from_rows_refuses_a_repeated_name(self):
+        with pytest.raises(ValueError, match=r"repeated variable names \['y'\]"):
+            sys_of(["x", "y", "y"], [({"x": 1, "y": 1}, "<=", 1.0)])
 
 
 class TestEquivalence:
@@ -206,6 +186,12 @@ class TestExactEquivalence:
 
 
 class TestProjectionExperiment:
+    def test_closed_projection_is_the_direct_system(self):
+        # the closure of the projection is the four direct rows plus nonnegativity
+        coup = random_inner_coupling(np.random.default_rng(1))
+        s = project_binning_system(binning_constraint_system(coup.joint()))
+        assert systems_equivalent(upward_closure(s), theorem_rate_system(coup.joint())).agree
+
     def test_projection_matches_direct_system(self):
         rng = np.random.default_rng(7)
         for ci in range(3):

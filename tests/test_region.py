@@ -103,7 +103,8 @@ class TestCanonicalCouplings:
             assert set(couplings) == {"const", "copy-w", "w-from-y1", "w-from-y2", "uv-copy"}
             for name, c in couplings.items():
                 if name != "const":
-                    assert c.marginal_y().tv(q) == pytest.approx(0.0, abs=1e-12), name
+                    marginal = c.joint().marginal(("Y1", "Y2"))
+                    assert marginal.tv(q) == pytest.approx(0.0, abs=1e-12), name
         # the canonical couplings seed the inner search whenever they fit the caps
         d = inner_membership(q23, RateTuple(1, 1, 1, 1), caps=(4, 4, 4),
                              config=SearchConfig(restarts=1, seed=0))
@@ -115,7 +116,7 @@ class TestInnerMembership:
         d = inner_membership(independent_bits(), RateTuple(0, 0, 0, 0),
                              caps=(2, 2, 2), config=FAST)
         assert d.verdict == "inside"
-        assert d.witness.marginal_y().tv(independent_bits()) <= 1e-4
+        assert d.witness.joint().marginal(("Y1", "Y2")).tv(independent_bits()) <= 1e-4
 
     def test_common_bit_half_rates_with_infinite_backward(self):
         q = identical_uniform(2)
@@ -138,7 +139,7 @@ class TestInnerMembership:
         assert d.verdict == "inside"
         # recompute everything from the stored coupling
         assert np.min(RateTuple(1, 1, 1, 1).sums - inner_rhs_from_joint(d.witness.joint())) >= -1e-6
-        assert d.witness.marginal_y().tv(q) <= 1e-4
+        assert d.witness.joint().marginal(("Y1", "Y2")).tv(q) <= 1e-4
         j = d.witness.joint()
         assert max(mutual_information(j, ("Y2",), ("V", "Y1"), given=("U", "W")),
                    mutual_information(j, ("Y1",), ("Y2", "U"), given=("V", "W"))) <= 1e-9
@@ -512,7 +513,7 @@ class TestCertificates:
             oc = outer_coupling_from_inner(c, caps)
             assert oc.caps == caps and max(_outer_terms(oc)[1]) <= 1e-12
             assert np.abs(oc.joint().marginal(("Y1", "Y2")).table
-                          - c.marginal_y().table).max() <= 1e-15
+                          - c.joint().marginal(("Y1", "Y2")).table).max() <= 1e-15
         assert outer_coupling_from_inner(c, (2, 1)) is None
 
     def test_outer_never_rules_out_a_coupling_within_markov_tol(self):
@@ -545,7 +546,7 @@ class TestCertificates:
             assert mutual_information(q, ["Y1"], ["Y2"]) > mutual_information(qp, ["Y1"], ["Y2"])
             for name in ("uv-copy", "w-from-y1", "copy-w"):
                 c = canonical_couplings(qp)[name]
-                assert c.marginal_y().tv(q) <= region.TV_TOL
+                assert c.joint().marginal(("Y1", "Y2")).tv(q) <= region.TV_TOL
                 b_total, b_link1, b_link2, b_fwd = inner_rhs_from_joint(c.joint())
                 rf1 = rng.uniform() * b_fwd
                 rf2 = b_fwd - rf1
@@ -693,3 +694,21 @@ class TestCapsGuard:
     def test_outer_needs_two_ints_of_at_least_one(self, caps):
         with pytest.raises(ValueError, match="caps"):
             outer_membership(dsbs(0.1), self.R, config=FAST, caps=caps)
+
+
+class TestRestartsGuard:
+    """A negative restart count is refused before the floors decide a point
+    (rates 0 miss them), as the Wyner search refuses it."""
+    ZERO = RateTuple(rf1=0, rb1=0, rf2=0, rb2=0)
+    NEGATIVE = SearchConfig(restarts=-3, seed=0)
+
+    def test_inner_and_frontier_refuse_negative_restarts(self):
+        with pytest.raises(ValueError, match=r"restarts must be >= 0, got -3"):
+            inner_membership(dsbs(0.1), self.ZERO, caps=(2, 2, 2), config=self.NEGATIVE)
+        with pytest.raises(ValueError, match=r"restarts must be >= 0, got -3"):
+            frontier(dsbs(0.1), {"rb1": 0.0, "rb2": 0.0}, ("rf1", "rf2"),
+                     ((0.0, 0.0, 1), (0.0, 0.0, 1)), caps=(2, 2, 2), config=self.NEGATIVE)
+
+    def test_outer_refuses_negative_restarts(self):
+        with pytest.raises(ValueError, match=r"restarts must be >= 0, got -3"):
+            outer_membership(dsbs(0.1), self.ZERO, config=self.NEGATIVE)
