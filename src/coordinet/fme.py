@@ -8,6 +8,7 @@ result against the four direct rate inequalities of the inner bound.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import chain, combinations, permutations
 from typing import Sequence
@@ -123,20 +124,17 @@ class LinearSystem:
         variables = tuple(lines[0][len("vars:"):].split())
         rows = []
         for ln in lines[1:]:
-            if " <= " in ln:
-                lhs, const = ln.split(" <= ")
-                rel = "<="
-            elif " < " in ln:
-                lhs, const = ln.split(" < ")
-                rel = "<"
-            else:
-                raise ValueError(f"row without relation: {ln!r}")
+            lhs, *rel = re.split(r" (<=|<) ", ln)
+            if len(rel) != 2:
+                raise ValueError(f"row {ln!r} has {len(rel) // 2} relations, not one ' <= ' or ' < '")
             coeffs = {}
-            if lhs.strip() != "0":
-                for term in lhs.split(" + "):
-                    c, v = term.split("*")
-                    coeffs[v.strip()] = coeffs.get(v.strip(), 0.0) + float(c)
-            rows.append((coeffs, rel, float(const)))
+            for term in [] if lhs.strip() == "0" else lhs.split(" + "):
+                c, *v = term.split("*")
+                if len(v) != 1:
+                    raise ValueError(f"row {ln!r}: term {term!r} " + (
+                        "has no coefficient" if not v else "is not one term; join terms by ' + '"))
+                coeffs[v[0].strip()] = coeffs.get(v[0].strip(), 0.0) + float(c)
+            rows.append((coeffs, rel[0], float(rel[1])))
         return LinearSystem.from_rows(variables, rows)
 
 

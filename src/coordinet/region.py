@@ -306,16 +306,17 @@ def _objective(evaluate, sums, free, penalties=(PENALTY,)):
 
 
 def _search(evaluate, sums, tols, starts, penalties=(PENALTY,)):
-    """Walk start 1, its descent, start 2, ... up to the first witness of
-    membership.  ``evaluate(batch)`` gives each candidate's bounds, one per
+    """The first witness of membership among the starts, else among their
+    descents.  ``evaluate(batch)`` gives each candidate's bounds, one per
     entry of ``sums``, and its violations; ``tols`` is (free, accept), the
     violation the objective leaves unpenalized and the most a witness may
     have.  A witness's minimum slack is >= -``SLACK_TOL``; a candidate over
-    ``accept`` has slack -inf.  A descent runs at the first of ``penalties``;
-    an end that misses being a witness only by its violations goes on at the next.
-    One evaluator call scores all starts, the starts before the first witness
-    descend in one batch, cut after an end that is a witness, and one more call
-    scores their ends.  Returns (found, best blocks, their slack, restarts used)."""
+    ``accept`` has slack -inf.  One evaluator call scores all starts.  With no
+    witness among them, all descend in one batch at the first of ``penalties``,
+    cut after an end that is a witness (an end short of one only by its
+    violations goes on at the next), and one more call scores the ends.  Returns
+    (found, best blocks, their slack, restarts used): the first witness, starts
+    before ends, and its start's index + 1; else the best and len(starts)."""
     free, accept = tols
 
     def slacks(cands):  # each candidate's slack, and its minimum slack whatever its violations
@@ -323,24 +324,22 @@ def _search(evaluate, sums, tols, starts, penalties=(PENALTY,)):
         raw = (sums - b).min(axis=1)
         return np.where((v <= accept).all(axis=1), raw, -math.inf), raw
 
-    first = slacks(starts)[0]
-    runs = next((i for i, slack in enumerate(first) if slack >= -SLACK_TOL), len(starts))
-
-    def on_stop(i, d):  # a witness ends the walk; an end short of one only by violations polishes
+    def on_stop(i, d):  # a witness cuts later descents; an end short only by violations polishes
         (slack,), (raw,) = slacks([d.blocks])
         return (slack < -SLACK_TOL <= raw and d.phase + 1 < len(penalties),
                 i + 1 if slack >= -SLACK_TOL else None)
-    ends = [d.blocks for d in _descend(_objective(evaluate, sums, free, penalties), starts[:runs],
-                                       max_iters=MAX_ITERS, stall_limit=STALL_LIMIT,
-                                       on_stop=on_stop)] if runs else []
-    last = slacks(ends)[0] if runs else []
+    scores, ends = list(slacks(starts)[0]), []
+    if not any(slack >= -SLACK_TOL for slack in scores):
+        ends = [d.blocks for d in _descend(_objective(evaluate, sums, free, penalties), starts,
+                                           max_iters=MAX_ITERS, stall_limit=STALL_LIMIT,
+                                           on_stop=on_stop)]
+        scores += list(slacks(ends)[0])
     best_slack, best = -math.inf, None
-    for i in range(len(starts)):
-        for slack, cand in [(first[i], starts[i])] + ([(last[i], ends[i])] if i < runs else []):
-            if slack > best_slack:
-                best_slack, best = float(slack), cand
-            if slack >= -SLACK_TOL:
-                return True, best, best_slack, i + 1
+    for i, (slack, cand) in enumerate(zip(scores, starts + ends)):
+        if slack > best_slack:
+            best_slack, best = float(slack), cand
+        if slack >= -SLACK_TOL:
+            return True, best, best_slack, i % len(starts) + 1
     return False, best, best_slack, len(starts)
 
 
@@ -354,9 +353,11 @@ def inner_membership(q: JointPmf, r: RateTuple, caps: tuple[int, int, int] = (4,
     within TV ``TV_TOL`` of q.  When a floor misses I(Y1;Y2) of q by more
     than ``SLACK_TOL`` plus ``_mi_continuity(TV_TOL)``, no acceptable witness
     exists and the point is certified "outside" with no search.  Otherwise
-    the only negative verdict is "inconclusive"; ``best_slack`` then
-    reports the best minimum slack seen among couplings whose marginal
-    matched the target.
+    "inside" takes the first start that is a witness (a canonical one has
+    marginal q exactly), else the first descended end that is one: its slack
+    is ``best_slack``, its start's index + 1 ``restarts_used``.  The only
+    other verdict is "inconclusive", with the best minimum slack seen among
+    couplings whose marginal matched the target.
     """
     _check_caps(caps, 3)
     cfg = config or SearchConfig()
@@ -464,12 +465,13 @@ def outer_membership(q: JointPmf, r: RateTuple, config: SearchConfig | None = No
     minimum slack >= -``SLACK_TOL``.  Before any search, the closed-form floors
     decide: the chains give I(U;Y1) >= I(Y1;Y2) - I(Y1;Y2|U), hence
     rf1+rf2 >= I(Y1;Y2), and, per link, I(Y1Y2;V) >= I(Y1;Y2) - I(Y1;Y2|V).
-    A point missing a floor by more than
-    ``MARKOV_TOL + SLACK_TOL`` is certified "outside".  Otherwise the search
-    runs; a descent that ends short of a witness only by its Markov slacks
-    goes on at ``POLISH_PENALTY``.  "outside-heuristic" is declared when no
-    restart finds a valid coupling within ``OUTSIDE_MARGIN`` of feasibility,
-    and global optimality is not certified.
+    A point missing a floor by more than ``MARKOV_TOL + SLACK_TOL`` is
+    certified "outside".  Otherwise "inside" takes the first start that is a
+    witness, else the first descended end that is one (an end short of one
+    only by its Markov slacks goes on at ``POLISH_PENALTY``): its slack is
+    ``best_slack``, its start's index + 1 ``restarts_used``.  "outside-heuristic"
+    is declared when no restart finds a valid coupling within ``OUTSIDE_MARGIN``
+    of feasibility, and global optimality is not certified.
     """
     if caps is not None:
         _check_caps(caps, 2)

@@ -9,6 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from coordinet import region
 from coordinet.cli import main
 from coordinet.config import ParseError, ValidationError, echo_config, parse_config
 from coordinet.region import COUPLING_NAMES, canonical_couplings
@@ -465,6 +466,15 @@ class TestGoldenSearches:
             golden = os.path.join(os.path.dirname(__file__), "data", f"{job}-{name}")
             with open(golden, "rb") as fh:
                 assert (out / name).read_bytes() == fh.read(), name
+
+    def test_the_frontier_job_runs_no_descent(self, tmp_path, monkeypatch):
+        # the six points below I(Y1;Y2) are certified outside with no search, and at
+        # each of the ten above it some start already is an inner and an outer witness
+        calls, descend = [], region._descend
+        monkeypatch.setattr(region, "_descend",
+                            lambda *args, **kw: calls.append(len(args[1])) or descend(*args, **kw))
+        status, _ = run_cli(tmp_path, self.CONFIGS["frontier-dsbs"])
+        assert (status, calls) == (0, [])
 
 
 class TestThreads:

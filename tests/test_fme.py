@@ -582,3 +582,12 @@ class TestSerialization:
         t = LinearSystem.from_text("vars: x y\n  # a note\n1*x + -1*y <= 2\n\t# another\n")
         assert t.variables == ("x", "y") and t.nrows == 1
         assert np.array_equal(t.a, [[1.0, -1.0]]) and np.array_equal(t.b, [2.0])
+
+    @pytest.mark.parametrize("row, fault", [
+        ("x <= 1", r"row 'x <= 1': term 'x' has no coefficient"),
+        ("1*x - 1*y <= 1", r"term '1\*x - 1\*y' is not one term; join terms by ' \+ '"),
+        ("1*x <= 1 <= 2", r"row '1\*x <= 1 <= 2' has 2 relations, not one"),
+    ])
+    def test_a_malformed_row_is_named_with_its_fault(self, row, fault):
+        with pytest.raises(ValueError, match=fault):
+            LinearSystem.from_text(f"vars: x y\n{row}\n")

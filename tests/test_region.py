@@ -146,11 +146,12 @@ class TestInnerMembership:
 
 
 def sequential_search(evaluate, sums, tols, starts, penalties=(region.PENALTY,)):
-    """The restart loop as it ran one restart at a time: start 1, its
-    descent, start 2, ..., stopping at the first witness; a descent's end that
-    misses being a witness only by its violations descends again at the next
-    penalty.  Each candidate is checked alone, with the objective and witness
-    test written out here."""
+    """The restart loop run one restart at a time.  A start that is a witness
+    ends the search before any descent: the first such start is the answer.
+    Otherwise start 1, its descent, start 2, ... up to the first witness; a
+    descent's end that misses being a witness only by its violations descends
+    again at the next penalty.  Each candidate is checked alone, with the
+    objective and witness test written out here."""
     free, accept = tols
     capped = np.minimum(sums, region._BIG)
     best_slack, best = -math.inf, None
@@ -174,8 +175,11 @@ def sequential_search(evaluate, sums, tols, starts, penalties=(region.PENALTY,))
         return best_slack >= -region.SLACK_TOL
 
     for used, start in enumerate(starts, 1):
-        if consider(start):
-            return True, best, best_slack, used
+        slack, ok = slack_and_ok(start)
+        if ok and slack >= -region.SLACK_TOL:
+            return True, start, slack, used
+    for used, start in enumerate(starts, 1):
+        consider(start)
         blocks = start
         for lam in penalties:
             blocks, _, _ = coordinate_descent_sequential(objective(lam), blocks,
@@ -281,9 +285,22 @@ class TestRestartOrder:
         monkeypatch.setattr(region, "_descend", spy)
         d = inner_membership(independent_bits(), RateTuple(0, 0, 0, 0), (2, 2, 2), FAST)
         assert (d.verdict, d.restarts_used, descended) == ("inside", 1, [])
-        # the second start is a witness: only the first one descends
+        # the second start is a witness: the first one does not descend either
         d = inner_membership(dsbs(0.1), RateTuple(1, 1, 1, 1), (2, 2, 2), FAST)
-        assert (d.verdict, d.restarts_used, descended) == ("inside", 2, [1])
+        assert (d.verdict, d.restarts_used, descended) == ("inside", 2, [])
+
+    def test_a_later_start_witness_beats_an_earlier_start_descent(self):
+        """The (y2, y1) start misses rb2+rf2 >= I(Y1Y2;U) by 0.277 and its
+        descent reaches a witness of slack 0.626; the (y1, y2) start after it
+        already is a witness, of slack 0.0224, and is the answer."""
+        q = make_joint([("Y1", 2), ("Y2", 2)],
+                       np.random.default_rng(0).dirichlet(np.ones(4)).reshape(2, 2))
+        d = outer_membership(q, RateTuple(0.856, 0.141, 0.587, 0.111),
+                             SearchConfig(restarts=3, seed=0), caps=(3, 3))
+        assert (d.verdict, d.restarts_used) == ("inside", 2)
+        start = region._canonical_outer_channels(q, (3, 3))[1]
+        assert all(np.array_equal(w, s) for w, s in zip(region._outer_rows(d.witness, q), start))
+        assert d.best_slack == pytest.approx(0.0224, abs=1e-4)
 
 
 class TestOneEvaluationPerCandidate:
