@@ -132,19 +132,15 @@ def _cmd_frontier(cfg, q, out_dir):
 
 def _cmd_fme(cfg, q, out_dir):
     p = cfg.params
-    rng = np.random.default_rng(cfg.master_seed)
     orders = None if p["orders"] == "all" else [tuple(p["orders"].split(","))]
     sys_dir = os.path.join(out_dir, "systems")
     os.makedirs(sys_dir, exist_ok=True)
-    systems = {"constraints": [], "direct": []}
-    for ci in range(p["couplings"]):
-        joint = region.random_inner_coupling(rng).joint()
-        for name, build in (("constraints", fme.binning_constraint_system),
-                            ("direct", fme.theorem_rate_system)):
-            systems[name].append(build(joint))
+    joints = region.random_inner_joints(np.random.default_rng(cfg.master_seed), p["couplings"])
+    base, direct = fme.coupling_systems(joints)
+    for ci, pair in enumerate(zip(base.columns, direct.columns)):
+        for name, s in zip(("constraints", "direct"), pair):
             with open(os.path.join(sys_dir, f"coupling_{ci:03d}_{name}.lsys"), "w") as fh:
-                fh.write(systems[name][-1].to_text())
-    base, direct = (fme.LinearSystem.stack(systems[name]) for name in ("constraints", "direct"))
+                fh.write(s.to_text())
     per_coupling = fme.projection_matches_rate_system(base, direct, orders=orders)
     rows = [{"coupling": ci, "order": "+".join(order), "agree": rep.agree, "vertices": rep.vertices}
             for ci, reports in enumerate(per_coupling) for order, rep in reports]

@@ -18,7 +18,7 @@ import numpy as np
 # entropy stays bound here: perfbench/tracer.py wraps it at every module that binds it
 from .information import entropy, subset_entropies  # noqa: F401
 from .pmf import JointPmf
-from .region import INNER_AXES, INNER_SUBSETS, _batch, inner_rhs_from_joint
+from .region import INNER_AXES, INNER_SUBSETS, _batch, _inner_bounds
 
 SNAP = 1e-9
 MEMBER_TOL = 1e-9
@@ -71,15 +71,6 @@ class LinearSystem:
                                                 for b, st in zip(self.b.T, self.strict.T)]
 
     @staticmethod
-    def stack(systems: Sequence["LinearSystem"]) -> "LinearSystem":
-        """The batch of lone ``systems`` that share variables and coefficients."""
-        s0 = systems[0]
-        if any(s.variables != s0.variables or not np.array_equal(s.a, s0.a) for s in systems):
-            raise ValueError("a batch shares its variables and coefficient matrix")
-        return LinearSystem(s0.variables, s0.a, np.stack([s.b for s in systems], 1),
-                            np.stack([s.strict for s in systems], 1))
-
-    @staticmethod
     def from_rows(variables: Sequence[str], rows) -> "LinearSystem":
         """rows: iterables of (coeff dict or vector, relation '<='|'<', const)."""
         variables = tuple(variables)
@@ -108,12 +99,9 @@ class LinearSystem:
 
     def to_text(self) -> str:
         lines = ["vars: " + " ".join(self.variables)]
-        for i in range(self.nrows):
-            terms = [f"{self.a[i, j]:.17g}*{v}" for j, v in enumerate(self.variables)
-                     if self.a[i, j] != 0.0]
-            lhs = " + ".join(terms) if terms else "0"
-            rel = "<" if self.strict[i] else "<="
-            lines.append(f"{lhs} {rel} {self.b[i]:.17g}")
+        for row, strict, const in zip(self.a.tolist(), self.strict.tolist(), self.b.tolist()):
+            terms = [f"{c:.17g}*{v}" for c, v in zip(row, self.variables) if c != 0.0]
+            lines.append(f"{' + '.join(terms) or '0'} {'<' if strict else '<='} {const:.17g}")
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -133,9 +121,16 @@ class LinearSystem:
                 if len(v) != 1:
                     raise ValueError(f"row {ln!r}: term {term!r} " + (
                         "has no coefficient" if not v else "is not one term; join terms by ' + '"))
-                coeffs[v[0].strip()] = coeffs.get(v[0].strip(), 0.0) + float(c)
-            rows.append((coeffs, rel[0], float(rel[1])))
+                coeffs[v[0].strip()] = coeffs.get(v[0].strip(), 0.0) + _number(c, ln, f"term {term!r}")
+            rows.append((coeffs, rel[0], _number(rel[1], ln, "constant")))
         return LinearSystem.from_rows(variables, rows)
+
+
+def _number(text: str, row: str, part: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"row {row!r}: {part} has {text.strip()!r}, not a number") from None
 
 
 def fme_eliminate(s: LinearSystem, var: str) -> LinearSystem:
@@ -280,47 +275,63 @@ def systems_equivalent(sys_a: LinearSystem | list[LinearSystem], sys_b: LinearSy
 # ---------------------------------------------------------------------------
 # Rate-constraint systems for a coupling over (U, V, W, Y1, Y2).
 
+# The binning system over the seven rate variables and the four direct rate
+# inequalities (total, link 1, link 2, forward), each with nonnegativity rows
+# last: the coefficients and relations; coupling_systems gives the constants.
+_BINNING = LinearSystem.from_rows(RATE_VARS, [
+    # binning uniformity (strict upper bounds)
+    ({"Rt0": 1}, "<", 0),
+    ({"Rt0": 1, "Rt1": 1, "Rb1": 1}, "<", 0),
+    ({"Rt0": 1, "Rt2": 1, "Rb2": 1}, "<", 0),
+    ({"Rt0": 1, "Rt1": 1, "Rt2": 1, "Rb1": 1, "Rb2": 1}, "<", 0),
+    # decoding (lower bounds, negated into <= form)
+    ({"Rt1": -1, "Rb1": -1, "Rf1": -1}, "<=", 0),
+    ({"Rt0": -1, "Rt1": -1, "Rb1": -1, "Rf1": -1}, "<=", 0),
+    ({"Rt2": -1, "Rb2": -1, "Rf2": -1}, "<=", 0),
+    ({"Rt0": -1, "Rt2": -1, "Rb2": -1, "Rf2": -1}, "<=", 0),
+    # shared-index independence from the outputs (strict upper bounds)
+    ({"Rt0": 1}, "<", 0),
+    ({"Rt0": 1, "Rt1": 1}, "<", 0),
+    ({"Rt0": 1, "Rt2": 1}, "<", 0),
+    ({"Rt0": 1, "Rt1": 1, "Rt2": 1}, "<", 0),
+] + [({v: -1}, "<=", 0) for v in RATE_VARS])
+_DIRECT = LinearSystem.from_rows(PROJECTED_VARS, [
+    ({"Rb1": -1, "Rf1": -1, "Rb2": -1, "Rf2": -1}, "<=", 0),
+    ({"Rb1": -1, "Rf1": -1}, "<=", 0),
+    ({"Rb2": -1, "Rf2": -1}, "<=", 0),
+    ({"Rf1": -1, "Rf2": -1}, "<=", 0),
+] + [({v: -1}, "<=", 0) for v in PROJECTED_VARS])
+
+
+def coupling_systems(joints: np.ndarray) -> tuple[LinearSystem, LinearSystem]:
+    """The binning constraint systems and the direct rate systems of a
+    (K, U, V, W, Y1, Y2) batch of joints, as two batches of K columns whose
+    constants come from one ``subset_entropies`` call."""
+    h = subset_entropies(joints, INNER_SUBSETS)
+    hw, hy, hwy, hwu, hwv, hwvu, hall, hwvy, hwuy = h.T
+    hv_w = hwv - hw
+    hu_w = hwu - hw
+    zero = [np.zeros(len(h))]
+    binning = np.vstack([hw, hwv, hwu, hwvu,                          # binning uniformity
+                         -hv_w, -hwv, -hu_w, -hwu,                    # decoding
+                         hwy - hy, hwvy - hy, hwuy - hy, hall - hy]   # independence from the outputs
+                        + zero * len(RATE_VARS))
+    direct = np.vstack([*-_inner_bounds(h).T] + zero * len(PROJECTED_VARS))
+    return tuple(LinearSystem(s.variables, s.a, b, np.repeat(s.strict[:, None], len(h), 1))
+                 for s, b in ((_BINNING, binning), (_DIRECT, direct)))
+
+
 def binning_constraint_system(j: JointPmf) -> LinearSystem:
     """The three strict/SW constraint families over the seven rate
     variables, instantiated with the coupling's entropies, plus
     nonnegativity rows."""
-    hw, hy, hwy, hwu, hwv, hwvu, hall, hwvy, hwuy = subset_entropies(_batch(j, INNER_AXES),
-                                                                      INNER_SUBSETS)[0]
-    hv_w = hwv - hw
-    hu_w = hwu - hw
-    rows = [
-        # binning uniformity (strict upper bounds)
-        ({"Rt0": 1}, "<", hw),
-        ({"Rt0": 1, "Rt1": 1, "Rb1": 1}, "<", hwv),
-        ({"Rt0": 1, "Rt2": 1, "Rb2": 1}, "<", hwu),
-        ({"Rt0": 1, "Rt1": 1, "Rt2": 1, "Rb1": 1, "Rb2": 1}, "<", hwvu),
-        # decoding (lower bounds, negated into <= form)
-        ({"Rt1": -1, "Rb1": -1, "Rf1": -1}, "<=", -hv_w),
-        ({"Rt0": -1, "Rt1": -1, "Rb1": -1, "Rf1": -1}, "<=", -hwv),
-        ({"Rt2": -1, "Rb2": -1, "Rf2": -1}, "<=", -hu_w),
-        ({"Rt0": -1, "Rt2": -1, "Rb2": -1, "Rf2": -1}, "<=", -hwu),
-        # shared-index independence from the outputs (strict upper bounds)
-        ({"Rt0": 1}, "<", hwy - hy),
-        ({"Rt0": 1, "Rt1": 1}, "<", hwvy - hy),
-        ({"Rt0": 1, "Rt2": 1}, "<", hwuy - hy),
-        ({"Rt0": 1, "Rt1": 1, "Rt2": 1}, "<", hall - hy),
-    ]
-    rows += [({v: -1}, "<=", 0.0) for v in RATE_VARS]
-    return LinearSystem.from_rows(RATE_VARS, rows)
+    return coupling_systems(_batch(j, INNER_AXES))[0].columns[0]
 
 
 def theorem_rate_system(j: JointPmf) -> LinearSystem:
     """The four direct rate inequalities over (Rb1, Rb2, Rf1, Rf2), plus
     nonnegativity."""
-    b = inner_rhs_from_joint(j)
-    rows = [
-        ({"Rb1": -1, "Rf1": -1, "Rb2": -1, "Rf2": -1}, "<=", -b[0]),
-        ({"Rb1": -1, "Rf1": -1}, "<=", -b[1]),
-        ({"Rb2": -1, "Rf2": -1}, "<=", -b[2]),
-        ({"Rf1": -1, "Rf2": -1}, "<=", -b[3]),
-    ]
-    rows += [({v: -1}, "<=", 0.0) for v in PROJECTED_VARS]
-    return LinearSystem.from_rows(PROJECTED_VARS, rows)
+    return coupling_systems(_batch(j, INNER_AXES))[1].columns[0]
 
 
 def project_binning_system(s: LinearSystem, order: Sequence[str] = TILDE_VARS) -> LinearSystem:

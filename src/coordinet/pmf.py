@@ -8,6 +8,7 @@ immutable after construction and safe to share between threads.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -278,9 +279,8 @@ def dumps_pmf(p: JointPmf) -> str:
             tok += ":" + "|".join(a.labels)
         head.append(tok)
     lines = ["vars: " + " ".join(head)]
-    for flat, prob in enumerate(p.table.ravel()):
-        idx = np.unravel_index(flat, p.sizes)
-        lines.append(" ".join(str(int(i)) for i in idx) + f" {prob:.17g}")
+    cells = itertools.product(*(map(str, range(k)) for k in p.sizes))
+    lines += [" ".join(idx) + f" {prob:.17g}" for idx, prob in zip(cells, p.table.ravel().tolist())]
     return "\n".join(lines) + "\n"
 
 

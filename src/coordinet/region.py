@@ -84,8 +84,8 @@ class InnerCoupling:
 
     def joint(self) -> JointPmf:
         """Induced joint over (U, V, W, Y1, Y2)."""
-        j = self.p_uvw.attach(self.chan_y2).attach(self.chan_y1)
-        return j.reorder(INNER_AXES)
+        t = _joint_tables(*(x.table[None] for x in (self.p_uvw, self.chan_y2, self.chan_y1)))[0]
+        return JointPmf(self.p_uvw.alphabets + self.chan_y1.target + self.chan_y2.target, t)
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,24 @@ def _mi_continuity(n1: int, n2: int, delta: float) -> float:
 def inner_rhs_from_joint(j: JointPmf) -> np.ndarray:
     """The four right-hand sides of the inner-bound inequalities, from a
     joint over (U, V, W, Y1, Y2)."""
-    return _inner_bounds(_batch(j, INNER_AXES))[0]
+    return _inner_bounds(subset_entropies(_batch(j, INNER_AXES), INNER_SUBSETS))[0]
+
+
+def _per_table(t: np.ndarray) -> np.ndarray:
+    """Each table of a (K, ...) batch divided by its sum, summed in memory
+    order as a JointPmf sums its table."""
+    return t / t.reshape(len(t), -1).sum(axis=1).reshape((-1,) + (1,) * (t.ndim - 1))
+
+
+def _joint_tables(p: np.ndarray, c2: np.ndarray, c1: np.ndarray) -> np.ndarray:
+    """The (K, U, V, W, Y1, Y2) joints of K couplings, from (K, ...) blocks
+    of their pmf tables p(u,v,w), p(y2|u,w) and p(y1|v,w): the two products
+    ``JointPmf.attach`` forms, each divided by its sum as attach divides it.
+    The result is a non-contiguous view not yet divided by its own sum: a
+    JointPmf of it, or ``_per_table`` of a contiguous copy, divides it as
+    ``reorder`` did."""
+    j = _per_table(p[:, :, :, :, None] * c2[:, :, None])        # (K, U, V, W, Y2)
+    return _per_table(j[..., None] * c1[:, None, :, :, None]).swapaxes(4, 5)
 
 
 def _canonical_tables(q: JointPmf) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -224,11 +241,12 @@ def canonical_couplings(q: JointPmf,
     return out
 
 
-def _inner_bounds(j: np.ndarray) -> np.ndarray:
-    """(B, 4) right-hand sides total, link1, link2, forward of a
-    (B, U, V, W, Y1, Y2) batch of joints; Y stands for (Y1, Y2):
+def _inner_bounds(h: np.ndarray) -> np.ndarray:
+    """(B, 4) right-hand sides total, link1, link2, forward of a batch of
+    joints over INNER_AXES, from their (B, 9) entropies on INNER_SUBSETS;
+    Y stands for (Y1, Y2):
     I(Y;UVW) + I(U;V|W) + I(W;Y), I(Y;VW), I(Y;UW), I(U;V|W) + I(W;Y)."""
-    hw, hy, hwy, huw, hvw, huvw, hall, hvwy, huwy = subset_entropies(j, INNER_SUBSETS).T
+    hw, hy, hwy, huw, hvw, huvw, hall, hvwy, huwy = h.T
     i_uv_w = huw + hvw - hw - huvw
     i_w_y = hw + hy - hwy
     return np.stack([
@@ -254,7 +272,7 @@ def _inner_eval(qt: np.ndarray, caps):
              * c1[:, None, :, :, :, None]
              * c2[:, :, None, :, None, :])  # (B, U, V, W, Y1, Y2)
         tv = 0.5 * np.abs(j.sum(axis=(1, 2, 3)) - qt[None]).sum(axis=(1, 2))
-        return _inner_bounds(j), tv[:, None]
+        return _inner_bounds(subset_entropies(j, INNER_SUBSETS)), tv[:, None]
 
     return evaluate
 
@@ -556,10 +574,24 @@ def frontier(q: JointPmf, fixed: dict[str, float], axes: tuple[str, str],
     return points
 
 
+def _random_blocks(rng: np.random.Generator, sizes) -> list[np.ndarray]:
+    nu, nv, nw, n1, n2 = sizes
+    return [dirichlet_rows(rng, 1, nu * nv * nw), dirichlet_rows(rng, nu * nw, n2),
+            dirichlet_rows(rng, nv * nw, n1)]
+
+
 def random_inner_coupling(rng: np.random.Generator,
                           sizes: tuple[int, int, int, int, int] = (2, 2, 2, 2, 2)) -> InnerCoupling:
     """A random coupling (Dirichlet tables); handy for property tests."""
-    nu, nv, nw, n1, n2 = sizes
-    blocks = [dirichlet_rows(rng, 1, nu * nv * nw), dirichlet_rows(rng, nu * nw, n2),
-              dirichlet_rows(rng, nv * nw, n1)]
-    return _blocks_to_coupling(blocks, (nu, nv, nw), n1, n2)
+    return _blocks_to_coupling(_random_blocks(rng, sizes), sizes[:3], *sizes[3:])
+
+
+def random_inner_joints(rng: np.random.Generator, k: int) -> np.ndarray:
+    """The (k, U, V, W, Y1, Y2) joints of k binary couplings drawn as k calls
+    of ``random_inner_coupling`` draw them, each equal to its coupling's
+    ``joint().table``, with no pmf object built."""
+    p, c2, c1 = (np.stack(b).reshape(k, 2, 2, 2) for b in
+                 zip(*(_random_blocks(rng, (2, 2, 2, 2, 2)) for _ in range(k))))
+    # the divisions the coupling's JointPmf and ConditionalPmfs make
+    c2, c1 = (c / c.sum(axis=-1, keepdims=True) for c in (c2, c1))
+    return _per_table(np.ascontiguousarray(_joint_tables(_per_table(p), c2, c1)))

@@ -110,6 +110,40 @@ def binning_constants_direct(table) -> list:
             h(2, 3, 4) - hy, h(1, 2, 3, 4) - hy, h(0, 2, 3, 4) - hy, h(0, 1, 2, 3, 4) - hy]
 
 
+def rate_system_rows(h):
+    """The rows (coefficient dict, relation, constant) of a coupling's binning
+    constraint system over Rt0, Rt1, Rt2, Rb1, Rb2, Rf1, Rf2 and of its direct
+    rate system over Rb1, Rb2, Rf1, Rf2, each with its nonnegativity rows
+    last, written out one row at a time from its joint entropies ``h`` on W,
+    Y1Y2, WY1Y2, UW, VW, UVW, UVWY1Y2, VWY1Y2 and UWY1Y2."""
+    hw, hy, hwy, hwu, hwv, hwvu, hall, hwvy, hwuy = h
+    binning = [
+        ({"Rt0": 1}, "<", hw),
+        ({"Rt0": 1, "Rt1": 1, "Rb1": 1}, "<", hwv),
+        ({"Rt0": 1, "Rt2": 1, "Rb2": 1}, "<", hwu),
+        ({"Rt0": 1, "Rt1": 1, "Rt2": 1, "Rb1": 1, "Rb2": 1}, "<", hwvu),
+        ({"Rt1": -1, "Rb1": -1, "Rf1": -1}, "<=", -(hwv - hw)),
+        ({"Rt0": -1, "Rt1": -1, "Rb1": -1, "Rf1": -1}, "<=", -hwv),
+        ({"Rt2": -1, "Rb2": -1, "Rf2": -1}, "<=", -(hwu - hw)),
+        ({"Rt0": -1, "Rt2": -1, "Rb2": -1, "Rf2": -1}, "<=", -hwu),
+        ({"Rt0": 1}, "<", hwy - hy),
+        ({"Rt0": 1, "Rt1": 1}, "<", hwvy - hy),
+        ({"Rt0": 1, "Rt2": 1}, "<", hwuy - hy),
+        ({"Rt0": 1, "Rt1": 1, "Rt2": 1}, "<", hall - hy),
+    ]
+    binning += [({v: -1}, "<=", 0.0) for v in ("Rt0", "Rt1", "Rt2", "Rb1", "Rb2", "Rf1", "Rf2")]
+    i_uv_w = hwu + hwv - hw - hwvu
+    i_w_y = hw + hy - hwy
+    direct = [
+        ({"Rb1": -1, "Rf1": -1, "Rb2": -1, "Rf2": -1}, "<=", -(hy + hwvu - hall + i_uv_w + i_w_y)),
+        ({"Rb1": -1, "Rf1": -1}, "<=", -(hy + hwv - hwvy)),
+        ({"Rb2": -1, "Rf2": -1}, "<=", -(hy + hwu - hwuy)),
+        ({"Rf1": -1, "Rf2": -1}, "<=", -(i_uv_w + i_w_y)),
+    ]
+    direct += [({v: -1}, "<=", 0.0) for v in ("Rb1", "Rb2", "Rf1", "Rf2")]
+    return binning, direct
+
+
 def set_partitions(length: int, max_blocks: int):
     """Every partition of range(length) into at most max_blocks blocks, as a
     restricted growth string: a[0] = 0 and a[i] <= 1 + max(a[:i])."""

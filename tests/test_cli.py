@@ -440,7 +440,8 @@ class TestGoldenSearches:
     """The bench's frontier, Wyner, fme-verify and osrb jobs and a Wyner
     search on a DSBS, with results.csv and summary.json committed: the
     searches must reach the same answers to the last digit, fme-verify the
-    same verdicts and vertex counts, and the bin-law check the same TVs."""
+    same verdicts and vertex counts and its first coupling's two systems,
+    and the bin-law check the same TVs."""
 
     CONFIGS = {
         "frontier-dsbs": ("[run]\ncommand = frontier\nsource = dsbs-0.1\nseed = 0\n"
@@ -458,12 +459,16 @@ class TestGoldenSearches:
                             "rt2 = 0.2\nn_list = 2,4,6,8,10\nseeds = 20\n"),
     }
 
+    # further committed outputs, under the run directory
+    SYSTEMS = {"fme-verify": ("systems/coupling_000_constraints.lsys",
+                              "systems/coupling_000_direct.lsys")}
+
     @pytest.mark.parametrize("job", sorted(CONFIGS))
     def test_outputs_match_golden(self, tmp_path, job):
         status, out = run_cli(tmp_path, self.CONFIGS[job])
         assert status == 0
-        for name in ("results.csv", "summary.json"):
-            golden = os.path.join(os.path.dirname(__file__), "data", f"{job}-{name}")
+        for name in ("results.csv", "summary.json") + self.SYSTEMS.get(job, ()):
+            golden = os.path.join(os.path.dirname(__file__), "data", f"{job}-{os.path.basename(name)}")
             with open(golden, "rb") as fh:
                 assert (out / name).read_bytes() == fh.read(), name
 

@@ -5,19 +5,25 @@ import numpy as np
 import pytest
 
 from coordinet import fme
-from coordinet.fme import (PROJECTED_VARS, SNAP, LinearSystem, binning_constraint_system,
-                           fme_eliminate, project_binning_system,
-                           projection_matches_rate_system, simplify,
+from coordinet.fme import (PROJECTED_VARS, RATE_VARS, SNAP, LinearSystem,
+                           binning_constraint_system, coupling_systems, fme_eliminate,
+                           project_binning_system, projection_matches_rate_system, simplify,
                            systems_equivalent, theorem_rate_system, upward_closure)
-from coordinet.information import entropy
-from coordinet.region import random_inner_coupling
+from coordinet.information import entropy, subset_entropies
+from coordinet.region import INNER_SUBSETS, random_inner_coupling, random_inner_joints
 
-from oracles import (drop_dominated_loop, extension_interval, fme_eliminate_loop, simplify_loop,
-                     systems_equivalent_sampled, vertices_bruteforce)
+from oracles import (drop_dominated_loop, extension_interval, fme_eliminate_loop, rate_system_rows,
+                     simplify_loop, systems_equivalent_sampled, vertices_bruteforce)
 
 
 def sys_of(variables, rows):
     return LinearSystem.from_rows(variables, rows)
+
+
+def batch_of(systems):
+    """The batch whose columns are the lone ``systems``, which share variables and coefficients."""
+    return LinearSystem(systems[0].variables, systems[0].a, np.stack([s.b for s in systems], 1),
+                        np.stack([s.strict for s in systems], 1))
 
 
 class TestEliminate:
@@ -427,7 +433,7 @@ class TestBatch:
         rng = np.random.default_rng(33)
         joints = [random_inner_coupling(rng).joint() for _ in range(8)]
         lone = [(binning_constraint_system(j), theorem_rate_system(j)) for j in joints]
-        base, direct = (LinearSystem.stack(list(x)) for x in zip(*lone))
+        base, direct = coupling_systems(np.stack([j.table for j in joints]))
         batched = projection_matches_rate_system(base, direct)
         assert len(batched) == 8
         for (b, d), reports in zip(lone, batched):
@@ -439,19 +445,36 @@ class TestBatch:
             for (b, _), col in zip(lone, closed):
                 assert systems_equivalent(col, upward_closure(project_binning_system(b, order))).agree
 
+    def test_coupling_systems_match_lone_couplings_and_the_row_oracle(self):
+        # each batched joint is its lone coupling's to the bit, and each column's constants are
+        # those the row-by-row construction makes from that coupling's own entropies
+        for seed in range(30):
+            joints = random_inner_joints(np.random.default_rng(seed), 20)
+            assert joints.shape == (20, 2, 2, 2, 2, 2)
+            base, direct = coupling_systems(joints)
+            rng = np.random.default_rng(seed)
+            for k in range(20):
+                j = random_inner_coupling(rng).joint().table
+                assert joints[k].tobytes() == j.tobytes()
+                h = subset_entropies(j[None], INNER_SUBSETS)[0].tolist()
+                for batch, variables, rows in zip((base, direct), (RATE_VARS, PROJECTED_VARS),
+                                                  rate_system_rows(h)):
+                    want = LinearSystem.from_rows(variables, rows)
+                    assert batch.variables == want.variables and np.array_equal(batch.a, want.a)
+                    assert batch.b[:, k].tobytes() == want.b.tobytes()
+                    assert np.array_equal(batch.strict[:, k], want.strict)
+
     def test_lone_system_is_the_batch_of_one(self):
         j = random_inner_coupling(np.random.default_rng(34)).joint()
         s = binning_constraint_system(j)
-        one = LinearSystem.stack([s])
+        one = LinearSystem(s.variables, s.a, s.b[:, None], s.strict[:, None])
         for order in itertools.permutations(("Rt0", "Rt1", "Rt2")):
             lone = upward_closure(project_binning_system(s, order))
             col, = upward_closure(project_binning_system(one, order)).columns
             assert col.to_text() == lone.to_text()
 
-    def test_stack_needs_shared_coefficients(self):
+    def test_batch_constants_need_a_column_per_flag(self):
         s = sys_of(["x"], [({"x": 1}, "<=", 1.0)])
-        with pytest.raises(ValueError, match="shares"):
-            LinearSystem.stack([s, sys_of(["x"], [({"x": 2}, "<=", 1.0)])])
         with pytest.raises(ValueError, match="inconsistent"):
             LinearSystem(s.variables, s.a, np.ones((1, 2)), np.zeros((1, 3), dtype=bool))
 
@@ -474,10 +497,7 @@ class TestVertexBatch:
     the vertices, verdict and count its lone system gets."""
 
     def batch(self, seed, couplings):
-        rng = np.random.default_rng(seed)
-        joints = [random_inner_coupling(rng).joint() for _ in range(couplings)]
-        return (LinearSystem.stack([binning_constraint_system(j) for j in joints]),
-                LinearSystem.stack([theorem_rate_system(j) for j in joints]))
+        return coupling_systems(random_inner_joints(np.random.default_rng(seed), couplings))
 
     def test_each_column_is_the_bruteforce_vertex_set(self):
         base, direct = self.batch(51, 3)
@@ -500,7 +520,7 @@ class TestVertexBatch:
         ]
         for rows in systems:
             s = sys_of(v4, rows + nonneg)
-            assert vertex_sets(LinearSystem.stack([s])) == [lone_oracle(s)]
+            assert vertex_sets(batch_of([s])) == [lone_oracle(s)]
 
     def test_one_shifted_column_disagrees_alone(self):
         base, direct = self.batch(52, 6)
@@ -550,9 +570,9 @@ class TestVertexBatch:
             final.append(rounds[-1])
         assert final == [6, 5]
         for pair in (lone, lone[::-1]):   # the column that needs the cut first and last
-            batch = LinearSystem.stack(pair)
+            batch = batch_of(pair)
             assert vertex_sets(batch) == [lone_oracle(s) for s in pair]
-            reports = systems_equivalent(batch, LinearSystem.stack([lone[1], lone[1]]))
+            reports = systems_equivalent(batch, batch_of([lone[1], lone[1]]))
             expect = [systems_equivalent(s, lone[1]) for s in pair]
             assert [(r.agree, r.vertices) for r in reports] == [(r.agree, r.vertices) for r in expect]
             assert [r.agree for r in reports] == [s is lone[1] for s in pair]
@@ -585,6 +605,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize("row, fault", [
         ("x <= 1", r"row 'x <= 1': term 'x' has no coefficient"),
+        ("x*1 <= 1", r"row 'x\*1 <= 1': term 'x\*1' has 'x', not a number"),
+        ("1*x <= one", r"row '1\*x <= one': constant has 'one', not a number"),
         ("1*x - 1*y <= 1", r"term '1\*x - 1\*y' is not one term; join terms by ' \+ '"),
         ("1*x <= 1 <= 2", r"row '1\*x <= 1 <= 2' has 2 relations, not one"),
     ])

@@ -205,21 +205,22 @@ class TestExactnessInvariants:
         assert peak <= 2.5 * 8 * 4 ** 10, f"peak {peak / (8 * 4 ** 10):.2f} tables"
 
     def test_n12_under_raised_caps_stays_under_400_mib(self):
-        # a fresh interpreter, so the peak resident set is this run's alone
-        code = ("import resource\n"
-                "from coordinet.osrb import ProtocolCaps, ProtocolConfig, run_protocol\n"
+        # a fresh interpreter, whose VmHWM is this run's peak resident set alone: its
+        # ru_maxrss would carry over the forking pytest process's high-water mark
+        code = ("from coordinet.osrb import ProtocolCaps, ProtocolConfig, run_protocol\n"
                 "from coordinet.region import RateTuple\n"
                 "from coordinet.sources import builtin_coupling, identical_uniform\n"
                 "q = identical_uniform(2)\n"
                 "run_protocol(ProtocolConfig(q=q, coupling=builtin_coupling('w-from-y1', q), n=12,\n"
                 "    rates=RateTuple(rf1=1.4, rb1=0, rf2=1.4, rb2=0), tilde_rates=(0, 0, 0), seed=1,\n"
                 "    caps=ProtocolCaps(wvu=2 ** 24, y_pairs=2 ** 24, with_g=2 ** 26)))\n"
-                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+                "print(next(ln.split()[1] for ln in open('/proc/self/status')\n"
+                "           if ln.startswith('VmHWM:')))\n")
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
                              env=dict(os.environ, PYTHONPATH=src), check=True)
-        maxrss_mib = int(out.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
-        assert maxrss_mib < 400, f"peak {maxrss_mib:.0f} MiB"
+        peak_mib = int(out.stdout.split()[-1]) / 1024  # VmHWM is in kB
+        assert peak_mib < 400, f"peak {peak_mib:.0f} MiB"
 
     def test_rejects_infinite_rates(self):
         q = identical_uniform(2)

@@ -111,6 +111,20 @@ class TestCanonicalCouplings:
         assert d.verdict in ("inside", "inconclusive")
 
 
+    def test_joint_is_the_attach_chain_to_the_bit(self):
+        # InnerCoupling.joint() forms the attach chain's products and divisions on arrays
+        rng = np.random.default_rng(14)
+        q23 = make_joint([("Y1", 2), ("Y2", 3)], [[0.1, 0.2, 0.05], [0.3, 0.15, 0.2]])
+        coups = [random_inner_coupling(rng, sizes) for sizes in
+                 [(2, 2, 2, 2, 2), (2, 3, 2, 2, 3), (3, 2, 1, 3, 2)] for _ in range(10)]
+        coups += [c for q in (dsbs(0.1), q23) for caps in (None, (3, 3, 4))
+                  for c in canonical_couplings(q, caps).values()]
+        for c in coups:
+            want = c.p_uvw.attach(c.chan_y2).attach(c.chan_y1).reorder(region.INNER_AXES)
+            got = c.joint()
+            assert got.alphabets == want.alphabets and got.table.tobytes() == want.table.tobytes()
+
+
 class TestInnerMembership:
     def test_independent_zero_rates_inside(self):
         d = inner_membership(independent_bits(), RateTuple(0, 0, 0, 0),
